@@ -18,8 +18,8 @@ from truncgibbs import (
     TruncatedNormal,
     UpdateStream,
     derive_key,
+    inverse_cdf,
     nearest_neighbor,
-    sample,
     site_update,
     wrapped_offsets,
 )
@@ -29,7 +29,7 @@ interval = SpinInterval(0.0, 1.0)
 print("Quantiles as a function of the center m, one column per shared uniform u:")
 print(f"{'m':>6}", *(f"u={u:.2f}" for u in (0.1, 0.3, 0.5, 0.7, 0.9)))
 for m in np.linspace(-0.5, 1.5, 9):
-    row = [sample(TruncatedNormal(float(m), interval), u)
+    row = [inverse_cdf(TruncatedNormal(float(m), interval), u)
            for u in (0.1, 0.3, 0.5, 0.7, 0.9)]
     print(f"{m:>6.2f}", *(f"{q:6.4f}" for q in row))
 print("Each column is non-decreasing: larger centers never produce smaller spins.")

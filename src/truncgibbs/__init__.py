@@ -25,7 +25,6 @@ from .truncnorm import (
     density,
     inverse_cdf,
     mean,
-    sample,
     varphi,
     varphi_inverse,
 )
@@ -50,7 +49,6 @@ from .sampler import (
     cftp,
     cftp_samples,
     local_mean,
-    run_event_driven,
     run_sandwich,
     site_update,
     stationary_run,

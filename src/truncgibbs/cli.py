@@ -29,6 +29,7 @@ from .kernel import (
     exp_decay,
     nearest_neighbor,
 )
+from .streams import uniform_configurations
 
 _REQUIRED = object()
 
@@ -57,10 +58,10 @@ def _get(cfg: dict, path: str, kind, default=_REQUIRED):
     return node
 
 
-def _positive_int(cfg, path, default=_REQUIRED):
+def _int_from(cfg, path, default=_REQUIRED, least=1):
     value = _get(cfg, path, int, default)
-    if value < 1:
-        raise ConfigInvalid(f"{path}: must be a positive integer, got {value}")
+    if value < least:
+        raise ConfigInvalid(f"{path}: must be an integer >= {least}, got {value}")
     return value
 
 
@@ -77,13 +78,13 @@ def _load_config(path: str) -> dict:
 
 def _kernel_from(cfg: dict):
     _get(cfg, "kernel", dict)
-    dimension = _positive_int(cfg, "kernel.dimension")
+    dimension = _int_from(cfg, "kernel.dimension")
     preset = _get(cfg, "kernel.preset", str, None)
     if preset == "nn":
         return nearest_neighbor(dimension), {"preset": "nn", "dimension": dimension}
     if preset == "exp-decay":
         rate = _get(cfg, "kernel.rate", float)
-        reach = _positive_int(cfg, "kernel.range")
+        reach = _int_from(cfg, "kernel.range")
         return exp_decay(rate, reach, dimension), {
             "preset": "exp-decay", "dimension": dimension, "rate": rate, "range": reach}
     if preset is not None:
@@ -125,30 +126,69 @@ def _interval_from(cfg: dict):
 
 
 def _boundary_from(cfg: dict, shell, interval):
-    spec = _get(cfg, "boundary", dict, None)
-    if spec is None:
-        if shell:
-            raise ConfigInvalid("boundary: required for box geometries")
-        return np.empty(0), None
-    if "constant" in spec:
-        level = _get(cfg, "boundary.constant", float)
-        return np.full(len(shell), level), {"constant": level}
-    entries = _get(cfg, "boundary.values", list)
-    table = {tuple(site): float(value) for site, value in entries}
-    missing = [s for s in shell if s not in table]
-    if missing:
-        raise ConfigInvalid(f"boundary.values: missing shell sites {missing}")
-    gamma = np.array([table[s] for s in shell])
+    if "constant" in _get(cfg, "boundary", dict):
+        path = "boundary.constant"
+        level = _get(cfg, path, float)
+        gamma, echo = np.full(len(shell), level), {"constant": level}
+    else:
+        path = "boundary.values"
+        try:
+            table = {tuple(site): float(value) for site, value in _get(cfg, path, list)}
+        except (TypeError, ValueError):
+            raise ConfigInvalid(f"{path}: expected a list of [site, value] pairs") from None
+        missing = [s for s in shell if s not in table]
+        if missing:
+            raise ConfigInvalid(f"{path}: missing shell sites {missing}")
+        gamma = np.array([table[s] for s in shell])
+        echo = {"values": [[list(s), table[s]] for s in shell]}
     if not interval.contains(gamma):
-        raise ConfigInvalid("boundary.values: values must lie in the spin interval")
-    return gamma, {"values": [[list(s), table[s]] for s in shell]}
+        raise ConfigInvalid(f"{path}: values must lie in the spin interval")
+    return gamma, echo
 
 
 def _volume_from(cfg: dict):
     sites = _get(cfg, "volume", list)
     if not sites:
         raise ConfigInvalid("volume: must list at least one site")
-    return [tuple(s) for s in sites]
+    return [tuple(int(c) for c in s) for s in sites]
+
+
+class _Setup:
+    """The resolved parts every handler shares, and the config they echo.
+
+    ``space`` is "geometry" for lattice subcommands and "volume" for
+    finite-volume ones, which get a sorted ``volume``.  The boundary lives
+    on the shell of a box or of a volume (resolving it for a volume builds
+    the matrices, ``vh``); on a torus it is None.
+    """
+
+    def __init__(self, cfg, seed, space, interval=True, boundary=True):
+        self.kernel, kern_cfg = _kernel_from(cfg)
+        self.geometry = self.volume = self.vh = self.interval = self.boundary = None
+        self._head = {"kernel": kern_cfg}
+        if space == "geometry":
+            self.geometry, self._head["geometry"] = _geometry_from(cfg, self.kernel)
+            shell = self.geometry.shell
+        else:
+            self.volume = sorted(_volume_from(cfg))
+            self._head["volume"] = [list(s) for s in self.volume]
+            shell = ()
+            if boundary:
+                self.vh = finite_spec.build_matrices(self.volume, self.kernel)
+                shell = self.vh.shell
+        if interval:
+            self.interval, self._head["interval"] = _interval_from(cfg)
+        self._head["seed"] = seed
+        self._tail = {}
+        if boundary:
+            self._tail["boundary"] = None
+            if shell:
+                self.boundary, self._tail["boundary"] = _boundary_from(cfg, shell, self.interval)
+
+    def config(self, **params) -> dict:
+        """The echoed config: kernel, geometry or volume, interval, seed, the
+        subcommand's own parameters, then the boundary."""
+        return {**self._head, **params, **self._tail}
 
 
 # ---------------------------------------------------------------------------
@@ -196,31 +236,17 @@ def _site_column(site) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_sandwich(cfg, out, seed):
-    kern, kern_cfg = _kernel_from(cfg)
-    geom, geom_cfg = _geometry_from(cfg, kern)
-    interval, interval_cfg = _interval_from(cfg)
-    sweeps = _positive_int(cfg, "sweeps", 500)
-    snapshot_every = _get(cfg, "snapshot_every", int, 0)
-    fault = _get(cfg, "inject_order_fault", int, None)
-    boundary = None
-    if geom.kind == "box":
-        table_shell = geom.shell
-        boundary, boundary_cfg = _boundary_from(cfg, table_shell, interval)
-    else:
-        boundary_cfg = None
-
-    trace = sampler.run_sandwich(geom, kern, interval, sweeps, seed,
-                                 snapshot_every=snapshot_every, boundary=boundary,
-                                 _fault_update=fault)
-    resolved = {"kernel": kern_cfg, "geometry": geom_cfg, "interval": interval_cfg,
-                "seed": seed, "sweeps": sweeps, "snapshot_every": snapshot_every,
-                "boundary": boundary_cfg}
+    run = _Setup(cfg, seed, "geometry")
+    sweeps = _int_from(cfg, "sweeps", 500)
+    snapshot_every = _int_from(cfg, "snapshot_every", 0, least=0)
+    trace = sampler.run_sandwich(run.geometry, run.kernel, run.interval, sweeps, seed,
+                                 snapshot_every=snapshot_every, boundary=run.boundary)
     rows = [(s, float(trace.sup_gap[s]), float(trace.mean_gap[s]))
             for s in range(sweeps + 1)]
     _write_csv(out, "trace.csv", ["sweep", "sup_gap", "mean_gap"], rows)
     _write_json(out, "summary.json", {
         "subcommand": "sandwich",
-        "config": resolved,
+        "config": run.config(sweeps=sweeps, snapshot_every=snapshot_every),
         "initial_sup_gap": float(trace.sup_gap[0]),
         "final_sup_gap": float(trace.sup_gap[-1]),
         "final_mean_gap": float(trace.mean_gap[-1]),
@@ -231,104 +257,86 @@ def _run_sandwich(cfg, out, seed):
 
 
 def _run_cftp(cfg, out, seed):
-    kern, kern_cfg = _kernel_from(cfg)
-    geom, geom_cfg = _geometry_from(cfg, kern)
-    if geom.kind != "box":
+    run = _Setup(cfg, seed, "geometry")
+    if run.geometry.kind != "box":
         raise ConfigInvalid("geometry.kind: cftp requires a box")
-    interval, interval_cfg = _interval_from(cfg)
-    boundary, boundary_cfg = _boundary_from(cfg, geom.shell, interval)
-    n_samples = _positive_int(cfg, "n_samples", 1000)
+    n_samples = _int_from(cfg, "n_samples", 1000)
     eps = _get(cfg, "eps_coal", float, 1e-9)
-    t_cap = _positive_int(cfg, "t_cap", 1 << 20)
-    n_q = _positive_int(cfg, "n_q", 256)
+    if eps < 0.0:     # a negative tolerance never coalesces and runs to t_cap
+        raise ConfigInvalid(f"eps_coal: must be >= 0, got {eps}")
+    t_cap = _int_from(cfg, "t_cap", 1 << 20)
+    n_q = _int_from(cfg, "n_q", 256)
 
-    samples = sampler.cftp_samples(geom, kern, interval, boundary, n_samples, seed,
-                                   eps_coal=eps, t_cap=t_cap)
-    resolved = {"kernel": kern_cfg, "geometry": geom_cfg, "interval": interval_cfg,
-                "seed": seed, "n_samples": n_samples, "eps_coal": eps,
-                "t_cap": t_cap, "n_q": n_q, "boundary": boundary_cfg}
-    header = [_site_column(s) for s in geom.sites]
-    _write_csv(out, "samples.csv", header,
+    sites = run.geometry.sites
+    samples = sampler.cftp_samples(run.geometry, run.kernel, run.interval, run.boundary,
+                                   n_samples, seed, eps_coal=eps, t_cap=t_cap)
+    _write_csv(out, "samples.csv", [_site_column(s) for s in sites],
                [tuple(float(v) for v in row) for row in samples])
 
     verdicts = []
     ks_rows = []
-    if len(geom.sites) <= 3:
-        oracle = diagnostics.quadrature_marginals(geom.sites, boundary, kern,
-                                                  interval, n_q=n_q)
+    if len(sites) <= 3:
+        oracle = diagnostics.quadrature_marginals(sites, run.boundary, run.kernel,
+                                                  run.interval, n_q=n_q)
         # 0.02 is calibrated for 1e4 samples; below that use the 99.9%
         # one-sample KS critical value so small runs are not flagged by noise
         ks_threshold = max(0.02, 1.949 / np.sqrt(n_samples))
-        for j, site in enumerate(geom.sites):
+        for j, site in enumerate(sites):
             column = samples[:, j]
             se = float(column.std(ddof=1) / np.sqrt(n_samples))
-            est = float(column.mean())
-            target = float(oracle.means[j])
-            z = 0.0 if est == target else (est - target) / se if se else float("inf")
-            verdicts.append({"name": f"mean[{_site_column(site)}]", "estimate": est,
-                             "se": se, "target": target, "z": z, "pass": abs(z) <= 3.0})
+            verdicts.append(diagnostics._verdict(
+                f"mean[{_site_column(site)}]", float(column.mean()), se,
+                float(oracle.means[j])).as_dict())
             distance = diagnostics.ks_distance(column, oracle.grid, oracle.marginal_cdf(j))
             ks_rows.append({"name": f"ks[{_site_column(site)}]", "distance": distance,
                             "threshold": ks_threshold, "pass": distance < ks_threshold})
     payload_ok = all(v["pass"] for v in verdicts) and all(r["pass"] for r in ks_rows)
     _write_json(out, "verdicts.json", {
-        "subcommand": "cftp", "config": resolved,
+        "subcommand": "cftp",
+        "config": run.config(n_samples=n_samples, eps_coal=eps, t_cap=t_cap, n_q=n_q),
         "mean_verdicts": verdicts, "ks": ks_rows, "pass": payload_ok,
     })
     return payload_ok
 
 
 def _run_ident4(cfg, out, seed):
-    kern, kern_cfg = _kernel_from(cfg)
-    geom, geom_cfg = _geometry_from(cfg, kern)
-    interval, interval_cfg = _interval_from(cfg)
-    burn_in = _get(cfg, "burn_in", int, 1000)
-    sweeps = _positive_int(cfg, "sweeps", 10000)
-    batches = _positive_int(cfg, "batches", 32)
+    run = _Setup(cfg, seed, "geometry", boundary=False)
+    burn_in = _int_from(cfg, "burn_in", 1000, least=0)
+    sweeps = _int_from(cfg, "sweeps", 10000)
+    batches = _int_from(cfg, "batches", 32)
     start = _get(cfg, "start", str, "midpoint")
+    if start not in ("midpoint", "lower", "upper"):
+        raise ConfigInvalid(f"start: expected 'midpoint', 'lower' or 'upper', got {start!r}")
 
-    trace = sampler.stationary_run(geom, kern, interval, seed, burn_in, sweeps,
-                                   start=start)
+    trace = sampler.stationary_run(run.geometry, run.kernel, run.interval, seed,
+                                   burn_in, sweeps, start=start)
     shift, balance = diagnostics.stationarity_check(trace, batches=batches)
-    resolved = {"kernel": kern_cfg, "geometry": geom_cfg, "interval": interval_cfg,
-                "seed": seed, "burn_in": burn_in, "sweeps": sweeps,
-                "batches": batches, "start": start}
     ok = shift.passed and balance.passed
     _write_json(out, "verdicts.json", {
-        "subcommand": "ident4", "config": resolved,
+        "subcommand": "ident4",
+        "config": run.config(burn_in=burn_in, sweeps=sweeps, batches=batches, start=start),
         "verdicts": [shift.as_dict(), balance.as_dict()], "pass": ok,
     })
     return ok
 
 
 def _run_spec_check(cfg, out, seed):
-    kern, kern_cfg = _kernel_from(cfg)
-    volume = _volume_from(cfg)
-    interval, interval_cfg = _interval_from(cfg)
-    trials = _positive_int(cfg, "identity_trials", 100)
-    vh = finite_spec.build_matrices(volume, kern)
-    boundary, boundary_cfg = _boundary_from(cfg, vh.shell, interval)
-    spec = finite_spec.specification(vh, boundary, interval)
-
-    from .streams import derive_key, uniforms
-    key = derive_key(seed, "spec-check")
-    total = vh.n_sites + len(vh.shell)
+    run = _Setup(cfg, seed, "volume")
+    trials = _int_from(cfg, "identity_trials", 100)
+    vh = run.vh
+    spec = finite_spec.specification(vh, run.boundary, run.interval)
     worst = 0.0
-    for trial in range(trials):
-        u = uniforms(key, np.arange(trial * total, (trial + 1) * total, dtype=np.uint64))
-        xi = interval.a + interval.width * u
+    for xi in uniform_configurations(seed, "spec-check", run.interval,
+                                     vh.n_sites + len(vh.shell), trials):
         direct = finite_spec.hamiltonian(vh, xi)
         quad = finite_spec.quadratic_form(vh, xi[:vh.n_sites], xi[vh.n_sites:])
         worst = max(worst, abs(direct - quad))
     solve_residual = float(np.max(np.abs(
-        vh.precision @ spec.mean - vh.cross @ boundary))) if len(vh.shell) else 0.0
+        vh.precision @ spec.mean - vh.cross @ run.boundary))) if len(vh.shell) else 0.0
 
-    resolved = {"kernel": kern_cfg, "volume": [list(s) for s in vh.sites],
-                "interval": interval_cfg, "seed": seed, "identity_trials": trials,
-                "boundary": boundary_cfg}
     ok = worst <= 1e-10 and solve_residual <= 1e-10
     _write_json(out, "spec.json", {
-        "subcommand": "spec-check", "config": resolved,
+        "subcommand": "spec-check", "config": run.config(identity_trials=trials),
         "sites": [list(s) for s in vh.sites], "shell": [list(s) for s in vh.shell],
         "precision": vh.precision, "cross": vh.cross,
         "mean": spec.mean, "covariance": spec.covariance,
@@ -339,18 +347,15 @@ def _run_spec_check(cfg, out, seed):
 
 
 def _run_pd_check(cfg, out, seed):
-    kern, kern_cfg = _kernel_from(cfg)
-    volume = _volume_from(cfg)
-    vh = finite_spec.build_matrices(volume, kern)
+    run = _Setup(cfg, seed, "volume", interval=False, boundary=False)
+    vh = finite_spec.build_matrices(run.volume, run.kernel)
     cert = finite_spec.pd_certificate(vh)
     residual = float(np.max(np.abs(cert.reassemble() - vh.precision)))
     min_eig = float(np.linalg.eigvalsh(vh.precision).min())
-    resolved = {"kernel": kern_cfg, "volume": [list(s) for s in vh.sites], "seed": seed}
     ok = residual <= 1e-14 and min_eig > 0.0
     _write_json(out, "certificate.json", {
-        "subcommand": "pd-check", "config": resolved,
+        "subcommand": "pd-check", "config": run.config(),
         "slack": cert.slack,
-        "site_deficiencies": cert.site_deficiencies,
         "terms": [{"offset": list(z), "weight": w,
                    "classes": [[list(s) for s in chain] for chain in classes]}
                   for z, w, classes in cert.terms],
@@ -362,72 +367,56 @@ def _run_pd_check(cfg, out, seed):
 
 
 def _run_beta_check(cfg, out, seed):
-    kern, kern_cfg = _kernel_from(cfg)
-    volume = _volume_from(cfg)
-    interval, interval_cfg = _interval_from(cfg)
-    betas = _get(cfg, "betas", list, [0.25, 1.0, 2.5, 10.0])
-    trials = _positive_int(cfg, "trials", 100)
+    run = _Setup(cfg, seed, "volume", boundary=False)
+    betas = [float(b) for b in _get(cfg, "betas", list, [0.25, 1.0, 2.5, 10.0])]
+    trials = _int_from(cfg, "trials", 100)
     rows = []
     for beta in betas:
-        residual = transforms.beta_scaling_check(volume, kern, interval, float(beta),
-                                                 trials, seed=seed)
-        rows.append({"beta": float(beta), "max_residual": residual,
-                     "pass": residual <= 1e-10})
-    resolved = {"kernel": kern_cfg, "volume": [list(s) for s in sorted(volume)],
-                "interval": interval_cfg, "seed": seed, "betas": [float(b) for b in betas],
-                "trials": trials}
+        residual = transforms.beta_scaling_check(run.volume, run.kernel, run.interval,
+                                                 beta, trials, seed=seed)
+        rows.append({"beta": beta, "max_residual": residual, "pass": residual <= 1e-10})
     ok = all(r["pass"] for r in rows)
     _write_json(out, "beta.json", {
-        "subcommand": "beta-check", "config": resolved, "results": rows, "pass": ok,
+        "subcommand": "beta-check", "config": run.config(betas=betas, trials=trials),
+        "results": rows, "pass": ok,
     })
     return ok
 
 
 def _run_af_probe(cfg, out, seed):
-    kern, kern_cfg = _kernel_from(cfg)
-    volume = _volume_from(cfg)
-    interval, interval_cfg = _interval_from(cfg)
-    trials = _positive_int(cfg, "trials", 100)
-    vh = finite_spec.build_matrices(volume, kern)
-    boundary, boundary_cfg = _boundary_from(cfg, vh.shell, interval)
-    partition = transforms.BipartitePartition.parity()
-    report = transforms.af_specification_probe(volume, boundary, kern, interval,
-                                               partition, trials, seed=seed)
-    resolved = {"kernel": kern_cfg, "volume": [list(s) for s in vh.sites],
-                "interval": interval_cfg, "seed": seed, "trials": trials,
-                "partition": "parity", "boundary": boundary_cfg}
+    run = _Setup(cfg, seed, "volume")
+    trials = _int_from(cfg, "trials", 100)
+    report = transforms.af_specification_probe(
+        run.volume, run.boundary, run.kernel, run.interval,
+        transforms.BipartitePartition.parity(), trials, seed=seed)
     _write_json(out, "af_probe.json", {
-        "subcommand": "af-probe", "config": resolved,
+        "subcommand": "af-probe", "config": run.config(trials=trials, partition="parity"),
         "deltas": report.deltas, "mean": report.mean, "spread": report.spread,
     })
     return True     # measurement only; no correctness assertion
 
 
 def _run_oracle_check(cfg, out, seed):
-    kern, kern_cfg = _kernel_from(cfg)
-    volume = _volume_from(cfg)
-    interval, interval_cfg = _interval_from(cfg)
-    n_q = _positive_int(cfg, "n_q", 256)
-    vh = finite_spec.build_matrices(volume, kern)
-    boundary, boundary_cfg = _boundary_from(cfg, vh.shell, interval)
-    oracle = diagnostics.quadrature_marginals(volume, boundary, kern, interval, n_q=n_q)
-    refined = diagnostics.quadrature_marginals(volume, boundary, kern, interval, n_q=2 * n_q)
+    run = _Setup(cfg, seed, "volume")
+    n_q = _int_from(cfg, "n_q", 256)
+    law = (run.volume, run.boundary, run.kernel, run.interval)
+    oracle = diagnostics.quadrature_marginals(*law, n_q=n_q)
+    refined = diagnostics.quadrature_marginals(*law, n_q=2 * n_q)
     mean_shift = float(np.max(np.abs(refined.means - oracle.means)))
     z_shift = abs(refined.normalizer - oracle.normalizer) / oracle.normalizer
 
     payload = {
         "subcommand": "oracle-check",
-        "config": {"kernel": kern_cfg, "volume": [list(s) for s in vh.sites],
-                   "interval": interval_cfg, "seed": seed, "n_q": n_q,
-                   "boundary": boundary_cfg},
+        "config": run.config(n_q=n_q),
         "quadrature_means": oracle.means,
         "normalizer": oracle.normalizer,
         "refinement_mean_shift": mean_shift,
         "refinement_z_shift": z_shift,
     }
     ok = mean_shift < 1e-6 and z_shift < 1e-8
+    vh = run.vh
     if vh.n_sites == 1:
-        tn = truncnorm.TruncatedNormal(float((vh.cross @ boundary)[0]), interval)
+        tn = truncnorm.TruncatedNormal(float((vh.cross @ run.boundary)[0]), run.interval)
         closed = truncnorm.mean(tn)
         payload["closed_form_mean"] = closed
         payload["closed_form_difference"] = abs(closed - float(oracle.means[0]))

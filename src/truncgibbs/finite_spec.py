@@ -272,23 +272,21 @@ def toeplitz_quadratic_form(volume, z, eta) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PDCertificate:
-    """Constructive decomposition A = deficiency diag + slack I + sum J(z) T_z.
+    """Constructive decomposition A = slack I + sum J(z) T_z.
 
-    For the gradient-form precision matrix the per-site deficiency weights
-    are identically zero (the Toeplitz diagonals and the slack already
-    carry the full kernel norm); the field is kept so the reassembly
-    formula is explicit.  ``terms`` holds one (offset, weight, classes)
-    triple per realized positive half-offset in the kernel support.
+    For the gradient-form precision matrix the Toeplitz diagonals and the
+    slack carry the full kernel norm, so no per-site diagonal remains.
+    ``terms`` holds one (offset, weight, classes) triple per realized
+    positive half-offset in the kernel support.
     """
 
     sites: tuple
-    site_deficiencies: np.ndarray
     slack: float
     terms: tuple
 
     def reassemble(self) -> np.ndarray:
         n = len(self.sites)
-        out = np.diag(self.site_deficiencies.astype(float)) + self.slack * np.eye(n)
+        out = self.slack * np.eye(n)
         for z, w, _classes in self.terms:
             out += w * toeplitz_matrix(self.sites, z)
         return out
@@ -324,4 +322,4 @@ def pd_certificate(vh: VolumeHamiltonian) -> PDCertificate:
             terms.append((z, float(w), tuple(z_connected_classes(sites, z))))
         else:
             slack += 2.0 * float(w)
-    return PDCertificate(sites, np.zeros(len(sites)), slack, tuple(terms))
+    return PDCertificate(sites, slack, tuple(terms))

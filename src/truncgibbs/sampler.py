@@ -9,9 +9,9 @@ pointwise order exactly: that one fact powers the sandwich run from the
 extremal all-a / all-b states and monotone coupling-from-the-past.
 
 Continuous time is realized as uniform random scan, the embedded jump
-chain of independent rate-one clocks; an event-driven variant with
-exponential waiting times is provided for box geometries and produces
-the identical trajectory when fed the same update stream.
+chain of independent rate-one clocks; the equilibrium law and the
+monotone coupling depend only on the order of updates, so no waiting
+times are drawn.
 
 A chain is a single-writer object: updates are sequentially dependent,
 so there is no intra-chain parallelism.  Distinct chains or replicas may
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BoundarySite, GeometryMismatch, NoCoalescence, OrderViolation
 from .kernel import LatticeGeometry, NeighborTable, SpinInterval, wrapped_offsets
-from .streams import UpdateStream, derive_key, site_uniform_pairs, uniforms
+from .streams import UpdateStream, derive_key, site_uniform_pairs
 from .truncnorm import _sample_many, _sample_one
 
 
@@ -153,28 +153,6 @@ def sweep(field: FieldConfiguration, stream: UpdateStream, n_updates: int) -> Fi
     return field
 
 
-def run_event_driven(field: FieldConfiguration, stream: UpdateStream, t_end: float):
-    """Rate-one exponential clocks on a box: the continuous-time picture.
-
-    Waiting times come from a separate stream keyed off the update stream,
-    so the embedded jump chain consumes exactly the same (site, uniform)
-    pairs as :func:`sweep` and reproduces its trajectory bit for bit.
-    Returns the number of events executed before t_end.
-    """
-    if field.table.geometry.kind != "box":
-        raise GeometryMismatch("event-driven mode is provided for box geometries")
-    clock_key = derive_key(stream.key, "clock")
-    total_rate = float(field.n_interior)
-    t, events = 0.0, 0
-    while True:
-        gap = -np.log(float(uniforms(clock_key, np.uint64(events)))) / total_rate
-        if t + gap > t_end:
-            return events
-        t += gap
-        sweep(field, stream, 1)
-        events += 1
-
-
 @dataclass(eq=False)
 class SandwichTrace:
     """Per-sweep record of the gap between coupled extremal chains."""
@@ -194,14 +172,12 @@ class SandwichTrace:
 
 def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
                  n_sweeps: int, seed: int, snapshot_every: int = 0,
-                 boundary=None, _fault_update=None) -> SandwichTrace:
+                 boundary=None) -> SandwichTrace:
     """Coupled run from the all-a and all-b extremes through one shared stream.
 
     Order is asserted after every update; the per-sweep sup-gap decaying
     toward zero is the finite-volume face of uniqueness of the equilibrium
-    state.  ``_fault_update`` is a fault-injection hook (the update index
-    at which the lower value is forced above the upper) used to test that
-    violations are fatal.
+    state.
     """
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
@@ -225,7 +201,6 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     a, b = interval.a, interval.b
     tol = _order_tolerance(interval)
     lo_vals, up_vals = lower.values, upper.values
-    update_counter = 0
     for s in range(1, n_sweeps + 1):
         sites, us = stream.take(n)
         for i, u in zip(sites, us):
@@ -234,8 +209,6 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
             m_up = min(max(up_vals[row] @ w, a), b)
             new_lo = _sample_one(m_lo, a, b, u)
             new_up = new_lo if m_up == m_lo else _sample_one(m_up, a, b, u)
-            if update_counter == _fault_update:
-                new_lo = new_up + (b - a) * 1e-3
             if new_lo > new_up:
                 if new_lo - new_up > tol:
                     raise OrderViolation(
@@ -244,7 +217,6 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
                 new_lo, new_up = new_up, new_lo   # sub-ulp rounding wobble
             lo_vals[i] = new_lo
             up_vals[i] = new_up
-            update_counter += 1
         record(s)
     return SandwichTrace(sup, mean, snapshots, seed, interval,
                          lower.interior.copy(), upper.interior.copy())

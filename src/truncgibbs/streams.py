@@ -59,6 +59,15 @@ def uniforms(key, counters):
     return ((w >> _U64(11)).astype(np.float64) + 0.5) * _TWO53
 
 
+def uniform_configurations(seed, tag: str, interval, size: int, trials: int):
+    """Yield ``trials`` configurations of ``size`` spins, each uniform on the
+    interval, from consecutive counters of the key ``derive_key(seed, tag)``."""
+    key = derive_key(seed, tag)
+    for trial in range(trials):
+        u = uniforms(key, np.arange(trial * size, (trial + 1) * size, dtype=np.uint64))
+        yield interval.a + interval.width * u
+
+
 class UpdateStream:
     """Deterministic stream of (site index, uniform) update pairs.
 

@@ -21,7 +21,7 @@ from .errors import IncompatiblePartition, NonpositiveBeta
 from .finite_spec import build_matrices, hamiltonian
 from .kernel import SpinInterval
 from .sampler import FieldConfiguration
-from .streams import derive_key, uniforms
+from .streams import uniform_configurations
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,10 @@ def beta_scaling_check(volume, kernel, interval: SpinInterval, beta: float,
     if not beta > 0.0:
         raise NonpositiveBeta(f"beta must be positive, got {beta}")
     vh = build_matrices(volume, kernel)
-    total = vh.n_sites + len(vh.shell)
-    key = derive_key(seed, "beta-check")
     root = np.sqrt(beta)
     worst = 0.0
-    for trial in range(trials):
-        u = uniforms(key, np.arange(trial * total, (trial + 1) * total, dtype=np.uint64))
-        xi = interval.a + interval.width * u
+    for xi in uniform_configurations(seed, "beta-check", interval,
+                                     vh.n_sites + len(vh.shell), trials):
         worst = max(worst, abs(beta * hamiltonian(vh, xi) - hamiltonian(vh, root * xi)))
     return worst
 
@@ -120,12 +117,9 @@ def af_specification_probe(volume, gamma, kernel, interval: SpinInterval,
     pivot = interval.a + interval.b
     flip_sites = np.array([partition.side(s) == 1
                            for s in list(vh.sites) + list(vh.shell)])
-    key = derive_key(seed, "af-probe")
-    n = vh.n_sites
     deltas = np.empty(trials)
-    for trial in range(trials):
-        u = uniforms(key, np.arange(trial * n, (trial + 1) * n, dtype=np.uint64))
-        eta = interval.a + interval.width * u
+    configurations = uniform_configurations(seed, "af-probe", interval, vh.n_sites, trials)
+    for trial, eta in enumerate(configurations):
         xi = np.concatenate([eta, gamma])
         reflected = np.where(flip_sites, pivot - xi, xi)
         # couplings negated: the reflected-configuration energy enters with a minus

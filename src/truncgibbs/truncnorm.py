@@ -63,21 +63,6 @@ class TruncatedNormal:
     m: float
     interval: SpinInterval
 
-    def density(self, u):
-        return density(self, u)
-
-    def cdf(self, u):
-        return cdf(self, u)
-
-    def mean(self):
-        return mean(self)
-
-    def inverse_cdf(self, p):
-        return inverse_cdf(self, p)
-
-    def sample(self, u):
-        return sample(self, u)
-
 
 def _endpoints(m, interval):
     m = np.asarray(m, dtype=float)
@@ -151,41 +136,27 @@ def mean(tn: TruncatedNormal):
 def inverse_cdf(tn: TruncatedNormal, p):
     """The quantile F^{-1}(p), monotone in both p and m, clipped to [a, b].
 
-    Computed through whichever normal tail is better conditioned; the
-    residual |F(quantile) - p| stays below 1e-12 for any mean within tens
-    of units of the interval.
+    Draws by inverse CDF from a shared uniform: for fixed p the map is
+    non-decreasing in m, which realizes the monotone coupling the
+    attractive dynamics is built on.  Computed through whichever normal
+    tail is better conditioned; the residual |F(quantile) - p| stays below
+    1e-12 for any mean within tens of units of the interval.
     """
     p = np.asarray(p, dtype=float)
     if np.any((p < 0.0) | (p > 1.0)):
         raise ProbabilityOutOfRange("p must lie in [0, 1]")
     alpha, beta = _endpoints(tn.m, tn.interval)
-    z = _mass(alpha, beta)
-    if np.any(z <= 0.0):
+    if np.any(_mass(alpha, beta) <= 0.0):
         raise DegenerateInterval(f"no normal mass on [{tn.interval.a}, {tn.interval.b}] for m={tn.m}")
-
-    sa, sb = ndtr(-alpha), ndtr(-beta)    # survival at the endpoints
-    fa, fb = ndtr(alpha), ndtr(beta)
-    use_upper = (alpha + beta) > 0.0
-    with np.errstate(all="ignore"):
-        q_upper = tn.m - ndtri((1.0 - p) * sa + p * sb)
-        q_lower = tn.m + ndtri((1.0 - p) * fa + p * fb)
-    q = np.where(use_upper, q_upper, q_lower)
-    q = np.clip(q, tn.interval.a, tn.interval.b)
-    q = np.where(p == 0.0, tn.interval.a, np.where(p == 1.0, tn.interval.b, q))
+    a, b = tn.interval.a, tn.interval.b
+    q = _sample_many(np.asarray(tn.m, dtype=float), a, b, p)
+    q = np.where(p == 0.0, a, np.where(p == 1.0, b, q))
     return q if q.ndim else float(q)
 
 
-def sample(tn: TruncatedNormal, u):
-    """Draw by inverse CDF from a shared uniform u in (0, 1).
-
-    For fixed u this map is non-decreasing in m, which realizes the
-    monotone coupling the attractive dynamics is built on.
-    """
-    return inverse_cdf(tn, u)
-
-
 def _sample_many(m, a, b, u):
-    """Vectorized inverse-CDF sampling on raw arrays (dynamics hot path)."""
+    """The quantile core on raw arrays: the dynamics hot path, and
+    :func:`inverse_cdf` behind its input checks."""
     alpha = a - m
     beta = b - m
     sa, sb = ndtr(-alpha), ndtr(-beta)

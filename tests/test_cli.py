@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from truncgibbs import sampler
 from truncgibbs.cli import main
 
 NN_KERNEL = {"preset": "nn", "dimension": 1}
@@ -140,6 +141,39 @@ def test_invalid_interval_rejected(tmp_path, capsys):
     assert "interval" in capsys.readouterr().err
 
 
+BOX2 = {"kind": "box", "sites": [[0], [1]]}
+TORUS8 = {"kind": "torus", "extents": [8]}
+VOLUME2 = [[0], [1]]
+
+
+BAD_INPUTS = [
+    ("spec-check", {"volume": VOLUME2, "boundary": {"constant": 5.0}}, "boundary.constant"),
+    ("oracle-check", {"volume": VOLUME2, "boundary": {"constant": 5.0}}, "boundary.constant"),
+    ("af-probe", {"volume": VOLUME2, "boundary": {"constant": 5.0}}, "boundary.constant"),
+    ("cftp", {"geometry": BOX2, "boundary": {"constant": 5.0}}, "boundary.constant"),
+    ("sandwich", {"geometry": BOX2, "boundary": {"constant": -0.5}}, "boundary.constant"),
+    ("spec-check", {"volume": VOLUME2,
+                    "boundary": {"values": [[[-1], 0.0], [[2], 1.5]]}}, "boundary.values"),
+    ("spec-check", {"volume": VOLUME2,
+                    "boundary": {"values": [[[-1], "x"], [[2], 1.0]]}}, "boundary.values"),
+    ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "eps_coal": -1.0}, "eps_coal"),
+    ("ident4", {"geometry": TORUS8, "burn_in": -1}, "burn_in"),
+    ("ident4", {"geometry": TORUS8, "start": "sideways"}, "start"),
+    ("sandwich", {"geometry": TORUS8, "snapshot_every": -10}, "snapshot_every"),
+]
+
+
+@pytest.mark.parametrize("subcommand, fields, path", BAD_INPUTS,
+                         ids=[f"{sub}-{path}" for sub, _, path in BAD_INPUTS])
+def test_bad_input_rejected_with_path(tmp_path, capsys, subcommand, fields, path):
+    cfg = write_config(tmp_path, "bad.json",
+                       {"kernel": NN_KERNEL, "interval": [0.0, 1.0], **fields})
+    assert run(subcommand, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and path in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json_rejected(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -151,11 +185,12 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
-def test_forced_order_violation_fails_run(tmp_path, capsys):
+def test_forced_order_violation_fails_run(tmp_path, capsys, monkeypatch):
+    # a quantile that decreases in the mean puts the lower chain above the upper
+    monkeypatch.setattr(sampler, "_sample_one", lambda m, a, b, u: a + b - m)
     cfg = write_config(tmp_path, "fault.json", {
         "kernel": NN_KERNEL, "geometry": {"kind": "torus", "extents": [8]},
         "interval": [0.0, 1.0], "seed": 1, "sweeps": 10,
-        "inject_order_fault": 13,
     })
     assert run("sandwich", cfg, tmp_path / "out") == 1
     assert "OrderViolation" in capsys.readouterr().err

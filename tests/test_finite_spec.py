@@ -185,7 +185,6 @@ def test_certificate_pair_volume():
     offsets = [z for z, _, _ in cert.terms]
     assert offsets == [(1,)]
     assert cert.slack == 0.0
-    assert np.all(cert.site_deficiencies == 0.0)
     t1 = toeplitz_matrix([(0,), (1,)], (1,))
     assert t1.tolist() == [[2.0, -1.0], [-1.0, 2.0]]
     assert np.max(np.abs(cert.reassemble() - vh.precision)) == 0.0

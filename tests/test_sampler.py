@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from truncgibbs import sampler
 from truncgibbs.errors import (
     BoundarySite,
     GeometryMismatch,
@@ -13,7 +14,6 @@ from truncgibbs.sampler import (
     cftp,
     cftp_samples,
     local_mean,
-    run_event_driven,
     run_sandwich,
     site_update,
     stationary_run,
@@ -164,28 +164,6 @@ def test_sweep_stream_mismatch():
         sweep(field, UpdateStream(derive_key(1), 5), 10)
 
 
-def test_event_driven_matches_embedded_jump_chain():
-    box = LatticeGeometry.box([(0,), (1,), (2,)], NN1)
-    table = wrapped_offsets(NN1, box)
-    start = np.array([0.2, 0.5, 0.8])
-
-    clocked = FieldConfiguration(table, UNIT, start.copy(), boundary=0.5)
-    stream = UpdateStream(derive_key(31), 3)
-    events = run_event_driven(clocked, stream, t_end=20.0)
-    assert events > 0
-
-    scanned = FieldConfiguration(table, UNIT, start.copy(), boundary=0.5)
-    sweep(scanned, UpdateStream(derive_key(31), 3), events)
-    assert np.array_equal(clocked.values, scanned.values)
-
-
-def test_event_driven_requires_box():
-    table = torus_table()
-    field = FieldConfiguration.constant(table, UNIT, 0.5)
-    with pytest.raises(GeometryMismatch):
-        run_event_driven(field, UpdateStream(derive_key(2), 8), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Sandwich runs
 # ---------------------------------------------------------------------------
@@ -222,10 +200,11 @@ def test_sandwich_on_box_with_boundary():
     assert trace.sup_gap[-1] < 1e-6
 
 
-def test_sandwich_fault_injection_raises():
+def test_sandwich_fault_injection_raises(monkeypatch):
+    # a quantile that decreases in the mean puts the lower chain above the upper
+    monkeypatch.setattr(sampler, "_sample_one", lambda m, a, b, u: a + b - m)
     with pytest.raises(OrderViolation):
-        run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1,
-                     _fault_update=17)
+        run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
 
 
 def test_sandwich_determinism():

@@ -15,11 +15,12 @@ from truncgibbs.kernel import SpinInterval
 from truncgibbs.streams import derive_key, uniforms
 from truncgibbs.truncnorm import (
     TruncatedNormal,
+    _sample_many,
+    _sample_one,
     cdf,
     density,
     inverse_cdf,
     mean,
-    sample,
     varphi,
     varphi_inverse,
 )
@@ -205,7 +206,6 @@ def test_quantile_monotone_in_p_and_m():
     # monotone in the mean at fixed p
     m1, m2 = np.minimum(m[:5000], m[5000:]), np.maximum(m[:5000], m[5000:])
     p = np.asarray(u[:5000])
-    from truncgibbs.truncnorm import _sample_many
     q1 = _sample_many(m1, -1.0, 1.0, p)
     q2 = _sample_many(m2, -1.0, 1.0, p)
     assert np.all(q1 <= q2)
@@ -227,20 +227,19 @@ def test_degenerate_interval_signaled():
 
 def test_sample_monotone_coupling_example():
     iv = SYM
-    lo = sample(TruncatedNormal(-0.3, iv), 0.37)
-    hi = sample(TruncatedNormal(0.7, iv), 0.37)
+    lo = inverse_cdf(TruncatedNormal(-0.3, iv), 0.37)
+    hi = inverse_cdf(TruncatedNormal(0.7, iv), 0.37)
     assert lo <= hi
 
 
 def test_sample_median_symmetric():
-    assert sample(TruncatedNormal(0.0, SYM), 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert inverse_cdf(TruncatedNormal(0.0, SYM), 0.5) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sample_bounds_always():
     key = derive_key(7, "bounds")
     u = uniforms(key, np.arange(10_000))
     m = 20.0 * (uniforms(key, np.arange(10_000, 20_000)) - 0.5)
-    from truncgibbs.truncnorm import _sample_many
     q = _sample_many(m, 0.0, 1.0, u)
     assert np.all(q >= 0.0) and np.all(q <= 1.0)
 
@@ -248,9 +247,32 @@ def test_sample_bounds_always():
 def test_sample_monte_carlo_mean_matches_closed_form():
     tn = TruncatedNormal(0.0, UNIT)
     u = uniforms(derive_key(2024, "mc"), np.arange(100_000))
-    draws = np.asarray(sample(tn, u))
+    draws = np.asarray(inverse_cdf(tn, u))
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - mean(tn)) <= 3.0 * se
+
+
+# the extreme uniforms the stream emits, a tail value and the median
+EDGE_UNIFORMS = (2.0 ** -54, 1e-12, 0.5, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("width", [1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0, 20.0])
+def test_scalar_twin_matches_quantile_core_bitwise(width, offset):
+    """_sample_one, _sample_many and inverse_cdf agree to the last bit."""
+    a, b = offset - 0.5 * width, offset + 0.5 * width
+    key = derive_key(11, "twin", int(width * 1e6), int(offset))
+    random_u = uniforms(key, np.arange(200))
+    random_m = a + width * uniforms(key, np.arange(200, 400))
+    grid_m = np.linspace(a, b, 41)
+    m = np.concatenate([np.repeat(grid_m, len(EDGE_UNIFORMS)), random_m])
+    u = np.concatenate([np.tile(EDGE_UNIFORMS, len(grid_m)), random_u])
+
+    many = _sample_many(m, a, b, u)
+    one = np.array([_sample_one(float(mi), a, b, float(ui)) for mi, ui in zip(m, u)])
+    via_inverse = np.asarray(inverse_cdf(TruncatedNormal(m, SpinInterval(a, b)), u))
+    assert np.array_equal(one.view(np.int64), many.view(np.int64))
+    assert np.array_equal(via_inverse.view(np.int64), many.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
