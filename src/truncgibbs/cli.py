@@ -48,6 +48,11 @@ def _get(cfg: dict, path: str, kind, default=_REQUIRED):
                 raise ConfigInvalid(f"{'.'.join(walked)}: required field missing")
             return default
         node = node[part]
+    return _typed(node, path, kind)
+
+
+def _typed(node, path: str, kind):
+    """``node`` as ``kind``; int and float accept numbers but not booleans."""
     if kind is float and isinstance(node, (int, float)) and not isinstance(node, bool):
         return float(node)
     if kind is int and isinstance(node, int) and not isinstance(node, bool):
@@ -118,8 +123,9 @@ def _interval_from(cfg: dict):
     pair = _get(cfg, "interval", list)
     if len(pair) != 2:
         raise ConfigInvalid("interval: expected [a, b]")
+    a, b = (_typed(end, f"interval[{k}]", float) for k, end in enumerate(pair))
     try:
-        interval = SpinInterval(float(pair[0]), float(pair[1]))
+        interval = SpinInterval(a, b)
     except ValueError as err:
         raise ConfigInvalid(f"interval: {err}") from None
     return interval, [interval.a, interval.b]
@@ -133,9 +139,11 @@ def _boundary_from(cfg: dict, shell, interval):
     else:
         path = "boundary.values"
         try:
-            table = {tuple(site): float(value) for site, value in _get(cfg, path, list)}
+            pairs = [(tuple(site), value) for site, value in _get(cfg, path, list)]
         except (TypeError, ValueError):
             raise ConfigInvalid(f"{path}: expected a list of [site, value] pairs") from None
+        table = {site: _typed(value, f"{path}[{row}]", float)
+                 for row, (site, value) in enumerate(pairs)}
         missing = [s for s in shell if s not in table]
         if missing:
             raise ConfigInvalid(f"{path}: missing shell sites {missing}")
@@ -368,11 +376,13 @@ def _run_pd_check(cfg, out, seed):
 
 def _run_beta_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume", boundary=False)
-    betas = [float(b) for b in _get(cfg, "betas", list, [0.25, 1.0, 2.5, 10.0])]
+    betas = [_typed(b, f"betas[{k}]", float)
+             for k, b in enumerate(_get(cfg, "betas", list, [0.25, 1.0, 2.5, 10.0]))]
     trials = _int_from(cfg, "trials", 100)
+    vh = finite_spec.build_matrices(run.volume, run.kernel)
     rows = []
     for beta in betas:
-        residual = transforms.beta_scaling_check(run.volume, run.kernel, run.interval,
+        residual = transforms.beta_scaling_check(vh, run.kernel, run.interval,
                                                  beta, trials, seed=seed)
         rows.append({"beta": beta, "max_residual": residual, "pass": residual <= 1e-10})
     ok = all(r["pass"] for r in rows)
@@ -387,7 +397,7 @@ def _run_af_probe(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
     trials = _int_from(cfg, "trials", 100)
     report = transforms.af_specification_probe(
-        run.volume, run.boundary, run.kernel, run.interval,
+        run.vh, run.boundary, run.kernel, run.interval,
         transforms.BipartitePartition.parity(), trials, seed=seed)
     _write_json(out, "af_probe.json", {
         "subcommand": "af-probe", "config": run.config(trials=trials, partition="parity"),
@@ -399,7 +409,7 @@ def _run_af_probe(cfg, out, seed):
 def _run_oracle_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
     n_q = _int_from(cfg, "n_q", 256)
-    law = (run.volume, run.boundary, run.kernel, run.interval)
+    law = (run.vh, run.boundary, run.kernel, run.interval)
     oracle = diagnostics.quadrature_marginals(*law, n_q=n_q)
     refined = diagnostics.quadrature_marginals(*law, n_q=2 * n_q)
     mean_shift = float(np.max(np.abs(refined.means - oracle.means)))

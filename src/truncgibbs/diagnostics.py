@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, NotTorus, TooFewSamples, VolumeTooLarge
-from .finite_spec import build_matrices
+from .finite_spec import VolumeHamiltonian, build_matrices
 from .kernel import SpinInterval
 from .sampler import RunTrace
 from .truncnorm import varphi
@@ -95,10 +95,11 @@ def quadrature_marginals(volume, gamma, kernel, interval: SpinInterval,
     ``n_q`` counts Simpson subintervals per axis (even, at least 64); the
     grid carries n_q + 1 points and doubles as the CDF table for distance
     tests.  Volumes above three sites are rejected as intractable.
+    ``volume`` is a list of sites or their already-built VolumeHamiltonian.
     """
     if n_q < 64 or n_q % 2:
         raise ValueError("n_q must be an even subinterval count of at least 64")
-    vh = build_matrices(volume, kernel)
+    vh = volume if isinstance(volume, VolumeHamiltonian) else build_matrices(volume, kernel)
     k = vh.n_sites
     if k > 3:
         raise VolumeTooLarge(f"tensor grid over {k} sites is not tractable (limit 3)")

@@ -281,9 +281,7 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     a, b = interval.a, interval.b
     w = table.weights
 
-    streams = [UpdateStream(derive_key(seed, "cftp", r), n) for r in range(n_samples)]
-    site_keys = np.array([s.site_key for s in streams], dtype=np.uint64)
-    u_keys = np.array([s.uniform_key for s in streams], dtype=np.uint64)
+    replicas = UpdateStream(derive_key(seed, "cftp", np.arange(n_samples)), n)
 
     out = np.empty((n_samples, n))
     active = np.arange(n_samples)
@@ -297,7 +295,7 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         rows = np.arange(ra)
         low = np.concatenate([np.full((ra, n), a), np.tile(gamma, (ra, 1))], axis=1)
         upp = np.concatenate([np.full((ra, n), b), np.tile(gamma, (ra, 1))], axis=1)
-        sk, uk = site_keys[active], u_keys[active]
+        sk, uk = replicas.site_key[active], replicas.uniform_key[active]
         tol = _order_tolerance(interval)
         for t in range(horizon, 0, -1):           # slot t is time -t
             sites, us = site_uniform_pairs(sk, uk, t, n)

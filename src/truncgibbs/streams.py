@@ -9,7 +9,8 @@ what keeps every run bit-reproducible from its seed.
 
 Key derivation: a global seed is expanded into per-component keys with
 ``derive_key(seed, "component", ...)``; adding a new component never
-perturbs the streams of existing ones.
+perturbs the streams of existing ones.  Integer parts may be arrays: one
+call derives a batch of keys, each bit-identical to its scalar derivation.
 """
 
 from __future__ import annotations
@@ -20,29 +21,43 @@ _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 _TWO53 = 2.0 ** -53
+_BELOW_ONE = 1.0 - _TWO53
 
 
 def mix64(x):
-    """SplitMix64 finalizer; accepts and returns uint64 scalars or arrays."""
-    x = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> _U64(30))) * _MIX1
-        x = (x ^ (x >> _U64(27))) * _MIX2
-        return x ^ (x >> _U64(31))
+    """SplitMix64 finalizer on uint64 scalars or arrays.  The products wrap
+    modulo 2**64; callers silence numpy's overflow warning for scalars."""
+    x = (x ^ (x >> _S30)) * _MIX1
+    x = (x ^ (x >> _S27)) * _MIX2
+    return x ^ (x >> _S31)
 
 
-def derive_key(seed, *parts) -> np.uint64:
-    """Fold a seed and a mix of ints / short string tags into a stream key."""
+def _u64(part):
+    """An integer, or an integer array, modulo 2**64 as uint64."""
+    if isinstance(part, np.ndarray):
+        return part.astype(np.uint64)
+    return _U64(int(part) & 0xFFFFFFFFFFFFFFFF)
+
+
+def derive_key(seed, *parts):
+    """Fold a seed and a mix of ints / short string tags into a stream key.
+
+    The seed and the integer parts are taken modulo 2**64, and any of them
+    may be an integer array: the keys then broadcast over the arrays, each
+    element equal to the scalar derivation with that element in place.
+    All-scalar input returns an ``np.uint64``.
+    """
     with np.errstate(over="ignore"):
-        key = mix64(_U64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+        key = mix64(_u64(seed))
         for part in parts:
             if isinstance(part, str):
                 for byte in part.encode():
                     key = mix64(key ^ _U64(byte))
             else:
-                key = mix64(key ^ _U64(int(part) & 0xFFFFFFFFFFFFFFFF))
-    return np.uint64(key)
+                key = mix64(key ^ _u64(part))
+    return key if isinstance(key, np.ndarray) else np.uint64(key)
 
 
 def words(key, counters):
@@ -54,9 +69,13 @@ def words(key, counters):
 
 
 def uniforms(key, counters):
-    """53-bit uniforms in the open interval (0, 1), one per counter."""
-    w = words(key, counters)
-    return ((w >> _U64(11)).astype(np.float64) + 0.5) * _TWO53
+    """53-bit uniforms in the open interval (0, 1), one per counter.
+
+    The top 53 bits k of a word map to (k + 0.5) 2**-53; for k = 2**53 - 1
+    that rounds to 1.0, which is clamped to the largest double below 1.
+    """
+    u = ((words(key, counters) >> _S11).astype(np.float64) + 0.5) * _TWO53
+    return np.minimum(u, _BELOW_ONE)
 
 
 def uniform_configurations(seed, tag: str, interval, size: int, trials: int):
@@ -74,7 +93,9 @@ class UpdateStream:
     The pair at slot t is a pure function of (key, t); the stream can be
     consumed sequentially with :meth:`take` or revisited at arbitrary
     slots with :meth:`pairs_at`.  Sites are marginally uniform over the
-    volume and uniforms are independent across slots.
+    volume and uniforms are independent across slots.  ``key`` may be an
+    array of keys, one independent stream each; ``site_key`` and
+    ``uniform_key`` are then arrays of the same shape.
     """
 
     def __init__(self, key, n_sites: int):
@@ -88,10 +109,7 @@ class UpdateStream:
 
     def pairs_at(self, slots):
         """Vectorized (sites, uniforms) for an array of slot indices."""
-        slots = np.asarray(slots, dtype=np.uint64)
-        raw = uniforms(self.site_key, slots)
-        sites = np.minimum((raw * self.n_sites).astype(np.int64), self.n_sites - 1)
-        return sites, uniforms(self.uniform_key, slots)
+        return site_uniform_pairs(self.site_key, self.uniform_key, slots, self.n_sites)
 
     def pair_at(self, slot):
         sites, us = self.pairs_at(np.asarray([slot]))
@@ -105,7 +123,8 @@ class UpdateStream:
 
 
 def site_uniform_pairs(site_keys, uniform_keys, slot, n_sites: int):
-    """One (site, uniform) pair per replica key at a shared slot index."""
-    raw = uniforms(site_keys, np.uint64(slot))
+    """(site, uniform) pairs of the keys at the slots; broadcasts.  The site
+    is min(floor(u n_sites), n_sites - 1) for the site key's uniform u."""
+    raw = uniforms(site_keys, slot)
     sites = np.minimum((raw * n_sites).astype(np.int64), n_sites - 1)
-    return sites, uniforms(uniform_keys, np.uint64(slot))
+    return sites, uniforms(uniform_keys, slot)

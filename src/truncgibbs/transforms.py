@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatiblePartition, NonpositiveBeta
-from .finite_spec import build_matrices, hamiltonian
+from .finite_spec import VolumeHamiltonian, build_matrices, hamiltonian
 from .kernel import SpinInterval
 from .sampler import FieldConfiguration
 from .streams import uniform_configurations
@@ -75,10 +75,11 @@ def beta_scaling_check(volume, kernel, interval: SpinInterval, beta: float,
     An exact algebraic identity for the quadratic pair energy; the
     returned residual is float noise only (at most around 1e-10 at desk
     scales).  The scaled configuration lives in the scaled interval.
+    ``volume`` is a list of sites or their already-built VolumeHamiltonian.
     """
     if not beta > 0.0:
         raise NonpositiveBeta(f"beta must be positive, got {beta}")
-    vh = build_matrices(volume, kernel)
+    vh = volume if isinstance(volume, VolumeHamiltonian) else build_matrices(volume, kernel)
     root = np.sqrt(beta)
     worst = 0.0
     for xi in uniform_configurations(seed, "beta-check", interval,
@@ -106,9 +107,10 @@ def af_specification_probe(volume, gamma, kernel, interval: SpinInterval,
     in the interior spins for the reflection to carry one conditional law
     onto the other.  The probe evaluates that difference over random
     interior configurations at a fixed boundary and reports the spread;
-    it asserts nothing about the outcome.
+    it asserts nothing about the outcome.  ``volume`` is a list of sites or
+    their already-built VolumeHamiltonian.
     """
-    vh = build_matrices(volume, kernel)
+    vh = volume if isinstance(volume, VolumeHamiltonian) else build_matrices(volume, kernel)
     _check_partition(vh.sites, vh.shell, kernel, partition)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (len(vh.shell),):

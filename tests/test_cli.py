@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from truncgibbs import sampler
+from truncgibbs import finite_spec, sampler
 from truncgibbs.cli import main
 
 NN_KERNEL = {"preset": "nn", "dimension": 1}
@@ -160,6 +161,14 @@ BAD_INPUTS = [
     ("ident4", {"geometry": TORUS8, "burn_in": -1}, "burn_in"),
     ("ident4", {"geometry": TORUS8, "start": "sideways"}, "start"),
     ("sandwich", {"geometry": TORUS8, "snapshot_every": -10}, "snapshot_every"),
+    ("spec-check", {"volume": VOLUME2, "interval": ["0", True],
+                    "boundary": {"constant": 0.5}}, "interval[0]"),
+    ("sandwich", {"geometry": TORUS8, "interval": [0.0, True]}, "interval[1]"),
+    ("spec-check", {"volume": VOLUME2,
+                    "boundary": {"values": [[[-1], "0.5"], [[2], 1.0]]}}, "boundary.values[0]"),
+    ("cftp", {"geometry": BOX2,
+              "boundary": {"values": [[[-1], 0.0], [[2], False]]}}, "boundary.values[1]"),
+    ("beta-check", {"volume": VOLUME2, "betas": [1.0, "2"]}, "betas[1]"),
 ]
 
 
@@ -172,6 +181,30 @@ def test_bad_input_rejected_with_path(tmp_path, capsys, subcommand, fields, path
     err = capsys.readouterr().err
     assert err.startswith("config error:") and path in err
     assert not (tmp_path / "out").exists()
+
+
+VOLUME_CONFIG = {"kernel": NN_KERNEL, "volume": [[0], [1], [2]], "interval": [0.0, 1.0],
+                 "boundary": {"constant": 0.5}, "trials": 5, "identity_trials": 5,
+                 "betas": [0.5, 2.0, 4.0], "n_q": 64}
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["spec-check", "pd-check", "beta-check", "af-probe", "oracle-check"])
+def test_volume_matrices_built_once_per_call(tmp_path, monkeypatch, subcommand):
+    real = finite_spec.build_matrices
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("truncgibbs") \
+                and getattr(module, "build_matrices", None) is real:
+            monkeypatch.setattr(module, "build_matrices", counted)
+    cfg = write_config(tmp_path, "v.json", VOLUME_CONFIG)
+    assert run(subcommand, cfg, tmp_path / "out") == 0
+    assert len(calls) == 1
 
 
 def test_malformed_json_rejected(tmp_path, capsys):

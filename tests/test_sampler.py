@@ -282,6 +282,28 @@ def test_cftp_horizon_cap_signalled():
                      eps_coal=0.0, t_cap=8)
 
 
+class _ScalarReplicaStreams:
+    """Replica keys read off one scalar UpdateStream per replica."""
+
+    def __init__(self, keys, n_sites):
+        per_replica = [UpdateStream(k, n_sites) for k in keys]
+        self.site_key = np.array([s.site_key for s in per_replica], dtype=np.uint64)
+        self.uniform_key = np.array([s.uniform_key for s in per_replica], dtype=np.uint64)
+
+
+def test_cftp_batched_keys_match_per_replica_streams(monkeypatch):
+    box = LatticeGeometry.box([(0,), (1,), (2,)], NN1)
+    boundary = {(-1,): 0.0, (3,): 1.0}
+    batched = cftp_samples(box, NN1, UNIT, boundary, 200, seed=42)
+    monkeypatch.setattr(sampler, "derive_key",
+                        lambda seed, tag, replicas: [derive_key(seed, tag, int(r))
+                                                     for r in replicas])
+    monkeypatch.setattr(sampler, "UpdateStream", _ScalarReplicaStreams)
+    reference = cftp_samples(box, NN1, UNIT, boundary, 200, seed=42)
+    assert batched.shape == (200, 3)
+    assert batched.tobytes() == reference.tobytes()
+
+
 def test_cftp_boundary_monotone_pathwise():
     # same seed, ordered boundaries: the coupled streams give ordered samples
     low = cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 0.2}, 300, seed=6)

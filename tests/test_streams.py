@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from truncgibbs import streams
 from truncgibbs.streams import UpdateStream, derive_key, site_uniform_pairs, uniforms, words
 
 
@@ -65,3 +68,60 @@ def test_batched_pairs_match_update_streams():
 def test_n_sites_validation():
     with pytest.raises(ValueError):
         UpdateStream(derive_key(0), 0)
+
+
+SEEDS = st.integers(min_value=-(2 ** 63), max_value=2 ** 64 - 1)
+INDICES = st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), max_size=16).map(
+    lambda drawn: np.array([0, 2 ** 64 - 1, *drawn], dtype=np.uint64))
+
+
+@settings(deadline=None)
+@given(seed=SEEDS, tag=st.text(max_size=6), idx=INDICES)
+def test_batched_keys_match_scalar_keys(seed, tag, idx):
+    batch = derive_key(seed, tag, idx)
+    assert batch.dtype == np.uint64 and batch.shape == idx.shape
+    scalar = [derive_key(seed, tag, int(i)) for i in idx]
+    assert all(isinstance(k, np.uint64) for k in scalar)
+    assert batch.tolist() == [int(k) for k in scalar]
+
+
+@settings(deadline=None)
+@given(seed=SEEDS, idx=INDICES, n_sites=st.integers(min_value=1, max_value=9))
+def test_stream_of_key_array_matches_scalar_streams(seed, idx, n_sites):
+    keys = derive_key(seed, "cftp", idx)
+    batch = UpdateStream(keys, n_sites)
+    one_by_one = [UpdateStream(k, n_sites) for k in keys]
+    assert batch.site_key.tolist() == [int(s.site_key) for s in one_by_one]
+    assert batch.uniform_key.tolist() == [int(s.uniform_key) for s in one_by_one]
+
+
+def test_negative_integer_parts_wrap_modulo_two_to_the_64():
+    assert derive_key(-1, "x", -5) == derive_key(2 ** 64 - 1, "x", 2 ** 64 - 5)
+    assert derive_key(3, np.array([-5, 7])).tolist() == [
+        int(derive_key(3, 2 ** 64 - 5)), int(derive_key(3, 7))]
+
+
+TOP_WORDS = np.array([2 ** 64 - 1, 2 ** 64 - 2 ** 11, 2 ** 64 - 2 ** 10], dtype=np.uint64)
+
+
+def _uniforms_of_words(monkeypatch, w):
+    """Run uniforms' word-to-float step on the given words."""
+    monkeypatch.setattr(streams, "words", lambda key, counters: w)
+    return uniforms(0, np.arange(w.size))
+
+
+def test_uniforms_of_top_words_stay_below_one(monkeypatch):
+    # unclamped, a word whose top 53 bits are all ones maps to (2**53 - 0.5) 2**-53 == 1.0
+    u = _uniforms_of_words(monkeypatch, TOP_WORDS)
+    assert np.all(u < 1.0)
+    assert np.all(u == 1.0 - 2.0 ** -53)
+
+
+def test_uniforms_bit_identical_below_the_top_words(monkeypatch):
+    rng = np.random.default_rng(2026)
+    w = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+    w[:4] = [0, 2 ** 11 - 1, 2 ** 64 - 2 ** 11 - 1, 2 ** 63]
+    w = w[(w >> np.uint64(11)) != np.uint64(2 ** 53 - 1)]
+    unclamped = ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    u = _uniforms_of_words(monkeypatch, w)
+    assert u.view(np.uint64).tolist() == unclamped.view(np.uint64).tolist()
