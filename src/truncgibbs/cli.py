@@ -55,12 +55,17 @@ def _typed(node, path: str, kind):
     """``node`` as ``kind``; int and float accept numbers but not booleans."""
     if kind is float and isinstance(node, (int, float)) and not isinstance(node, bool):
         return float(node)
-    if kind is int and isinstance(node, int) and not isinstance(node, bool):
-        return int(node)
-    if kind is not None and not isinstance(node, kind):
+    if kind is not None and (not isinstance(node, kind)
+                             or (kind is int and isinstance(node, bool))):
         raise ConfigInvalid(f"{path}: expected {getattr(kind, '__name__', kind)}, "
                             f"got {type(node).__name__}")
     return node
+
+
+def _int_tuple(node, path: str) -> tuple:
+    """A JSON list of integers (a site or an offset) as a tuple."""
+    return tuple(_typed(c, f"{path}[{k}]", int)
+                 for k, c in enumerate(_typed(node, path, list)))
 
 
 def _int_from(cfg, path, default=_REQUIRED, least=1):
@@ -98,9 +103,11 @@ def _kernel_from(cfg: dict):
     normalize = _get(cfg, "kernel.normalize", bool, True)
     raw = {}
     for row, entry in enumerate(entries):
+        path = f"kernel.offsets[{row}]"
         if not (isinstance(entry, list) and len(entry) == 2):
-            raise ConfigInvalid(f"kernel.offsets[{row}]: expected [offset, weight]")
-        raw[tuple(entry[0])] = entry[1]
+            raise ConfigInvalid(f"{path}: expected [offset, weight]")
+        _typed(entry[1], f"{path}[1]", float)       # checked, echoed as written
+        raw[_int_tuple(entry[0], f"{path}[0]")] = entry[1]
     kern = build_kernel(dimension, raw, normalize)
     return kern, {"dimension": dimension, "normalize": normalize,
                   "offsets": [[list(z), w] for z, w in raw.items()]}
@@ -110,10 +117,11 @@ def _geometry_from(cfg: dict, kernel):
     _get(cfg, "geometry", dict)
     kind = _get(cfg, "geometry.kind", str)
     if kind == "torus":
-        extents = _get(cfg, "geometry.extents", list)
-        return LatticeGeometry.torus(extents), {"kind": "torus", "extents": list(extents)}
+        extents = list(_int_tuple(_get(cfg, "geometry.extents", list), "geometry.extents"))
+        return LatticeGeometry.torus(extents), {"kind": "torus", "extents": extents}
     if kind == "box":
-        sites = [tuple(s) for s in _get(cfg, "geometry.sites", list)]
+        sites = [_int_tuple(s, f"geometry.sites[{r}]")
+                 for r, s in enumerate(_get(cfg, "geometry.sites", list))]
         return LatticeGeometry.box(sites, kernel), {
             "kind": "box", "sites": [list(s) for s in sorted(sites)]}
     raise ConfigInvalid(f"geometry.kind: expected 'torus' or 'box', got {kind!r}")
@@ -158,7 +166,7 @@ def _volume_from(cfg: dict):
     sites = _get(cfg, "volume", list)
     if not sites:
         raise ConfigInvalid("volume: must list at least one site")
-    return [tuple(int(c) for c in s) for s in sites]
+    return [_int_tuple(s, f"volume[{r}]") for r, s in enumerate(sites)]
 
 
 class _Setup:
@@ -209,7 +217,7 @@ def _plain(value):
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
+        return value.tolist()
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, (np.integer,)):

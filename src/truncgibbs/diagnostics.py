@@ -1,8 +1,11 @@
 """Oracles and statistical verdicts.
 
 Tensor-grid Simpson quadrature turns tiny volumes into exact reference
-distributions (normalizer, marginal moments, marginal CDF tables), batch
-means turn equilibrium runs into estimates with honest errors, and the
+distributions (normalizer, marginal moments, marginal CDF tables).  The
+integrand exp(-H) stays factored, one grid vector per site and one
+(n_q + 1)^2 matrix per coupled site pair, contracted with the Simpson
+weights, so memory grows with the coupled pairs, not as (n_q + 1)^sites.
+Batch means turn equilibrium runs into estimates with honest errors, and the
 remaining helpers compare sample sets against oracles or against each
 other under stochastic order.
 
@@ -70,6 +73,9 @@ def _simpson_weights(n_intervals: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
+_AXES = "abc"                    # one einsum index per volume site
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureOracle:
     """Exact reference law of a tiny volume from composite Simpson quadrature."""
@@ -94,7 +100,9 @@ def quadrature_marginals(volume, gamma, kernel, interval: SpinInterval,
 
     ``n_q`` counts Simpson subintervals per axis (even, at least 64); the
     grid carries n_q + 1 points and doubles as the CDF table for distance
-    tests.  Volumes above three sites are rejected as intractable.
+    tests.  Volumes above three sites are rejected: when every pair of four
+    sites is coupled, any order of summing out the sites leaves a term in
+    three grid variables, the (n_q + 1)^3 tensor the factored form avoids.
     ``volume`` is a list of sites or their already-built VolumeHamiltonian.
     """
     if n_q < 64 or n_q % 2:
@@ -109,27 +117,31 @@ def quadrature_marginals(volume, gamma, kernel, interval: SpinInterval,
 
     grid = np.linspace(interval.a, interval.b, n_q + 1)
     wq = _simpson_weights(n_q, grid[1] - grid[0])
-    axes = [grid.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i)) for i in range(k)]
 
-    energy = np.zeros((1,) * k)
-    for i, j, w in vh.inside_pairs:
-        energy = energy + 0.5 * w * (axes[i] - axes[j]) ** 2
-    for i, s, w in vh.cross_pairs:
-        energy = energy + 0.5 * w * (axes[i] - gamma[s]) ** 2
-    weight = np.exp(-energy)
+    # exp(-H) is a product of one factor per site (its cross pairs) and
+    # one (n_q + 1)^2 factor per inside pair
+    site_energy = np.zeros((k, n_q + 1))
+    for i, s, w in zip(*vh.cross_pairs):
+        site_energy[i] += 0.5 * w * (grid - gamma[s]) ** 2
+    site_weight = np.exp(-site_energy)
+    first, second, weights = vh.inside_pairs
+    gap = (grid[:, None] - grid) ** 2
+    links = [np.exp(-0.5 * w * gap) for w in weights]
+    link_axes = [_AXES[i] + _AXES[j] for i, j in zip(first, second)]
 
-    def contract(arr, keep):
-        for axis in reversed(range(k)):
-            if axis != keep:
-                arr = np.tensordot(arr, wq, axes=([axis], [0]))
-        return arr
+    def contract(keep):
+        """Simpson sum of exp(-H) over every axis but ``keep`` (None: all)."""
+        factors = [u if i == keep else wq * u for i, u in enumerate(site_weight)]
+        subscripts = ",".join([*_AXES[:k], *link_axes])
+        out = "" if keep is None else _AXES[keep]
+        return np.einsum(f"{subscripts}->{out}", *factors, *links, optimize=True)
 
-    z = float(contract(weight, keep=-1))
+    z = float(contract(None))
     means = np.empty(k)
     variances = np.empty(k)
     cdfs = np.empty((k, n_q + 1))
     for i in range(k):
-        marginal = contract(weight, keep=i) / z            # density on the grid
+        marginal = contract(i) / z                          # density on the grid
         means[i] = float(wq @ (grid * marginal))
         variances[i] = float(wq @ ((grid - means[i]) ** 2 * marginal))
         steps = 0.5 * (marginal[1:] + marginal[:-1]) * (grid[1] - grid[0])

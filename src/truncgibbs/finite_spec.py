@@ -51,8 +51,8 @@ class VolumeHamiltonian:
     kernel: InteractionKernel
     precision: np.ndarray        # A, |V| x |V| symmetric positive definite
     cross: np.ndarray            # B, |V| x |shell|, entries J(y - x) >= 0
-    inside_pairs: tuple          # (i, j, weight), each unordered interior pair once
-    cross_pairs: tuple           # (i, s, weight), volume site i to shell slot s
+    inside_pairs: tuple          # arrays (i, j, weight), each unordered interior pair once
+    cross_pairs: tuple           # arrays (i, s, weight), volume site i to shell slot s
     wrapped_extents: tuple | None = None   # torus periods when the ambient wraps
 
     @property
@@ -118,7 +118,19 @@ def build_matrices(volume, kernel: InteractionKernel,
             b_mat[i, s] += w
             crossing.append((i, s, w))
     return VolumeHamiltonian(sites, shell, kernel, a_mat, b_mat,
-                             tuple(inside), tuple(crossing), wrap)
+                             _pair_arrays(inside), _pair_arrays(crossing), wrap)
+
+
+def _pair_arrays(triples):
+    """(index, index, weight) triples as three 1-D arrays, in the given order."""
+    first, second, weight = zip(*triples) if triples else ((), (), ())
+    return (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp),
+            np.array(weight, dtype=float))
+
+
+def _sequential_sum(terms) -> float:
+    """Left-to-right sum from 0.0, the rounding of a plain accumulation loop."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def _full_values(vh: VolumeHamiltonian, xi):
@@ -145,20 +157,20 @@ def hamiltonian(vh: VolumeHamiltonian, xi) -> float:
     matrices, kept separate so the quadratic-form identity is a real check.
     """
     eta, gamma = _full_values(vh, xi)
-    total = 0.0
-    for i, j, w in vh.inside_pairs:
-        diff = eta[i] - eta[j]
-        total += 0.5 * w * diff * diff
-    for i, s, w in vh.cross_pairs:
-        diff = eta[i] - gamma[s]
-        total += 0.5 * w * diff * diff
-    return float(total)
+    i, j, w = vh.inside_pairs
+    c, s, v = vh.cross_pairs
+    inside, cross = eta[i] - eta[j], eta[c] - gamma[s]
+    return _sequential_sum(np.concatenate([0.5 * w * inside * inside,
+                                           0.5 * v * cross * cross]))
 
 
 def psi_boundary(vh: VolumeHamiltonian, gamma) -> float:
     """The boundary-only term: sum over cross pairs of J(y-x) gamma(y)^2."""
     gamma = np.asarray(gamma, dtype=float)
-    return float(sum(w * gamma[s] ** 2 for _, s, w in vh.cross_pairs))
+    _, s, w = vh.cross_pairs
+    # float_power squares through C pow, the rounding of a float's ``** 2``;
+    # the array ``** 2`` multiplies, which differs in the last bit now and then
+    return _sequential_sum(w * np.float_power(gamma[s], 2))
 
 
 def quadratic_form(vh: VolumeHamiltonian, eta, gamma) -> float:
@@ -306,19 +318,12 @@ def pd_certificate(vh: VolumeHamiltonian) -> PDCertificate:
             "wrapped volumes would turn progressions into cycles")
     sites = vh.sites
     site_set = set(sites)
-    d = len(sites[0])
-    realized = set()
-    for x in sites:
-        for y in site_set:
-            if y != x:
-                realized.add(tuple(y[k] - x[k] for k in range(d)))
-
     slack = 0.0
     terms = []
     for z, w in zip(vh.kernel.offsets, vh.kernel.weights):
         if not _lex_positive(z):
             continue
-        if z in realized:
+        if any(tuple(c + dz for c, dz in zip(x, z)) in site_set for x in sites):
             terms.append((z, float(w), tuple(z_connected_classes(sites, z))))
         else:
             slack += 2.0 * float(w)

@@ -169,6 +169,16 @@ BAD_INPUTS = [
     ("cftp", {"geometry": BOX2,
               "boundary": {"values": [[[-1], 0.0], [[2], False]]}}, "boundary.values[1]"),
     ("beta-check", {"volume": VOLUME2, "betas": [1.0, "2"]}, "betas[1]"),
+    ("spec-check", {"volume": [["0"], [1]], "boundary": {"constant": 0.5}}, "volume[0][0]"),
+    ("pd-check", {"volume": [[0], [True]]}, "volume[1][0]"),
+    ("sandwich", {"kernel": {"dimension": 1, "offsets": [[[1], "2"]]},
+                  "geometry": {"kind": "torus", "extents": ["8"]}}, "kernel.offsets[0][1]"),
+    ("ident4", {"kernel": {"dimension": 1, "offsets": [[[True], 1.0]]},
+                "geometry": TORUS8}, "kernel.offsets[0][0][0]"),
+    ("sandwich", {"geometry": {"kind": "torus", "extents": ["8"]}}, "geometry.extents[0]"),
+    ("ident4", {"geometry": {"kind": "torus", "extents": [8.7]}}, "geometry.extents[0]"),
+    ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1.5]]},
+              "boundary": {"constant": 0.5}}, "geometry.sites[1][0]"),
 ]
 
 

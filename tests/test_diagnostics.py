@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from truncgibbs.diagnostics import (
+    _simpson_weights,
     batch_means_se,
     domination_check,
     ks_distance,
@@ -9,7 +12,14 @@ from truncgibbs.diagnostics import (
     stationarity_check,
 )
 from truncgibbs.errors import GeometryMismatch, NotTorus, TooFewSamples, VolumeTooLarge
-from truncgibbs.kernel import LatticeGeometry, SpinInterval, nearest_neighbor, wrapped_offsets
+from truncgibbs.finite_spec import build_matrices
+from truncgibbs.kernel import (
+    LatticeGeometry,
+    SpinInterval,
+    exp_decay,
+    nearest_neighbor,
+    wrapped_offsets,
+)
 from truncgibbs.sampler import RunTrace, cftp_samples, stationary_run
 from truncgibbs.truncnorm import TruncatedNormal, cdf, inverse_cdf, mean
 from truncgibbs.streams import derive_key, uniforms
@@ -72,6 +82,74 @@ def test_three_site_oracle_runs():
                                   NN1, UNIT, n_q=64)
     assert oracle.means.shape == (3,)
     assert np.all(np.diff(oracle.means) > 0.0)   # means increase toward the high edge
+
+
+def _dense_oracle(sites, gamma, kernel, interval, n_q):
+    """Z, means, variances and CDF tables from the full (n_q + 1)^k energy tensor."""
+    vh = build_matrices(sites, kernel)
+    k = vh.n_sites
+    grid = np.linspace(interval.a, interval.b, n_q + 1)
+    wq = _simpson_weights(n_q, grid[1] - grid[0])
+    axes = [grid.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i)) for i in range(k)]
+    energy = np.zeros((1,) * k)
+    for i, j, w in zip(*vh.inside_pairs):
+        energy = energy + 0.5 * w * (axes[i] - axes[j]) ** 2
+    for i, s, w in zip(*vh.cross_pairs):
+        energy = energy + 0.5 * w * (axes[i] - gamma[s]) ** 2
+    weight = np.exp(-energy)
+
+    def contract(keep):
+        arr = weight
+        for axis in reversed(range(k)):
+            if axis != keep:
+                arr = np.tensordot(arr, wq, axes=([axis], [0]))
+        return arr
+
+    z = float(contract(None))
+    marginals = [contract(i) / z for i in range(k)]
+    means = np.array([wq @ (grid * m) for m in marginals])
+    variances = np.array([wq @ ((grid - mu) ** 2 * m) for mu, m in zip(means, marginals)])
+    cdfs = []
+    for m in marginals:
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * (grid[1] - grid[0]))])
+        cdfs.append(cdf / cdf[-1])
+    return z, means, variances, np.array(cdfs)
+
+
+EXP1_RANGE2 = exp_decay(0.5, 2, 1)
+ORACLE_VOLUMES = {
+    "one-site": ([(0,)], NN1),
+    "two-site": ([(0,), (1,)], NN1),
+    "three-site-chain": ([(0,), (1,), (2,)], NN1),
+    "coupled-triangle": ([(0,), (1,), (2,)], EXP1_RANGE2),
+    "gapped-pair": ([(0,), (2,)], EXP1_RANGE2),
+    "l-shape-2d": ([(0, 0), (1, 0), (0, 1)], nearest_neighbor(2)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_VOLUMES)
+def test_factored_oracle_matches_dense_tensor(name):
+    sites, kernel = ORACLE_VOLUMES[name]
+    gamma = np.linspace(0.9, 0.05, len(build_matrices(sites, kernel).shell))
+    interval = SpinInterval(-0.5, 1.5)
+    z, means, variances, cdfs = _dense_oracle(sites, gamma, kernel, interval, 128)
+    oracle = quadrature_marginals(sites, gamma, kernel, interval, n_q=128)
+    assert abs(oracle.normalizer - z) <= 1e-14 * z
+    assert np.max(np.abs(oracle.means - means)) <= 1e-14
+    assert np.max(np.abs(oracle.variances - variances)) <= 1e-14
+    assert np.max(np.abs(oracle.marginal_cdfs - cdfs)) <= 1e-14
+
+
+def test_three_site_oracle_memory_stays_small():
+    # one dense (257)^3 float64 energy tensor alone is 129.5 MiB
+    tracemalloc.start()
+    try:
+        quadrature_marginals([(0,), (1,), (2,)], np.array([0.9, 0.1, 0.4, 0.6]),
+                             EXP1_RANGE2, UNIT, n_q=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ solves A m = (0, 1/2), giving m = (1/3, 2/3).
 import numpy as np
 import pytest
 from helpers import random_kernel, random_volume
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncgibbs.errors import (
     EmptyVolume,
@@ -29,7 +31,7 @@ from truncgibbs.finite_spec import (
     toeplitz_quadratic_form,
     z_connected_classes,
 )
-from truncgibbs.kernel import LatticeGeometry, SpinInterval, nearest_neighbor
+from truncgibbs.kernel import LatticeGeometry, SpinInterval, exp_decay, nearest_neighbor
 from truncgibbs.truncnorm import TruncatedNormal, mean
 
 NN1 = nearest_neighbor(1)
@@ -173,6 +175,75 @@ def test_psi_depends_only_on_boundary():
     vh = build_matrices([(0,), (1,)], NN1)
     gamma = np.array([0.3, 0.9])
     assert psi_boundary(vh, gamma) == pytest.approx(0.5 * 0.09 + 0.5 * 0.81, abs=1e-15)
+
+
+def _loop_energies(sites, shell, kernel, values):
+    """Hamiltonian and psi by a pure-Python loop over pairs in build order.
+
+    Each site in lexicographic order meets each kernel offset in order: an
+    interior target of higher index is an inside pair, an exterior one a
+    cross pair.  Energies add inside pairs first, one term at a time.
+    """
+    index = {x: i for i, x in enumerate(sites)}
+    slot = {y: s for s, y in enumerate(shell)}
+    eta, gamma = values[:len(sites)], values[len(sites):]
+    inside, cross = [], []
+    for i, x in enumerate(sites):
+        for z, w in zip(kernel.offsets, kernel.weights.tolist()):
+            y = tuple(a + b for a, b in zip(x, z))
+            if y not in index:
+                cross.append((i, slot[y], w))
+            elif index[y] > i:
+                inside.append((i, index[y], w))
+    energy = 0.0
+    for i, j, w in inside:
+        diff = eta[i] - eta[j]
+        energy += 0.5 * w * diff * diff
+    for i, s, w in cross:
+        diff = eta[i] - gamma[s]
+        energy += 0.5 * w * diff * diff
+    psi = 0.0
+    for _, s, w in cross:
+        psi += w * gamma[s] ** 2
+    return energy, psi
+
+
+@st.composite
+def _volume_configurations(draw):
+    dimension = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        kernel = nearest_neighbor(dimension)
+    else:
+        kernel = exp_decay(draw(st.floats(0.1, 2.0)), draw(st.integers(1, 3)), dimension)
+    span = 40 if dimension == 1 else 8
+    coords = st.tuples(*[st.integers(0, span - 1)] * dimension)
+    sites = draw(st.lists(coords, min_size=1, max_size=40, unique=True))
+    vh = build_matrices(sites, kernel)
+    width = draw(st.floats(1e-6, 100.0))
+    low = draw(st.floats(-100.0, 100.0))
+    # full-mantissa values, where rounding differences between sums show
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.uniform(low, low + width, vh.n_sites + len(vh.shell)).tolist()
+    return vh, kernel, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(_volume_configurations())
+def test_pair_sums_match_python_loop_bitwise(case):
+    vh, kernel, values = case
+    energy, psi = _loop_energies(vh.sites, vh.shell, kernel, values)
+    assert hamiltonian(vh, np.array(values)) == energy
+    assert psi_boundary(vh, np.array(values[vh.n_sites:])) == psi
+
+
+def test_psi_squares_as_python_floats_do():
+    # boundary values where a float's ``** 2`` (C pow) and x * x round apart
+    candidates = np.random.default_rng(3).uniform(-50.0, 50.0, 20_000).tolist()
+    awkward = [x for x in candidates if x ** 2 != x * x][:10] or candidates[:10]
+    vh = build_matrices([(0,)], NN1)
+    for left, right in zip(awkward[::2], awkward[1::2]):
+        values = [0.0, left, right]
+        assert psi_boundary(vh, values[1:]) == _loop_energies(vh.sites, vh.shell, NN1, values)[1]
 
 
 # ---------------------------------------------------------------------------
