@@ -13,9 +13,17 @@ chain of independent rate-one clocks; the equilibrium law and the
 monotone coupling depend only on the order of updates, so no waiting
 times are drawn.
 
-A chain is a single-writer object: updates are sequentially dependent,
-so there is no intra-chain parallelism.  Distinct chains or replicas may
-run fully in parallel with independent streams.
+Two updates commute when neither site lies in the other's closed
+neighbourhood (the site plus its kernel neighbours): neither reads what
+the other writes.  So the coupled runs batch a random-scan sweep by
+dependency level, each update one level deeper than the deepest earlier
+update of the sweep that writes into its closed neighbourhood.  Applying
+the levels in increasing order, every update reads exactly the values the
+sequential scan would, so the stream, the order of the updates at each
+site and every bit of the result are those of the sequential scan.  A
+volume too small to give each level many updates runs the same scan one
+update at a time instead.  Distinct chains or replicas run fully in
+parallel with independent streams.
 """
 
 from __future__ import annotations
@@ -38,6 +46,14 @@ def _order_tolerance(interval: SpinInterval) -> float:
     # genuine coupling bug and raises OrderViolation.
     scale = max(1.0, abs(interval.a), abs(interval.b))
     return 16.0 * np.finfo(float).eps * scale
+
+
+# A random-scan sweep runs level by level once the volume holds this many
+# sites per closed neighbourhood (the site and its kernel neighbours).
+# Each level costs a fixed run of numpy calls, so small volumes, with a few
+# updates per level, keep the scalar scan; on 1D, 2D and 3D tori the two
+# cost the same at about 25-32 sites per closed neighbourhood.
+_LEVELED_MIN_SITES = 32
 
 
 def _boundary_array(table: NeighborTable, boundary, interval: SpinInterval) -> np.ndarray:
@@ -153,6 +169,121 @@ def sweep(field: FieldConfiguration, stream: UpdateStream, n_updates: int) -> Fi
     return field
 
 
+def _local_means(values: np.ndarray, nbrs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Kernel-weighted means of the neighbour rows ``nbrs`` of a flat field.
+
+    A stack of (1, K) @ (K, 1) products runs the same dot kernel row by row
+    as the scalar ``values[row] @ w``, so each mean is bit-identical to it;
+    ``(values[nbrs] * w).sum(axis=1)`` and a 2-D ``@`` sum in other orders.
+    """
+    return np.matmul(values[nbrs][:, None, :], w[:, None])[:, 0, 0]
+
+
+def _order_violation(cell, new_lo, new_up) -> OrderViolation:
+    # the caller knows what the flat index ``cell`` names and adds that context
+    err = OrderViolation(f"{new_lo} > {new_up}")
+    err.cell = int(cell)
+    return err
+
+
+def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.ndarray,
+                  us: np.ndarray, w: np.ndarray, a: float, b: float, tol: float):
+    """Heat-bath update of ``cells`` in both flat fields from the shared uniforms.
+
+    ``nbrs`` holds each cell's neighbour indices into the same arrays, and
+    no cell may lie in another's row: the updates then commute and run as
+    one.  Inversions up to ``tol`` are repaired by taking the min / max;
+    a larger one raises OrderViolation, with the offending flat index as
+    its ``cell``.  Returns the number of repairs and the largest repaired
+    inversion.
+    """
+    m_lo = np.clip(_local_means(low, nbrs, w), a, b)
+    m_up = np.clip(_local_means(upp, nbrs, w), a, b)
+    new_lo = _sample_many(m_lo, a, b, us)
+    new_up = new_lo.copy()
+    differ = m_up != m_lo
+    if differ.any():
+        new_up[differ] = _sample_many(m_up[differ], a, b, us[differ])
+    inversion = new_lo - new_up
+    worst = max(float(inversion.max()), 0.0)
+    repairs = 0
+    if worst > 0.0:
+        if worst > tol:
+            k = int(inversion.argmax())
+            raise _order_violation(cells[k], new_lo[k], new_up[k])
+        repairs = int(np.count_nonzero(inversion > 0.0))   # sub-ulp rounding wobble
+        new_lo, new_up = np.minimum(new_lo, new_up), np.maximum(new_lo, new_up)
+    low[cells] = new_lo
+    upp[cells] = new_up
+    return repairs, worst
+
+
+def _coupled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.ndarray,
+                  idx: np.ndarray, w: np.ndarray, a: float, b: float, tol: float):
+    """Scalar twin of :func:`_coupled_step`: the updates one at a time in
+    stream order, with the same arithmetic, checks and return values."""
+    repairs, worst = 0, 0.0
+    for i, u in zip(sites, us):
+        row = idx[i]
+        m_lo = min(max(low[row] @ w, a), b)
+        m_up = min(max(upp[row] @ w, a), b)
+        new_lo = _sample_one(m_lo, a, b, u)
+        new_up = new_lo if m_up == m_lo else _sample_one(m_up, a, b, u)
+        if new_lo > new_up:
+            if new_lo - new_up > tol:
+                raise _order_violation(i, new_lo, new_up)
+            repairs, worst = repairs + 1, max(worst, new_lo - new_up)
+            new_lo, new_up = new_up, new_lo   # sub-ulp rounding wobble
+        low[i] = new_lo
+        upp[i] = new_up
+    return repairs, worst
+
+
+def _update_levels(sites: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """The dependency level of each update of a random-scan sweep.
+
+    Column i of ``closed`` lists the closed neighbourhood of site i: the
+    site, then its kernel neighbours (frozen boundary indices never match
+    a site).  An update's level is one more than the deepest earlier
+    update of the sweep whose site lies in its closed neighbourhood, and 0
+    if there is none.  Neighbourhoods are symmetric, so one level never
+    holds two updates within each other's closed neighbourhood, and the
+    updates of one site keep their stream order.
+    """
+    n = sites.size
+    order = np.argsort(sites, kind="stable")
+    keys = sites[order] * n + order          # by site, then by stream position
+    targets = closed[:, sites]               # (K + 1, n), one row per column
+    needles = (targets * n + np.arange(n)).ravel()
+    pos = np.searchsorted(keys, needles).reshape(targets.shape) - 1
+    found = (pos >= 0) & (keys[pos] // n == targets)
+    pred = np.where(found, order[pos], n)    # last earlier update of each target
+    level = np.zeros(n + 1, dtype=np.int64)
+    level[n] = -1
+    while True:                              # longest path: one round per level
+        deeper = level[pred].max(axis=0) + 1
+        if np.array_equal(deeper, level[:n]):
+            return deeper
+        level[:n] = deeper
+
+
+def _leveled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.ndarray,
+                  idx: np.ndarray, closed: np.ndarray, w: np.ndarray, a: float, b: float,
+                  tol: float):
+    """The updates of one sweep level by level, one :func:`_coupled_step`
+    per level; bit-identical to :func:`_coupled_scan` in stream order."""
+    level = _update_levels(sites, closed)
+    order = np.argsort(level, kind="stable")
+    cells, us = sites[order], us[order]
+    nbrs = idx[cells]
+    repairs, worst, start = 0, 0.0, 0
+    for end in np.cumsum(np.bincount(level)):
+        r, inv = _coupled_step(low, upp, cells[start:end], nbrs[start:end], us[start:end],
+                               w, a, b, tol)
+        repairs, worst, start = repairs + r, max(worst, inv), end
+    return repairs, worst
+
+
 @dataclass(eq=False)
 class SandwichTrace:
     """Per-sweep record of the gap between coupled extremal chains."""
@@ -164,6 +295,8 @@ class SandwichTrace:
     interval: SpinInterval
     final_lower: np.ndarray
     final_upper: np.ndarray
+    order_repairs: int           # sub-ulp order inversions repaired
+    max_inversion_frac: float    # largest repaired inversion / _order_tolerance
 
     @property
     def n_sweeps(self) -> int:
@@ -177,7 +310,10 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
     Order is asserted after every update; the per-sweep sup-gap decaying
     toward zero is the finite-volume face of uniqueness of the equilibrium
-    state.
+    state.  On volumes of at least ``_LEVELED_MIN_SITES`` sites per closed
+    neighbourhood each sweep runs level by level (see
+    :func:`_update_levels`), bit-identical to the scalar scan one site at a
+    time in stream order that smaller volumes run.
     """
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
@@ -200,26 +336,25 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     idx, w = table.idx, table.weights
     a, b = interval.a, interval.b
     tol = _order_tolerance(interval)
-    lo_vals, up_vals = lower.values, upper.values
+    closed = np.vstack([np.arange(n), idx.T])
+    leveled = n >= _LEVELED_MIN_SITES * closed.shape[0]
+    repairs, worst = 0, 0.0
     for s in range(1, n_sweeps + 1):
         sites, us = stream.take(n)
-        for i, u in zip(sites, us):
-            row = idx[i]
-            m_lo = min(max(lo_vals[row] @ w, a), b)
-            m_up = min(max(up_vals[row] @ w, a), b)
-            new_lo = _sample_one(m_lo, a, b, u)
-            new_up = new_lo if m_up == m_lo else _sample_one(m_up, a, b, u)
-            if new_lo > new_up:
-                if new_lo - new_up > tol:
-                    raise OrderViolation(
-                        f"coupled order broken at sweep {s}, site index {i}: "
-                        f"{new_lo} > {new_up}")
-                new_lo, new_up = new_up, new_lo   # sub-ulp rounding wobble
-            lo_vals[i] = new_lo
-            up_vals[i] = new_up
+        try:
+            if leveled:
+                r, inv = _leveled_scan(lower.values, upper.values, sites, us, idx, closed,
+                                       w, a, b, tol)
+            else:
+                r, inv = _coupled_scan(lower.values, upper.values, sites, us, idx, w, a, b, tol)
+        except OrderViolation as err:
+            raise OrderViolation(f"coupled order broken at sweep {s}, "
+                                 f"site index {err.cell}: {err}") from None
+        repairs, worst = repairs + r, max(worst, inv)
         record(s)
     return SandwichTrace(sup, mean, snapshots, seed, interval,
-                         lower.interior.copy(), upper.interior.copy())
+                         lower.interior.copy(), upper.interior.copy(),
+                         repairs, float(worst / tol))
 
 
 @dataclass(eq=False)
@@ -292,22 +427,21 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
                 f"{active.size} replicas not coalesced at horizon {horizon // 2} "
                 f"(cap {t_cap}, eps {eps_coal})")
         ra = active.size
-        rows = np.arange(ra)
         low = np.concatenate([np.full((ra, n), a), np.tile(gamma, (ra, 1))], axis=1)
         upp = np.concatenate([np.full((ra, n), b), np.tile(gamma, (ra, 1))], axis=1)
+        base = np.arange(ra) * low.shape[1]       # offset of each replica's row
         sk, uk = replicas.site_key[active], replicas.uniform_key[active]
         tol = _order_tolerance(interval)
         for t in range(horizon, 0, -1):           # slot t is time -t
             sites, us = site_uniform_pairs(sk, uk, t, n)
-            nb = table.idx[sites]                 # (ra, K)
-            m_lo = np.clip((low[rows[:, None], nb] * w).sum(axis=1), a, b)
-            m_up = np.clip((upp[rows[:, None], nb] * w).sum(axis=1), a, b)
-            new_lo = _sample_many(m_lo, a, b, us)
-            new_up = np.where(m_up == m_lo, new_lo, _sample_many(m_up, a, b, us))
-            if np.any(new_lo - new_up > tol):
-                raise OrderViolation("coupled order broken inside coupling from the past")
-            low[rows, sites] = np.minimum(new_lo, new_up)   # sub-ulp wobble repair
-            upp[rows, sites] = np.maximum(new_lo, new_up)
+            try:
+                _coupled_step(low.reshape(-1), upp.reshape(-1), base + sites,
+                              base[:, None] + table.idx[sites], us, w, a, b, tol)
+            except OrderViolation as err:
+                row, site = divmod(err.cell, low.shape[1])
+                raise OrderViolation(
+                    f"coupled order broken inside coupling from the past at time -{t}, "
+                    f"replica {active[row]}, site index {site}: {err}") from None
         gap = (upp[:, :n] - low[:, :n]).max(axis=1)
         done = gap <= eps_coal
         if np.any(done):

@@ -231,6 +231,7 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
 def test_forced_order_violation_fails_run(tmp_path, capsys, monkeypatch):
     # a quantile that decreases in the mean puts the lower chain above the upper
     monkeypatch.setattr(sampler, "_sample_one", lambda m, a, b, u: a + b - m)
+    monkeypatch.setattr(sampler, "_sample_many", lambda m, a, b, u: a + b - m)
     cfg = write_config(tmp_path, "fault.json", {
         "kernel": NN_KERNEL, "geometry": {"kind": "torus", "extents": [8]},
         "interval": [0.0, 1.0], "seed": 1, "sweeps": 10,

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncgibbs import sampler
 from truncgibbs.errors import (
@@ -8,7 +12,14 @@ from truncgibbs.errors import (
     NoCoalescence,
     OrderViolation,
 )
-from truncgibbs.kernel import LatticeGeometry, SpinInterval, nearest_neighbor, wrapped_offsets
+from truncgibbs.kernel import (
+    LatticeGeometry,
+    NeighborTable,
+    SpinInterval,
+    exp_decay,
+    nearest_neighbor,
+    wrapped_offsets,
+)
 from truncgibbs.sampler import (
     FieldConfiguration,
     cftp,
@@ -20,7 +31,7 @@ from truncgibbs.sampler import (
     sweep,
 )
 from truncgibbs.streams import UpdateStream, derive_key, uniforms
-from truncgibbs.truncnorm import TruncatedNormal, cdf, mean
+from truncgibbs.truncnorm import TruncatedNormal, _sample_one, cdf, mean
 
 NN1 = nearest_neighbor(1)
 UNIT = SpinInterval(0.0, 1.0)
@@ -200,9 +211,19 @@ def test_sandwich_on_box_with_boundary():
     assert trace.sup_gap[-1] < 1e-6
 
 
-def test_sandwich_fault_injection_raises(monkeypatch):
+def decreasing_quantile(m, a, b, u):
     # a quantile that decreases in the mean puts the lower chain above the upper
-    monkeypatch.setattr(sampler, "_sample_one", lambda m, a, b, u: a + b - m)
+    return a + b - m
+
+
+def patch_quantile(monkeypatch, quantile):
+    # the scalar scan calls _sample_one, the level-batched step _sample_many
+    monkeypatch.setattr(sampler, "_sample_one", quantile)
+    monkeypatch.setattr(sampler, "_sample_many", quantile)
+
+
+def test_sandwich_fault_injection_raises(monkeypatch):
+    patch_quantile(monkeypatch, decreasing_quantile)
     with pytest.raises(OrderViolation):
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
 
@@ -212,6 +233,219 @@ def test_sandwich_determinism():
     t2 = run_sandwich(LatticeGeometry.torus([16]), NN1, UNIT, 40, seed=9)
     assert np.array_equal(t1.sup_gap, t2.sup_gap)
     assert np.array_equal(t1.final_upper, t2.final_upper)
+
+
+# ---------------------------------------------------------------------------
+# The level-batched sandwich against the sequential scan
+# ---------------------------------------------------------------------------
+
+# values of _LEVELED_MIN_SITES that force every volume onto one sweep path
+PATHS = {"scalar": 10 ** 9, "leveled": 0}
+
+
+@pytest.fixture(params=sorted(PATHS))
+def sweep_path(request, monkeypatch):
+    monkeypatch.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[request.param])
+    return request.param
+
+
+def reference_sandwich(table, interval, n_sweeps, seed, snapshot_every=0, boundary=None,
+                       quantile=_sample_one):
+    """The sandwich one update at a time in stream order: the scalar loop the
+    level-batched run must reproduce bit for bit, with its repairs counted."""
+    n = table.n_sites
+    lo_vals = FieldConfiguration.all_lower(table, interval, boundary).values
+    up_vals = FieldConfiguration.all_upper(table, interval, boundary).values
+    stream = UpdateStream(derive_key(seed, "sandwich"), n)
+    sup, mean_, snapshots = np.empty(n_sweeps + 1), np.empty(n_sweeps + 1), {}
+
+    def record(s):
+        gap = up_vals[:n] - lo_vals[:n]
+        sup[s] = float(gap.max())
+        mean_[s] = float(gap.mean())
+        if snapshot_every and s % snapshot_every == 0:
+            snapshots[s] = gap.copy()
+
+    record(0)
+    idx, w = table.idx, table.weights
+    a, b = interval.a, interval.b
+    tol = sampler._order_tolerance(interval)
+    repairs, worst = 0, 0.0
+    for s in range(1, n_sweeps + 1):
+        sites, us = stream.take(n)
+        for i, u in zip(sites, us):
+            row = idx[i]
+            m_lo = min(max(lo_vals[row] @ w, a), b)
+            m_up = min(max(up_vals[row] @ w, a), b)
+            new_lo = quantile(m_lo, a, b, u)
+            new_up = new_lo if m_up == m_lo else quantile(m_up, a, b, u)
+            if new_lo > new_up:
+                if new_lo - new_up > tol:
+                    raise OrderViolation(f"sweep {s}, site {i}: {new_lo} > {new_up}")
+                repairs, worst = repairs + 1, max(worst, new_lo - new_up)
+                new_lo, new_up = new_up, new_lo
+            lo_vals[i] = new_lo
+            up_vals[i] = new_up
+        record(s)
+    return sup, mean_, snapshots, lo_vals[:n].copy(), up_vals[:n].copy(), repairs, worst / tol
+
+
+def ring_table(kernel, n):
+    """A 1D ring of n sites with offsets wrapped modulo n and no size check,
+    so for n <= 2 * range a neighbour row names one site more than once."""
+    geometry = LatticeGeometry.torus([n])
+    offsets = np.array([z[0] for z in kernel.offsets])
+    idx = (np.arange(n)[:, None] + offsets) % n
+    return NeighborTable(kernel, geometry, idx, np.ones_like(idx, dtype=bool),
+                         {s: i for i, s in enumerate(geometry.sites)})
+
+
+@st.composite
+def sandwich_setups(draw):
+    """A neighbour table with its kernel, geometry and boundary, and an interval."""
+    kind = draw(st.sampled_from(["torus", "ring", "box"]))
+    dimension = 1 if kind == "ring" else draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        kernel = nearest_neighbor(dimension)
+    else:
+        kernel = exp_decay(draw(st.floats(0.2, 0.9)), draw(st.integers(1, 3)), dimension)
+    low = draw(st.floats(-5.0, 5.0))
+    interval = SpinInterval(low, low + 10.0 ** draw(st.floats(-3.0, np.log10(20.0))))
+    boundary = None
+    if kind == "ring":
+        table = ring_table(kernel, draw(st.sampled_from([2, 3])))
+        geometry = table.geometry
+    elif kind == "torus":
+        geometry = LatticeGeometry.torus(
+            [2 * r + 1 + draw(st.integers(0, 3)) for r in kernel.range_per_axis])
+        table = wrapped_offsets(kernel, geometry)
+    else:
+        coords = st.tuples(*[st.integers(0, 4)] * dimension)
+        geometry = LatticeGeometry.box(
+            draw(st.lists(coords, min_size=1, max_size=6, unique=True)), kernel)
+        table = wrapped_offsets(kernel, geometry)
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=len(geometry.shell),
+                                  max_size=len(geometry.shell)))
+        boundary = np.clip(interval.a + interval.width * np.array(fractions),
+                           interval.a, interval.b)
+    return table, kernel, geometry, interval, boundary
+
+
+def sandwich_on_path(path, table, kernel, geometry, interval, n_sweeps, seed, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:      # hand-made ring tables pass as-is
+        mp.setattr(sampler, "wrapped_offsets", lambda k, g: table)
+        mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
+        return run_sandwich(geometry, kernel, interval, n_sweeps, seed, **kwargs)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@settings(max_examples=100, deadline=None)
+@given(setup=sandwich_setups(), n_sweeps=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 64 - 1), snapshot_every=st.integers(0, 3))
+def test_sandwich_matches_sequential_scan_bitwise(path, setup, n_sweeps, seed, snapshot_every):
+    table, kernel, geometry, interval, boundary = setup
+    trace = sandwich_on_path(path, table, kernel, geometry, interval, n_sweeps, seed,
+                             snapshot_every=snapshot_every, boundary=boundary)
+    sup, mean_, snapshots, lower, upper, repairs, frac = reference_sandwich(
+        table, interval, n_sweeps, seed, snapshot_every, boundary)
+    assert trace.sup_gap.tobytes() == sup.tobytes()
+    assert trace.mean_gap.tobytes() == mean_.tobytes()
+    assert sorted(trace.snapshots) == sorted(snapshots)
+    for s, gap in snapshots.items():
+        assert trace.snapshots[s].tobytes() == gap.tobytes()
+    assert trace.final_lower.tobytes() == lower.tobytes()
+    assert trace.final_upper.tobytes() == upper.tobytes()
+    assert (trace.order_repairs, trace.max_inversion_frac) == (repairs, frac)
+
+
+def reference_levels(sites, closed):
+    level = []
+    for j, s in enumerate(sites):
+        deps = [level[i] for i in range(j) if sites[i] in closed[:, s]]
+        level.append(1 + max(deps, default=-1))
+    return level
+
+
+@settings(max_examples=150, deadline=None)
+@given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
+       n_updates=st.integers(1, 60))
+def test_update_levels_are_a_valid_schedule(setup, seed, n_updates):
+    table = setup[0]
+    n = table.n_sites
+    closed = np.vstack([np.arange(n), table.idx.T])
+    sites, _ = UpdateStream(derive_key(seed, "levels"), n).take(n_updates)
+    level = sampler._update_levels(sites, closed)
+    assert level.tolist() == reference_levels(sites, closed)
+    for i in range(n_updates):
+        for j in range(i + 1, n_updates):
+            if level[i] == level[j]:                  # one level: disjoint neighbourhoods
+                assert sites[i] not in closed[:, sites[j]]
+                assert sites[j] not in closed[:, sites[i]]
+            if sites[i] == sites[j]:                  # one site: stream order kept
+                assert level[i] < level[j]
+
+
+@pytest.mark.parametrize("k", range(2, 25))
+def test_local_means_match_scalar_dot_bitwise(k):
+    rng = np.random.default_rng(k)
+    w = rng.uniform(0.1, 2.0, k)
+    w /= w.sum()                                       # non-dyadic weights
+    values = rng.uniform(-3.0, 5.0, 500)
+    nbrs = rng.integers(0, values.size, (4000, k))
+    scalar = np.array([values[row] @ w for row in nbrs])
+    assert sampler._local_means(values, nbrs, w).tobytes() == scalar.tobytes()
+
+
+def sub_tolerance_inversion(m, a, b, u):
+    # decreasing in the mean by at most 1e-15 on [0, 1]: below _order_tolerance
+    return 0.25 + 0.5 * u - 1e-15 * m
+
+
+def test_inversion_just_above_tolerance_raises(sweep_path, monkeypatch):
+    # A quantile decreasing in the mean with slope c inverts a pair by c times
+    # the gap of the means.  The sandwich's gaps are at most b - a = 1, and 1
+    # at its first update; CFTP's are at most 0.5, and 0.5 at its first slot.
+    # So the largest inversion of either run is exactly 1.5 tolerances.
+    tol = sampler._order_tolerance(UNIT)
+    for c, run in ((1.5 * tol, lambda: run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT,
+                                                    1, seed=1)),
+                   (3.0 * tol, lambda: cftp_samples(box_pair(), NN1, UNIT,
+                                                    {(-1,): 0.0, (2,): 1.0}, 10, seed=1))):
+        patch_quantile(monkeypatch, lambda m, a, b, u: 0.25 + 0.5 * u - c * m)
+        with pytest.raises(OrderViolation):
+            run()
+
+
+def test_sandwich_counts_sub_ulp_repairs(sweep_path, monkeypatch):
+    geometry = LatticeGeometry.torus([16])
+    table = wrapped_offsets(NN1, geometry)
+    patch_quantile(monkeypatch, sub_tolerance_inversion)
+    trace = run_sandwich(geometry, NN1, UNIT, 20, seed=3)
+    *_, repairs, frac = reference_sandwich(table, UNIT, 20, 3,
+                                           quantile=sub_tolerance_inversion)
+    assert trace.order_repairs == repairs > 0
+    assert trace.max_inversion_frac == frac
+    assert 0.0 < frac < 1.0
+    assert np.all(trace.final_lower <= trace.final_upper)
+
+
+def test_sandwich_order_violation_names_sweep_and_site(sweep_path, monkeypatch):
+    patch_quantile(monkeypatch, decreasing_quantile)
+    with pytest.raises(OrderViolation, match=r"at sweep 1, site index [0-7]: "):
+        run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
+
+
+def test_default_sweep_path_follows_volume():
+    # 8 and 12.8 sites per closed neighbourhood run scalar, 204.8 (32 x 32) leveled
+    calls = []
+    leveled = sampler._leveled_scan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_leveled_scan", lambda *args: calls.append(1) or leveled(*args))
+        run_sandwich(LatticeGeometry.torus([24]), NN1, UNIT, 1, seed=0)
+        run_sandwich(LatticeGeometry.torus([8, 8]), nearest_neighbor(2), UNIT, 1, seed=0)
+        assert not calls
+        run_sandwich(LatticeGeometry.torus([32, 32]), nearest_neighbor(2), UNIT, 1, seed=0)
+        assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +508,18 @@ def test_cftp_values_in_interval():
 def test_cftp_requires_box():
     with pytest.raises(GeometryMismatch):
         cftp(LatticeGeometry.torus([8]), NN1, UNIT, None, seed=0)
+
+
+def test_cftp_fault_injection_raises(monkeypatch):
+    monkeypatch.setattr(sampler, "_sample_many", decreasing_quantile)
+    with pytest.raises(OrderViolation) as err:
+        cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 10, seed=1)
+    # the flat index into the replica block is split into replica and site
+    where = re.search(r"coupling from the past at time -(\d+), replica (\d+), "
+                      r"site index (\d+): ", str(err.value))
+    assert where is not None
+    time_back, replica, site = map(int, where.groups())
+    assert time_back >= 1 and replica < 10 and site < 2
 
 
 def test_cftp_horizon_cap_signalled():
