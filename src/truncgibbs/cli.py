@@ -318,7 +318,7 @@ def _run_cftp(cfg, out, seed):
 def _run_ident4(cfg, out, seed):
     run = _Setup(cfg, seed, "geometry", boundary=False)
     burn_in = _int_from(cfg, "burn_in", 1000, least=0)
-    sweeps = _int_from(cfg, "sweeps", 10000)
+    sweeps = _int_from(cfg, "sweeps", 10000, least=2)     # batch means need 2 samples
     batches = _int_from(cfg, "batches", 32)
     start = _get(cfg, "start", str, "midpoint")
     if start not in ("midpoint", "lower", "upper"):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import GeometryMismatch, NotTorus, TooFewSamples, VolumeTooLarge
 from .finite_spec import VolumeHamiltonian, build_matrices
 from .kernel import SpinInterval
-from .sampler import RunTrace
+from .sampler import RunTrace, _local_means
 from .truncnorm import varphi
 
 
@@ -53,8 +53,11 @@ def _verdict(name, estimate, se, target, sided="two") -> StatVerdict:
 
 
 def batch_means_se(series, batches: int = 32) -> float:
-    """Standard error of the series mean from non-overlapping batch means."""
+    """Standard error of the series mean from non-overlapping batch means;
+    at least 2 samples."""
     series = np.asarray(series, dtype=float)
+    if series.size < 2:
+        raise TooFewSamples(f"batch means need at least 2 samples, got {series.size}")
     batches = max(2, min(batches, series.size))
     length = series.size // batches
     trimmed = series[:batches * length].reshape(batches, length)
@@ -168,8 +171,7 @@ def stationarity_check(trace: RunTrace, batches: int = 32):
     if table.geometry.kind != "torus":
         raise NotTorus("stationarity identities require the torus geometry")
     fields = trace.fields                              # (T, n)
-    neighbor_vals = fields[:, table.idx]               # (T, n, K)
-    local_means = neighbor_vals @ table.weights        # (T, n)
+    local_means = _local_means(fields, table.idx, table.weights)
     shift_series = varphi(local_means, trace.interval).mean(axis=1)
     balance_series = (local_means - fields).mean(axis=1)
     shift = _verdict("mean_shift_zero", shift_series.mean(),

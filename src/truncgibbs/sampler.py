@@ -15,24 +15,35 @@ times are drawn.
 
 Two updates commute when neither site lies in the other's closed
 neighbourhood (the site plus its kernel neighbours): neither reads what
-the other writes.  So the coupled runs batch a random-scan sweep by
+the other writes.  So the runs batch a stretch of the random scan by
 dependency level, each update one level deeper than the deepest earlier
-update of the sweep that writes into its closed neighbourhood.  Applying
+update of the stretch that writes into its closed neighbourhood.  Applying
 the levels in increasing order, every update reads exactly the values the
 sequential scan would, so the stream, the order of the updates at each
-site and every bit of the result are those of the sequential scan.  A
-volume too small to give each level many updates runs the same scan one
-update at a time instead.  Distinct chains or replicas run fully in
-parallel with independent streams.
+site and every bit of the result are those of the sequential scan.  The
+coupled sandwich levels one sweep at a time; a single chain levels blocks
+of whole sweeps, so levels run on across sweep boundaries, and rebuilds
+the field after each recorded sweep from the block's log of update
+outputs.  A volume too small to give each level many updates runs the
+same scan one update at a time instead.  Distinct chains or replicas run
+fully in parallel with independent streams.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundarySite, GeometryMismatch, NoCoalescence, OrderViolation
+from .errors import (
+    BoundarySite,
+    GeometryMismatch,
+    MissingSite,
+    NoCoalescence,
+    OrderViolation,
+    OutOfRange,
+)
 from .kernel import LatticeGeometry, NeighborTable, SpinInterval, wrapped_offsets
 from .streams import UpdateStream, derive_key, site_uniform_pairs
 from .truncnorm import _sample_many, _sample_one
@@ -48,12 +59,20 @@ def _order_tolerance(interval: SpinInterval) -> float:
     return 16.0 * np.finfo(float).eps * scale
 
 
-# A random-scan sweep runs level by level once the volume holds this many
+# A sandwich sweep runs level by level once the volume holds this many
 # sites per closed neighbourhood (the site and its kernel neighbours).
 # Each level costs a fixed run of numpy calls, so small volumes, with a few
 # updates per level, keep the scalar scan; on 1D, 2D and 3D tori the two
 # cost the same at about 25-32 sites per closed neighbourhood.
 _LEVELED_MIN_SITES = 32
+
+# A single chain levels blocks of whole sweeps of about this many updates:
+# its levels run on across sweep boundaries and hold more updates than one
+# sweep's (about 16 instead of 6 on a 64-site ring), for a MiB or two of
+# per-block arrays.  Blocks pay from about 16 sites per closed
+# neighbourhood; below that the chain keeps the scalar scan.
+_BLOCK_UPDATES = 1 << 14
+_CHAIN_LEVELED_MIN_SITES = 16
 
 
 def _boundary_array(table: NeighborTable, boundary, interval: SpinInterval) -> np.ndarray:
@@ -62,17 +81,20 @@ def _boundary_array(table: NeighborTable, boundary, interval: SpinInterval) -> n
     if not shell:
         return np.empty(0)
     if boundary is None:
-        raise ValueError("box geometry requires boundary values")
+        raise MissingSite("box geometry requires boundary values")
     if np.isscalar(boundary):
         gamma = np.full(len(shell), float(boundary))
     elif isinstance(boundary, dict):
-        gamma = np.array([float(boundary[s]) for s in shell])
+        try:
+            gamma = np.array([float(boundary[s]) for s in shell])
+        except KeyError as missing:
+            raise MissingSite(f"boundary does not cover shell site {missing.args[0]}") from None
     else:
         gamma = np.asarray(boundary, dtype=float)
         if gamma.shape != (len(shell),):
-            raise ValueError(f"expected {len(shell)} boundary values, got {gamma.shape}")
+            raise MissingSite(f"expected {len(shell)} boundary values, got shape {gamma.shape}")
     if not interval.contains(gamma):
-        raise ValueError("boundary values must lie in the spin interval")
+        raise OutOfRange("boundary values must lie in the spin interval")
     return gamma
 
 
@@ -158,25 +180,33 @@ def sweep(field: FieldConfiguration, stream: UpdateStream, n_updates: int) -> Fi
     """Apply n_updates consecutive stream-driven single-site updates, in place."""
     if stream.n_sites != field.n_interior:
         raise GeometryMismatch("stream volume does not match the field")
-    sites, us = stream.take(n_updates)
-    idx = field.table.idx
-    w = field.table.weights
-    values = field.values
-    a, b = field.interval.a, field.interval.b
-    for i, u in zip(sites, us):
-        m = values[idx[i]] @ w
-        values[i] = _sample_one(min(max(m, a), b), a, b, u)
+    if n_updates < 0:
+        raise ValueError(f"n_updates must be at least 0, got {n_updates}")
+    _run_chain(field, stream, n_updates, np.empty((0, field.n_interior)))
     return field
 
 
 def _local_means(values: np.ndarray, nbrs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Kernel-weighted means of the neighbour rows ``nbrs`` of a flat field.
+    """Kernel-weighted means of the neighbour rows ``nbrs`` of a flat field,
+    or of each field along the last axis of a stack of them.
 
-    A stack of (1, K) @ (K, 1) products runs the same dot kernel row by row
-    as the scalar ``values[row] @ w``, so each mean is bit-identical to it;
-    ``(values[nbrs] * w).sum(axis=1)`` and a 2-D ``@`` sum in other orders.
+    A C-contiguous stack of (1, K) @ (K, 1) products runs the same dot
+    kernel row by row as the scalar ``values[row] @ w``, so each mean is
+    bit-identical to it; ``take`` keeps the gather C-contiguous, where
+    ``values[:, nbrs]`` on a stack is not.  ``(values[nbrs] * w).sum(axis=1)``
+    and a 2-D ``@`` sum in other orders.
     """
-    return np.matmul(values[nbrs][:, None, :], w[:, None])[:, 0, 0]
+    return np.matmul(values.take(nbrs, axis=-1)[..., None, :], w[:, None])[..., 0, 0]
+
+
+def _chain_step(values: np.ndarray, cells: np.ndarray, nbrs: np.ndarray, us: np.ndarray,
+                w: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Heat-bath update of ``cells`` in one flat field: the one-chain form of
+    :func:`_coupled_step`, under the same condition on ``nbrs``.  Returns
+    the new values."""
+    new = _sample_many(np.clip(_local_means(values, nbrs, w), a, b), a, b, us)
+    values[cells] = new
+    return new
 
 
 def _order_violation(cell, new_lo, new_up) -> OrderViolation:
@@ -239,48 +269,54 @@ def _coupled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.nd
     return repairs, worst
 
 
-def _update_levels(sites: np.ndarray, closed: np.ndarray) -> np.ndarray:
-    """The dependency level of each update of a random-scan sweep.
+def _closed_getters(idx: np.ndarray) -> list:
+    """One getter per site over its closed neighbourhood: the site, then its
+    kernel neighbours (frozen boundary indices never name a site)."""
+    return [operator.itemgetter(i, *row) for i, row in enumerate(idx.tolist())]
 
-    Column i of ``closed`` lists the closed neighbourhood of site i: the
-    site, then its kernel neighbours (frozen boundary indices never match
-    a site).  An update's level is one more than the deepest earlier
-    update of the sweep whose site lies in its closed neighbourhood, and 0
-    if there is none.  Neighbourhoods are symmetric, so one level never
-    holds two updates within each other's closed neighbourhood, and the
-    updates of one site keep their stream order.
+
+def _update_levels(sites: np.ndarray, getters: list, heights: list) -> np.ndarray:
+    """The dependency level of each update in ``sites``, in stream order.
+
+    ``heights`` holds, per flat index, the level of the last update there,
+    and -1 where there is none; it is updated in place, so a later call
+    carries on from it.  An update's level is one more than the largest
+    height in its closed neighbourhood (``getters[i]``).  Neighbourhoods
+    are symmetric, so one level never holds two updates within each
+    other's closed neighbourhood, and the updates of one site keep their
+    stream order.
     """
-    n = sites.size
-    order = np.argsort(sites, kind="stable")
-    keys = sites[order] * n + order          # by site, then by stream position
-    targets = closed[:, sites]               # (K + 1, n), one row per column
-    needles = (targets * n + np.arange(n)).ravel()
-    pos = np.searchsorted(keys, needles).reshape(targets.shape) - 1
-    found = (pos >= 0) & (keys[pos] // n == targets)
-    pred = np.where(found, order[pos], n)    # last earlier update of each target
-    level = np.zeros(n + 1, dtype=np.int64)
-    level[n] = -1
-    while True:                              # longest path: one round per level
-        deeper = level[pred].max(axis=0) + 1
-        if np.array_equal(deeper, level[:n]):
-            return deeper
-        level[:n] = deeper
+    levels = []
+    for i in sites.tolist():
+        h = max(getters[i](heights)) + 1
+        heights[i] = h
+        levels.append(h)
+    return np.array(levels, dtype=np.int64)
 
 
-def _leveled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.ndarray,
-                  idx: np.ndarray, closed: np.ndarray, w: np.ndarray, a: float, b: float,
-                  tol: float):
-    """The updates of one sweep level by level, one :func:`_coupled_step`
-    per level; bit-identical to :func:`_coupled_scan` in stream order."""
-    level = _update_levels(sites, closed)
+def _level_batches(sites: np.ndarray, us: np.ndarray, idx: np.ndarray, getters: list,
+                   n_values: int):
+    """Yield the updates level by level, in increasing order, as (stream
+    positions, cells, neighbour rows, uniforms), from fresh heights."""
+    level = _update_levels(sites, getters, [-1] * n_values)
     order = np.argsort(level, kind="stable")
     cells, us = sites[order], us[order]
     nbrs = idx[cells]
-    repairs, worst, start = 0, 0.0, 0
-    for end in np.cumsum(np.bincount(level)):
-        r, inv = _coupled_step(low, upp, cells[start:end], nbrs[start:end], us[start:end],
-                               w, a, b, tol)
-        repairs, worst, start = repairs + r, max(worst, inv), end
+    start = 0
+    for end in np.cumsum(np.bincount(level)).tolist():
+        yield order[start:end], cells[start:end], nbrs[start:end], us[start:end]
+        start = end
+
+
+def _leveled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.ndarray,
+                  idx: np.ndarray, getters: list, w: np.ndarray, a: float, b: float,
+                  tol: float):
+    """The updates of one sweep level by level, one :func:`_coupled_step`
+    per level; bit-identical to :func:`_coupled_scan` in stream order."""
+    repairs, worst = 0, 0.0
+    for _, cells, nbrs, level_us in _level_batches(sites, us, idx, getters, low.size):
+        r, inv = _coupled_step(low, upp, cells, nbrs, level_us, w, a, b, tol)
+        repairs, worst = repairs + r, max(worst, inv)
     return repairs, worst
 
 
@@ -336,14 +372,14 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     idx, w = table.idx, table.weights
     a, b = interval.a, interval.b
     tol = _order_tolerance(interval)
-    closed = np.vstack([np.arange(n), idx.T])
-    leveled = n >= _LEVELED_MIN_SITES * closed.shape[0]
+    leveled = n >= _LEVELED_MIN_SITES * (1 + idx.shape[1])
+    getters = _closed_getters(idx) if leveled else None
     repairs, worst = 0, 0.0
     for s in range(1, n_sweeps + 1):
         sites, us = stream.take(n)
         try:
             if leveled:
-                r, inv = _leveled_scan(lower.values, upper.values, sites, us, idx, closed,
+                r, inv = _leveled_scan(lower.values, upper.values, sites, us, idx, getters,
                                        w, a, b, tol)
             else:
                 r, inv = _coupled_scan(lower.values, upper.values, sites, us, idx, w, a, b, tol)
@@ -368,6 +404,64 @@ class RunTrace:
     burn_in: int
 
 
+def _chain_scan(values: np.ndarray, sites: np.ndarray, us: np.ndarray, idx: np.ndarray,
+                w: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The updates of one chain one at a time in stream order, with the
+    arithmetic of :func:`_chain_step`; returns the new values in stream order."""
+    log = np.empty(sites.size)
+    for k, (i, u) in enumerate(zip(sites.tolist(), us.tolist())):
+        m = values[idx[i]] @ w
+        values[i] = log[k] = _sample_one(min(max(m, a), b), a, b, u)
+    return log
+
+
+def _rows_at(before: np.ndarray, sites: np.ndarray, log: np.ndarray,
+             ends: np.ndarray) -> np.ndarray:
+    """The interior after the first ``ends[j]`` updates of a block, one row
+    per (increasing) end, from the interior ``before`` the block and the
+    block's sites and new values in stream order."""
+    seg = np.searchsorted(ends, np.arange(sites.size), side="right")
+    kept = np.flatnonzero(seg < ends.size)
+    last = np.full((ends.size, before.size), -1)
+    np.maximum.at(last, (seg[kept], sites[kept]), kept)   # last update per row and site
+    last = np.maximum.accumulate(last, axis=0)
+    return np.where(last >= 0, log[last], before)
+
+
+def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
+               out: np.ndarray) -> None:
+    """Apply ``n_updates`` stream updates to ``field`` in place, and fill the
+    rows of ``out`` with the interior after each of the last ``len(out)``
+    sweeps of ``n_interior`` updates.
+
+    The updates run in blocks of whole sweeps.  On volumes of at least
+    ``_CHAIN_LEVELED_MIN_SITES`` sites per closed neighbourhood a block runs
+    level by level (see :func:`_update_levels`), one :func:`_chain_step`
+    per level; smaller volumes run :func:`_chain_scan`.  Both give the bits
+    of the sequential scan.
+    """
+    n = field.n_interior
+    values, idx, w = field.values, field.table.idx, field.table.weights
+    a, b = field.interval.a, field.interval.b
+    leveled = n >= _CHAIN_LEVELED_MIN_SITES * (1 + idx.shape[1])
+    getters = _closed_getters(idx) if leveled else None
+    block = max(1, _BLOCK_UPDATES // n) * n
+    ends = n_updates - n * np.arange(len(out) - 1, -1, -1)   # update count at each row
+    for start in range(0, n_updates, block):
+        sites, us = stream.take(min(block, n_updates - start))
+        before = values[:n].copy()
+        if leveled:
+            log = np.empty(sites.size)
+            for pos, cells, nbrs, level_us in _level_batches(sites, us, idx, getters,
+                                                             values.size):
+                log[pos] = _chain_step(values, cells, nbrs, level_us, w, a, b)
+        else:
+            log = _chain_scan(values, sites, us, idx, w, a, b)
+        rows = np.flatnonzero((ends > start) & (ends <= start + sites.size))
+        if rows.size:
+            out[rows] = _rows_at(before, sites, log, ends[rows] - start)
+
+
 def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
                    seed: int, burn_in: int, n_sweeps: int,
                    start: str = "midpoint", boundary=None) -> RunTrace:
@@ -375,21 +469,23 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
     ``start`` picks the initial state: "midpoint", "lower", or "upper";
     starting from "upper" with no burn-in gives the deliberately
-    non-equilibrated chain used as a negative control.
+    non-equilibrated chain used as a negative control.  The run is one
+    stretch of ``(burn_in + n_sweeps)`` sweeps of the stream, applied in
+    blocks of whole sweeps whose dependency levels cross sweep boundaries
+    (see :func:`_run_chain`); every recorded field is bit-identical to the
+    sequential scan's.
     """
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     levels = {"midpoint": interval.midpoint, "lower": interval.a, "upper": interval.b}
     if start not in levels:
         raise ValueError(f"start must be one of {sorted(levels)}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be at least 0, got {burn_in}")
     chain = FieldConfiguration.constant(table, interval, levels[start], boundary)
     stream = UpdateStream(derive_key(seed, "stationary"), n)
-    if burn_in:
-        sweep(chain, stream, burn_in * n)
     out = np.empty((n_sweeps, n))
-    for s in range(n_sweeps):
-        sweep(chain, stream, n)
-        out[s] = chain.interior
+    _run_chain(chain, stream, (burn_in + n_sweeps) * n, out)
     return RunTrace(out, table, interval, seed, burn_in)
 
 

@@ -159,6 +159,7 @@ BAD_INPUTS = [
                     "boundary": {"values": [[[-1], "x"], [[2], 1.0]]}}, "boundary.values"),
     ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "eps_coal": -1.0}, "eps_coal"),
     ("ident4", {"geometry": TORUS8, "burn_in": -1}, "burn_in"),
+    ("ident4", {"geometry": TORUS8, "sweeps": 1}, "sweeps"),       # batch means need 2
     ("ident4", {"geometry": TORUS8, "start": "sideways"}, "start"),
     ("sandwich", {"geometry": TORUS8, "snapshot_every": -10}, "snapshot_every"),
     ("spec-check", {"volume": VOLUME2, "interval": ["0", True],

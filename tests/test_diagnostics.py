@@ -254,3 +254,10 @@ def test_batch_means_se_iid_scale():
     se = batch_means_se(series, batches=32)
     iid = series.std(ddof=1) / np.sqrt(series.size)
     assert 0.5 * iid < se < 2.0 * iid
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_batch_means_se_needs_two_samples(size):
+    with pytest.raises(TooFewSamples):
+        batch_means_se(np.ones(size))
+    assert batch_means_se(np.array([0.0, 1.0])) == 0.5

@@ -9,8 +9,10 @@ from truncgibbs import sampler
 from truncgibbs.errors import (
     BoundarySite,
     GeometryMismatch,
+    MissingSite,
     NoCoalescence,
     OrderViolation,
+    OutOfRange,
 )
 from truncgibbs.kernel import (
     LatticeGeometry,
@@ -86,6 +88,26 @@ def test_field_validation():
     box = wrapped_offsets(NN1, LatticeGeometry.box([(0,)], NN1))
     with pytest.raises(ValueError):
         FieldConfiguration.constant(box, UNIT, 0.5)             # boundary missing
+
+
+BOX3 = LatticeGeometry.box([(0,), (1,), (2,)], NN1)       # shell (-1,) and (3,)
+
+
+@pytest.mark.parametrize("boundary, error", [
+    (None, MissingSite),
+    ({(-1,): 0.2}, MissingSite),                              # (3,) not covered
+    (np.array([0.2, 0.4, 0.6]), MissingSite),                 # three values, two shell sites
+    (np.array([[0.2, 0.4]]), MissingSite),
+    (1.5, OutOfRange),
+    ({(-1,): 0.2, (3,): -0.1}, OutOfRange),
+    (np.array([0.2, 2.0]), OutOfRange),
+])
+def test_boundary_errors_are_typed(boundary, error):
+    table = wrapped_offsets(NN1, BOX3)
+    with pytest.raises(error):
+        FieldConfiguration.constant(table, UNIT, 0.5, boundary=boundary)
+    with pytest.raises(error):
+        cftp_samples(BOX3, NN1, UNIT, boundary, 4, seed=0)
 
 
 def test_unnormalized_kernel_rejected_by_dynamics():
@@ -173,6 +195,8 @@ def test_sweep_stream_mismatch():
     field = FieldConfiguration.constant(table, UNIT, 0.5)
     with pytest.raises(GeometryMismatch):
         sweep(field, UpdateStream(derive_key(1), 5), 10)
+    with pytest.raises(ValueError):
+        sweep(field, UpdateStream(derive_key(1), 12), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +392,23 @@ def reference_levels(sites, closed):
 
 @settings(max_examples=150, deadline=None)
 @given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
-       n_updates=st.integers(1, 60))
-def test_update_levels_are_a_valid_schedule(setup, seed, n_updates):
+       calls=st.lists(st.integers(0, 30), min_size=1, max_size=4))
+def test_update_levels_are_a_valid_schedule(setup, seed, calls):
+    # consecutive calls on one heights list level the concatenated updates
+    # as one stretch, as a single chain's block of sweeps does
     table = setup[0]
     n = table.n_sites
     closed = np.vstack([np.arange(n), table.idx.T])
-    sites, _ = UpdateStream(derive_key(seed, "levels"), n).take(n_updates)
-    level = sampler._update_levels(sites, closed)
+    getters = sampler._closed_getters(table.idx)
+    sites, _ = UpdateStream(derive_key(seed, "levels"), n).take(sum(calls))
+    heights = [-1] * (n + len(table.shell))
+    level = np.concatenate([
+        sampler._update_levels(sites[start:start + size], getters, heights)
+        for start, size in zip(np.cumsum([0, *calls]), calls)])
+    assert level.dtype == np.int64
     assert level.tolist() == reference_levels(sites, closed)
-    for i in range(n_updates):
-        for j in range(i + 1, n_updates):
+    for i in range(sites.size):
+        for j in range(i + 1, sites.size):
             if level[i] == level[j]:                  # one level: disjoint neighbourhoods
                 assert sites[i] not in closed[:, sites[j]]
                 assert sites[j] not in closed[:, sites[i]]
@@ -394,6 +425,11 @@ def test_local_means_match_scalar_dot_bitwise(k):
     nbrs = rng.integers(0, values.size, (4000, k))
     scalar = np.array([values[row] @ w for row in nbrs])
     assert sampler._local_means(values, nbrs, w).tobytes() == scalar.tobytes()
+    # a stack of fields, as the stationarity check passes: each row as its own
+    fields = rng.uniform(-3.0, 5.0, (50, 40))
+    rows = rng.integers(0, 40, (40, k))
+    scalar = np.array([[field[row] @ w for row in rows] for field in fields])
+    assert sampler._local_means(fields, rows, w).tobytes() == scalar.tobytes()
 
 
 def sub_tolerance_inversion(m, a, b, u):
@@ -462,6 +498,96 @@ def test_stationary_run_shape_and_bounds():
 def test_stationary_run_start_validation():
     with pytest.raises(ValueError):
         stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, 0, 1, start="nowhere")
+    with pytest.raises(ValueError):
+        stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, -1, 3)   # negative burn-in
+
+
+# values of _CHAIN_LEVELED_MIN_SITES that force every volume onto one chain path
+CHAIN_PATHS = {"scalar": 10 ** 9, "leveled": 0}
+
+
+def reference_chain(values, stream, n_updates, table, interval):
+    """``n_updates`` single-chain updates one at a time in stream order."""
+    idx, w = table.idx, table.weights
+    a, b = interval.a, interval.b
+    sites, us = stream.take(n_updates)
+    for i, u in zip(sites, us):
+        values[i] = _sample_one(min(max(values[idx[i]] @ w, a), b), a, b, u)
+
+
+def reference_run(table, interval, seed, burn_in, n_sweeps, start, boundary):
+    """stationary_run as the sequential scan: burn in, then one row per sweep."""
+    n = table.n_sites
+    level = {"midpoint": interval.midpoint, "lower": interval.a, "upper": interval.b}[start]
+    values = FieldConfiguration.constant(table, interval, level, boundary).values
+    stream = UpdateStream(derive_key(seed, "stationary"), n)
+    reference_chain(values, stream, burn_in * n, table, interval)
+    fields = np.empty((n_sweeps, n))
+    for s in range(n_sweeps):
+        reference_chain(values, stream, n, table, interval)
+        fields[s] = values[:n]
+    return fields
+
+
+@pytest.mark.parametrize("path", sorted(CHAIN_PATHS))
+@settings(max_examples=100, deadline=None)
+@given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
+       burn_in=st.integers(0, 4), n_sweeps=st.integers(1, 6),
+       start=st.sampled_from(["midpoint", "lower", "upper"]),
+       block=st.integers(1, 40))
+def test_stationary_run_matches_sequential_scan_bitwise(path, setup, seed, burn_in,
+                                                         n_sweeps, start, block):
+    # blocks of max(1, block // n) sweeps: their edges fall inside the burn-in
+    # and inside the measurement sweeps
+    table, kernel, geometry, interval, boundary = setup
+    with pytest.MonkeyPatch.context() as mp:      # hand-made ring tables pass as-is
+        mp.setattr(sampler, "wrapped_offsets", lambda k, g: table)
+        mp.setattr(sampler, "_CHAIN_LEVELED_MIN_SITES", CHAIN_PATHS[path])
+        mp.setattr(sampler, "_BLOCK_UPDATES", block)
+        trace = stationary_run(geometry, kernel, interval, seed, burn_in, n_sweeps,
+                               start=start, boundary=boundary)
+    fields = reference_run(table, interval, seed, burn_in, n_sweeps, start, boundary)
+    assert trace.fields.tobytes() == fields.tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(CHAIN_PATHS))
+@settings(max_examples=50, deadline=None)
+@given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
+       calls=st.lists(st.integers(0, 50), min_size=1, max_size=3), block=st.integers(1, 40))
+def test_sweep_matches_sequential_scan_bitwise(path, setup, seed, calls, block):
+    # update counts that are not whole sweeps leave a partial last block
+    table, _, _, interval, boundary = setup
+    field = FieldConfiguration.constant(table, interval, interval.midpoint, boundary)
+    values = field.values.copy()
+    stream = UpdateStream(derive_key(seed, "sweep"), table.n_sites)
+    twin = UpdateStream(derive_key(seed, "sweep"), table.n_sites)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_CHAIN_LEVELED_MIN_SITES", CHAIN_PATHS[path])
+        mp.setattr(sampler, "_BLOCK_UPDATES", block)
+        for n_updates in calls:
+            sweep(field, stream, n_updates)
+            reference_chain(values, twin, n_updates, table, interval)
+            assert field.values.tobytes() == values.tobytes()
+
+
+def test_default_chain_path_follows_volume():
+    # 16/3 sites per closed neighbourhood run scalar, 64/3 leveled
+    calls = {"scan": 0, "levels": 0}
+    scan, batches = sampler._chain_scan, sampler._level_batches
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_chain_scan", counted("scan", scan))
+        mp.setattr(sampler, "_level_batches", counted("levels", batches))
+        stationary_run(LatticeGeometry.torus([16]), NN1, UNIT, 0, 1, 2)
+        assert calls == {"scan": 1, "levels": 0}
+        stationary_run(LatticeGeometry.torus([64]), NN1, UNIT, 0, 1, 2)
+        assert calls == {"scan": 1, "levels": 1}
 
 
 # ---------------------------------------------------------------------------
