@@ -267,7 +267,8 @@ def _run_sandwich(cfg, out, seed):
         "final_sup_gap": float(trace.sup_gap[-1]),
         "final_mean_gap": float(trace.mean_gap[-1]),
         "snapshots": {str(s): g for s, g in sorted(trace.snapshots.items())},
-        "order_violations": 0,
+        "order_repairs": trace.order_repairs,
+        "max_inversion_frac": trace.max_inversion_frac,
     })
     return True
 

@@ -24,11 +24,10 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .errors import (
     EmptyVolume,
     GeometryMismatch,
-    GeometryTooSmall,
     MissingSite,
     NotPositiveDefinite,
 )
-from .kernel import InteractionKernel, LatticeGeometry, SpinInterval
+from .kernel import InteractionKernel, LatticeGeometry, SpinInterval, check_torus_extents
 
 
 def _as_sites(volume):
@@ -77,12 +76,7 @@ def build_matrices(volume, kernel: InteractionKernel,
         if geometry.dimension != d:
             raise GeometryMismatch("geometry dimension mismatch")
         if geometry.kind == "torus":
-            ranges = kernel.range_per_axis
-            for k in range(d):
-                if geometry.extents[k] <= 2 * ranges[k]:
-                    raise GeometryTooSmall(
-                        f"torus extent {geometry.extents[k]} on axis {k} must exceed "
-                        f"twice the kernel range {ranges[k]}")
+            check_torus_extents(kernel, geometry)
             wrap = geometry.extents
         elif not set(sites) <= set(geometry.sites):
             raise GeometryMismatch("volume is not contained in the box geometry")

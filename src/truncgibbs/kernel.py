@@ -79,9 +79,6 @@ class InteractionKernel:
     def range_per_axis(self) -> tuple:
         return tuple(max(abs(z[k]) for z in self.offsets) for k in range(self.dimension))
 
-    def support(self):
-        return self.offsets
-
 
 def build_kernel(dimension: int, raw: dict, normalize: bool = True) -> InteractionKernel:
     """Validate, symmetrize and (optionally) normalize an offset->weight map.
@@ -206,7 +203,6 @@ class NeighborTable:
     kernel: InteractionKernel
     geometry: LatticeGeometry
     idx: np.ndarray             # (n_sites, n_offsets) combined indices
-    interior_mask: np.ndarray   # (n_sites, n_offsets) True where neighbor is interior
     index_of: dict              # site tuple -> combined index
 
     @property
@@ -226,12 +222,20 @@ class NeighborTable:
         return self.geometry.n_sites
 
 
+def check_torus_extents(kernel: InteractionKernel, geometry: LatticeGeometry) -> None:
+    """Raise GeometryTooSmall unless every torus extent exceeds twice the
+    kernel range on its axis, so that wrapped offsets stay distinct."""
+    for k, (extent, reach) in enumerate(zip(geometry.extents, kernel.range_per_axis)):
+        if extent <= 2 * reach:
+            raise GeometryTooSmall(
+                f"torus extent {extent} on axis {k} must exceed twice the kernel range {reach}")
+
+
 def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> NeighborTable:
     """Build the per-site neighbor table.
 
-    On the torus the neighbor at offset z is (x + z) mod extents, which
-    requires every extent to exceed twice the kernel range on that axis
-    so wrapped offsets stay distinct.  On a box, neighbors fall either in
+    On the torus the neighbor at offset z is (x + z) mod extents (see
+    :func:`check_torus_extents`).  On a box, neighbors fall either in
     the interior or in the exterior shell; weights are carried unchanged,
     so each site's weights sum to the kernel norm exactly.
     """
@@ -242,12 +246,7 @@ def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> Nei
     sites = geometry.sites
     d = geometry.dimension
     if geometry.kind == "torus":
-        ranges = kernel.range_per_axis
-        for k in range(d):
-            if geometry.extents[k] <= 2 * ranges[k]:
-                raise GeometryTooSmall(
-                    f"torus extent {geometry.extents[k]} on axis {k} must exceed "
-                    f"twice the kernel range {ranges[k]}")
+        check_torus_extents(kernel, geometry)
         index_of = {s: i for i, s in enumerate(sites)}
         coords = np.array(sites, dtype=np.int64)          # (n, d)
         extents = np.array(geometry.extents, dtype=np.int64)
@@ -258,15 +257,11 @@ def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> Nei
         for z in kernel.offsets:
             wrapped = (coords + np.asarray(z, dtype=np.int64)) % extents
             cols.append(wrapped @ strides)
-        idx = np.stack(cols, axis=1)
-        mask = np.ones_like(idx, dtype=bool)
-        return NeighborTable(kernel, geometry, idx, mask, index_of)
+        return NeighborTable(kernel, geometry, np.stack(cols, axis=1), index_of)
 
     combined = list(sites) + list(geometry.shell)
     index_of = {s: i for i, s in enumerate(combined)}
-    n = len(sites)
-    idx = np.empty((n, len(kernel.offsets)), dtype=np.int64)
-    mask = np.empty_like(idx, dtype=bool)
+    idx = np.empty((len(sites), len(kernel.offsets)), dtype=np.int64)
     for i, x in enumerate(sites):
         for k, z in enumerate(kernel.offsets):
             y = tuple(x[j] + z[j] for j in range(d))
@@ -274,5 +269,4 @@ def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> Nei
             if j is None:
                 raise GeometryMismatch(f"shell does not cover site {y} needed by {x}")
             idx[i, k] = j
-            mask[i, k] = j < n
-    return NeighborTable(kernel, geometry, idx, mask, index_of)
+    return NeighborTable(kernel, geometry, idx, index_of)

@@ -21,12 +21,13 @@ update of the stretch that writes into its closed neighbourhood.  Applying
 the levels in increasing order, every update reads exactly the values the
 sequential scan would, so the stream, the order of the updates at each
 site and every bit of the result are those of the sequential scan.  The
-coupled sandwich levels one sweep at a time; a single chain levels blocks
-of whole sweeps, so levels run on across sweep boundaries, and rebuilds
-the field after each recorded sweep from the block's log of update
-outputs.  A volume too small to give each level many updates runs the
-same scan one update at a time instead.  Distinct chains or replicas run
-fully in parallel with independent streams.
+single chain and the coupled sandwich share one schedule (:func:`_blocks`):
+blocks of whole sweeps, each levelled as one stretch, so levels run on
+across sweep boundaries, and the fields after each recorded sweep are
+rebuilt from the block's log of update outputs.  A volume too small to
+give each level many updates runs the same scan one update at a time
+instead.  Distinct chains or replicas run fully in parallel with
+independent streams.
 """
 
 from __future__ import annotations
@@ -59,20 +60,14 @@ def _order_tolerance(interval: SpinInterval) -> float:
     return 16.0 * np.finfo(float).eps * scale
 
 
-# A sandwich sweep runs level by level once the volume holds this many
-# sites per closed neighbourhood (the site and its kernel neighbours).
-# Each level costs a fixed run of numpy calls, so small volumes, with a few
-# updates per level, keep the scalar scan; on 1D, 2D and 3D tori the two
-# cost the same at about 25-32 sites per closed neighbourhood.
-_LEVELED_MIN_SITES = 32
-
-# A single chain levels blocks of whole sweeps of about this many updates:
-# its levels run on across sweep boundaries and hold more updates than one
-# sweep's (about 16 instead of 6 on a 64-site ring), for a MiB or two of
-# per-block arrays.  Blocks pay from about 16 sites per closed
-# neighbourhood; below that the chain keeps the scalar scan.
+# The runs take the stream in blocks of whole sweeps of about this many
+# updates and level each block as one stretch, so levels run on across sweep
+# boundaries (about 16 updates per level on a 64-site ring, not 6 per sweep).
+# A level costs a fixed run of numpy calls, so this pays from about 10-13
+# sites per closed neighbourhood (the site and its kernel neighbours), for
+# one chain and the coupled pair alike; smaller volumes keep the scalar scan.
 _BLOCK_UPDATES = 1 << 14
-_CHAIN_LEVELED_MIN_SITES = 16
+_LEVELED_MIN_SITES = 16
 
 
 def _boundary_array(table: NeighborTable, boundary, interval: SpinInterval) -> np.ndarray:
@@ -209,10 +204,10 @@ def _chain_step(values: np.ndarray, cells: np.ndarray, nbrs: np.ndarray, us: np.
     return new
 
 
-def _order_violation(cell, new_lo, new_up) -> OrderViolation:
-    # the caller knows what the flat index ``cell`` names and adds that context
+def _order_violation(k, cell, new_lo, new_up) -> OrderViolation:
+    # the caller adds what the input position ``k`` and flat index ``cell`` name
     err = OrderViolation(f"{new_lo} > {new_up}")
-    err.cell = int(cell)
+    err.index, err.cell = int(k), int(cell)
     return err
 
 
@@ -223,9 +218,10 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     ``nbrs`` holds each cell's neighbour indices into the same arrays, and
     no cell may lie in another's row: the updates then commute and run as
     one.  Inversions up to ``tol`` are repaired by taking the min / max;
-    a larger one raises OrderViolation, with the offending flat index as
-    its ``cell``.  Returns the number of repairs and the largest repaired
-    inversion.
+    a larger one raises OrderViolation, with the offending update's
+    position in ``cells`` as its ``index`` and its flat index as its
+    ``cell``.  Returns the new lower and upper values, the number of
+    repairs and the largest repaired inversion.
     """
     m_lo = np.clip(_local_means(low, nbrs, w), a, b)
     m_up = np.clip(_local_means(upp, nbrs, w), a, b)
@@ -240,20 +236,21 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     if worst > 0.0:
         if worst > tol:
             k = int(inversion.argmax())
-            raise _order_violation(cells[k], new_lo[k], new_up[k])
+            raise _order_violation(k, cells[k], new_lo[k], new_up[k])
         repairs = int(np.count_nonzero(inversion > 0.0))   # sub-ulp rounding wobble
         new_lo, new_up = np.minimum(new_lo, new_up), np.maximum(new_lo, new_up)
     low[cells] = new_lo
     upp[cells] = new_up
-    return repairs, worst
+    return new_lo, new_up, repairs, worst
 
 
 def _coupled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.ndarray,
                   idx: np.ndarray, w: np.ndarray, a: float, b: float, tol: float):
     """Scalar twin of :func:`_coupled_step`: the updates one at a time in
     stream order, with the same arithmetic, checks and return values."""
+    log_lo, log_up = np.empty(sites.size), np.empty(sites.size)
     repairs, worst = 0, 0.0
-    for i, u in zip(sites, us):
+    for k, (i, u) in enumerate(zip(sites.tolist(), us.tolist())):
         row = idx[i]
         m_lo = min(max(low[row] @ w, a), b)
         m_up = min(max(upp[row] @ w, a), b)
@@ -261,12 +258,12 @@ def _coupled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.nd
         new_up = new_lo if m_up == m_lo else _sample_one(m_up, a, b, u)
         if new_lo > new_up:
             if new_lo - new_up > tol:
-                raise _order_violation(i, new_lo, new_up)
+                raise _order_violation(k, i, new_lo, new_up)
             repairs, worst = repairs + 1, max(worst, new_lo - new_up)
             new_lo, new_up = new_up, new_lo   # sub-ulp rounding wobble
-        low[i] = new_lo
-        upp[i] = new_up
-    return repairs, worst
+        low[i] = log_lo[k] = new_lo
+        upp[i] = log_up[k] = new_up
+    return log_lo, log_up, repairs, worst
 
 
 def _closed_getters(idx: np.ndarray) -> list:
@@ -308,16 +305,33 @@ def _level_batches(sites: np.ndarray, us: np.ndarray, idx: np.ndarray, getters: 
         start = end
 
 
-def _leveled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.ndarray,
-                  idx: np.ndarray, getters: list, w: np.ndarray, a: float, b: float,
-                  tol: float):
-    """The updates of one sweep level by level, one :func:`_coupled_step`
-    per level; bit-identical to :func:`_coupled_scan` in stream order."""
-    repairs, worst = 0, 0.0
-    for _, cells, nbrs, level_us in _level_batches(sites, us, idx, getters, low.size):
-        r, inv = _coupled_step(low, upp, cells, nbrs, level_us, w, a, b, tol)
-        repairs, worst = repairs + r, max(worst, inv)
-    return repairs, worst
+def _blocks(stream: UpdateStream, n_updates: int, idx: np.ndarray, n_values: int):
+    """The next ``n_updates`` updates of ``stream`` in blocks of whole sweeps,
+    as (position of the block in the run, sites, uniforms, level batches):
+    the block's :func:`_level_batches`, levelled as one stretch, on volumes
+    of at least ``_LEVELED_MIN_SITES`` sites per closed neighbourhood, and
+    None on smaller ones, which run the scalar scan."""
+    n = idx.shape[0]
+    getters = _closed_getters(idx) if n >= _LEVELED_MIN_SITES * (1 + idx.shape[1]) else None
+    block = max(1, _BLOCK_UPDATES // n) * n
+    for start in range(0, n_updates, block):
+        sites, us = stream.take(min(block, n_updates - start))
+        batches = None if getters is None else _level_batches(sites, us, idx, getters, n_values)
+        yield start, sites, us, batches
+
+
+def _rows_at(before: np.ndarray, sites: np.ndarray, log: np.ndarray,
+             ends: np.ndarray) -> np.ndarray:
+    """The interior after the first ``ends[j]`` updates of a block, one row
+    per (increasing) end, from the interior ``before`` the block and the
+    block's sites and new values in stream order.  ``before`` and ``log``
+    may stack several chains along a first axis; the rows then do too."""
+    seg = np.searchsorted(ends, np.arange(sites.size), side="right")
+    kept = np.flatnonzero(seg < ends.size)
+    last = np.full((ends.size, before.shape[-1]), -1)
+    np.maximum.at(last, (seg[kept], sites[kept]), kept)   # last update per row and site
+    last = np.maximum.accumulate(last, axis=0)
+    return np.where(last >= 0, log[..., last], before[..., None, :])
 
 
 @dataclass(eq=False)
@@ -346,50 +360,53 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
     Order is asserted after every update; the per-sweep sup-gap decaying
     toward zero is the finite-volume face of uniqueness of the equilibrium
-    state.  On volumes of at least ``_LEVELED_MIN_SITES`` sites per closed
-    neighbourhood each sweep runs level by level (see
-    :func:`_update_levels`), bit-identical to the scalar scan one site at a
-    time in stream order that smaller volumes run.
+    state.  Both chains run on the single chain's schedule (see
+    :func:`_blocks`): each block of whole sweeps goes level by level, one
+    :func:`_coupled_step` per level, or through :func:`_coupled_scan` on
+    small volumes, and the gaps after each sweep are rebuilt from the
+    block's logs of both chains.  Every bit is the sequential scan's, and
+    an ``OrderViolation`` names the sweep of the update that raised it.
     """
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
-    lower = FieldConfiguration.all_lower(table, interval, boundary)
-    upper = FieldConfiguration.all_upper(table, interval, boundary)
+    low = FieldConfiguration.all_lower(table, interval, boundary).values
+    upp = FieldConfiguration.all_upper(table, interval, boundary).values
     stream = UpdateStream(derive_key(seed, "sandwich"), n)
+    idx, w = table.idx, table.weights
+    a, b = interval.a, interval.b
+    tol = _order_tolerance(interval)
 
-    sup = np.empty(n_sweeps + 1)
-    mean = np.empty(n_sweeps + 1)
-    snapshots = {}
+    sup, mean, snapshots = np.empty(n_sweeps + 1), np.empty(n_sweeps + 1), {}
 
-    def record(s):
-        gap = upper.interior - lower.interior
+    def record(s, gap):
         sup[s] = float(gap.max())
         mean[s] = float(gap.mean())
         if snapshot_every and s % snapshot_every == 0:
             snapshots[s] = gap.copy()
 
-    record(0)
-    idx, w = table.idx, table.weights
-    a, b = interval.a, interval.b
-    tol = _order_tolerance(interval)
-    leveled = n >= _LEVELED_MIN_SITES * (1 + idx.shape[1])
-    getters = _closed_getters(idx) if leveled else None
+    record(0, upp[:n] - low[:n])
     repairs, worst = 0, 0.0
-    for s in range(1, n_sweeps + 1):
-        sites, us = stream.take(n)
+    for start, sites, us, batches in _blocks(stream, n_sweeps * n, idx, low.size):
+        before = np.stack([low[:n], upp[:n]])
+        log = np.empty((2, sites.size))
+        pos = None              # a step's error indexes its level, a scan's the block
         try:
-            if leveled:
-                r, inv = _leveled_scan(lower.values, upper.values, sites, us, idx, getters,
-                                       w, a, b, tol)
+            if batches is None:
+                log[0], log[1], r, inv = _coupled_scan(low, upp, sites, us, idx, w, a, b, tol)
+                repairs, worst = repairs + r, max(worst, inv)
             else:
-                r, inv = _coupled_scan(lower.values, upper.values, sites, us, idx, w, a, b, tol)
+                for pos, cells, nbrs, level_us in batches:
+                    log[0, pos], log[1, pos], r, inv = _coupled_step(low, upp, cells, nbrs,
+                                                                     level_us, w, a, b, tol)
+                    repairs, worst = repairs + r, max(worst, inv)
         except OrderViolation as err:
-            raise OrderViolation(f"coupled order broken at sweep {s}, "
+            at = start + (err.index if pos is None else int(pos[err.index]))
+            raise OrderViolation(f"coupled order broken at sweep {at // n + 1}, "
                                  f"site index {err.cell}: {err}") from None
-        repairs, worst = repairs + r, max(worst, inv)
-        record(s)
-    return SandwichTrace(sup, mean, snapshots, seed, interval,
-                         lower.interior.copy(), upper.interior.copy(),
+        lower, upper = _rows_at(before, sites, log, n * np.arange(1, sites.size // n + 1))
+        for s, gap in enumerate(upper - lower, start // n + 1):
+            record(s, gap)
+    return SandwichTrace(sup, mean, snapshots, seed, interval, low[:n].copy(), upp[:n].copy(),
                          repairs, float(worst / tol))
 
 
@@ -415,48 +432,28 @@ def _chain_scan(values: np.ndarray, sites: np.ndarray, us: np.ndarray, idx: np.n
     return log
 
 
-def _rows_at(before: np.ndarray, sites: np.ndarray, log: np.ndarray,
-             ends: np.ndarray) -> np.ndarray:
-    """The interior after the first ``ends[j]`` updates of a block, one row
-    per (increasing) end, from the interior ``before`` the block and the
-    block's sites and new values in stream order."""
-    seg = np.searchsorted(ends, np.arange(sites.size), side="right")
-    kept = np.flatnonzero(seg < ends.size)
-    last = np.full((ends.size, before.size), -1)
-    np.maximum.at(last, (seg[kept], sites[kept]), kept)   # last update per row and site
-    last = np.maximum.accumulate(last, axis=0)
-    return np.where(last >= 0, log[last], before)
-
-
 def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
                out: np.ndarray) -> None:
     """Apply ``n_updates`` stream updates to ``field`` in place, and fill the
     rows of ``out`` with the interior after each of the last ``len(out)``
     sweeps of ``n_interior`` updates.
 
-    The updates run in blocks of whole sweeps.  On volumes of at least
-    ``_CHAIN_LEVELED_MIN_SITES`` sites per closed neighbourhood a block runs
-    level by level (see :func:`_update_levels`), one :func:`_chain_step`
-    per level; smaller volumes run :func:`_chain_scan`.  Both give the bits
-    of the sequential scan.
+    The updates run on the schedule of :func:`_blocks`, one
+    :func:`_chain_step` per level or :func:`_chain_scan` on small volumes;
+    both give the bits of the sequential scan.
     """
     n = field.n_interior
     values, idx, w = field.values, field.table.idx, field.table.weights
     a, b = field.interval.a, field.interval.b
-    leveled = n >= _CHAIN_LEVELED_MIN_SITES * (1 + idx.shape[1])
-    getters = _closed_getters(idx) if leveled else None
-    block = max(1, _BLOCK_UPDATES // n) * n
     ends = n_updates - n * np.arange(len(out) - 1, -1, -1)   # update count at each row
-    for start in range(0, n_updates, block):
-        sites, us = stream.take(min(block, n_updates - start))
+    for start, sites, us, batches in _blocks(stream, n_updates, idx, values.size):
         before = values[:n].copy()
-        if leveled:
-            log = np.empty(sites.size)
-            for pos, cells, nbrs, level_us in _level_batches(sites, us, idx, getters,
-                                                             values.size):
-                log[pos] = _chain_step(values, cells, nbrs, level_us, w, a, b)
-        else:
+        if batches is None:
             log = _chain_scan(values, sites, us, idx, w, a, b)
+        else:
+            log = np.empty(sites.size)
+            for pos, cells, nbrs, level_us in batches:
+                log[pos] = _chain_step(values, cells, nbrs, level_us, w, a, b)
         rows = np.flatnonzero((ends > start) & (ends <= start + sites.size))
         if rows.size:
             out[rows] = _rows_at(before, sites, log, ends[rows] - start)

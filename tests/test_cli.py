@@ -5,6 +5,7 @@ import pytest
 
 from truncgibbs import finite_spec, sampler
 from truncgibbs.cli import main
+from truncgibbs.kernel import LatticeGeometry, SpinInterval, nearest_neighbor
 
 NN_KERNEL = {"preset": "nn", "dimension": 1}
 
@@ -31,6 +32,23 @@ def test_sandwich_artifacts(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["config"]["seed"] == 7
     assert summary["initial_sup_gap"] == 1.0
+
+
+def test_sandwich_summary_writes_measured_repairs(tmp_path):
+    # a 32 x 32 torus repairs sub-ulp inversions once its chains meet (sweep 22)
+    cfg = write_config(tmp_path, "s.json", {
+        "kernel": {"preset": "nn", "dimension": 2},
+        "geometry": {"kind": "torus", "extents": [32, 32]},
+        "interval": [0.0, 1.0], "seed": 7, "sweeps": 50,
+    })
+    assert run("sandwich", cfg, tmp_path / "out") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    trace = sampler.run_sandwich(LatticeGeometry.torus([32, 32]), nearest_neighbor(2),
+                                 SpinInterval(0.0, 1.0), 50, seed=7)
+    assert trace.order_repairs > 0
+    assert summary["order_repairs"] == trace.order_repairs
+    assert summary["max_inversion_frac"] == trace.max_inversion_frac
+    assert "order_violations" not in summary
 
 
 def test_cftp_artifacts(tmp_path):

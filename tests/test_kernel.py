@@ -122,8 +122,6 @@ def test_box_interior_and_boundary_split():
     # neighbor at -1 is the shell slot, neighbor at +1 is interior site 1
     assert table.idx[i0, 0] == table.index_of[(-1,)]
     assert table.idx[i0, 1] == table.index_of[(1,)]
-    assert not table.interior_mask[i0, 0]
-    assert table.interior_mask[i0, 1]
 
 
 def test_torus_too_small():

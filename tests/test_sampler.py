@@ -33,7 +33,7 @@ from truncgibbs.sampler import (
     sweep,
 )
 from truncgibbs.streams import UpdateStream, derive_key, uniforms
-from truncgibbs.truncnorm import TruncatedNormal, _sample_one, cdf, mean
+from truncgibbs.truncnorm import TruncatedNormal, _sample_many, _sample_one, cdf, mean
 
 NN1 = nearest_neighbor(1)
 UNIT = SpinInterval(0.0, 1.0)
@@ -263,7 +263,7 @@ def test_sandwich_determinism():
 # The level-batched sandwich against the sequential scan
 # ---------------------------------------------------------------------------
 
-# values of _LEVELED_MIN_SITES that force every volume onto one sweep path
+# values of _LEVELED_MIN_SITES that force every volume onto one path
 PATHS = {"scalar": 10 ** 9, "leveled": 0}
 
 
@@ -320,8 +320,7 @@ def ring_table(kernel, n):
     geometry = LatticeGeometry.torus([n])
     offsets = np.array([z[0] for z in kernel.offsets])
     idx = (np.arange(n)[:, None] + offsets) % n
-    return NeighborTable(kernel, geometry, idx, np.ones_like(idx, dtype=bool),
-                         {s: i for i, s in enumerate(geometry.sites)})
+    return NeighborTable(kernel, geometry, idx, {s: i for i, s in enumerate(geometry.sites)})
 
 
 @st.composite
@@ -355,20 +354,21 @@ def sandwich_setups(draw):
     return table, kernel, geometry, interval, boundary
 
 
-def sandwich_on_path(path, table, kernel, geometry, interval, n_sweeps, seed, **kwargs):
-    with pytest.MonkeyPatch.context() as mp:      # hand-made ring tables pass as-is
-        mp.setattr(sampler, "wrapped_offsets", lambda k, g: table)
-        mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
-        return run_sandwich(geometry, kernel, interval, n_sweeps, seed, **kwargs)
-
-
 @pytest.mark.parametrize("path", sorted(PATHS))
 @settings(max_examples=100, deadline=None)
 @given(setup=sandwich_setups(), n_sweeps=st.integers(1, 6),
-       seed=st.integers(0, 2 ** 64 - 1), snapshot_every=st.integers(0, 3))
-def test_sandwich_matches_sequential_scan_bitwise(path, setup, n_sweeps, seed, snapshot_every):
+       seed=st.integers(0, 2 ** 64 - 1), snapshot_every=st.integers(0, 3),
+       block=st.integers(1, 40))
+def test_sandwich_matches_sequential_scan_bitwise(path, setup, n_sweeps, seed, snapshot_every,
+                                                  block):
+    # blocks of max(1, block // n) sweeps: their edges fall inside the run
+    # and between snapshots
     table, kernel, geometry, interval, boundary = setup
-    trace = sandwich_on_path(path, table, kernel, geometry, interval, n_sweeps, seed,
+    with pytest.MonkeyPatch.context() as mp:      # hand-made ring tables pass as-is
+        mp.setattr(sampler, "wrapped_offsets", lambda k, g: table)
+        mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
+        mp.setattr(sampler, "_BLOCK_UPDATES", block)
+        trace = run_sandwich(geometry, kernel, interval, n_sweeps, seed,
                              snapshot_every=snapshot_every, boundary=boundary)
     sup, mean_, snapshots, lower, upper, repairs, frac = reference_sandwich(
         table, interval, n_sweeps, seed, snapshot_every, boundary)
@@ -471,19 +471,6 @@ def test_sandwich_order_violation_names_sweep_and_site(sweep_path, monkeypatch):
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
 
 
-def test_default_sweep_path_follows_volume():
-    # 8 and 12.8 sites per closed neighbourhood run scalar, 204.8 (32 x 32) leveled
-    calls = []
-    leveled = sampler._leveled_scan
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_leveled_scan", lambda *args: calls.append(1) or leveled(*args))
-        run_sandwich(LatticeGeometry.torus([24]), NN1, UNIT, 1, seed=0)
-        run_sandwich(LatticeGeometry.torus([8, 8]), nearest_neighbor(2), UNIT, 1, seed=0)
-        assert not calls
-        run_sandwich(LatticeGeometry.torus([32, 32]), nearest_neighbor(2), UNIT, 1, seed=0)
-        assert calls
-
-
 # ---------------------------------------------------------------------------
 # Stationary runs
 # ---------------------------------------------------------------------------
@@ -500,10 +487,6 @@ def test_stationary_run_start_validation():
         stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, 0, 1, start="nowhere")
     with pytest.raises(ValueError):
         stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, -1, 3)   # negative burn-in
-
-
-# values of _CHAIN_LEVELED_MIN_SITES that force every volume onto one chain path
-CHAIN_PATHS = {"scalar": 10 ** 9, "leveled": 0}
 
 
 def reference_chain(values, stream, n_updates, table, interval):
@@ -529,7 +512,7 @@ def reference_run(table, interval, seed, burn_in, n_sweeps, start, boundary):
     return fields
 
 
-@pytest.mark.parametrize("path", sorted(CHAIN_PATHS))
+@pytest.mark.parametrize("path", sorted(PATHS))
 @settings(max_examples=100, deadline=None)
 @given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
        burn_in=st.integers(0, 4), n_sweeps=st.integers(1, 6),
@@ -542,7 +525,7 @@ def test_stationary_run_matches_sequential_scan_bitwise(path, setup, seed, burn_
     table, kernel, geometry, interval, boundary = setup
     with pytest.MonkeyPatch.context() as mp:      # hand-made ring tables pass as-is
         mp.setattr(sampler, "wrapped_offsets", lambda k, g: table)
-        mp.setattr(sampler, "_CHAIN_LEVELED_MIN_SITES", CHAIN_PATHS[path])
+        mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
         trace = stationary_run(geometry, kernel, interval, seed, burn_in, n_sweeps,
                                start=start, boundary=boundary)
@@ -550,7 +533,7 @@ def test_stationary_run_matches_sequential_scan_bitwise(path, setup, seed, burn_
     assert trace.fields.tobytes() == fields.tobytes()
 
 
-@pytest.mark.parametrize("path", sorted(CHAIN_PATHS))
+@pytest.mark.parametrize("path", sorted(PATHS))
 @settings(max_examples=50, deadline=None)
 @given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
        calls=st.lists(st.integers(0, 50), min_size=1, max_size=3), block=st.integers(1, 40))
@@ -562,7 +545,7 @@ def test_sweep_matches_sequential_scan_bitwise(path, setup, seed, calls, block):
     stream = UpdateStream(derive_key(seed, "sweep"), table.n_sites)
     twin = UpdateStream(derive_key(seed, "sweep"), table.n_sites)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_CHAIN_LEVELED_MIN_SITES", CHAIN_PATHS[path])
+        mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
         for n_updates in calls:
             sweep(field, stream, n_updates)
@@ -570,24 +553,43 @@ def test_sweep_matches_sequential_scan_bitwise(path, setup, seed, calls, block):
             assert field.values.tobytes() == values.tobytes()
 
 
-def test_default_chain_path_follows_volume():
-    # 16/3 sites per closed neighbourhood run scalar, 64/3 leveled
-    calls = {"scan": 0, "levels": 0}
-    scan, batches = sampler._chain_scan, sampler._level_batches
+def test_order_violation_names_a_later_sweep_of_the_block(sweep_path, monkeypatch):
+    # one 10-sweep run is one block; only the update at stream position 21,
+    # in sweep 3, inverts, so the message must name sweep 3 on both paths
+    sites, us = UpdateStream(derive_key(1, "sandwich"), 8).take(10 * 8)
+    target = us[21]
+    monkeypatch.setattr(sampler, "_sample_one", lambda m, a, b, u: (
+        a + b - m if u == target else _sample_one(m, a, b, u)))
+    monkeypatch.setattr(sampler, "_sample_many", lambda m, a, b, u: np.where(
+        u == target, a + b - m, _sample_many(m, a, b, u)))
+    with pytest.raises(OrderViolation, match=rf"at sweep 3, site index {sites[21]}: "):
+        run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
 
-    def counted(name, fn):
+
+def test_default_path_follows_volume():
+    # 16/3 and 12.8 (8 x 8) sites per closed neighbourhood run scalar, 64/3
+    # and 20 (10 x 10) leveled, for the single chain and the sandwich alike
+    calls = {"_chain_scan": 0, "_coupled_scan": 0, "_level_batches": 0}
+
+    def counted(name):
+        fn = getattr(sampler, name)
+
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_chain_scan", counted("scan", scan))
-        mp.setattr(sampler, "_level_batches", counted("levels", batches))
+        for name in calls:
+            mp.setattr(sampler, name, counted(name))
         stationary_run(LatticeGeometry.torus([16]), NN1, UNIT, 0, 1, 2)
-        assert calls == {"scan": 1, "levels": 0}
+        run_sandwich(LatticeGeometry.torus([16]), NN1, UNIT, 2, seed=0)
+        run_sandwich(LatticeGeometry.torus([8, 8]), nearest_neighbor(2), UNIT, 2, seed=0)
+        assert calls == {"_chain_scan": 1, "_coupled_scan": 2, "_level_batches": 0}
         stationary_run(LatticeGeometry.torus([64]), NN1, UNIT, 0, 1, 2)
-        assert calls == {"scan": 1, "levels": 1}
+        run_sandwich(LatticeGeometry.torus([64]), NN1, UNIT, 2, seed=0)
+        run_sandwich(LatticeGeometry.torus([10, 10]), nearest_neighbor(2), UNIT, 2, seed=0)
+        assert calls == {"_chain_scan": 1, "_coupled_scan": 2, "_level_batches": 3}
 
 
 # ---------------------------------------------------------------------------
