@@ -566,10 +566,9 @@ def test_order_violation_names_a_later_sweep_of_the_block(sweep_path, monkeypatc
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
 
 
-def test_default_path_follows_volume():
-    # 16/3 and 12.8 (8 x 8) sites per closed neighbourhood run scalar, 64/3
-    # and 20 (10 x 10) leveled, for the single chain and the sandwich alike
-    calls = {"_chain_scan": 0, "_coupled_scan": 0, "_level_batches": 0}
+def counted_calls(mp, names):
+    # count the calls each named sampler function receives inside mp
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(sampler, name)
@@ -579,17 +578,32 @@ def test_default_path_follows_volume():
             return fn(*args)
         return wrapper
 
+    for name in names:
+        mp.setattr(sampler, name, counted(name))
+    return calls
+
+
+def test_default_chain_path_follows_volume():
+    # 16/3 sites per closed neighbourhood run scalar, 64/3 leveled
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            mp.setattr(sampler, name, counted(name))
+        calls = counted_calls(mp, ["_chain_scan", "_level_batches"])
         stationary_run(LatticeGeometry.torus([16]), NN1, UNIT, 0, 1, 2)
+        assert calls == {"_chain_scan": 1, "_level_batches": 0}
+        stationary_run(LatticeGeometry.torus([64]), NN1, UNIT, 0, 1, 2)
+        assert calls == {"_chain_scan": 1, "_level_batches": 1}
+
+
+def test_default_sweep_path_follows_volume():
+    # the sandwich switches at the chain's crossover: 16/3 and 12.8 (8 x 8)
+    # sites per closed neighbourhood run scalar, 64/3 and 20 (10 x 10) leveled
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_calls(mp, ["_coupled_scan", "_level_batches"])
         run_sandwich(LatticeGeometry.torus([16]), NN1, UNIT, 2, seed=0)
         run_sandwich(LatticeGeometry.torus([8, 8]), nearest_neighbor(2), UNIT, 2, seed=0)
-        assert calls == {"_chain_scan": 1, "_coupled_scan": 2, "_level_batches": 0}
-        stationary_run(LatticeGeometry.torus([64]), NN1, UNIT, 0, 1, 2)
+        assert calls == {"_coupled_scan": 2, "_level_batches": 0}
         run_sandwich(LatticeGeometry.torus([64]), NN1, UNIT, 2, seed=0)
         run_sandwich(LatticeGeometry.torus([10, 10]), nearest_neighbor(2), UNIT, 2, seed=0)
-        assert calls == {"_chain_scan": 1, "_coupled_scan": 2, "_level_batches": 3}
+        assert calls == {"_coupled_scan": 2, "_level_batches": 2}
 
 
 # ---------------------------------------------------------------------------
