@@ -199,7 +199,7 @@ def _chain_step(values: np.ndarray, cells: np.ndarray, nbrs: np.ndarray, us: np.
     """Heat-bath update of ``cells`` in one flat field: the one-chain form of
     :func:`_coupled_step`, under the same condition on ``nbrs``.  Returns
     the new values."""
-    new = _sample_many(np.clip(_local_means(values, nbrs, w), a, b), a, b, us)
+    new = _sample_many(_local_means(values, nbrs, w).clip(a, b), a, b, us)
     values[cells] = new
     return new
 
@@ -223,8 +223,8 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     ``cell``.  Returns the new lower and upper values, the number of
     repairs and the largest repaired inversion.
     """
-    m_lo = np.clip(_local_means(low, nbrs, w), a, b)
-    m_up = np.clip(_local_means(upp, nbrs, w), a, b)
+    m_lo = _local_means(low, nbrs, w).clip(a, b)
+    m_up = _local_means(upp, nbrs, w).clip(a, b)
     new_lo = _sample_many(m_lo, a, b, us)
     new_up = new_lo.copy()
     differ = m_up != m_lo
@@ -367,6 +367,8 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     block's logs of both chains.  Every bit is the sequential scan's, and
     an ``OrderViolation`` names the sweep of the update that raised it.
     """
+    if n_sweeps < 0:
+        raise ValueError(f"n_sweeps must be at least 0, got {n_sweeps}")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     low = FieldConfiguration.all_lower(table, interval, boundary).values
@@ -479,6 +481,8 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         raise ValueError(f"start must be one of {sorted(levels)}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be at least 0, got {burn_in}")
+    if n_sweeps < 0:
+        raise ValueError(f"n_sweeps must be at least 0, got {n_sweeps}")
     chain = FieldConfiguration.constant(table, interval, levels[start], boundary)
     stream = UpdateStream(derive_key(seed, "stationary"), n)
     out = np.empty((n_sweeps, n))
@@ -503,11 +507,14 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     """
     if geometry.kind != "box":
         raise GeometryMismatch("coupling from the past targets a box with frozen boundary")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be at least 0, got {n_samples}")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     gamma = _boundary_array(table, boundary, interval)
     a, b = interval.a, interval.b
     w = table.weights
+    tol = _order_tolerance(interval)
 
     replicas = UpdateStream(derive_key(seed, "cftp", np.arange(n_samples)), n)
 
@@ -524,7 +531,6 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         upp = np.concatenate([np.full((ra, n), b), np.tile(gamma, (ra, 1))], axis=1)
         base = np.arange(ra) * low.shape[1]       # offset of each replica's row
         sk, uk = replicas.site_key[active], replicas.uniform_key[active]
-        tol = _order_tolerance(interval)
         for t in range(horizon, 0, -1):           # slot t is time -t
             sites, us = site_uniform_pairs(sk, uk, t, n)
             try:

@@ -7,7 +7,8 @@ invertible) together with its inverse.
 
 Sampling is by inverse CDF on purpose: the map (m, u) -> quantile is
 deterministic and non-decreasing in both arguments, which is what makes
-coupled chains driven by shared uniforms preserve pointwise order.  All
+coupled chains driven by shared uniforms preserve pointwise order, and
+each draw evaluates one normal tail (:func:`_sample_many`).  All
 functions broadcast over numpy arrays and are pure.
 """
 
@@ -156,22 +157,23 @@ def inverse_cdf(tn: TruncatedNormal, p):
 
 def _sample_many(m, a, b, u):
     """The quantile core on raw arrays: the dynamics hot path, and
-    :func:`inverse_cdf` behind its input checks."""
+    :func:`inverse_cdf` behind its input checks.
+
+    One normal tail per element, by the sign of alpha + beta: with s = -1
+    (mean below the midpoint) m - ndtri((1-u) Phi(-alpha) + u Phi(-beta)),
+    else the lower tail with s = 1.  Scaling by s = +-1 is exact and
+    m + (-y) is m - y, so each element gets its own tail formula's bits.
+    """
     alpha = a - m
     beta = b - m
-    sa, sb = ndtr(-alpha), ndtr(-beta)
-    fa, fb = ndtr(alpha), ndtr(beta)
-    with np.errstate(all="ignore"):
-        q = np.where(
-            (alpha + beta) > 0.0,
-            m - ndtri((1.0 - u) * sa + u * sb),
-            m + ndtri((1.0 - u) * fa + u * fb),
-        )
-    return np.clip(q, a, b)
+    s = np.where(alpha + beta > 0.0, -1.0, 1.0)
+    q = m + s * ndtri((1.0 - u) * ndtr(s * alpha) + u * ndtr(s * beta))
+    return q.clip(a, b)   # np.clip's bits without its wrapper; min/max would flip -0.0
 
 
 def _sample_one(m, a, b, u):
-    """Scalar twin of :func:`_sample_many`; identical arithmetic, no array overhead."""
+    """Scalar twin of :func:`_sample_many`: the same values bit for bit,
+    with no array overhead."""
     alpha = a - m
     beta = b - m
     if alpha + beta > 0.0:

@@ -235,6 +235,17 @@ def test_sandwich_on_box_with_boundary():
     assert trace.sup_gap[-1] < 1e-6
 
 
+@pytest.mark.parametrize("n_sweeps", [-1, -3])
+def test_sandwich_rejects_negative_sweeps(n_sweeps):
+    with pytest.raises(ValueError, match="n_sweeps"):
+        run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, n_sweeps, seed=1)
+
+
+def test_sandwich_zero_sweeps_records_initial_gap():
+    trace = run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 0, seed=1)
+    assert trace.n_sweeps == 0 and trace.sup_gap.tolist() == [1.0]
+
+
 def decreasing_quantile(m, a, b, u):
     # a quantile that decreases in the mean puts the lower chain above the upper
     return a + b - m
@@ -487,6 +498,8 @@ def test_stationary_run_start_validation():
         stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, 0, 1, start="nowhere")
     with pytest.raises(ValueError):
         stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, -1, 3)   # negative burn-in
+    with pytest.raises(ValueError, match="n_sweeps"):
+        stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, 3, -1)
 
 
 def reference_chain(values, stream, n_updates, table, interval):
@@ -650,6 +663,13 @@ def test_cftp_values_in_interval():
 def test_cftp_requires_box():
     with pytest.raises(GeometryMismatch):
         cftp(LatticeGeometry.torus([8]), NN1, UNIT, None, seed=0)
+
+
+def test_cftp_sample_count_validation():
+    boundary = {(-1,): 0.0, (2,): 1.0}
+    with pytest.raises(ValueError, match="n_samples"):
+        cftp_samples(box_pair(), NN1, UNIT, boundary, -1, seed=0)
+    assert cftp_samples(box_pair(), NN1, UNIT, boundary, 0, seed=0).shape == (0, 2)
 
 
 def test_cftp_fault_injection_raises(monkeypatch):

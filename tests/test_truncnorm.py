@@ -9,7 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
+from truncgibbs import truncnorm
 from truncgibbs.errors import DegenerateInterval, OutOfRange, ProbabilityOutOfRange
 from truncgibbs.kernel import SpinInterval
 from truncgibbs.streams import derive_key, uniforms
@@ -273,6 +277,88 @@ def test_scalar_twin_matches_quantile_core_bitwise(width, offset):
     via_inverse = np.asarray(inverse_cdf(TruncatedNormal(m, SpinInterval(a, b)), u))
     assert np.array_equal(one.view(np.int64), many.view(np.int64))
     assert np.array_equal(via_inverse.view(np.int64), many.view(np.int64))
+
+
+def two_tail_quantile(m, a, b, u):
+    """The quantile core with both tails evaluated for every element and one
+    kept by the sign of alpha + beta: the bitwise reference for
+    :func:`_sample_many`."""
+    alpha = a - m
+    beta = b - m
+    sa, sb = ndtr(-alpha), ndtr(-beta)
+    fa, fb = ndtr(alpha), ndtr(beta)
+    with np.errstate(all="ignore"):
+        q = np.where(
+            (alpha + beta) > 0.0,
+            m - ndtri((1.0 - u) * sa + u * sb),
+            m + ndtri((1.0 - u) * fa + u * fb),
+        )
+    return np.clip(q, a, b)
+
+
+def stream_uniform(k):
+    """The uniform ``streams.uniforms`` makes of the top 53 bits ``k``."""
+    return min((float(k) + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53)
+
+
+@st.composite
+def quantile_inputs(draw):
+    """An interval, and means with uniforms for one vector call on it."""
+    kind = draw(st.sampled_from(["offset", "dyadic", "signed zero"]))
+    if kind == "offset":
+        width = 10.0 ** draw(st.floats(-6.0, 2.0))
+        centre = draw(st.floats(-1e3, 1e3))
+        a, b = centre - 0.5 * width, centre + 0.5 * width
+    elif kind == "dyadic":
+        # the midpoint and both endpoint offsets from it are exact: alpha + beta == 0
+        scale = 2.0 ** draw(st.integers(-20, 6))
+        lo = draw(st.integers(-2 ** 10, 2 ** 10))
+        a, b = lo * scale, (lo + 2 * draw(st.integers(1, 2 ** 10))) * scale
+    else:
+        width = 10.0 ** draw(st.floats(-6.0, 2.0))
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        a, b = draw(st.sampled_from([(zero, width), (-width, zero)]))
+    width = b - a
+    means = st.one_of(
+        st.floats(a, b),
+        st.floats(0.0, width + 40.0).map(lambda d: a - d),
+        st.floats(0.0, width + 40.0).map(lambda d: b + d),
+        st.sampled_from([0.5 * (a + b), a, b, 0.0, -0.0]),
+    )
+    words = st.one_of(st.integers(0, 2 ** 53 - 1),
+                      st.sampled_from([0, 9007, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1]))
+    pairs = draw(st.lists(st.tuples(means, words.map(stream_uniform)), min_size=1, max_size=24))
+    m, u = map(np.array, zip(*pairs))
+    return a, b, m, u
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=quantile_inputs())
+@example(inputs=(0.0, 1.0, np.array([-0.0]), np.array([2.0 ** -54])))   # q = -0.0 on a = 0.0
+@example(inputs=(-0.0, 1.0, np.array([0.0]), np.array([2.0 ** -54])))
+@example(inputs=(-0.75, 1.25, np.array([0.25, 0.25]), np.array([2.0 ** -54, 1.0 - 2.0 ** -53])))
+def test_one_tail_core_matches_two_tail_formula_bitwise(inputs):
+    a, b, m, u = inputs
+    got = _sample_many(m, a, b, u)
+    assert got.view(np.int64).tolist() == two_tail_quantile(m, a, b, u).view(np.int64).tolist()
+
+
+def test_quantile_core_evaluates_one_tail(monkeypatch):
+    """2 ndtr and 1 ndtri evaluated per element, whichever tail it takes."""
+    counts = {"ndtr": 0, "ndtri": 0}
+
+    def counting(name, f):
+        def wrapped(x):
+            counts[name] += np.size(x)
+            return f(x)
+        return wrapped
+
+    monkeypatch.setattr(truncnorm, "ndtr", counting("ndtr", ndtr))
+    monkeypatch.setattr(truncnorm, "ndtri", counting("ndtri", ndtri))
+    m = np.array([0.1, 0.5, 0.9, -3.0, 4.0, 0.5])   # both tails and the midpoint
+    u = np.array([2.0 ** -54, 0.3, 0.5, 1e-12, 0.7, 1.0 - 2.0 ** -53])
+    _sample_many(m, 0.0, 1.0, u)
+    assert counts == {"ndtr": 2 * m.size, "ndtri": m.size}
 
 
 # ---------------------------------------------------------------------------
