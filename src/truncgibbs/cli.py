@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -211,36 +212,66 @@ class _Setup:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _plain(value):
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+def _json_chunks(value, pad="\n"):
+    """The text ``json.dumps(value, indent=2)`` writes, in pieces.
+
+    numpy arrays and scalars are written as their Python values, tuples
+    as lists.  ``pad`` is a newline and the indentation of ``value``.  A
+    list of ints, or of finite floats, is one chunk, formatted in C by
+    ``list.__repr__`` (which calls ``int.__repr__`` or ``float.__repr__``,
+    as ``json`` does; no such repr contains ", ").  Every other scalar and
+    every key goes through ``json.dumps``, so escapes and the NaN and
+    Infinity spellings are the standard library's.  A matrix is written a
+    row at a time.
+    """
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+        value = value.tolist() if value.ndim < 2 else list(value)
+    elif isinstance(value, tuple):
+        value = list(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        head = "{" + inner
+        for key, item in value.items():
+            yield head + json.dumps({key: 0})[1:-4] + ": "    # the key as json writes it
+            yield from _json_chunks(item, inner)
+            head = "," + inner
+        yield pad + "}"
+    elif isinstance(value, list):
+        if not value:
+            yield "[]"
+        elif (all(type(x) is int for x in value)
+              or all(type(x) is float for x in value) and math.isfinite(sum(value))):
+            yield "[" + inner + list.__repr__(value)[1:-1].replace(", ", "," + inner) \
+                + pad + "]"
+        else:
+            head = "[" + inner
+            for item in value:
+                yield head
+                yield from _json_chunks(item, inner)
+                head = "," + inner
+            yield pad + "]"
+    else:
+        if isinstance(value, np.generic):
+            value = value.item()
+        yield json.dumps(value)
 
 
 def _write_json(directory: Path, name: str, payload: dict):
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / name, "w") as handle:
-        json.dump(_plain(payload), handle, indent=2)
+        handle.writelines(_json_chunks(payload))
         handle.write("\n")
 
 
 def _write_csv(directory: Path, name: str, header, rows):
+    """One line per row; floats as ``float.__repr__``, ints as written."""
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / name, "w") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(repr(x) if isinstance(x, float) else str(x)
-                                  for x in row) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _site_column(site) -> str:
@@ -279,7 +310,7 @@ def _run_cftp(cfg, out, seed):
         raise ConfigInvalid("geometry.kind: cftp requires a box")
     n_samples = _int_from(cfg, "n_samples", 1000)
     eps = _get(cfg, "eps_coal", float, 1e-9)
-    if eps < 0.0:     # a negative tolerance never coalesces and runs to t_cap
+    if not eps >= 0.0:     # a negative or NaN tolerance never coalesces, runs to t_cap
         raise ConfigInvalid(f"eps_coal: must be >= 0, got {eps}")
     t_cap = _int_from(cfg, "t_cap", 1 << 20)
     n_q = _int_from(cfg, "n_q", 256)
@@ -287,8 +318,7 @@ def _run_cftp(cfg, out, seed):
     sites = run.geometry.sites
     samples = sampler.cftp_samples(run.geometry, run.kernel, run.interval, run.boundary,
                                    n_samples, seed, eps_coal=eps, t_cap=t_cap)
-    _write_csv(out, "samples.csv", [_site_column(s) for s in sites],
-               [tuple(float(v) for v in row) for row in samples])
+    _write_csv(out, "samples.csv", [_site_column(s) for s in sites], samples.tolist())
 
     verdicts = []
     ks_rows = []

@@ -35,14 +35,15 @@ Site = tuple
 
 @dataclass(frozen=True)
 class SpinInterval:
-    """The closed spin interval [a, b] with a < b."""
+    """The closed spin interval [a, b] with a < b, both finite (bounded spins)."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a < self.b):
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        # b - a is finite only when a and b are, and its width fits a float
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise ValueError(f"interval requires finite a < b, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

@@ -509,6 +509,8 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         raise GeometryMismatch("coupling from the past targets a box with frozen boundary")
     if n_samples < 0:
         raise ValueError(f"n_samples must be at least 0, got {n_samples}")
+    if not eps_coal >= 0.0:       # NaN too: it never coalesces and runs to t_cap
+        raise ValueError(f"eps_coal must be at least 0, got {eps_coal}")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     gamma = _boundary_array(table, boundary, interval)

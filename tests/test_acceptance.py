@@ -364,6 +364,27 @@ def test_criterion_10_cli_determinism(tmp_path):
     assert ok
 
 
+def test_cli_artifact_text_is_pinned(tmp_path):
+    # JSON artifacts are the standard library's indent=2 text (floats and ints
+    # round-trip exactly, so re-encoding what was read gives the same bytes);
+    # CSV fields are ints as written and floats as float.__repr__
+    for name, cfg in CLI_CONFIGS.items():
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert cli_main([name, "--config", str(cfg_path), "--out", str(out)]) == 0
+        for path in sorted(out.iterdir()):
+            text = path.read_text()
+            if path.suffix == ".json":
+                assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+                continue
+            assert path.suffix == ".csv" and text.endswith("\n"), path.name
+            for line in text.splitlines()[1:]:
+                for field in line.split(","):
+                    value = int(field) if field.lstrip("-").isdigit() else float(field)
+                    assert repr(value) == field, (path.name, field)
+
+
 # ---------------------------------------------------------------------------
 # 11. The reflection probe runs, archives, and stays deterministic
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import json
+import math
 import sys
 
+import hypothesis.extra.numpy as hnp
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from truncgibbs import finite_spec, sampler
-from truncgibbs.cli import main
+from truncgibbs.cli import _write_json, main
 from truncgibbs.kernel import LatticeGeometry, SpinInterval, nearest_neighbor
 
 NN_KERNEL = {"preset": "nn", "dimension": 1}
@@ -176,6 +181,7 @@ BAD_INPUTS = [
     ("spec-check", {"volume": VOLUME2,
                     "boundary": {"values": [[[-1], "x"], [[2], 1.0]]}}, "boundary.values"),
     ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "eps_coal": -1.0}, "eps_coal"),
+    ("sandwich", {"geometry": TORUS8, "interval": [0.0, math.inf]}, "interval"),
     ("ident4", {"geometry": TORUS8, "burn_in": -1}, "burn_in"),
     ("ident4", {"geometry": TORUS8, "sweeps": 1}, "sweeps"),       # batch means need 2
     ("ident4", {"geometry": TORUS8, "start": "sideways"}, "start"),
@@ -209,6 +215,16 @@ def test_bad_input_rejected_with_path(tmp_path, capsys, subcommand, fields, path
     assert run(subcommand, cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and path in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nan_coalescence_tolerance_is_config_error(tmp_path, capsys):
+    # NaN >= 0 is false, so the guard catches it before a run to t_cap
+    cfg = write_config(tmp_path, "bad.json", {
+        "kernel": NN_KERNEL, "interval": [0.0, 1.0], "geometry": BOX2,
+        "boundary": {"constant": 0.5}, "eps_coal": math.nan, "t_cap": 8})
+    assert run("cftp", cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: eps_coal")
     assert not (tmp_path / "out").exists()
 
 
@@ -281,3 +297,73 @@ def test_rerun_byte_identical(tmp_path):
     assert run("sandwich", cfg, tmp_path / "b") == 0
     for name in ("trace.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The artifact writer is the standard library's indent=2 JSON, byte for byte
+# ---------------------------------------------------------------------------
+
+def reference_plain(value):
+    """The payload as plain Python values: what the writer once handed to
+    ``json.dump(..., indent=2)``, kept as the reference for its text."""
+    if isinstance(value, dict):
+        return {k: reference_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310,
+                               math.nan, math.inf, -math.inf, 1.7976931348623157e308])
+FLOATS = st.one_of(st.floats(), EDGE_FLOATS)
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   EDGE_FLOATS.filter(math.isfinite))
+NEEDS_ESCAPE = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/",
+                                "\u2028", "é", "日本", "\ud800", "\U0001f600"])
+TEXT = st.one_of(st.text(max_size=6), NEEDS_ESCAPE)
+INT64 = st.integers(-2**63, 2**63 - 1).map(np.int64)
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, SHAPES, elements=FINITE),
+    hnp.arrays(np.float64, SHAPES, elements=FLOATS),
+    hnp.arrays(np.float32, SHAPES),
+    hnp.arrays(np.int64, SHAPES))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32), INT64,
+    st.booleans().map(np.bool_))
+NUMBER_LISTS = st.one_of(
+    st.lists(FINITE, max_size=6),                                   # one C-formatted chunk
+    st.lists(st.floats(1e307, 1.7976931348623157e308), min_size=2, max_size=4),  # sum overflows
+    st.lists(st.one_of(FINITE, st.integers(), st.booleans(), FINITE.map(np.float64)),
+             min_size=1, max_size=6),
+    st.lists(st.integers(), max_size=6),                            # one chunk as well
+    st.lists(st.one_of(st.integers(), st.booleans(), INT64), min_size=1, max_size=6))
+LEAVES = st.one_of(SCALARS, ARRAYS, NUMBER_LISTS, NUMBER_LISTS.map(tuple))
+PAYLOADS = st.dictionaries(TEXT, st.recursive(
+    LEAVES, lambda kids: st.one_of(st.lists(kids, max_size=4),
+                                   st.lists(kids, max_size=4).map(tuple),
+                                   st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=12), max_size=4)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=PAYLOADS)
+@example(payload={"matrix": np.arange(6.0).reshape(2, 3), "empty": [[], {}, ()]})
+@example(payload={"overflow": [1e308, 1e308], "signed": [-0.0, 0.0, 5e-324]})
+@example(payload={"mixed": [1.0, 2, True, np.float64(0.5)], "nested": {"k": (1.0,)}})
+@example(payload={"ints": [[0, -1], [2**70, True]], "int64": [1, np.int64(2)]})
+@example(payload={"ends": [math.nan, 1.0, -math.inf], "\u00e9\n\"": np.bool_(True)})
+def test_writer_matches_stdlib_indent2(tmp_path, payload):
+    _write_json(tmp_path, "out.json", payload)
+    expected = json.dumps(reference_plain(payload), indent=2) + "\n"
+    assert (tmp_path / "out.json").read_text() == expected

@@ -100,6 +100,14 @@ def test_spin_interval_validation():
     assert iv.midpoint == 0.0 and iv.width == 2.0
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+                                  (0.0, math.nan), (math.nan, 1.0),
+                                  (-1e308, 1e308)])      # finite ends, width overflows
+def test_spin_interval_requires_finite_bounds(a, b):
+    with pytest.raises(ValueError, match="finite a < b"):
+        SpinInterval(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Geometries and neighbor tables
 # ---------------------------------------------------------------------------

@@ -672,6 +672,20 @@ def test_cftp_sample_count_validation():
     assert cftp_samples(box_pair(), NN1, UNIT, boundary, 0, seed=0).shape == (0, 2)
 
 
+@pytest.mark.parametrize("eps", [-1e-9, -np.inf, np.nan])
+def test_cftp_rejects_negative_or_nan_tolerance(eps):
+    # neither ever coalesces, so the run would go on to t_cap
+    with pytest.raises(ValueError, match="eps_coal"):
+        cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 4, seed=0,
+                     eps_coal=eps, t_cap=8)
+
+
+def test_cftp_zero_tolerance_accepted():
+    out = cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 4, seed=0,
+                       eps_coal=0.0)
+    assert out.shape == (4, 2) and np.all((out >= 0.0) & (out <= 1.0))
+
+
 def test_cftp_fault_injection_raises(monkeypatch):
     monkeypatch.setattr(sampler, "_sample_many", decreasing_quantile)
     with pytest.raises(OrderViolation) as err:
