@@ -147,12 +147,17 @@ def _boundary_from(cfg: dict, shell, interval):
         gamma, echo = np.full(len(shell), level), {"constant": level}
     else:
         path = "boundary.values"
-        try:
-            pairs = [(tuple(site), value) for site, value in _get(cfg, path, list)]
-        except (TypeError, ValueError):
-            raise ConfigInvalid(f"{path}: expected a list of [site, value] pairs") from None
-        table = {site: _typed(value, f"{path}[{row}]", float)
-                 for row, (site, value) in enumerate(pairs)}
+        slots, table = set(shell), {}
+        for row, entry in enumerate(_get(cfg, path, list)):
+            at = f"{path}[{row}]"
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ConfigInvalid(f"{at}: expected [site, value]")
+            site = _int_tuple(entry[0], f"{at}[0]")
+            if site not in slots:
+                raise ConfigInvalid(f"{at}[0]: {list(site)} is not a shell site")
+            if site in table:
+                raise ConfigInvalid(f"{at}[0]: shell site {list(site)} is given twice")
+            table[site] = _typed(entry[1], f"{at}[1]", float)
         missing = [s for s in shell if s not in table]
         if missing:
             raise ConfigInvalid(f"{path}: missing shell sites {missing}")
@@ -174,9 +179,9 @@ class _Setup:
     """The resolved parts every handler shares, and the config they echo.
 
     ``space`` is "geometry" for lattice subcommands and "volume" for
-    finite-volume ones, which get a sorted ``volume``.  The boundary lives
-    on the shell of a box or of a volume (resolving it for a volume builds
-    the matrices, ``vh``); on a torus it is None.
+    finite-volume ones, which get a sorted ``volume`` and its matrices
+    ``vh``.  The boundary lives on the shell of a box or of a volume; on a
+    torus it is None.
     """
 
     def __init__(self, cfg, seed, space, interval=True, boundary=True):
@@ -189,10 +194,8 @@ class _Setup:
         else:
             self.volume = sorted(_volume_from(cfg))
             self._head["volume"] = [list(s) for s in self.volume]
-            shell = ()
-            if boundary:
-                self.vh = finite_spec.build_matrices(self.volume, self.kernel)
-                shell = self.vh.shell
+            self.vh = finite_spec.build_matrices(self.volume, self.kernel)
+            shell = self.vh.shell
         if interval:
             self.interval, self._head["interval"] = _interval_from(cfg)
         self._head["seed"] = seed
@@ -220,9 +223,9 @@ def _json_chunks(value, pad="\n"):
     list of ints, or of finite floats, is one chunk, formatted in C by
     ``list.__repr__`` (which calls ``int.__repr__`` or ``float.__repr__``,
     as ``json`` does; no such repr contains ", ").  Every other scalar and
-    every key goes through ``json.dumps``, so escapes and the NaN and
-    Infinity spellings are the standard library's.  A matrix is written a
-    row at a time.
+    every key (a str in every payload) goes through ``json.dumps``, so
+    escapes and the NaN and Infinity spellings are the standard library's.
+    A matrix is written a row at a time.
     """
     if isinstance(value, np.ndarray):
         value = value.tolist() if value.ndim < 2 else list(value)
@@ -235,7 +238,7 @@ def _json_chunks(value, pad="\n"):
             return
         head = "{" + inner
         for key, item in value.items():
-            yield head + json.dumps({key: 0})[1:-4] + ": "    # the key as json writes it
+            yield head + json.dumps(key) + ": "
             yield from _json_chunks(item, inner)
             head = "," + inner
         yield pad + "}"
@@ -395,7 +398,7 @@ def _run_spec_check(cfg, out, seed):
 
 def _run_pd_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume", interval=False, boundary=False)
-    vh = finite_spec.build_matrices(run.volume, run.kernel)
+    vh = run.vh
     cert = finite_spec.pd_certificate(vh)
     residual = float(np.max(np.abs(cert.reassemble() - vh.precision)))
     min_eig = float(np.linalg.eigvalsh(vh.precision).min())
@@ -418,10 +421,9 @@ def _run_beta_check(cfg, out, seed):
     betas = [_typed(b, f"betas[{k}]", float)
              for k, b in enumerate(_get(cfg, "betas", list, [0.25, 1.0, 2.5, 10.0]))]
     trials = _int_from(cfg, "trials", 100)
-    vh = finite_spec.build_matrices(run.volume, run.kernel)
     rows = []
     for beta in betas:
-        residual = transforms.beta_scaling_check(vh, run.kernel, run.interval,
+        residual = transforms.beta_scaling_check(run.vh, run.kernel, run.interval,
                                                  beta, trials, seed=seed)
         rows.append({"beta": beta, "max_residual": residual, "pass": residual <= 1e-10})
     ok = all(r["pass"] for r in rows)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, NotTorus, TooFewSamples, VolumeTooLarge
-from .finite_spec import VolumeHamiltonian, build_matrices
+from .finite_spec import VolumeHamiltonian, _boundary_vector, build_matrices
 from .kernel import SpinInterval
 from .sampler import RunTrace, _local_means
 from .truncnorm import varphi
@@ -114,9 +114,7 @@ def quadrature_marginals(volume, gamma, kernel, interval: SpinInterval,
     k = vh.n_sites
     if k > 3:
         raise VolumeTooLarge(f"tensor grid over {k} sites is not tractable (limit 3)")
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (len(vh.shell),):
-        raise ValueError(f"expected {len(vh.shell)} boundary values, got {gamma.shape}")
+    gamma = _boundary_vector(vh, gamma)
 
     grid = np.linspace(interval.a, interval.b, n_q + 1)
     wq = _simpson_weights(n_q, grid[1] - grid[0])

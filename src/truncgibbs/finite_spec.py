@@ -12,6 +12,10 @@ With the kernel normalized, A has the kernel norm on the diagonal and
 Hamiltonian, so the conditional law with boundary values gamma is the
 multivariate normal with mean A^{-1} B gamma and covariance A^{-1},
 truncated to the spin box.
+
+A, B and the pair arrays come from the neighbour index that also gives
+the box shells and neighbour tables, so matrices and dynamics see one set
+of pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .errors import (
     MissingSite,
     NotPositiveDefinite,
 )
-from .kernel import InteractionKernel, LatticeGeometry, SpinInterval, check_torus_extents
+from .kernel import (InteractionKernel, LatticeGeometry, SpinInterval, _neighbour_index,
+                     check_torus_extents)
 
 
 def _as_sites(volume):
@@ -35,10 +40,6 @@ def _as_sites(volume):
     if not sites:
         raise EmptyVolume("volume contains no sites")
     return sites
-
-
-def _wrap(site, extents):
-    return tuple(int(c) % e for c, e in zip(site, extents))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,45 +82,21 @@ def build_matrices(volume, kernel: InteractionKernel,
         elif not set(sites) <= set(geometry.sites):
             raise GeometryMismatch("volume is not contained in the box geometry")
 
-    interior = {s: i for i, s in enumerate(sites)}
-    shell = set()
-    neighbors = []               # (i, offset index, target site)
-    for i, x in enumerate(sites):
-        for k, z in enumerate(kernel.offsets):
-            y = tuple(x[j] + z[j] for j in range(d))
-            if wrap is not None:
-                y = _wrap(y, wrap)
-            neighbors.append((i, k, y))
-            if y not in interior:
-                shell.add(y)
-    shell = tuple(sorted(shell))
-    shell_index = {s: i for i, s in enumerate(shell)}
-
+    idx, shell = _neighbour_index(sites, kernel.offsets, wrap)
     n = len(sites)
-    a_mat = np.zeros((n, n))
-    np.fill_diagonal(a_mat, kernel.norm)
+    rows = np.broadcast_to(np.arange(n)[:, None], idx.shape)
+    weights = np.broadcast_to(kernel.weights, idx.shape)
+    inside, cross = idx < n, idx >= n
+    # each entry is hit by one offset at most (the torus extent check keeps
+    # wrapped offsets distinct), and 0.0 - w is -w
+    a_mat = np.diag(np.full(n, kernel.norm))
+    a_mat[rows[inside], idx[inside]] = -weights[inside]
     b_mat = np.zeros((n, len(shell)))
-    inside, crossing = [], []
-    for i, k, y in neighbors:
-        w = float(kernel.weights[k])
-        j = interior.get(y)
-        if j is not None:
-            a_mat[i, j] -= w
-            if j > i:
-                inside.append((i, j, w))
-        else:
-            s = shell_index[y]
-            b_mat[i, s] += w
-            crossing.append((i, s, w))
+    b_mat[rows[cross], idx[cross] - n] = weights[cross]
+    upper = inside & (idx > rows)       # each unordered interior pair once
     return VolumeHamiltonian(sites, shell, kernel, a_mat, b_mat,
-                             _pair_arrays(inside), _pair_arrays(crossing), wrap)
-
-
-def _pair_arrays(triples):
-    """(index, index, weight) triples as three 1-D arrays, in the given order."""
-    first, second, weight = zip(*triples) if triples else ((), (), ())
-    return (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp),
-            np.array(weight, dtype=float))
+                             (rows[upper], idx[upper], weights[upper]),
+                             (rows[cross], idx[cross] - n, weights[cross]), wrap)
 
 
 def _sequential_sum(terms) -> float:
@@ -141,6 +118,14 @@ def _full_values(vh: VolumeHamiltonian, xi):
     if xi.shape != (want,):
         raise MissingSite(f"expected {want} values (volume then shell), got shape {xi.shape}")
     return xi[:vh.n_sites], xi[vh.n_sites:]
+
+
+def _boundary_vector(vh: VolumeHamiltonian, gamma) -> np.ndarray:
+    """Boundary values as a float array, one per shell site, in shell order."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (len(vh.shell),):
+        raise MissingSite(f"expected {len(vh.shell)} boundary values, got shape {gamma.shape}")
+    return gamma
 
 
 def hamiltonian(vh: VolumeHamiltonian, xi) -> float:
@@ -190,9 +175,7 @@ class GaussianSpecification:
 
 def specification(vh: VolumeHamiltonian, gamma, interval: SpinInterval) -> GaussianSpecification:
     """Solve A m = B gamma and Sigma = A^{-1} through a Cholesky factorization."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (len(vh.shell),):
-        raise MissingSite(f"expected {len(vh.shell)} boundary values, got shape {gamma.shape}")
+    gamma = _boundary_vector(vh, gamma)
     try:
         factor = cho_factor(vh.precision, lower=True)
     except LinAlgError as err:
@@ -245,14 +228,11 @@ def toeplitz_matrix(volume, z) -> np.ndarray:
     """Dense T_z: 2 on the diagonal, -1 where sites differ by plus or minus z."""
     sites = _as_sites(volume)
     z = tuple(int(c) for c in z)
-    index = {s: i for i, s in enumerate(sites)}
+    idx, _ = _neighbour_index(sites, (z, tuple(-c for c in z)))
     t_mat = 2.0 * np.eye(len(sites))
-    for x, i in index.items():
-        for step in (z, tuple(-c for c in z)):
-            y = tuple(x[k] + step[k] for k in range(len(z)))
-            j = index.get(y)
-            if j is not None:
-                t_mat[i, j] -= 1.0
+    rows, steps = np.nonzero(idx < len(sites))
+    # subtract.at applies both steps even when they coincide (z = 0)
+    np.subtract.at(t_mat, (rows, idx[rows, steps]), 1.0)
     return t_mat
 
 
@@ -311,13 +291,13 @@ def pd_certificate(vh: VolumeHamiltonian) -> PDCertificate:
             "the progression certificate is defined on the infinite lattice; "
             "wrapped volumes would turn progressions into cycles")
     sites = vh.sites
-    site_set = set(sites)
+    realized = (_neighbour_index(sites, vh.kernel.offsets)[0] < vh.n_sites).any(axis=0)
     slack = 0.0
     terms = []
-    for z, w in zip(vh.kernel.offsets, vh.kernel.weights):
+    for z, w, seen in zip(vh.kernel.offsets, vh.kernel.weights, realized):
         if not _lex_positive(z):
             continue
-        if any(tuple(c + dz for c, dz in zip(x, z)) in site_set for x in sites):
+        if seen:
             terms.append((z, float(w), tuple(z_connected_classes(sites, z))))
         else:
             slack += 2.0 * float(w)

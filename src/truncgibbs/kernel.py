@@ -5,7 +5,8 @@ on integer offsets with the zero offset excluded; construction normalizes
 the total weight to one by default, so a site's local mean is always a
 convex combination of its neighbors.  Geometries are the two finite
 stand-ins for the infinite lattice: a periodic torus and a finite box of
-sites wrapped in the exterior shell the kernel can reach.
+sites wrapped in the exterior shell the kernel can reach.  One neighbour
+index gives the box shells, the neighbour tables and ``finite_spec``'s matrices.
 
 Kernels, geometries and neighbor tables are immutable after construction
 and safe to share across concurrent readers.
@@ -178,17 +179,8 @@ class LatticeGeometry:
         d = len(sites[0])
         if kernel.dimension != d:
             raise GeometryMismatch(f"kernel dimension {kernel.dimension} != site dimension {d}")
-        interior = set(sites)
-        shell = set()
-        for x in sites:
-            for z in kernel.offsets:
-                y = tuple(x[k] + z[k] for k in range(d))
-                if y not in interior:
-                    shell.add(y)
-        lo = [min(s[k] for s in sites) for k in range(d)]
-        hi = [max(s[k] for s in sites) for k in range(d)]
-        extents = tuple(hi[k] - lo[k] + 1 for k in range(d))
-        return cls("box", d, extents, sites, tuple(sorted(shell)))
+        extents = tuple(max(c) - min(c) + 1 for c in zip(*sites))
+        return cls("box", d, extents, sites, _neighbour_index(sites, kernel.offsets)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,30 +236,52 @@ def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> Nei
         raise GeometryMismatch(
             f"kernel dimension {kernel.dimension} != geometry dimension {geometry.dimension}")
 
-    sites = geometry.sites
-    d = geometry.dimension
+    sites, periods = geometry.sites, None
     if geometry.kind == "torus":
         check_torus_extents(kernel, geometry)
-        index_of = {s: i for i, s in enumerate(sites)}
-        coords = np.array(sites, dtype=np.int64)          # (n, d)
-        extents = np.array(geometry.extents, dtype=np.int64)
-        strides = np.ones(d, dtype=np.int64)
-        for k in range(d - 2, -1, -1):
-            strides[k] = strides[k + 1] * extents[k + 1]  # row-major, matches lexicographic order
-        cols = []
-        for z in kernel.offsets:
-            wrapped = (coords + np.asarray(z, dtype=np.int64)) % extents
-            cols.append(wrapped @ strides)
-        return NeighborTable(kernel, geometry, np.stack(cols, axis=1), index_of)
-
-    combined = list(sites) + list(geometry.shell)
-    index_of = {s: i for i, s in enumerate(combined)}
-    idx = np.empty((len(sites), len(kernel.offsets)), dtype=np.int64)
-    for i, x in enumerate(sites):
-        for k, z in enumerate(kernel.offsets):
-            y = tuple(x[j] + z[j] for j in range(d))
-            j = index_of.get(y)
-            if j is None:
-                raise GeometryMismatch(f"shell does not cover site {y} needed by {x}")
-            idx[i, k] = j
+        periods = geometry.extents
+    idx, reached = _neighbour_index(sites, kernel.offsets, periods)
+    index_of = {s: i for i, s in enumerate(sites + geometry.shell)}
+    if reached != geometry.shell:       # a box whose shell is not this kernel's
+        # reached shell slot -> slot in the geometry's own shell (-1: not there)
+        slots = np.array([*range(len(sites)), *(index_of.get(y, -1) for y in reached)])
+        idx = slots[idx]
+        if (idx < 0).any():
+            i, k = np.argwhere(idx < 0)[0]
+            y = tuple(c + dz for c, dz in zip(sites[i], kernel.offsets[k]))
+            raise GeometryMismatch(f"shell does not cover site {y} needed by {sites[i]}")
     return NeighborTable(kernel, geometry, idx, index_of)
+
+
+def _neighbour_index(sites, offsets, periods=None):
+    """Which site or shell site each site sees at each offset.
+
+    ``sites`` are sorted coordinate tuples.  Returns ``(idx, shell)``: the
+    shell holds, sorted, the sites outside ``sites`` that the offsets
+    reach, and ``idx[i, k]`` is the index of ``sites[i] + offsets[k]``
+    (modulo ``periods`` when given) in ``sites + shell``.  Points are coded
+    row-major over their bounding box, which keeps lexicographic order, so
+    the shell is a set difference and the index a sorted search.
+    """
+    points = np.array(list(zip(*sites, strict=True)), dtype=np.int64)     # (d, n)
+    steps = np.array(list(zip(*offsets, strict=True)), dtype=np.int64)    # (d, k)
+    if len(steps) != len(points):
+        raise GeometryMismatch(f"offsets of dimension {len(steps)} for sites of {len(points)}")
+    reach = points[:, :, None] + steps[:, None, :]                          # (d, n, k)
+    if periods is not None:
+        reach %= np.array(periods, dtype=np.int64)[:, None, None]
+    lo = np.minimum(points.min(axis=1), reach.min(axis=(1, 2)))
+    hi = np.maximum(points.max(axis=1), reach.max(axis=(1, 2)))
+    dims = tuple((hi - lo + 1).tolist())
+    site_codes = np.ravel_multi_index(tuple(points - lo[:, None]), dims)
+    codes = np.ravel_multi_index(tuple(reach - lo[:, None, None]), dims)
+    n = len(sites)
+    if math.prod(dims) == n and np.array_equal(site_codes, np.arange(n)):
+        return codes, ()            # the sites fill their box: codes are indices
+    # the last of equal sites, as a site -> index dict would keep it
+    pos = np.searchsorted(site_codes, codes, side="right") - 1
+    inside = (pos >= 0) & (site_codes[pos] == codes)
+    shell_codes = np.unique(codes[~inside])
+    shell = np.stack(np.unravel_index(shell_codes, dims), axis=-1) + lo
+    idx = np.where(inside, pos, n + np.searchsorted(shell_codes, codes))
+    return idx, tuple(map(tuple, shell.tolist()))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatiblePartition, NonpositiveBeta
-from .finite_spec import VolumeHamiltonian, build_matrices, hamiltonian
+from .finite_spec import VolumeHamiltonian, _boundary_vector, build_matrices, hamiltonian
 from .kernel import SpinInterval
 from .sampler import FieldConfiguration
 from .streams import uniform_configurations
@@ -39,17 +39,18 @@ class BipartitePartition:
         return int(self.classifier(tuple(site))) & 1
 
 
-def _check_partition(sites, shell, kernel, partition: BipartitePartition):
-    """Every coupled pair must straddle the two classes."""
-    covered = set(sites) | set(shell)
-    d = kernel.dimension
-    for x in sites:
-        cx = partition.side(x)
-        for z in kernel.offsets:
-            y = tuple(x[k] + z[k] for k in range(d))
-            if y in covered and partition.side(y) == cx:
-                raise IncompatiblePartition(
-                    f"sites {x} and {y} are coupled but share a class")
+def _check_partition(vh: VolumeHamiltonian, partition: BipartitePartition) -> np.ndarray:
+    """Every coupled pair must straddle the two classes; returns each site's
+    class, volume sites then shell."""
+    every = vh.sites + vh.shell
+    side = np.array([partition.side(s) for s in every])
+    (i, j, _), (c, s, _) = vh.inside_pairs, vh.cross_pairs
+    first, second = np.concatenate([i, c]), np.concatenate([j, vh.n_sites + s])
+    clash = np.flatnonzero(side[first] == side[second])
+    if clash.size:
+        x, y = every[first[clash[0]]], every[second[clash[0]]]
+        raise IncompatiblePartition(f"sites {x} and {y} are coupled but share a class")
+    return side
 
 
 def reflect(field: FieldConfiguration, partition: BipartitePartition) -> FieldConfiguration:
@@ -111,14 +112,10 @@ def af_specification_probe(volume, gamma, kernel, interval: SpinInterval,
     their already-built VolumeHamiltonian.
     """
     vh = volume if isinstance(volume, VolumeHamiltonian) else build_matrices(volume, kernel)
-    _check_partition(vh.sites, vh.shell, kernel, partition)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (len(vh.shell),):
-        raise ValueError(f"expected {len(vh.shell)} boundary values, got {gamma.shape}")
+    flip_sites = _check_partition(vh, partition) == 1
+    gamma = _boundary_vector(vh, gamma)
 
     pivot = interval.a + interval.b
-    flip_sites = np.array([partition.side(s) == 1
-                           for s in list(vh.sites) + list(vh.shell)])
     deltas = np.empty(trials)
     configurations = uniform_configurations(seed, "af-probe", interval, vh.n_sites, trials)
     for trial, eta in enumerate(configurations):

@@ -193,6 +193,18 @@ BAD_INPUTS = [
                     "boundary": {"values": [[[-1], "0.5"], [[2], 1.0]]}}, "boundary.values[0]"),
     ("cftp", {"geometry": BOX2,
               "boundary": {"values": [[[-1], 0.0], [[2], False]]}}, "boundary.values[1]"),
+    # site coordinates are integers, each shell site is given once, and no other site
+    ("oracle-check", {"volume": VOLUME2, "boundary": {"values": [
+        [[-1.0], 0.0], [[True, 7], 1.0], [[3.5], 0.2], [[2.0], 1.0]]}},
+     "boundary.values[0][0][0]"),
+    ("spec-check", {"volume": VOLUME2, "boundary": {"values": [
+        [[-1], 0.0], [[True], 1.0]]}}, "boundary.values[1][0][0]"),
+    ("af-probe", {"volume": VOLUME2, "boundary": {"values": [
+        [[-1], 0.0], [[2], 1.0], [[5], 0.5]]}}, "boundary.values[2][0]"),
+    ("cftp", {"geometry": BOX2, "boundary": {"values": [
+        [[-1], 0.0], [[2], 1.0], [[-1], 0.5]]}}, "boundary.values[2][0]"),
+    ("oracle-check", {"volume": VOLUME2, "boundary": {"values": [
+        [[-1], 0.0, 1.0], [[2], 1.0]]}}, "boundary.values[0]"),
     ("beta-check", {"volume": VOLUME2, "betas": [1.0, "2"]}, "betas[1]"),
     ("spec-check", {"volume": [["0"], [1]], "boundary": {"constant": 0.5}}, "volume[0][0]"),
     ("pd-check", {"volume": [[0], [True]]}, "volume[1][0]"),

@@ -14,6 +14,7 @@ from helpers import random_kernel, random_volume
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truncgibbs.diagnostics import quadrature_marginals
 from truncgibbs.errors import (
     EmptyVolume,
     GeometryMismatch,
@@ -32,6 +33,7 @@ from truncgibbs.finite_spec import (
     z_connected_classes,
 )
 from truncgibbs.kernel import LatticeGeometry, SpinInterval, exp_decay, nearest_neighbor
+from truncgibbs.transforms import BipartitePartition, af_specification_probe
 from truncgibbs.truncnorm import TruncatedNormal, mean
 
 NN1 = nearest_neighbor(1)
@@ -119,6 +121,22 @@ def test_missing_site_rejected():
         hamiltonian(vh, {(0,): 1.0, (1,): 0.0})
     with pytest.raises(MissingSite):
         hamiltonian(vh, np.array([1.0, 0.0]))
+
+
+BOUNDARY_READERS = {
+    "specification": lambda vh, gamma: specification(vh, gamma, UNIT),
+    "quadrature_marginals": lambda vh, gamma: quadrature_marginals(vh, gamma, NN1, UNIT, n_q=64),
+    "af_specification_probe": lambda vh, gamma: af_specification_probe(
+        vh, gamma, NN1, UNIT, BipartitePartition.parity(), trials=2),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BOUNDARY_READERS))
+@pytest.mark.parametrize("gamma", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]], ids=["1", "3", "1x2"])
+def test_boundary_shape_is_one_typed_error(reader, gamma):
+    vh = build_matrices([(0,), (1,)], NN1)          # shell (-1,) and (2,)
+    with pytest.raises(MissingSite, match="expected 2 boundary values"):
+        BOUNDARY_READERS[reader](vh, np.array(gamma))
 
 
 def test_quadratic_form_matches_pair_sum():
