@@ -69,6 +69,18 @@ def _int_tuple(node, path: str) -> tuple:
                  for k, c in enumerate(_typed(node, path, list)))
 
 
+def _sites_from(nodes: list, path: str) -> list:
+    """A JSON list of sites as tuples, each site at most once."""
+    sites, seen = [], set()
+    for r, node in enumerate(nodes):
+        site = _int_tuple(node, f"{path}[{r}]")
+        if site in seen:
+            raise ConfigInvalid(f"{path}[{r}]: site {list(site)} is given twice")
+        seen.add(site)
+        sites.append(site)
+    return sites
+
+
 def _int_from(cfg, path, default=_REQUIRED, least=1):
     value = _get(cfg, path, int, default)
     if value < least:
@@ -121,8 +133,7 @@ def _geometry_from(cfg: dict, kernel):
         extents = list(_int_tuple(_get(cfg, "geometry.extents", list), "geometry.extents"))
         return LatticeGeometry.torus(extents), {"kind": "torus", "extents": extents}
     if kind == "box":
-        sites = [_int_tuple(s, f"geometry.sites[{r}]")
-                 for r, s in enumerate(_get(cfg, "geometry.sites", list))]
+        sites = _sites_from(_get(cfg, "geometry.sites", list), "geometry.sites")
         return LatticeGeometry.box(sites, kernel), {
             "kind": "box", "sites": [list(s) for s in sorted(sites)]}
     raise ConfigInvalid(f"geometry.kind: expected 'torus' or 'box', got {kind!r}")
@@ -172,7 +183,7 @@ def _volume_from(cfg: dict):
     sites = _get(cfg, "volume", list)
     if not sites:
         raise ConfigInvalid("volume: must list at least one site")
-    return [_int_tuple(s, f"volume[{r}]") for r, s in enumerate(sites)]
+    return _sites_from(sites, "volume")
 
 
 class _Setup:

@@ -54,6 +54,10 @@ class EmptyVolume(ValueError):
     """The requested volume contains no sites."""
 
 
+class DuplicateSite(ValueError):
+    """A volume or box lists one site more than once."""
+
+
 class VolumeTooLarge(ValueError):
     """The volume exceeds what the tensor-grid oracle can enumerate."""
 

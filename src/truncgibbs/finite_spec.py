@@ -32,11 +32,11 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .kernel import (InteractionKernel, LatticeGeometry, SpinInterval, _neighbour_index,
-                     check_torus_extents)
+                     _sorted_sites, check_torus_extents)
 
 
 def _as_sites(volume):
-    sites = tuple(sorted(tuple(int(c) for c in s) for s in volume))
+    sites = _sorted_sites(volume)
     if not sites:
         raise EmptyVolume("volume contains no sites")
     return sites

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricKernel,
+    DuplicateSite,
     EmptyKernel,
     EmptyVolume,
     GeometryMismatch,
@@ -148,6 +149,15 @@ def exp_decay(rate: float, reach: int, dimension: int = 1) -> InteractionKernel:
     return build_kernel(dimension, raw)
 
 
+def _sorted_sites(sites) -> tuple:
+    """``sites`` as sorted integer tuples; a site listed twice raises DuplicateSite."""
+    ordered = tuple(sorted(tuple(int(c) for c in s) for s in sites))
+    for x, y in zip(ordered, ordered[1:]):
+        if x == y:
+            raise DuplicateSite(f"site {x} is listed twice")
+    return ordered
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeGeometry:
     """A periodic torus or a finite box with its exterior shell."""
@@ -173,7 +183,7 @@ class LatticeGeometry:
     @classmethod
     def box(cls, sites, kernel: InteractionKernel) -> "LatticeGeometry":
         """A finite set of sites plus every exterior site the kernel reaches."""
-        sites = tuple(sorted(tuple(int(c) for c in s) for s in sites))
+        sites = _sorted_sites(sites)
         if not sites:
             raise EmptyVolume("box needs at least one site")
         d = len(sites[0])

@@ -216,6 +216,10 @@ BAD_INPUTS = [
     ("ident4", {"geometry": {"kind": "torus", "extents": [8.7]}}, "geometry.extents[0]"),
     ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1.5]]},
               "boundary": {"constant": 0.5}}, "geometry.sites[1][0]"),
+    # each site of a volume or a box is listed once
+    ("spec-check", {"volume": [[0], [1], [0]], "boundary": {"constant": 0.5}}, "volume[2]"),
+    ("sandwich", {"geometry": {"kind": "box", "sites": [[1], [0], [1]]},
+                  "boundary": {"constant": 0.5}}, "geometry.sites[2]"),
 ]
 
 

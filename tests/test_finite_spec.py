@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from truncgibbs.diagnostics import quadrature_marginals
 from truncgibbs.errors import (
+    DuplicateSite,
     EmptyVolume,
     GeometryMismatch,
     GeometryTooSmall,
@@ -98,6 +99,12 @@ def test_singleton_spec_is_the_single_site_conditional():
 def test_empty_volume_rejected():
     with pytest.raises(EmptyVolume):
         build_matrices([], NN1)
+
+
+def test_repeated_volume_site_rejected():
+    # a repeated site would add its couplings twice and leave A asymmetric
+    with pytest.raises(DuplicateSite, match=r"site \(0,\) is listed twice"):
+        build_matrices([(0,), (0,), (1,)], NN1)
 
 
 # ---------------------------------------------------------------------------

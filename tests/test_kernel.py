@@ -5,6 +5,7 @@ import pytest
 
 from truncgibbs.errors import (
     AsymmetricKernel,
+    DuplicateSite,
     EmptyKernel,
     GeometryMismatch,
     GeometryTooSmall,
@@ -130,6 +131,11 @@ def test_box_interior_and_boundary_split():
     # neighbor at -1 is the shell slot, neighbor at +1 is interior site 1
     assert table.idx[i0, 0] == table.index_of[(-1,)]
     assert table.idx[i0, 1] == table.index_of[(1,)]
+
+
+def test_box_with_a_repeated_site_rejected():
+    with pytest.raises(DuplicateSite, match=r"site \(1, 0\) is listed twice"):
+        LatticeGeometry.box([(1, 0), (0, 0), (1, 0)], nearest_neighbor(2))
 
 
 def test_torus_too_small():

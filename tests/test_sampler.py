@@ -403,28 +403,36 @@ def reference_levels(sites, closed):
 
 @settings(max_examples=150, deadline=None)
 @given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
-       calls=st.lists(st.integers(0, 30), min_size=1, max_size=4))
-def test_update_levels_are_a_valid_schedule(setup, seed, calls):
-    # consecutive calls on one heights list level the concatenated updates
-    # as one stretch, as a single chain's block of sweeps does
+       n_updates=st.integers(0, 90), block=st.integers(1, 40))
+def test_level_batches_are_the_as_soon_as_possible_schedule(setup, seed, n_updates, block):
+    # every block of max(1, block // n) sweeps is levelled on its own; the 2-
+    # and 3-site rings name a site in its own neighbour row
     table = setup[0]
     n = table.n_sites
     closed = np.vstack([np.arange(n), table.idx.T])
-    getters = sampler._closed_getters(table.idx)
-    sites, _ = UpdateStream(derive_key(seed, "levels"), n).take(sum(calls))
-    heights = [-1] * (n + len(table.shell))
-    level = np.concatenate([
-        sampler._update_levels(sites[start:start + size], getters, heights)
-        for start, size in zip(np.cumsum([0, *calls]), calls)])
-    assert level.dtype == np.int64
-    assert level.tolist() == reference_levels(sites, closed)
-    for i in range(sites.size):
-        for j in range(i + 1, sites.size):
-            if level[i] == level[j]:                  # one level: disjoint neighbourhoods
-                assert sites[i] not in closed[:, sites[j]]
-                assert sites[j] not in closed[:, sites[i]]
-            if sites[i] == sites[j]:                  # one site: stream order kept
-                assert level[i] < level[j]
+    stream = UpdateStream(derive_key(seed, "levels"), n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_LEVELED_MIN_SITES", 0)
+        mp.setattr(sampler, "_BLOCK_UPDATES", block)
+        blocks = list(sampler._blocks(stream, n_updates, table.idx, n + len(table.shell)))
+    assert sum(sites.size for _, sites, _, _ in blocks) == n_updates
+    for _, sites, us, batches in blocks:
+        level = np.full(sites.size, -1)
+        for depth, (pos, cells, nbrs, level_us) in enumerate(batches):
+            assert np.all(level[pos] == -1) and np.unique(pos).size == pos.size
+            level[pos] = depth
+            assert np.array_equal(cells, sites[pos])
+            assert np.array_equal(nbrs, table.idx[cells])
+            assert np.array_equal(level_us, us[pos])
+        assert np.all(level >= 0)                     # every position exactly once
+        assert level.tolist() == reference_levels(sites, closed)
+        for i in range(sites.size):
+            for j in range(i + 1, sites.size):
+                if level[i] == level[j]:              # one level: disjoint neighbourhoods
+                    assert sites[i] not in closed[:, sites[j]]
+                    assert sites[j] not in closed[:, sites[i]]
+                if sites[i] == sites[j]:              # one site: stream order kept
+                    assert level[i] < level[j]
 
 
 @pytest.mark.parametrize("k", range(2, 25))
