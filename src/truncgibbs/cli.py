@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -231,14 +230,22 @@ def _json_chunks(value, pad="\n"):
 
     numpy arrays and scalars are written as their Python values, tuples
     as lists.  ``pad`` is a newline and the indentation of ``value``.  A
-    list of ints, or of finite floats, is one chunk, formatted in C by
-    ``list.__repr__`` (which calls ``int.__repr__`` or ``float.__repr__``,
-    as ``json`` does; no such repr contains ", ").  Every other scalar and
-    every key (a str in every payload) goes through ``json.dumps``, so
-    escapes and the NaN and Infinity spellings are the standard library's.
-    A matrix is written a row at a time.
+    list of ints is one chunk, formatted in C by ``list.__repr__`` (which
+    calls ``int.__repr__``, as ``json`` does; no such repr contains ", ").
+    A finite float array (or list of floats) goes to :func:`_float_chunks`,
+    which calls ``float.__repr__`` once per distinct bit pattern and still
+    writes a row at a time; the CSV writer keeps its own per-row ``repr``.
+    Every other scalar and every key (a str in every payload) goes through
+    ``json.dumps``, so escapes and the NaN and Infinity spellings are the
+    standard library's.  A matrix is written a row at a time.
     """
+    if isinstance(value, (list, tuple)) and value and all(type(x) is float for x in value):
+        value = np.array(value)
     if isinstance(value, np.ndarray):
+        if (value.dtype.kind == "f" and value.dtype.itemsize <= 8 and value.ndim
+                and value.size and np.isfinite(value).all()):
+            yield from _float_chunks(value.astype(np.float64, copy=False), pad)
+            return
         value = value.tolist() if value.ndim < 2 else list(value)
     elif isinstance(value, tuple):
         value = list(value)
@@ -256,8 +263,7 @@ def _json_chunks(value, pad="\n"):
     elif isinstance(value, list):
         if not value:
             yield "[]"
-        elif (all(type(x) is int for x in value)
-              or all(type(x) is float for x in value) and math.isfinite(sum(value))):
+        elif all(type(x) is int for x in value):
             yield "[" + inner + list.__repr__(value)[1:-1].replace(", ", "," + inner) \
                 + pad + "]"
         else:
@@ -271,6 +277,33 @@ def _json_chunks(value, pad="\n"):
         if isinstance(value, np.generic):
             value = value.item()
         yield json.dumps(value)
+
+
+def _float_chunks(array: np.ndarray, pad: str):
+    """The ``indent=2`` text of a finite float64 array of ``ndim >= 1`` and
+    at least one entry, a row of the last axis at a time.
+
+    The entries are keyed on their bits (so 0.0 and -0.0 stay apart), and
+    each distinct key is formatted once.  The inverse of ``np.unique`` is
+    reshaped here because its shape has changed across numpy releases.
+    """
+    keys, inverse = np.unique(array.view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())), dtype=object)
+    return _text_chunks(text[inverse.reshape(array.shape)], pad)
+
+
+def _text_chunks(text: np.ndarray, pad: str):
+    """An array of formatted entries as ``indent=2`` text, a row at a time."""
+    inner = pad + "  "
+    if text.ndim == 1:
+        yield "[" + inner + ("," + inner).join(text.tolist()) + pad + "]"
+        return
+    head = "[" + inner
+    for block in text:
+        yield head
+        yield from _text_chunks(block, inner)
+        head = "," + inner
+    yield pad + "]"
 
 
 def _write_json(directory: Path, name: str, payload: dict):

@@ -68,11 +68,13 @@ def _order_tolerance(interval: SpinInterval) -> float:
 # boundaries (about 16 updates per level on a 64-site ring, not 6 per sweep).
 # A level costs a fixed run of numpy calls, so this pays from about 10 sites
 # per closed neighbourhood (the site and its kernel neighbours), for one
-# chain and the coupled pair alike: a 7 x 7 nn torus (9.8) runs levelled
-# about as fast as scalar, a 40-site ring (13.3) in 0.63 of the scalar time
-# and a 48-site ring (16) in 0.54.  Smaller volumes keep the scalar scan.
+# chain and the coupled pair alike.  Levelled against scalar time, chain and
+# sandwich: a 6 x 6 nn torus (7.2) 1.34 and 1.34, a 7 x 7 torus (9.8) 0.99
+# and 0.90, a 32-site ring (10.7) 0.71 and 0.78, an 8 x 8 torus (12.8) 0.73
+# and 0.68, a 48-site ring (16) 0.53 and 0.54.  Smaller volumes keep the
+# scalar scan.
 _BLOCK_UPDATES = 1 << 14
-_LEVELED_MIN_SITES = 16
+_LEVELED_MIN_SITES = 10
 
 
 def _boundary_array(table: NeighborTable, boundary, interval: SpinInterval) -> np.ndarray:
@@ -503,6 +505,12 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     the counter-based stream, so deepening the past never stores history),
     and T doubles until the chains agree at time zero within eps_coal in
     sup norm.  Replicas are independent and advance together, vectorized.
+
+    Each row is the midpoint of the two chains at time zero, so it lies
+    within eps_coal/2 in sup norm of the exact draw that the same
+    randomness defines: the update is monotone, so that draw (the chain
+    run from any state at time -T) stays between the two extremal chains
+    and is sandwiched between them at time zero.
     """
     if geometry.kind != "box":
         raise GeometryMismatch("coupling from the past targets a box with frozen boundary")
@@ -553,6 +561,9 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
 def cftp(geometry: LatticeGeometry, kernel, interval: SpinInterval,
          boundary, seed: int, eps_coal: float = 1e-9, t_cap: int = 1 << 20) -> np.ndarray:
-    """One exact sample from the finite-box conditional law (see cftp_samples)."""
+    """One exact sample from the finite-box conditional law (see cftp_samples):
+    the midpoint of the coalesced chains, within eps_coal/2 in sup norm of
+    the exact draw of the same randomness, which monotonicity sandwiches
+    between the two chains at time zero."""
     return cftp_samples(geometry, kernel, interval, boundary, 1, seed,
                         eps_coal=eps_coal, t_cap=t_cap)[0]

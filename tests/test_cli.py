@@ -347,11 +347,20 @@ NEEDS_ESCAPE = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "
 TEXT = st.one_of(st.text(max_size=6), NEEDS_ESCAPE)
 INT64 = st.integers(-2**63, 2**63 - 1).map(np.int64)
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+# a small pool, so that arrays repeat entries, with both zeros apart
+POOLED = st.sampled_from([0.0, -0.0, 5e-324, 0.1, -2.0])
 ARRAYS = st.one_of(
     hnp.arrays(np.float64, SHAPES, elements=FINITE),
     hnp.arrays(np.float64, SHAPES, elements=FLOATS),
+    hnp.arrays(np.float64, SHAPES, elements=POOLED),
+    hnp.arrays(np.dtype(">f8"), SHAPES, elements=POOLED),
     hnp.arrays(np.float32, SHAPES),
-    hnp.arrays(np.int64, SHAPES))
+    hnp.arrays(np.int64, SHAPES),
+    FLOATS.map(np.array))                                          # 0-d
+VIEWS = st.one_of(                                                 # non-contiguous
+    hnp.arrays(np.float64, SHAPES, elements=POOLED).map(lambda a: a.T),
+    hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, min_side=0, max_side=4),
+               elements=st.one_of(POOLED, FINITE)).map(lambda a: a[..., ::2]))
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
     FLOATS.map(np.float64), st.floats(width=32).map(np.float32), INT64,
@@ -363,7 +372,7 @@ NUMBER_LISTS = st.one_of(
              min_size=1, max_size=6),
     st.lists(st.integers(), max_size=6),                            # one chunk as well
     st.lists(st.one_of(st.integers(), st.booleans(), INT64), min_size=1, max_size=6))
-LEAVES = st.one_of(SCALARS, ARRAYS, NUMBER_LISTS, NUMBER_LISTS.map(tuple))
+LEAVES = st.one_of(SCALARS, ARRAYS, VIEWS, NUMBER_LISTS, NUMBER_LISTS.map(tuple))
 PAYLOADS = st.dictionaries(TEXT, st.recursive(
     LEAVES, lambda kids: st.one_of(st.lists(kids, max_size=4),
                                    st.lists(kids, max_size=4).map(tuple),
@@ -379,6 +388,9 @@ PAYLOADS = st.dictionaries(TEXT, st.recursive(
 @example(payload={"mixed": [1.0, 2, True, np.float64(0.5)], "nested": {"k": (1.0,)}})
 @example(payload={"ints": [[0, -1], [2**70, True]], "int64": [1, np.int64(2)]})
 @example(payload={"ends": [math.nan, 1.0, -math.inf], "\u00e9\n\"": np.bool_(True)})
+@example(payload={"symmetric": np.array([[0.0, -0.0, 0.1],
+                                         [-0.0, -0.0, -2.0],
+                                         [0.1, -2.0, 0.0]])})
 def test_writer_matches_stdlib_indent2(tmp_path, payload):
     _write_json(tmp_path, "out.json", payload)
     expected = json.dumps(reference_plain(payload), indent=2) + "\n"

@@ -605,25 +605,25 @@ def counted_calls(mp, names):
 
 
 def test_default_chain_path_follows_volume():
-    # 16/3 sites per closed neighbourhood run scalar, 64/3 leveled
+    # 28/3 sites per closed neighbourhood run scalar, 30/3 leveled
     with pytest.MonkeyPatch.context() as mp:
         calls = counted_calls(mp, ["_chain_scan", "_level_batches"])
-        stationary_run(LatticeGeometry.torus([16]), NN1, UNIT, 0, 1, 2)
+        stationary_run(LatticeGeometry.torus([28]), NN1, UNIT, 0, 1, 2)
         assert calls == {"_chain_scan": 1, "_level_batches": 0}
-        stationary_run(LatticeGeometry.torus([64]), NN1, UNIT, 0, 1, 2)
+        stationary_run(LatticeGeometry.torus([30]), NN1, UNIT, 0, 1, 2)
         assert calls == {"_chain_scan": 1, "_level_batches": 1}
 
 
 def test_default_sweep_path_follows_volume():
-    # the sandwich switches at the chain's crossover: 16/3 and 12.8 (8 x 8)
-    # sites per closed neighbourhood run scalar, 64/3 and 20 (10 x 10) leveled
+    # the sandwich switches at the chain's crossover: 28/3 and 9.8 (7 x 7)
+    # sites per closed neighbourhood run scalar, 30/3 and 12.8 (8 x 8) leveled
     with pytest.MonkeyPatch.context() as mp:
         calls = counted_calls(mp, ["_coupled_scan", "_level_batches"])
-        run_sandwich(LatticeGeometry.torus([16]), NN1, UNIT, 2, seed=0)
-        run_sandwich(LatticeGeometry.torus([8, 8]), nearest_neighbor(2), UNIT, 2, seed=0)
+        run_sandwich(LatticeGeometry.torus([28]), NN1, UNIT, 2, seed=0)
+        run_sandwich(LatticeGeometry.torus([7, 7]), nearest_neighbor(2), UNIT, 2, seed=0)
         assert calls == {"_coupled_scan": 2, "_level_batches": 0}
-        run_sandwich(LatticeGeometry.torus([64]), NN1, UNIT, 2, seed=0)
-        run_sandwich(LatticeGeometry.torus([10, 10]), nearest_neighbor(2), UNIT, 2, seed=0)
+        run_sandwich(LatticeGeometry.torus([30]), NN1, UNIT, 2, seed=0)
+        run_sandwich(LatticeGeometry.torus([8, 8]), nearest_neighbor(2), UNIT, 2, seed=0)
         assert calls == {"_coupled_scan": 2, "_level_batches": 2}
 
 
