@@ -47,6 +47,7 @@ from .errors import (
     NoCoalescence,
     OrderViolation,
     OutOfRange,
+    ProbabilityOutOfRange,
 )
 from .kernel import LatticeGeometry, NeighborTable, SpinInterval, wrapped_offsets
 from .streams import UpdateStream, derive_key, site_uniform_pairs
@@ -171,7 +172,9 @@ def local_mean(field: FieldConfiguration, x) -> float:
 
 
 def site_update(field: FieldConfiguration, x, u: float) -> FieldConfiguration:
-    """Heat-bath update of one site from a uniform in (0, 1), in place."""
+    """Heat-bath update of one site from a uniform in [0, 1], in place."""
+    if not 0.0 <= u <= 1.0:       # NaN too
+        raise ProbabilityOutOfRange(f"u must lie in [0, 1], got {u}")
     i = field._site_index(x)
     m = local_mean(field, i)
     field.values[i] = _sample_one(m, field.interval.a, field.interval.b, u)
@@ -224,7 +227,10 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
 
     ``nbrs`` holds each cell's neighbour indices into the same arrays, and
     no cell may lie in another's row: the updates then commute and run as
-    one.  Inversions up to ``tol`` are repaired by taking the min / max;
+    one.  The quantiles come from one :func:`_sample_many` call on the
+    lower chain's means followed by the upper chain's means where they
+    differ; where they agree the upper chain copies the lower chain's draw.
+    Inversions up to ``tol`` are repaired by taking the min / max;
     a larger one raises OrderViolation, with the offending update's
     position in ``cells`` as its ``index`` and its flat index as its
     ``cell``.  Returns the new lower and upper values, the number of
@@ -232,11 +238,11 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     """
     m_lo = _local_means(low, nbrs, w).clip(a, b)
     m_up = _local_means(upp, nbrs, w).clip(a, b)
-    new_lo = _sample_many(m_lo, a, b, us)
+    d = (m_up != m_lo).nonzero()[0]
+    q = _sample_many(np.concatenate([m_lo, m_up.take(d)]), a, b, np.concatenate([us, us.take(d)]))
+    new_lo = q[:m_lo.size]
     new_up = new_lo.copy()
-    differ = m_up != m_lo
-    if differ.any():
-        new_up[differ] = _sample_many(m_up[differ], a, b, us[differ])
+    new_up[d] = q[m_lo.size:]
     inversion = new_lo - new_up
     worst = max(float(inversion.max()), 0.0)
     repairs = 0

@@ -144,13 +144,14 @@ def inverse_cdf(tn: TruncatedNormal, p):
     1e-12 for any mean within tens of units of the interval.
     """
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):     # NaN too
         raise ProbabilityOutOfRange("p must lie in [0, 1]")
     alpha, beta = _endpoints(tn.m, tn.interval)
     if np.any(_mass(alpha, beta) <= 0.0):
         raise DegenerateInterval(f"no normal mass on [{tn.interval.a}, {tn.interval.b}] for m={tn.m}")
     a, b = tn.interval.a, tn.interval.b
-    q = _sample_many(np.asarray(tn.m, dtype=float), a, b, p)
+    m, u = np.broadcast_arrays(np.asarray(tn.m, dtype=float), p)
+    q = _sample_many(np.atleast_1d(m), a, b, np.atleast_1d(u)).reshape(m.shape)
     q = np.where(p == 0.0, a, np.where(p == 1.0, b, q))
     return q if q.ndim else float(q)
 
@@ -163,12 +164,26 @@ def _sample_many(m, a, b, u):
     (mean below the midpoint) m - ndtri((1-u) Phi(-alpha) + u Phi(-beta)),
     else the lower tail with s = 1.  Scaling by s = +-1 is exact and
     m + (-y) is m - y, so each element gets its own tail formula's bits.
+    The sign is 1 - 2 [alpha + beta > 0], and the formula runs in place in
+    the fresh alpha and beta buffers, one two-operand step at a time; the
+    operands of each step commute exactly, so the bits are those of the
+    formula as written.  ``m`` and ``u`` are arrays of one shape (at least
+    1-D) and are never written.
     """
     alpha = a - m
     beta = b - m
-    s = np.where(alpha + beta > 0.0, -1.0, 1.0)
-    q = m + s * ndtri((1.0 - u) * ndtr(s * alpha) + u * ndtr(s * beta))
-    return q.clip(a, b)   # np.clip's bits without its wrapper; min/max would flip -0.0
+    s = 1.0 - 2.0 * (alpha + beta > 0.0)
+    alpha *= s
+    p = ndtr(alpha, out=alpha)
+    p *= 1.0 - u
+    beta *= s
+    t = ndtr(beta, out=beta)
+    t *= u
+    p += t
+    q = ndtri(p, out=p)
+    q *= s
+    q += m
+    return q.clip(a, b, out=q)   # np.clip's bits without its wrapper; min/max would flip -0.0
 
 
 def _sample_one(m, a, b, u):

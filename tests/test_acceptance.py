@@ -5,6 +5,7 @@ lines; the whole suite is deterministic and finishes in well under a
 minute on a laptop.
 """
 
+import hashlib
 import json
 import time
 
@@ -383,6 +384,44 @@ def test_cli_artifact_text_is_pinned(tmp_path):
                 for field in line.split(","):
                     value = int(field) if field.lstrip("-").isdigit() else float(field)
                     assert repr(value) == field, (path.name, field)
+
+
+# Configs whose runs take the levelled coupled step, which none of
+# CLI_CONFIGS reaches: a sandwich on a 12 x 12 nn torus (28.8 sites per
+# closed neighbourhood) and CFTP on a 3-site box, which steps every replica
+# of a slot as one level.
+LEVELLED_CONFIGS = {
+    "sandwich": {"kernel": {"preset": "nn", "dimension": 2},
+                 "geometry": {"kind": "torus", "extents": [12, 12]},
+                 "interval": [0.0, 1.0], "seed": 7, "sweeps": 40, "snapshot_every": 10},
+    "cftp": {"kernel": {"preset": "nn", "dimension": 1},
+             "geometry": {"kind": "box", "sites": [[0], [1], [2]]},
+             "interval": [0.0, 1.0],
+             "boundary": {"values": [[[-1], 0.0], [[3], 1.0]]},
+             "seed": 3, "n_samples": 2000, "n_q": 128},
+}
+LEVELLED_SHA256 = {
+    "sandwich/summary.json": "6b44735d1899cdc6cb912240e5842021c410283549abe66117ae3a97315fb248",
+    "sandwich/trace.csv": "60d6f0850575218dd10eaa06b165edca91b608821e95f0c601f44093f71dca07",
+    "cftp/samples.csv": "470ec4780de0efb13344351d8e4bde1366835899c15e1c4f8b7888c96fc1277d",
+    "cftp/verdicts.json": "bcd186a063bf7630d432fb4812321ca99de93c9dfaa3de89eabacdacc71ffdc8",
+}
+
+
+def test_levelled_artifact_bytes_are_pinned(tmp_path):
+    """The sha256 of every artifact of ``LEVELLED_CONFIGS``, recorded with
+    the quantiles drawn in two calls per coupled level (numpy 2.4.6, scipy
+    1.17.1, the versions CI installs).  A refactor of the levelled paths
+    must keep them.  A deliberate change of bits, such as a new quantile
+    tail choice, re-records them and says why in CHANGES.md."""
+    digests = {}
+    for name, cfg in LEVELLED_CONFIGS.items():
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main([name, "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        for path in sorted((tmp_path / name).iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == LEVELLED_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from truncgibbs.errors import (
     NoCoalescence,
     OrderViolation,
     OutOfRange,
+    ProbabilityOutOfRange,
 )
 from truncgibbs.kernel import (
     LatticeGeometry,
@@ -141,6 +142,18 @@ def test_paired_updates_preserve_order():
         site_update(lower, x, u)
         site_update(upper, x, u)
         assert np.all(lower.interior <= upper.interior)
+
+
+@pytest.mark.parametrize("u", [np.nan, -0.1, 1.5, -np.inf])
+def test_site_update_rejects_uniform_outside_unit_interval(u):
+    field = FieldConfiguration.constant(torus_table(8), UNIT, 0.5)
+    before = field.values.copy()
+    with pytest.raises(ProbabilityOutOfRange):
+        site_update(field, 3, u)
+    assert field.values.tobytes() == before.tobytes()
+    for u in (0.0, 1.0):                  # the closed interval's ends are accepted
+        site_update(field, 3, u)
+        assert UNIT.contains(field.values)
 
 
 def test_update_distribution_frozen_neighborhood():
@@ -449,6 +462,104 @@ def test_local_means_match_scalar_dot_bitwise(k):
     rows = rng.integers(0, 40, (40, k))
     scalar = np.array([[field[row] @ w for row in rows] for field in fields])
     assert sampler._local_means(fields, rows, w).tobytes() == scalar.tobytes()
+
+
+def two_call_coupled_step(low, upp, cells, nbrs, us, w, a, b, tol):
+    """The coupled level step with its quantiles drawn in two calls, one for
+    the lower chain and one for the upper chain where its mean differs: the
+    bitwise reference for the one-call :func:`sampler._coupled_step`."""
+    m_lo = sampler._local_means(low, nbrs, w).clip(a, b)
+    m_up = sampler._local_means(upp, nbrs, w).clip(a, b)
+    new_lo = _sample_many(m_lo, a, b, us)
+    new_up = new_lo.copy()
+    differ = m_up != m_lo
+    if differ.any():
+        new_up[differ] = _sample_many(m_up[differ], a, b, us[differ])
+    inversion = new_lo - new_up
+    worst = max(float(inversion.max()), 0.0)
+    repairs = 0
+    if worst > 0.0:
+        if worst > tol:
+            k = int(inversion.argmax())
+            raise sampler._order_violation(k, cells[k], new_lo[k], new_up[k])
+        repairs = int(np.count_nonzero(inversion > 0.0))
+        new_lo, new_up = np.minimum(new_lo, new_up), np.maximum(new_lo, new_up)
+    low[cells] = new_lo
+    upp[cells] = new_up
+    return new_lo, new_up, repairs, worst
+
+
+@st.composite
+def coupled_levels(draw):
+    """One level of the coupled step on flat fields: 1 to 300 cells with 1 to
+    8 neighbours each among the other values, an interval of width 1e-6 to
+    100 around an offset centre, stream uniforms, and an upper field that
+    equals the lower one, sits a few ulps from it either way, lies above it,
+    or is drawn on its own."""
+    width = 10.0 ** draw(st.floats(-6.0, 2.0))
+    centre = draw(st.floats(-1e3, 1e3))
+    a, b = centre - 0.5 * width, centre + 0.5 * width
+    n_cells, k = draw(st.integers(1, 300)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = rng.permutation(n_cells + draw(st.integers(1, 40)))
+    cells = order[:n_cells]
+    nbrs = rng.choice(order[n_cells:], (n_cells, k))
+    w = rng.uniform(0.1, 2.0, k)
+    w /= w.sum()
+    low = rng.uniform(a, b, order.size)
+    ulps = rng.integers(-4, 5, order.size) * np.spacing(low)
+    upp = {"equal": low.copy(), "ulps": low + ulps, "above": rng.uniform(low, b),
+           "free": rng.uniform(a, b, order.size)}[draw(st.sampled_from(
+               ["equal", "ulps", "above", "free"]))].clip(a, b)
+    words = rng.integers(0, 2 ** 53, n_cells)
+    words[rng.integers(0, n_cells, 2)] = [0, 2 ** 53 - 1]
+    us = np.minimum((words + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53)
+    return low, upp, cells, nbrs, us, w, a, b, sampler._order_tolerance(SpinInterval(a, b))
+
+
+def step_outcome(step, level):
+    # what a coupled step returns and leaves in both fields, or the error it raises
+    low, upp, cells, nbrs, us, w, a, b, tol = level
+    low, upp = low.copy(), upp.copy()
+    try:
+        new_lo, new_up, repairs, worst = step(low, upp, cells, nbrs, us, w, a, b, tol)
+    except OrderViolation as err:
+        return str(err), err.index, err.cell
+    return new_lo.tobytes(), new_up.tobytes(), repairs, worst, low.tobytes(), upp.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(level=coupled_levels())
+def test_coupled_step_matches_two_call_reference_bitwise(level):
+    assert step_outcome(sampler._coupled_step, level) == step_outcome(two_call_coupled_step,
+                                                                      level)
+
+
+@settings(max_examples=100, deadline=None)
+@given(level=coupled_levels())
+def test_coupled_step_draws_each_level_in_one_call(level):
+    # L + |d| quantiles: every lower entry and the upper entries whose mean differs
+    low, upp, cells, nbrs, us, w, a, b, tol = level
+    differ = np.count_nonzero(sampler._local_means(low, nbrs, w).clip(a, b)
+                              != sampler._local_means(upp, nbrs, w).clip(a, b))
+    sizes = []
+
+    def counted(m, *args):
+        sizes.append(m.size)
+        return _sample_many(m, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_sample_many", counted)
+        step_outcome(sampler._coupled_step, level)
+    assert sizes == [cells.size + differ]
+
+
+def test_levelled_sandwich_makes_one_quantile_call_per_level():
+    # a 12 x 12 nn torus has 28.8 sites per closed neighbourhood, so it levels
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_calls(mp, ["_coupled_step", "_sample_many"])
+        run_sandwich(LatticeGeometry.torus([12, 12]), nearest_neighbor(2), UNIT, 5, seed=1)
+    assert calls["_coupled_step"] > 0 and calls["_sample_many"] == calls["_coupled_step"]
 
 
 def sub_tolerance_inversion(m, a, b, u):

@@ -222,6 +222,13 @@ def test_probability_out_of_range():
         inverse_cdf(TruncatedNormal(0.0, SYM), -0.1)
 
 
+def test_nan_probability_rejected():
+    with pytest.raises(ProbabilityOutOfRange):
+        inverse_cdf(TruncatedNormal(0.0, SYM), np.nan)
+    with pytest.raises(ProbabilityOutOfRange):
+        inverse_cdf(TruncatedNormal(0.0, SYM), np.array([0.5, np.nan]))
+
+
 def test_degenerate_interval_signaled():
     with pytest.raises(DegenerateInterval):
         inverse_cdf(TruncatedNormal(1e9, UNIT), 0.5)
@@ -348,9 +355,9 @@ def test_quantile_core_evaluates_one_tail(monkeypatch):
     counts = {"ndtr": 0, "ndtri": 0}
 
     def counting(name, f):
-        def wrapped(x):
+        def wrapped(x, *args, **kwargs):      # the core evaluates with out=
             counts[name] += np.size(x)
-            return f(x)
+            return f(x, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(truncnorm, "ndtr", counting("ndtr", ndtr))
@@ -359,6 +366,80 @@ def test_quantile_core_evaluates_one_tail(monkeypatch):
     u = np.array([2.0 ** -54, 0.3, 0.5, 1e-12, 0.7, 1.0 - 2.0 ** -53])
     _sample_many(m, 0.0, 1.0, u)
     assert counts == {"ndtr": 2 * m.size, "ndtri": m.size}
+
+
+def where_sign_quantile(m, a, b, u):
+    """The quantile core with the sign from ``np.where`` and each step a new
+    array: the bitwise reference for the in-place :func:`_sample_many`."""
+    alpha = a - m
+    beta = b - m
+    s = np.where(alpha + beta > 0.0, -1.0, 1.0)
+    q = m + s * ndtri((1.0 - u) * ndtr(s * alpha) + u * ndtr(s * beta))
+    return q.clip(a, b)
+
+
+@st.composite
+def core_inputs(draw):
+    """An interval of width 1e-6 to 100 around an offset centre, with 1 to
+    300 means inside it and up to 40 units beyond either end, and stream
+    uniforms that include both extreme lattice points."""
+    width = 10.0 ** draw(st.floats(-6.0, 2.0))
+    centre = draw(st.floats(-1e3, 1e3))
+    a, b = centre - 0.5 * width, centre + 0.5 * width
+    size = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    reach = draw(st.sampled_from([0.0, 1.0, 5.0, 40.0]))
+    m = rng.uniform(a - reach, b + reach, size)
+    m[rng.integers(0, size, 3)] = [a, b, 0.5 * (a + b)]
+    words = rng.integers(0, 2 ** 53, size)
+    words[rng.integers(0, size, 2)] = [0, 2 ** 53 - 1]
+    u = np.array([stream_uniform(k) for k in words.tolist()])
+    return a, b, m, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=core_inputs())
+def test_quantile_core_leaves_inputs_unchanged(inputs):
+    a, b, m, u = inputs
+    m0, u0 = m.copy(), u.copy()
+    _sample_many(m, a, b, u)
+    assert m.tobytes() == m0.tobytes() and u.tobytes() == u0.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=core_inputs())
+def test_in_place_core_matches_where_formula_bitwise(inputs):
+    a, b, m, u = inputs
+    assert _sample_many(m, a, b, u).tobytes() == where_sign_quantile(m, a, b, u).tobytes()
+
+
+def where_sign_inverse_cdf(m, a, b, p):
+    """:func:`inverse_cdf` past its checks, on the ``np.where`` core, which
+    also takes a 0-d mean."""
+    m, p = np.asarray(m, dtype=float), np.asarray(p, dtype=float)
+    q = np.where(p == 0.0, a, np.where(p == 1.0, b, where_sign_quantile(m, a, b, p)))
+    return q if q.ndim else float(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=core_inputs())
+def test_inverse_cdf_keeps_bits_and_shapes(inputs):
+    a, b, m, u = inputs
+    m = m.clip(a - 5.0, b + 5.0)           # further out the normal mass can underflow
+    u[:2] = [0.0, 1.0][:u.size]
+    grid = u.reshape(2, -1) if u.size % 2 == 0 else u
+    cases = [
+        (np.asarray(m[0]), float(u[0])),   # 0-d mean, scalar p
+        (np.asarray(m[0]), u),             # 0-d mean, array p
+        (float(m[0]), grid),               # scalar mean, array p
+        (m, float(u[-1])),                 # array mean, scalar p
+        (m, u),
+    ]
+    for mean_, p in cases:
+        got = inverse_cdf(TruncatedNormal(mean_, SpinInterval(a, b)), p)
+        want = where_sign_inverse_cdf(mean_, a, b, p)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
