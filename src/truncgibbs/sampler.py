@@ -244,7 +244,7 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     new_up = new_lo.copy()
     new_up[d] = q[m_lo.size:]
     inversion = new_lo - new_up
-    worst = max(float(inversion.max()), 0.0)
+    worst = max(float(np.maximum.reduce(inversion)), 0.0)
     repairs = 0
     if worst > 0.0:
         if worst > tol:
@@ -293,10 +293,13 @@ def _level_batches(sites: np.ndarray, us: np.ndarray, idx: np.ndarray, rows: np.
     pointed at the extra slot.  Each round yields the ready updates as one
     level, in site order: they are the minimal updates of the dependency
     order, so each update lands one level deeper than the deepest earlier
-    update in its closed neighbourhood.
+    update in its closed neighbourhood.  The queues come from one stable
+    argsort of the sites, taken on a ``uint16`` copy when every interior
+    index fits (``n <= 2**16``), where numpy runs a radix sort; a stable
+    sort of the same keys is the same permutation.
     """
     n, size = idx.shape[0], sites.size
-    order = np.argsort(sites, kind="stable")
+    order = np.argsort(sites.astype(np.uint16) if n <= 1 << 16 else sites, kind="stable")
     ordered = sites[order]
     first = np.diff(ordered, prepend=-1) != 0            # the first update of each site
     head = np.full(n_values + 1, size)
@@ -304,7 +307,7 @@ def _level_batches(sites: np.ndarray, us: np.ndarray, idx: np.ndarray, rows: np.
     after = np.full(size, size)
     after[order[:-1]] = np.where(first[1:], size, order[1:])
     pending = head[:n]
-    while (ready := (pending < head.take(rows).min(axis=0)).nonzero()[0]).size:
+    while (ready := (pending < np.minimum.reduce(head.take(rows), axis=0)).nonzero()[0]).size:
         pos = pending.take(ready)
         yield pos, ready, idx.take(ready, axis=0), us.take(pos)
         pending[ready] = after.take(pos)
@@ -376,6 +379,8 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     """
     if n_sweeps < 0:
         raise ValueError(f"n_sweeps must be at least 0, got {n_sweeps}")
+    if not isinstance(snapshot_every, (int, np.integer)) or snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be an integer >= 0, got {snapshot_every!r}")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     low = FieldConfiguration.all_lower(table, interval, boundary).values
@@ -387,13 +392,14 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
     sup, mean, snapshots = np.empty(n_sweeps + 1), np.empty(n_sweeps + 1), {}
 
-    def record(s, gap):
-        sup[s] = float(gap.max())
-        mean[s] = float(gap.mean())
-        if snapshot_every and s % snapshot_every == 0:
-            snapshots[s] = gap.copy()
+    def record(s, gaps):        # the per-site gaps after sweeps s, s + 1, ..., one row each
+        sup[s:s + len(gaps)] = gaps.max(axis=1)
+        mean[s:s + len(gaps)] = gaps.mean(axis=1)
+        if snapshot_every:
+            for j in range(-s % snapshot_every, len(gaps), snapshot_every):
+                snapshots[s + j] = gaps[j].copy()
 
-    record(0, upp[:n] - low[:n])
+    record(0, (upp[:n] - low[:n])[None])
     repairs, worst = 0, 0.0
     for start, sites, us, batches in _blocks(stream, n_sweeps * n, idx, low.size):
         before = np.stack([low[:n], upp[:n]])
@@ -413,8 +419,7 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
             raise OrderViolation(f"coupled order broken at sweep {at // n + 1}, "
                                  f"site index {err.cell}: {err}") from None
         lower, upper = _rows_at(before, sites, log, n * np.arange(1, sites.size // n + 1))
-        for s, gap in enumerate(upper - lower, start // n + 1):
-            record(s, gap)
+        record(start // n + 1, upper - lower)
     return SandwichTrace(sup, mean, snapshots, seed, interval, low[:n].copy(), upp[:n].copy(),
                          repairs, float(worst / tol))
 
@@ -524,6 +529,8 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         raise ValueError(f"n_samples must be at least 0, got {n_samples}")
     if not eps_coal >= 0.0:       # NaN too: it never coalesces and runs to t_cap
         raise ValueError(f"eps_coal must be at least 0, got {eps_coal}")
+    if t_cap < 1:
+        raise ValueError(f"t_cap must be at least 1, got {t_cap}")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     gamma = _boundary_array(table, boundary, interval)

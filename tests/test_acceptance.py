@@ -386,10 +386,11 @@ def test_cli_artifact_text_is_pinned(tmp_path):
                     assert repr(value) == field, (path.name, field)
 
 
-# Configs whose runs take the levelled coupled step, which none of
-# CLI_CONFIGS reaches: a sandwich on a 12 x 12 nn torus (28.8 sites per
-# closed neighbourhood) and CFTP on a 3-site box, which steps every replica
-# of a slot as one level.
+# Configs whose runs take the levelled steps, which none of CLI_CONFIGS
+# reaches: a sandwich on a 12 x 12 nn torus (28.8 sites per closed
+# neighbourhood), CFTP on a 3-site box, which steps every replica of a slot
+# as one level, and the single chain on a 64-site nn ring (21.3) over the
+# wide interval [0, 10].
 LEVELLED_CONFIGS = {
     "sandwich": {"kernel": {"preset": "nn", "dimension": 2},
                  "geometry": {"kind": "torus", "extents": [12, 12]},
@@ -399,20 +400,25 @@ LEVELLED_CONFIGS = {
              "interval": [0.0, 1.0],
              "boundary": {"values": [[[-1], 0.0], [[3], 1.0]]},
              "seed": 3, "n_samples": 2000, "n_q": 128},
+    "ident4": {"kernel": {"preset": "nn", "dimension": 1},
+               "geometry": {"kind": "torus", "extents": [64]},
+               "interval": [0.0, 10.0], "seed": 7, "burn_in": 50, "sweeps": 400},
 }
 LEVELLED_SHA256 = {
     "sandwich/summary.json": "6b44735d1899cdc6cb912240e5842021c410283549abe66117ae3a97315fb248",
     "sandwich/trace.csv": "60d6f0850575218dd10eaa06b165edca91b608821e95f0c601f44093f71dca07",
     "cftp/samples.csv": "470ec4780de0efb13344351d8e4bde1366835899c15e1c4f8b7888c96fc1277d",
     "cftp/verdicts.json": "bcd186a063bf7630d432fb4812321ca99de93c9dfaa3de89eabacdacc71ffdc8",
+    "ident4/verdicts.json": "180f0e3c33775520a2285ae53232cce555d9890c42e19827fc2477273fc4d5ef",
 }
 
 
 def test_levelled_artifact_bytes_are_pinned(tmp_path):
     """The sha256 of every artifact of ``LEVELLED_CONFIGS``, recorded with
-    the quantiles drawn in two calls per coupled level (numpy 2.4.6, scipy
-    1.17.1, the versions CI installs).  A refactor of the levelled paths
-    must keep them.  A deliberate change of bits, such as a new quantile
+    the quantiles drawn in two calls per coupled level, and for ``ident4``
+    with the level queues from a stable sort of the int64 sites (numpy
+    2.4.6, scipy 1.17.1, the versions CI installs).  A refactor of the
+    levelled paths must keep them.  A deliberate change of bits, such as a new quantile
     tail choice, re-records them and says why in CHANGES.md."""
     digests = {}
     for name, cfg in LEVELLED_CONFIGS.items():

@@ -254,6 +254,13 @@ def test_sandwich_rejects_negative_sweeps(n_sweeps):
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, n_sweeps, seed=1)
 
 
+@pytest.mark.parametrize("every", [-1, -10, 2.5])
+def test_sandwich_rejects_negative_or_fractional_snapshot_every(every):
+    # unchecked, -1 would snapshot every sweep and 2.5 sweeps 0 and 5
+    with pytest.raises(ValueError, match="snapshot_every"):
+        run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1, snapshot_every=every)
+
+
 def test_sandwich_zero_sweeps_records_initial_gap():
     trace = run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 0, seed=1)
     assert trace.n_sweeps == 0 and trace.sup_gap.tolist() == [1.0]
@@ -406,6 +413,31 @@ def test_sandwich_matches_sequential_scan_bitwise(path, setup, n_sweeps, seed, s
     assert (trace.order_repairs, trace.max_inversion_frac) == (repairs, frac)
 
 
+@pytest.mark.parametrize("n_sweeps, every, block_sweeps", [(10, 2, 3), (7, 3, 2), (4, 5, 4),
+                                                         (0, 1, 3)])
+def test_sandwich_gap_record_matches_per_sweep_reference(n_sweeps, every, block_sweeps,
+                                                         monkeypatch):
+    # a levelled 32 x 32 torus: rows of 1024 gaps, long enough for the
+    # pairwise sums of mean() to differ from a left-to-right sum; the fields
+    # after s sweeps are those a run of s sweeps ends with
+    geometry, kernel = LatticeGeometry.torus([32, 32]), nearest_neighbor(2)
+    monkeypatch.setattr(sampler, "_BLOCK_UPDATES", block_sweeps * 1024)
+    trace = run_sandwich(geometry, kernel, UNIT, n_sweeps, seed=4, snapshot_every=every)
+    sup, mean_, snapshots = [], [], {}
+    for s in range(n_sweeps + 1):
+        at_s = run_sandwich(geometry, kernel, UNIT, s, seed=4)
+        gap = at_s.final_upper - at_s.final_lower
+        sup.append(float(gap.max()))
+        mean_.append(float(gap.mean()))
+        if s % every == 0:
+            snapshots[s] = gap
+    assert trace.sup_gap.tobytes() == np.array(sup).tobytes()
+    assert trace.mean_gap.tobytes() == np.array(mean_).tobytes()
+    assert sorted(trace.snapshots) == sorted(snapshots)
+    for s, gap in snapshots.items():
+        assert trace.snapshots[s].tobytes() == gap.tobytes()
+
+
 def reference_levels(sites, closed):
     level = []
     for j, s in enumerate(sites):
@@ -446,6 +478,43 @@ def test_level_batches_are_the_as_soon_as_possible_schedule(setup, seed, n_updat
                     assert sites[j] not in closed[:, sites[i]]
                 if sites[i] == sites[j]:              # one site: stream order kept
                     assert level[i] < level[j]
+
+
+def int64_sort_level_batches(sites, us, idx, rows, n_values):
+    """:func:`sampler._level_batches` with its queues from a stable argsort
+    of the int64 sites, whatever the volume: the reference for the 16-bit
+    sort that small volumes take."""
+    n, size = idx.shape[0], sites.size
+    order = np.argsort(sites, kind="stable")
+    ordered = sites[order]
+    first = np.diff(ordered, prepend=-1) != 0
+    head = np.full(n_values + 1, size)
+    head[ordered[first]] = order[first]
+    after = np.full(size, size)
+    after[order[:-1]] = np.where(first[1:], size, order[1:])
+    pending = head[:n]
+    while (ready := (pending < head.take(rows).min(axis=0)).nonzero()[0]).size:
+        pos = pending.take(ready)
+        yield pos, ready, idx.take(ready, axis=0), us.take(pos)
+        pending[ready] = after.take(pos)
+
+
+@pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+def test_level_batches_sort_matches_int64_stable_sort(n):
+    # rings on either side of the 16-bit cast; a block of n updates names
+    # most sites more than once, and the top index several times
+    idx = (np.arange(n)[:, None] + np.array([-1, 1])) % n
+    rows = idx.T.copy()
+    rng = np.random.default_rng(n)
+    sites = np.concatenate([rng.integers(0, n, n - 8), np.full(8, n - 1)])
+    rng.shuffle(sites)
+    us = rng.random(n)
+    got = list(sampler._level_batches(sites, us, idx, rows, n))
+    want = list(int64_sort_level_batches(sites, us, idx, rows, n))
+    assert len(got) == len(want)
+    for batch, ref in zip(got, want):
+        for x, y in zip(batch, ref):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("k", range(2, 25))
@@ -821,6 +890,13 @@ def test_cftp_horizon_cap_signalled():
     with pytest.raises(NoCoalescence):
         cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 10, seed=0,
                      eps_coal=0.0, t_cap=8)
+
+
+@pytest.mark.parametrize("t_cap", [0, -5])
+def test_cftp_rejects_t_cap_below_one(t_cap):
+    # unchecked, it would run no step and report no coalescence at horizon 1
+    with pytest.raises(ValueError, match="t_cap"):
+        cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 4, seed=0, t_cap=t_cap)
 
 
 class _ScalarReplicaStreams:
