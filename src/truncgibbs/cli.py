@@ -107,7 +107,11 @@ def _kernel_from(cfg: dict):
     if preset == "exp-decay":
         rate = _get(cfg, "kernel.rate", float)
         reach = _int_from(cfg, "kernel.range")
-        return exp_decay(rate, reach, dimension), {
+        try:
+            kern = exp_decay(rate, reach, dimension)
+        except ValueError as err:
+            raise ConfigInvalid(f"kernel.rate: {err}") from None
+        return kern, {
             "preset": "exp-decay", "dimension": dimension, "rate": rate, "range": reach}
     if preset is not None:
         raise ConfigInvalid(f"kernel.preset: unknown preset {preset!r}")
@@ -119,8 +123,14 @@ def _kernel_from(cfg: dict):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ConfigInvalid(f"{path}: expected [offset, weight]")
         _typed(entry[1], f"{path}[1]", float)       # checked, echoed as written
-        raw[_int_tuple(entry[0], f"{path}[0]")] = entry[1]
-    kern = build_kernel(dimension, raw, normalize)
+        z = _int_tuple(entry[0], f"{path}[0]")
+        if z in raw:
+            raise ConfigInvalid(f"{path}[0]: offset {list(z)} is given twice")
+        raw[z] = entry[1]
+    try:
+        kern = build_kernel(dimension, raw, normalize)
+    except ValueError as err:
+        raise ConfigInvalid(f"kernel.offsets: {err}") from None
     return kern, {"dimension": dimension, "normalize": normalize,
                   "offsets": [[list(z), w] for z, w in raw.items()]}
 
@@ -199,6 +209,9 @@ class _Setup:
         self.geometry = self.volume = self.vh = self.interval = self.boundary = None
         self._head = {"kernel": kern_cfg}
         if space == "geometry":
+            if not self.kernel.normalized:
+                raise ConfigInvalid(f"kernel.normalize: the dynamics needs a kernel of norm 1, "
+                                    f"got norm {self.kernel.norm}")
             self.geometry, self._head["geometry"] = _geometry_from(cfg, self.kernel)
             shell = self.geometry.shell
         else:

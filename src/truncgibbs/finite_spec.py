@@ -13,9 +13,9 @@ Hamiltonian, so the conditional law with boundary values gamma is the
 multivariate normal with mean A^{-1} B gamma and covariance A^{-1},
 truncated to the spin box.
 
-A, B and the pair arrays come from the neighbour index that also gives
-the box shells and neighbour tables, so matrices and dynamics see one set
-of pairs.
+A, B, the pair arrays and the certificate's progressions come from the
+neighbour index that also gives the box shells and neighbour tables, so
+matrices and dynamics see one set of pairs.
 """
 
 from __future__ import annotations
@@ -194,34 +194,32 @@ def specification(vh: VolumeHamiltonian, gamma, interval: SpinInterval) -> Gauss
 # Positive-definiteness certificate
 # ---------------------------------------------------------------------------
 
-def _lex_positive(z) -> bool:
-    for c in z:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    return False
+def _progressions(fwd, back, n):
+    """Maximal progressions as lists of site indices, by first site: each starts
+    where column ``back`` leaves the volume (index n or more), then follows ``fwd``."""
+    fwd, chains = fwd.tolist(), []
+    for i in np.flatnonzero(back >= n).tolist():
+        chains.append([i])
+        while (i := fwd[i]) < n:
+            chains[-1].append(i)
+    return chains
+
+
+def _step_progressions(volume, z):
+    """The sorted sites and their progressions of step z, from the z and -z columns."""
+    sites = _as_sites(volume)
+    z = tuple(int(c) for c in z)
+    if not any(z):
+        raise ValueError("step offset must be nonzero")
+    idx, _ = _neighbour_index(sites, (z, tuple(-c for c in z)))
+    return sites, _progressions(idx[:, 0], idx[:, 1], len(sites))
 
 
 def z_connected_classes(volume, z):
-    """Partition the volume into maximal arithmetic progressions with step z."""
-    sites = _as_sites(volume)
-    z = tuple(int(c) for c in z)
-    if all(c == 0 for c in z):
-        raise ValueError("step offset must be nonzero")
-    members = set(sites)
-    classes = []
-    for x in sites:
-        prev = tuple(x[k] - z[k] for k in range(len(z)))
-        if prev in members:
-            continue                     # not a progression start
-        chain = [x]
-        nxt = tuple(x[k] + z[k] for k in range(len(z)))
-        while nxt in members:
-            chain.append(nxt)
-            nxt = tuple(nxt[k] + z[k] for k in range(len(z)))
-        classes.append(tuple(chain))
-    return classes
+    """Partition the volume into maximal arithmetic progressions with step z,
+    walked along the neighbour-index columns of z and -z."""
+    sites, chains = _step_progressions(volume, z)
+    return [tuple(sites[i] for i in chain) for chain in chains]
 
 
 def toeplitz_matrix(volume, z) -> np.ndarray:
@@ -239,16 +237,15 @@ def toeplitz_matrix(volume, z) -> np.ndarray:
 def toeplitz_quadratic_form(volume, z, eta) -> float:
     """eta' T_z eta through the progression decomposition.
 
-    Telescoping squared differences along each progression plus the two
-    endpoint squares (doubled for singletons); strictly positive for any
-    nonzero eta, which is what certifies T_z, and hence A, positive definite.
+    Telescoping squared differences along each progression (from the
+    neighbour-index columns of z and -z) plus the two endpoint squares, doubled
+    for singletons; positive for any nonzero eta, which certifies T_z, and A.
     """
-    sites = _as_sites(volume)
-    index = {s: i for i, s in enumerate(sites)}
+    _, chains = _step_progressions(volume, z)
     eta = np.asarray(eta, dtype=float)
     total = 0.0
-    for chain in z_connected_classes(sites, z):
-        vals = eta[[index[s] for s in chain]]
+    for chain in chains:
+        vals = eta[chain]
         if len(vals) == 1:
             total += 2.0 * vals[0] ** 2
         else:
@@ -283,22 +280,24 @@ def pd_certificate(vh: VolumeHamiltonian) -> PDCertificate:
 
     The positive half-space is the lexicographically positive offsets.
     Support offsets realized as differences within the volume contribute a
-    Toeplitz term; unrealized ones contribute twice their weight to the
-    slack on the identity.  Reassembly reproduces A entrywise.
+    Toeplitz term over the progressions of its neighbour-index columns;
+    unrealized ones add 2 J(z) to the slack on I.  Reassembly reproduces A entrywise.
     """
     if vh.wrapped_extents is not None:
         raise GeometryMismatch(
             "the progression certificate is defined on the infinite lattice; "
             "wrapped volumes would turn progressions into cycles")
-    sites = vh.sites
-    realized = (_neighbour_index(sites, vh.kernel.offsets)[0] < vh.n_sites).any(axis=0)
+    sites, n = vh.sites, vh.n_sites
+    idx = _neighbour_index(sites, vh.kernel.offsets)[0]
     slack = 0.0
     terms = []
-    for z, w, seen in zip(vh.kernel.offsets, vh.kernel.weights, realized):
-        if not _lex_positive(z):
+    # the offsets are sorted and symmetric, so the k-th of K mirrors the (K - 1 - k)-th
+    for k, (z, w) in enumerate(zip(vh.kernel.offsets, vh.kernel.weights)):
+        if z <= (0,) * len(z):
             continue
-        if seen:
-            terms.append((z, float(w), tuple(z_connected_classes(sites, z))))
+        if (idx[:, k] < n).any():
+            chains = _progressions(idx[:, k], idx[:, -1 - k], n)
+            terms.append((z, float(w), tuple(tuple(sites[i] for i in c) for c in chains)))
         else:
             slack += 2.0 * float(w)
     return PDCertificate(sites, slack, tuple(terms))

@@ -79,6 +79,11 @@ class InteractionKernel:
         return float(self.weights[i]) if i is not None else 0.0
 
     @property
+    def normalized(self) -> bool:
+        """Whether the weights sum to one, as the heat-bath dynamics requires."""
+        return abs(self.norm - 1.0) <= 1e-12
+
+    @property
     def range_per_axis(self) -> tuple:
         return tuple(max(abs(z[k]) for z in self.offsets) for k in range(self.dimension))
 

@@ -111,7 +111,7 @@ class FieldConfiguration:
 
     def __init__(self, table: NeighborTable, interval: SpinInterval,
                  values: np.ndarray, boundary=None):
-        if abs(table.kernel.norm - 1.0) > 1e-12:
+        if not table.kernel.normalized:
             raise ValueError("dynamics requires a normalized kernel (norm 1)")
         self.table = table
         self.interval = interval
@@ -334,14 +334,13 @@ def _rows_at(before: np.ndarray, sites: np.ndarray, log: np.ndarray,
              ends: np.ndarray) -> np.ndarray:
     """The interior after the first ``ends[j]`` updates of a block, one row
     per (increasing) end, from the interior ``before`` the block and the
-    block's sites and new values in stream order.  ``before`` and ``log``
-    may stack several chains along a first axis; the rows then do too."""
+    block's sites and new values in stream order."""
     seg = np.searchsorted(ends, np.arange(sites.size), side="right")
     kept = np.flatnonzero(seg < ends.size)
-    last = np.full((ends.size, before.shape[-1]), -1)
+    last = np.full((ends.size, before.size), -1)
     np.maximum.at(last, (seg[kept], sites[kept]), kept)   # last update per row and site
     last = np.maximum.accumulate(last, axis=0)
-    return np.where(last >= 0, log[..., last], before[..., None, :])
+    return np.where(last >= 0, log[last], before)
 
 
 @dataclass(eq=False)
@@ -373,9 +372,10 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     state.  Both chains run on the single chain's schedule (see
     :func:`_blocks`): each block of whole sweeps goes level by level, one
     :func:`_coupled_step` per level, or through :func:`_coupled_scan` on
-    small volumes, and the gaps after each sweep are rebuilt from the
-    block's logs of both chains.  Every bit is the sequential scan's, and
-    an ``OrderViolation`` names the sweep of the update that raised it.
+    small volumes, and the gaps after each sweep are rebuilt from the gaps
+    before the block and the block's log of gaps, upper minus lower.  Every
+    bit is the sequential scan's, and an ``OrderViolation`` names the sweep
+    of the update that raised it.
     """
     if n_sweeps < 0:
         raise ValueError(f"n_sweeps must be at least 0, got {n_sweeps}")
@@ -402,7 +402,7 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     record(0, (upp[:n] - low[:n])[None])
     repairs, worst = 0, 0.0
     for start, sites, us, batches in _blocks(stream, n_sweeps * n, idx, low.size):
-        before = np.stack([low[:n], upp[:n]])
+        before = upp[:n] - low[:n]
         log = np.empty((2, sites.size))
         pos = None              # a step's error indexes its level, a scan's the block
         try:
@@ -418,8 +418,8 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
             at = start + (err.index if pos is None else int(pos[err.index]))
             raise OrderViolation(f"coupled order broken at sweep {at // n + 1}, "
                                  f"site index {err.cell}: {err}") from None
-        lower, upper = _rows_at(before, sites, log, n * np.arange(1, sites.size // n + 1))
-        record(start // n + 1, upper - lower)
+        ends = n * np.arange(1, sites.size // n + 1)
+        record(start // n + 1, _rows_at(before, sites, log[1] - log[0], ends))
     return SandwichTrace(sup, mean, snapshots, seed, interval, low[:n].copy(), upp[:n].copy(),
                          repairs, float(worst / tol))
 
@@ -516,6 +516,8 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     the counter-based stream, so deepening the past never stores history),
     and T doubles until the chains agree at time zero within eps_coal in
     sup norm.  Replicas are independent and advance together, vectorized.
+    Every replica starts from the extremal :class:`FieldConfiguration`
+    states, so the kernel and boundary pass the checks of every heat-bath run.
 
     Each row is the midpoint of the two chains at time zero, so it lies
     within eps_coal/2 in sup norm of the exact draw that the same
@@ -533,7 +535,8 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         raise ValueError(f"t_cap must be at least 1, got {t_cap}")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
-    gamma = _boundary_array(table, boundary, interval)
+    lowest = FieldConfiguration.all_lower(table, interval, boundary).values
+    highest = FieldConfiguration.all_upper(table, interval, boundary).values
     a, b = interval.a, interval.b
     w = table.weights
     tol = _order_tolerance(interval)
@@ -549,8 +552,7 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
                 f"{active.size} replicas not coalesced at horizon {horizon // 2} "
                 f"(cap {t_cap}, eps {eps_coal})")
         ra = active.size
-        low = np.concatenate([np.full((ra, n), a), np.tile(gamma, (ra, 1))], axis=1)
-        upp = np.concatenate([np.full((ra, n), b), np.tile(gamma, (ra, 1))], axis=1)
+        low, upp = np.tile(lowest, (ra, 1)), np.tile(highest, (ra, 1))
         base = np.arange(ra) * low.shape[1]       # offset of each replica's row
         sk, uk = replicas.site_key[active], replicas.uniform_key[active]
         for t in range(horizon, 0, -1):           # slot t is time -t

@@ -220,18 +220,87 @@ BAD_INPUTS = [
     ("spec-check", {"volume": [[0], [1], [0]], "boundary": {"constant": 0.5}}, "volume[2]"),
     ("sandwich", {"geometry": {"kind": "box", "sites": [[1], [0], [1]]},
                   "boundary": {"constant": 0.5}}, "geometry.sites[2]"),
+    # each offset is given once; the kernel builder's own rejections name the field
+    ("sandwich", {"kernel": {"dimension": 1, "offsets": [[[1], 3.0], [[1], 2.0]]},
+                  "geometry": TORUS8}, "kernel.offsets[1][0]"),
+    ("sandwich", {"kernel": {"dimension": 1, "offsets": [[[1], 3.0], [[-1], 2.0]]},
+                  "geometry": TORUS8}, "kernel.offsets"),                  # asymmetric
+    ("ident4", {"kernel": {"dimension": 1, "offsets": [[[1], -1.0]]},
+                "geometry": TORUS8}, "kernel.offsets"),                    # negative
+    ("cftp", {"kernel": {"dimension": 1, "offsets": [[[0], 1.0]]}, "geometry": BOX2,
+              "boundary": {"constant": 0.5}}, "kernel.offsets"),           # zero offset
+    ("spec-check", {"kernel": {"dimension": 1, "offsets": [[[1], 0.0], [[2], 0]]},
+                    "volume": VOLUME2, "boundary": {"constant": 0.5}}, "kernel.offsets"),
+    ("pd-check", {"kernel": {"dimension": 1, "offsets": [[[1, 0], 1.0]]},
+                  "volume": VOLUME2}, "kernel.offsets"),                   # wrong dimension
+    ("pd-check", {"kernel": {"preset": "exp-decay", "dimension": 1, "rate": 0.0, "range": 2},
+                  "volume": VOLUME2}, "kernel.rate"),
+    ("beta-check", {"kernel": {"preset": "exp-decay", "dimension": 1, "rate": -0.5,
+                               "range": 1}, "volume": VOLUME2}, "kernel.rate"),
+    ("sandwich", {"kernel": {"dimension": 1, "offsets": [[[1], 1.0, 0.5]]},
+                  "geometry": TORUS8}, "kernel.offsets[0]"),              # not a pair
+    # the dynamics needs norm 1, which "normalize": false leaves to the weights
+    ("sandwich", {"kernel": {"dimension": 1, "offsets": [[[1], 1.0]], "normalize": False},
+                  "geometry": TORUS8}, "kernel.normalize"),
+    ("ident4", {"kernel": {"dimension": 1, "offsets": [[[1], 1.0]], "normalize": False},
+                "geometry": TORUS8}, "kernel.normalize"),
+    ("cftp", {"kernel": {"dimension": 1, "offsets": [[[1], 1.0]], "normalize": False},
+              "geometry": BOX2, "boundary": {"values": [[[-1], 0.2], [[2], 0.4]]}},
+     "kernel.normalize"),
+    # a config that is not an object replaces the whole document
+    ("sandwich", [NN_KERNEL, TORUS8], "config root"),
+    ("sandwich", {"geometry": {"kind": "sphere", "extents": [8]}}, "geometry.kind"),
+    ("cftp", {"geometry": TORUS8, "boundary": {"constant": 0.5}}, "geometry.kind"),
+    ("spec-check", {"volume": VOLUME2, "interval": [0.0, 0.5, 1.0],
+                    "boundary": {"constant": 0.5}}, "interval"),
+    ("oracle-check", {"volume": VOLUME2, "boundary": {"values": [[[-1], 0.0]]}},
+     "boundary.values"),                                                  # shell site [2] missing
+    ("pd-check", {"volume": []}, "volume"),
 ]
 
 
 @pytest.mark.parametrize("subcommand, fields, path", BAD_INPUTS,
                          ids=[f"{sub}-{path}" for sub, _, path in BAD_INPUTS])
 def test_bad_input_rejected_with_path(tmp_path, capsys, subcommand, fields, path):
-    cfg = write_config(tmp_path, "bad.json",
-                       {"kernel": NN_KERNEL, "interval": [0.0, 1.0], **fields})
+    if isinstance(fields, dict):
+        fields = {"kernel": NN_KERNEL, "interval": [0.0, 1.0], **fields}
+    cfg = write_config(tmp_path, "bad.json", fields)
     assert run(subcommand, cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and path in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kernel, line", [
+    ({"dimension": 1, "offsets": [[[1], 3.0], [[1], 2.0]]},
+     "config error: kernel.offsets[1][0]: offset [1] is given twice"),
+    ({"dimension": 1, "offsets": [[[1], 3.0], [[-1], 2.0]]},
+     "config error: kernel.offsets: J(1,) = 3.0 but J(-1,) = 2.0"),
+    ({"preset": "exp-decay", "dimension": 1, "rate": 0.0, "range": 2},
+     "config error: kernel.rate: rate must be positive"),
+    ({"dimension": 1, "offsets": [[[1], 1.0]], "normalize": False},
+     "config error: kernel.normalize: the dynamics needs a kernel of norm 1, got norm 2.0"),
+])
+def test_kernel_error_line_names_field_and_reason(tmp_path, capsys, kernel, line):
+    cfg = write_config(tmp_path, "bad.json", {"kernel": kernel, "geometry": TORUS8,
+                                              "interval": [0.0, 1.0]})
+    assert run("sandwich", cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_explicit_offsets_run_as_the_nn_preset(tmp_path):
+    # J(1) = 3 with its mirror filled in normalizes to the nn kernel's 1/2, 1/2
+    explicit = {"dimension": 1, "offsets": [[[1], 3.0]]}
+    for name, kernel in (("preset", NN_KERNEL), ("explicit", explicit)):
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "kernel": kernel, "geometry": {"kind": "torus", "extents": [16]},
+            "interval": [0.0, 1.0], "seed": 7, "sweeps": 60})
+        assert run("sandwich", cfg, tmp_path / name) == 0
+    trace = (tmp_path / "explicit" / "trace.csv").read_bytes()
+    assert trace == (tmp_path / "preset" / "trace.csv").read_bytes()
+    summary = json.loads((tmp_path / "explicit" / "summary.json").read_text())
+    assert summary["config"]["kernel"] == {**explicit, "normalize": True}
 
 
 def test_nan_coalescence_tolerance_is_config_error(tmp_path, capsys):

@@ -328,6 +328,15 @@ def test_classes_1d_examples():
     assert z_connected_classes([(0,), (2,), (4,)], (2,)) == [((0,), (2,), (4,))]
 
 
+@pytest.mark.parametrize("z", [(0,), [0], (0, 0)])
+def test_classes_and_toeplitz_form_reject_a_zero_step(z):
+    sites = [(0,) * len(z), (1,) * len(z)]
+    with pytest.raises(ValueError, match="step offset must be nonzero"):
+        z_connected_classes(sites, z)
+    with pytest.raises(ValueError, match="step offset must be nonzero"):
+        toeplitz_quadratic_form(sites, z, [1.0, 1.0])
+
+
 def test_classes_2d_diagonal():
     sites = [(0, 0), (0, 1), (1, 0), (1, 1)]
     classes = z_connected_classes(sites, (1, 1))
@@ -399,3 +408,10 @@ def test_box_ambient_containment_check():
     box = LatticeGeometry.box([(0,), (1,)], NN1)
     with pytest.raises(GeometryMismatch):
         build_matrices([(5,)], NN1, geometry=box)
+
+
+def test_build_matrices_rejects_kernel_or_geometry_of_another_dimension():
+    with pytest.raises(GeometryMismatch, match="kernel dimension 2 != site dimension 1"):
+        build_matrices([(0,), (1,)], nearest_neighbor(2))
+    with pytest.raises(GeometryMismatch, match="geometry dimension mismatch"):
+        build_matrices([(0,), (1,)], NN1, geometry=LatticeGeometry.torus([8, 8]))

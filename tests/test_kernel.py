@@ -7,6 +7,7 @@ from truncgibbs.errors import (
     AsymmetricKernel,
     DuplicateSite,
     EmptyKernel,
+    EmptyVolume,
     GeometryMismatch,
     GeometryTooSmall,
     NegativeWeight,
@@ -15,6 +16,7 @@ from truncgibbs.errors import (
 from truncgibbs.kernel import (
     LatticeGeometry,
     SpinInterval,
+    _neighbour_index,
     build_kernel,
     exp_decay,
     nearest_neighbor,
@@ -170,3 +172,28 @@ def test_box_shell_covers_kernel_reach():
 def test_dimension_mismatch():
     with pytest.raises(GeometryMismatch):
         wrapped_offsets(nearest_neighbor(2), LatticeGeometry.torus([8]))
+
+
+def test_offset_of_the_wrong_dimension_rejected():
+    with pytest.raises(ValueError, match="does not have dimension 2"):
+        build_kernel(2, {(1,): 1.0})
+    with pytest.raises(ValueError, match="does not have dimension 1"):
+        build_kernel(1, {(1, 0): 1.0})
+
+
+@pytest.mark.parametrize("extents", [[0], [8, 0], [-3]])
+def test_torus_extent_below_one_rejected(extents):
+    with pytest.raises(ValueError, match="torus extents must be positive"):
+        LatticeGeometry.torus(extents)
+
+
+def test_box_needs_sites_of_the_kernel_dimension():
+    with pytest.raises(EmptyVolume):
+        LatticeGeometry.box([], nearest_neighbor(1))
+    with pytest.raises(GeometryMismatch, match="kernel dimension 2 != site dimension 1"):
+        LatticeGeometry.box([(0,), (1,)], nearest_neighbor(2))
+
+
+def test_neighbour_index_rejects_offsets_of_another_dimension():
+    with pytest.raises(GeometryMismatch, match="offsets of dimension 2 for sites of 1"):
+        _neighbour_index(((0,), (1,)), ((1, 0), (-1, 0)))

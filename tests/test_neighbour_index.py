@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from truncgibbs.errors import GeometryMismatch, IncompatiblePartition
 from truncgibbs.finite_spec import (
-    _lex_positive,
     build_matrices,
     pd_certificate,
     toeplitz_matrix,
@@ -30,6 +29,7 @@ from truncgibbs.kernel import (
     wrapped_offsets,
 )
 from truncgibbs.transforms import BipartitePartition, _check_partition
+from helpers import _lex_positive
 
 # ---------------------------------------------------------------------------
 # Reference loops

@@ -117,6 +117,31 @@ def test_unnormalized_kernel_rejected_by_dynamics():
     table = wrapped_offsets(k, LatticeGeometry.torus([8]))
     with pytest.raises(ValueError):
         FieldConfiguration.constant(table, UNIT, 0.5)
+    # every run starts from FieldConfiguration.  A norm-2 kernel on one site
+    # between boundary values 0.2 and 0.4 has the conditional law N(0.3, 1/2)
+    # on [0, 1] (mean 0.469); a heat bath past the check samples N(0.6, 1)
+    # on [0, 1] (mean 0.508)
+    k = build_kernel(1, {(1,): 1.0}, normalize=False)
+    box, torus = LatticeGeometry.box([(0,)], k), LatticeGeometry.torus([8])
+    with pytest.raises(ValueError, match="normalized kernel"):
+        cftp_samples(box, k, UNIT, {(-1,): 0.2, (1,): 0.4}, 100, seed=0)
+    with pytest.raises(ValueError, match="normalized kernel"):
+        run_sandwich(torus, k, UNIT, 2, seed=0)
+    with pytest.raises(ValueError, match="normalized kernel"):
+        stationary_run(torus, k, UNIT, seed=0, burn_in=0, n_sweeps=2)
+
+
+def test_field_configuration_rejects_wrong_interior_shape_and_unknown_site():
+    table = wrapped_offsets(NN1, LatticeGeometry.torus([8]))
+    with pytest.raises(ValueError, match="expected 8 interior values"):
+        FieldConfiguration(table, UNIT, np.full(7, 0.5))
+    with pytest.raises(ValueError, match="expected 8 interior values"):
+        FieldConfiguration(table, UNIT, np.full((8, 1), 0.5))
+    field = FieldConfiguration.constant(table, UNIT, 0.5)
+    with pytest.raises(KeyError, match="not in geometry"):
+        local_mean(field, (8,))
+    with pytest.raises(KeyError, match="not in geometry"):
+        site_update(field, (0, 0), 0.5)
 
 
 # ---------------------------------------------------------------------------

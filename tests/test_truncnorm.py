@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from truncgibbs import truncnorm
 from truncgibbs.errors import DegenerateInterval, OutOfRange, ProbabilityOutOfRange
@@ -90,6 +90,22 @@ def test_density_integrates_to_one(m, interval):
     tn = TruncatedNormal(m, interval)
     integral = simpson(lambda u: np.asarray(density(tn, u)), interval.a, interval.b)
     assert abs(integral - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [-40.0, 41.0, -200.0])
+def test_density_log_space_branch(m):
+    # [0, 1] holds less than 1e-15 of the normal mass at these centres, so the
+    # density divides in log space; it still integrates to one
+    tn = TruncatedNormal(m, UNIT)
+    integral = simpson(lambda u: np.asarray(density(tn, u)), 0.0, 1.0, n=200_000)
+    assert abs(integral - 1.0) <= 1e-13
+    # Z = Phi(s) - Phi(t) with t < s <= -40: the interval, reflected about m
+    # when it lies above m, sits in the lower tail
+    s, t = (m - 0.0, m - 1.0) if m < 0.0 else (1.0 - m, 0.0 - m)
+    log_z = log_ndtr(s) + np.log1p(-np.exp(log_ndtr(t) - log_ndtr(s)))
+    u = np.linspace(0.0, 1.0, 101)
+    reference = np.exp(-0.5 * (u - m) ** 2 - 0.5 * np.log(2.0 * np.pi) - log_z)
+    np.testing.assert_allclose(density(tn, u), reference, rtol=1e-13, atol=0.0)
 
 
 def test_density_positive_inside():
