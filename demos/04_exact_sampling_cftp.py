@@ -14,6 +14,7 @@ from truncgibbs import (
     LatticeGeometry,
     SpinInterval,
     TruncatedNormal,
+    build_matrices,
     cdf,
     cftp_samples,
     ks_distance,
@@ -40,7 +41,7 @@ print("Two sites, boundary 0 on the left and 1 on the right, 20000 draws")
 box2 = LatticeGeometry.box([(0,), (1,)], kernel)
 samples = cftp_samples(box2, kernel, interval, {(-1,): 0.0, (2,): 1.0},
                        20_000, seed=44)
-oracle = quadrature_marginals([(0,), (1,)], np.array([0.0, 1.0]), kernel,
+oracle = quadrature_marginals(build_matrices([(0,), (1,)], kernel), np.array([0.0, 1.0]),
                               interval, n_q=256)
 for j, site in enumerate(((0,), (1,))):
     col = samples[:, j]

@@ -16,6 +16,7 @@ from truncgibbs import (
     SpinInterval,
     af_specification_probe,
     beta_scaling_check,
+    build_matrices,
     nearest_neighbor,
     stationarity_check,
     stationary_run,
@@ -41,7 +42,7 @@ print(f"  negative control (no burn-in, 2 sweeps from the top): "
 print()
 print("Inverse-temperature rescaling: beta H(xi) = H(sqrt(beta) xi) exactly")
 for beta in (0.25, 1.0, 2.5, 10.0):
-    residual = beta_scaling_check([(0,), (1,), (2,)], kernel,
+    residual = beta_scaling_check(build_matrices([(0,), (1,), (2,)], kernel),
                                   SpinInterval(0.0, 1.0), beta, trials=100, seed=5)
     print(f"  beta {beta:>5}: max residual over 100 random configurations {residual:.1e}")
 
@@ -49,7 +50,7 @@ print()
 print("Bipartite reflection probe: is the energy difference constant in the")
 print("interior spins?  (It would have to be, for the reflection to map the")
 print("conditional laws of opposite-sign couplings onto each other.)")
-report = af_specification_probe([(0,), (1,)], np.array([0.25, 0.75]), kernel,
+report = af_specification_probe(build_matrices([(0,), (1,)], kernel), np.array([0.25, 0.75]),
                                 SpinInterval(0.0, 1.0),
                                 BipartitePartition.parity(), trials=200, seed=4)
 print(f"  mean energy difference {report.mean:+.5f}")

@@ -7,8 +7,8 @@ af-probe, oracle-check.  Configuration is a JSON document; every artifact
 embeds the fully resolved configuration and seed, numbers are serialized
 with round-trip-exact formatting, and no timestamps or paths enter the
 payload, so re-running a subcommand with the same configuration yields
-byte-identical numeric output.  Exit status is 0 only when every asserted
-invariant and verdict passed (2 for configuration or I/O problems).
+byte-identical numeric output.  Exit status: 0 iff the payload's ``pass`` is
+true or absent, 1 on a failed verdict or an error, 2 on config or I/O errors.
 """
 
 from __future__ import annotations
@@ -339,7 +339,9 @@ def _site_column(site) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns True when all asserted invariants passed)
+# Subcommand handlers return their JSON payload, "config" first and "pass"
+# last where graded; main writes it.  Exit 0 iff "pass" is true or absent,
+# 1 on a failed verdict or a raised error, 2 on config or I/O errors.
 # ---------------------------------------------------------------------------
 
 def _run_sandwich(cfg, out, seed):
@@ -351,8 +353,7 @@ def _run_sandwich(cfg, out, seed):
     rows = [(s, float(trace.sup_gap[s]), float(trace.mean_gap[s]))
             for s in range(sweeps + 1)]
     _write_csv(out, "trace.csv", ["sweep", "sup_gap", "mean_gap"], rows)
-    _write_json(out, "summary.json", {
-        "subcommand": "sandwich",
+    return {
         "config": run.config(sweeps=sweeps, snapshot_every=snapshot_every),
         "initial_sup_gap": float(trace.sup_gap[0]),
         "final_sup_gap": float(trace.sup_gap[-1]),
@@ -360,8 +361,7 @@ def _run_sandwich(cfg, out, seed):
         "snapshots": {str(s): g for s, g in sorted(trace.snapshots.items())},
         "order_repairs": trace.order_repairs,
         "max_inversion_frac": trace.max_inversion_frac,
-    })
-    return True
+    }
 
 
 def _run_cftp(cfg, out, seed):
@@ -383,8 +383,8 @@ def _run_cftp(cfg, out, seed):
     verdicts = []
     ks_rows = []
     if len(sites) <= 3:
-        oracle = diagnostics.quadrature_marginals(sites, run.boundary, run.kernel,
-                                                  run.interval, n_q=n_q)
+        oracle = diagnostics.quadrature_marginals(
+            finite_spec.build_matrices(sites, run.kernel), run.boundary, run.interval, n_q=n_q)
         # 0.02 is calibrated for 1e4 samples; below that use the 99.9%
         # one-sample KS critical value so small runs are not flagged by noise
         ks_threshold = max(0.02, 1.949 / np.sqrt(n_samples))
@@ -397,17 +397,17 @@ def _run_cftp(cfg, out, seed):
             distance = diagnostics.ks_distance(column, oracle.grid, oracle.marginal_cdf(j))
             ks_rows.append({"name": f"ks[{_site_column(site)}]", "distance": distance,
                             "threshold": ks_threshold, "pass": distance < ks_threshold})
-    payload_ok = all(v["pass"] for v in verdicts) and all(r["pass"] for r in ks_rows)
-    _write_json(out, "verdicts.json", {
-        "subcommand": "cftp",
+    return {
         "config": run.config(n_samples=n_samples, eps_coal=eps, t_cap=t_cap, n_q=n_q),
-        "mean_verdicts": verdicts, "ks": ks_rows, "pass": payload_ok,
-    })
-    return payload_ok
+        "mean_verdicts": verdicts, "ks": ks_rows,
+        "pass": all(v["pass"] for v in verdicts) and all(r["pass"] for r in ks_rows),
+    }
 
 
 def _run_ident4(cfg, out, seed):
     run = _Setup(cfg, seed, "geometry", boundary=False)
+    if run.geometry.kind != "torus":
+        raise ConfigInvalid("geometry.kind: ident4 requires a torus")
     burn_in = _int_from(cfg, "burn_in", 1000, least=0)
     sweeps = _int_from(cfg, "sweeps", 10000, least=2)     # batch means need 2 samples
     batches = _int_from(cfg, "batches", 32)
@@ -418,13 +418,11 @@ def _run_ident4(cfg, out, seed):
     trace = sampler.stationary_run(run.geometry, run.kernel, run.interval, seed,
                                    burn_in, sweeps, start=start)
     shift, balance = diagnostics.stationarity_check(trace, batches=batches)
-    ok = shift.passed and balance.passed
-    _write_json(out, "verdicts.json", {
-        "subcommand": "ident4",
+    return {
         "config": run.config(burn_in=burn_in, sweeps=sweeps, batches=batches, start=start),
-        "verdicts": [shift.as_dict(), balance.as_dict()], "pass": ok,
-    })
-    return ok
+        "verdicts": [shift.as_dict(), balance.as_dict()],
+        "pass": shift.passed and balance.passed,
+    }
 
 
 def _run_spec_check(cfg, out, seed):
@@ -440,17 +438,14 @@ def _run_spec_check(cfg, out, seed):
         worst = max(worst, abs(direct - quad))
     solve_residual = float(np.max(np.abs(
         vh.precision @ spec.mean - vh.cross @ run.boundary))) if len(vh.shell) else 0.0
-
-    ok = worst <= 1e-10 and solve_residual <= 1e-10
-    _write_json(out, "spec.json", {
-        "subcommand": "spec-check", "config": run.config(identity_trials=trials),
+    return {
+        "config": run.config(identity_trials=trials),
         "sites": [list(s) for s in vh.sites], "shell": [list(s) for s in vh.shell],
         "precision": vh.precision, "cross": vh.cross,
         "mean": spec.mean, "covariance": spec.covariance,
         "quadratic_vs_pairsum_max": worst, "solve_residual": solve_residual,
-        "pass": ok,
-    })
-    return ok
+        "pass": worst <= 1e-10 and solve_residual <= 1e-10,
+    }
 
 
 def _run_pd_check(cfg, out, seed):
@@ -459,18 +454,16 @@ def _run_pd_check(cfg, out, seed):
     cert = finite_spec.pd_certificate(vh)
     residual = float(np.max(np.abs(cert.reassemble() - vh.precision)))
     min_eig = float(np.linalg.eigvalsh(vh.precision).min())
-    ok = residual <= 1e-14 and min_eig > 0.0
-    _write_json(out, "certificate.json", {
-        "subcommand": "pd-check", "config": run.config(),
+    return {
+        "config": run.config(),
         "slack": cert.slack,
         "terms": [{"offset": list(z), "weight": w,
                    "classes": [[list(s) for s in chain] for chain in classes]}
                   for z, w, classes in cert.terms],
         "reassembly_residual": residual,
         "min_eigenvalue": min_eig,
-        "pass": ok,
-    })
-    return ok
+        "pass": residual <= 1e-14 and min_eig > 0.0,
+    }
 
 
 def _run_beta_check(cfg, out, seed):
@@ -480,69 +473,60 @@ def _run_beta_check(cfg, out, seed):
     trials = _int_from(cfg, "trials", 100)
     rows = []
     for beta in betas:
-        residual = transforms.beta_scaling_check(run.vh, run.kernel, run.interval,
-                                                 beta, trials, seed=seed)
+        residual = transforms.beta_scaling_check(run.vh, run.interval, beta, trials, seed=seed)
         rows.append({"beta": beta, "max_residual": residual, "pass": residual <= 1e-10})
-    ok = all(r["pass"] for r in rows)
-    _write_json(out, "beta.json", {
-        "subcommand": "beta-check", "config": run.config(betas=betas, trials=trials),
-        "results": rows, "pass": ok,
-    })
-    return ok
+    return {
+        "config": run.config(betas=betas, trials=trials),
+        "results": rows, "pass": all(r["pass"] for r in rows),
+    }
 
 
 def _run_af_probe(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
     trials = _int_from(cfg, "trials", 100)
     report = transforms.af_specification_probe(
-        run.vh, run.boundary, run.kernel, run.interval,
+        run.vh, run.boundary, run.interval,
         transforms.BipartitePartition.parity(), trials, seed=seed)
-    _write_json(out, "af_probe.json", {
-        "subcommand": "af-probe", "config": run.config(trials=trials, partition="parity"),
+    return {     # measurement only; no correctness assertion, so no "pass"
+        "config": run.config(trials=trials, partition="parity"),
         "deltas": report.deltas, "mean": report.mean, "spread": report.spread,
-    })
-    return True     # measurement only; no correctness assertion
+    }
 
 
 def _run_oracle_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
     n_q = _int_from(cfg, "n_q", 256)
-    law = (run.vh, run.boundary, run.kernel, run.interval)
+    law = (run.vh, run.boundary, run.interval)
     oracle = diagnostics.quadrature_marginals(*law, n_q=n_q)
     refined = diagnostics.quadrature_marginals(*law, n_q=2 * n_q)
     mean_shift = float(np.max(np.abs(refined.means - oracle.means)))
     z_shift = abs(refined.normalizer - oracle.normalizer) / oracle.normalizer
-
     payload = {
-        "subcommand": "oracle-check",
         "config": run.config(n_q=n_q),
         "quadrature_means": oracle.means,
         "normalizer": oracle.normalizer,
         "refinement_mean_shift": mean_shift,
         "refinement_z_shift": z_shift,
     }
-    ok = mean_shift < 1e-6 and z_shift < 1e-8
-    vh = run.vh
-    if vh.n_sites == 1:
-        tn = truncnorm.TruncatedNormal(float((vh.cross @ run.boundary)[0]), run.interval)
+    if run.vh.n_sites == 1:
+        tn = truncnorm.TruncatedNormal(float((run.vh.cross @ run.boundary)[0]), run.interval)
         closed = truncnorm.mean(tn)
         payload["closed_form_mean"] = closed
         payload["closed_form_difference"] = abs(closed - float(oracle.means[0]))
-        ok = ok and payload["closed_form_difference"] <= 1e-8
-    payload["pass"] = ok
-    _write_json(out, "oracle.json", payload)
-    return ok
+    payload["pass"] = (mean_shift < 1e-6 and z_shift < 1e-8
+                       and payload.get("closed_form_difference", 0.0) <= 1e-8)
+    return payload
 
 
-_HANDLERS = {
-    "sandwich": _run_sandwich,
-    "cftp": _run_cftp,
-    "ident4": _run_ident4,
-    "spec-check": _run_spec_check,
-    "pd-check": _run_pd_check,
-    "beta-check": _run_beta_check,
-    "af-probe": _run_af_probe,
-    "oracle-check": _run_oracle_check,
+_HANDLERS = {            # subcommand: (handler, JSON artifact name)
+    "sandwich": (_run_sandwich, "summary.json"),
+    "cftp": (_run_cftp, "verdicts.json"),
+    "ident4": (_run_ident4, "verdicts.json"),
+    "spec-check": (_run_spec_check, "spec.json"),
+    "pd-check": (_run_pd_check, "certificate.json"),
+    "beta-check": (_run_beta_check, "beta.json"),
+    "af-probe": (_run_af_probe, "af_probe.json"),
+    "oracle-check": (_run_oracle_check, "oracle.json"),
 }
 
 
@@ -554,7 +538,7 @@ def main(argv=None) -> int:
     for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, type=Path, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the seed from the config")
     args = parser.parse_args(argv)
@@ -562,7 +546,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-        ok = _HANDLERS[args.subcommand](cfg, Path(args.out), seed)
+        handler, name = _HANDLERS[args.subcommand]
+        payload = handler(cfg, args.out, seed)
+        _write_json(args.out, name, {"subcommand": args.subcommand, **payload})
     except ConfigInvalid as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -572,7 +558,7 @@ def main(argv=None) -> int:
     except Exception as err:                     # module errors, with context
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    return 0 if ok else 1
+    return 0 if payload.get("pass", True) else 1
 
 
 if __name__ == "__main__":

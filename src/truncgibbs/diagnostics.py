@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, NotTorus, TooFewSamples, VolumeTooLarge
-from .finite_spec import VolumeHamiltonian, _boundary_vector, build_matrices
+from .finite_spec import VolumeHamiltonian, _boundary_vector
 from .kernel import SpinInterval
 from .sampler import RunTrace, _local_means
 from .truncnorm import varphi
@@ -97,7 +97,7 @@ class QuadratureOracle:
         return self.marginal_cdfs[site_index]
 
 
-def quadrature_marginals(volume, gamma, kernel, interval: SpinInterval,
+def quadrature_marginals(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
                          n_q: int = 256) -> QuadratureOracle:
     """Integrate exp(-H) on the tensor grid over the spin box.
 
@@ -106,11 +106,10 @@ def quadrature_marginals(volume, gamma, kernel, interval: SpinInterval,
     tests.  Volumes above three sites are rejected: when every pair of four
     sites is coupled, any order of summing out the sites leaves a term in
     three grid variables, the (n_q + 1)^3 tensor the factored form avoids.
-    ``volume`` is a list of sites or their already-built VolumeHamiltonian.
+    ``vh`` is the volume's :func:`~truncgibbs.finite_spec.build_matrices`.
     """
     if n_q < 64 or n_q % 2:
         raise ValueError("n_q must be an even subinterval count of at least 64")
-    vh = volume if isinstance(volume, VolumeHamiltonian) else build_matrices(volume, kernel)
     k = vh.n_sites
     if k > 3:
         raise VolumeTooLarge(f"tensor grid over {k} sites is not tractable (limit 3)")

@@ -10,6 +10,10 @@ class NegativeWeight(ValueError):
     """A kernel weight is negative."""
 
 
+class NonFiniteWeight(ValueError):
+    """A kernel weight, or the sum of the weights, is not a finite float."""
+
+
 class AsymmetricKernel(ValueError):
     """J(z) and J(-z) were both given but differ."""
 

@@ -28,6 +28,7 @@ from .errors import (
     GeometryMismatch,
     GeometryTooSmall,
     NegativeWeight,
+    NonFiniteWeight,
     ZeroOffsetPresent,
 )
 
@@ -104,6 +105,8 @@ def build_kernel(dimension: int, raw: dict, normalize: bool = True) -> Interacti
         w = float(w)
         if z == zero:
             raise ZeroOffsetPresent("the zero offset may not carry weight (J(0) = 0)")
+        if not math.isfinite(w):
+            raise NonFiniteWeight(f"J{z} = {w} is not finite")
         if w < 0.0:
             raise NegativeWeight(f"J{z} = {w} < 0")
         if w == 0.0:
@@ -123,8 +126,12 @@ def build_kernel(dimension: int, raw: dict, normalize: bool = True) -> Interacti
 
     offsets = tuple(sorted(table))
     weights = np.array([table[z] for z in offsets], dtype=float)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:
+        raise NonFiniteWeight("the weights sum beyond the float range") from None
     if normalize:
-        weights = weights / math.fsum(weights)
+        weights = weights / total
     norm = math.fsum(weights)
     return InteractionKernel(dimension, offsets, weights, norm)
 
@@ -150,7 +157,10 @@ def exp_decay(rate: float, reach: int, dimension: int = 1) -> InteractionKernel:
     for z in itertools.product(range(-reach, reach + 1), repeat=dimension):
         l1 = sum(abs(c) for c in z)
         if 0 < l1 <= reach:
-            raw[z] = rate ** l1
+            try:
+                raw[z] = rate ** l1
+            except OverflowError:
+                raise NonFiniteWeight(f"{rate} ** {l1} overflows a float") from None
     return build_kernel(dimension, raw)
 
 

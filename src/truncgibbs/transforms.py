@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatiblePartition, NonpositiveBeta
-from .finite_spec import VolumeHamiltonian, _boundary_vector, build_matrices, hamiltonian
+from .finite_spec import VolumeHamiltonian, _boundary_vector, hamiltonian
 from .kernel import SpinInterval
 from .sampler import FieldConfiguration
 from .streams import uniform_configurations
@@ -69,18 +69,17 @@ def reflect(field: FieldConfiguration, partition: BipartitePartition) -> FieldCo
     return out
 
 
-def beta_scaling_check(volume, kernel, interval: SpinInterval, beta: float,
+def beta_scaling_check(vh: VolumeHamiltonian, interval: SpinInterval, beta: float,
                        trials: int, seed: int = 0) -> float:
     """Max over random configurations of |beta H(xi) - H(sqrt(beta) xi)|.
 
     An exact algebraic identity for the quadratic pair energy; the
     returned residual is float noise only (at most around 1e-10 at desk
     scales).  The scaled configuration lives in the scaled interval.
-    ``volume`` is a list of sites or their already-built VolumeHamiltonian.
+    ``vh`` is the volume's :func:`~truncgibbs.finite_spec.build_matrices`.
     """
     if not beta > 0.0:
         raise NonpositiveBeta(f"beta must be positive, got {beta}")
-    vh = volume if isinstance(volume, VolumeHamiltonian) else build_matrices(volume, kernel)
     root = np.sqrt(beta)
     worst = 0.0
     for xi in uniform_configurations(seed, "beta-check", interval,
@@ -98,7 +97,7 @@ class ReflectionProbeReport:
     spread: float                # max |delta - mean|; zero would mean an exact density map
 
 
-def af_specification_probe(volume, gamma, kernel, interval: SpinInterval,
+def af_specification_probe(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
                            partition: BipartitePartition, trials: int,
                            seed: int = 0) -> ReflectionProbeReport:
     """Measure how far the reflection is from an exact conditional-density map.
@@ -108,10 +107,9 @@ def af_specification_probe(volume, gamma, kernel, interval: SpinInterval,
     in the interior spins for the reflection to carry one conditional law
     onto the other.  The probe evaluates that difference over random
     interior configurations at a fixed boundary and reports the spread;
-    it asserts nothing about the outcome.  ``volume`` is a list of sites or
-    their already-built VolumeHamiltonian.
+    it asserts nothing about the outcome.  ``vh`` is the volume's
+    :func:`~truncgibbs.finite_spec.build_matrices`.
     """
-    vh = volume if isinstance(volume, VolumeHamiltonian) else build_matrices(volume, kernel)
     flip_sites = _check_partition(vh, partition) == 1
     gamma = _boundary_vector(vh, gamma)
 

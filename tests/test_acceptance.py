@@ -139,8 +139,9 @@ def test_criterion_04_cftp_vs_quadrature():
     box = LatticeGeometry.box([(0,), (1,)], NN1)
     gamma = np.array([0.0, 1.0])
     samples = cftp_samples(box, NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 10_000, seed=44)
-    oracle = quadrature_marginals([(0,), (1,)], gamma, NN1, UNIT, n_q=256)
-    refined = quadrature_marginals([(0,), (1,)], gamma, NN1, UNIT, n_q=512)
+    vh = build_matrices([(0,), (1,)], NN1)
+    oracle = quadrature_marginals(vh, gamma, UNIT, n_q=256)
+    refined = quadrature_marginals(vh, gamma, UNIT, n_q=512)
     refinement = float(np.max(np.abs(refined.means - oracle.means)))
     zs = []
     for j in range(2):
@@ -250,8 +251,8 @@ def test_criterion_07_stationarity_identity():
 def test_criterion_08_beta_rescaling():
     worst = {}
     for beta in (0.25, 1.0, 2.5, 10.0):
-        worst[beta] = beta_scaling_check([(0,), (1,), (2,)], NN1, UNIT, beta,
-                                         trials=100, seed=88)
+        worst[beta] = beta_scaling_check(build_matrices([(0,), (1,), (2,)], NN1), UNIT,
+                                         beta, trials=100, seed=88)
     ok = all(r <= 1e-10 for r in worst.values())
     report(8, "inverse-temperature rescaling", ok,
            "max residuals " + ", ".join(f"beta={b}: {r:.1e}" for b, r in worst.items())

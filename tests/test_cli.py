@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from truncgibbs import finite_spec, sampler
+from truncgibbs import diagnostics, finite_spec, sampler, transforms, truncnorm
 from truncgibbs.cli import _write_json, main
 from truncgibbs.kernel import LatticeGeometry, SpinInterval, nearest_neighbor
 
@@ -256,6 +257,12 @@ BAD_INPUTS = [
     ("oracle-check", {"volume": VOLUME2, "boundary": {"values": [[[-1], 0.0]]}},
      "boundary.values"),                                                  # shell site [2] missing
     ("pd-check", {"volume": []}, "volume"),
+    # a non-finite weight is a config error, not a NaN certificate that fails its verdict
+    ("pd-check", {"kernel": {"dimension": 1, "offsets": [[[1], math.nan]]},
+                  "volume": VOLUME2}, "kernel.offsets: J(1,) = nan"),
+    # ident4's identities hold on a torus; a box is refused before any sweep
+    ("ident4", {"geometry": BOX2}, "geometry.kind"),
+    ("ident4", {"geometry": BOX2, "boundary": {"constant": 0.5}}, "geometry.kind"),
 ]
 
 
@@ -280,6 +287,14 @@ def test_bad_input_rejected_with_path(tmp_path, capsys, subcommand, fields, path
      "config error: kernel.rate: rate must be positive"),
     ({"dimension": 1, "offsets": [[[1], 1.0]], "normalize": False},
      "config error: kernel.normalize: the dynamics needs a kernel of norm 1, got norm 2.0"),
+    ({"dimension": 1, "offsets": [[[1], math.nan]]},
+     "config error: kernel.offsets: J(1,) = nan is not finite"),
+    ({"dimension": 1, "offsets": [[[1], 1.0], [[2], -math.inf]]},
+     "config error: kernel.offsets: J(2,) = -inf is not finite"),
+    ({"dimension": 1, "offsets": [[[1], 1e308]]},
+     "config error: kernel.offsets: the weights sum beyond the float range"),
+    ({"preset": "exp-decay", "dimension": 1, "rate": 1e300, "range": 2},
+     "config error: kernel.rate: 1e+300 ** 2 overflows a float"),
 ])
 def test_kernel_error_line_names_field_and_reason(tmp_path, capsys, kernel, line):
     cfg = write_config(tmp_path, "bad.json", {"kernel": kernel, "geometry": TORUS8,
@@ -358,6 +373,56 @@ def test_forced_order_violation_fails_run(tmp_path, capsys, monkeypatch):
     })
     assert run("sandwich", cfg, tmp_path / "out") == 1
     assert "OrderViolation" in capsys.readouterr().err
+
+
+TORUS_CONFIG = {"kernel": NN_KERNEL, "geometry": TORUS8, "interval": [0.0, 1.0],
+                "seed": 1, "sweeps": 10, "burn_in": 10}
+BOX_CONFIG = {"kernel": NN_KERNEL, "geometry": BOX2, "interval": [0.0, 1.0],
+              "boundary": {"constant": 0.5}, "seed": 1, "n_samples": 200, "n_q": 64}
+ONE_SITE_CONFIG = {**VOLUME_CONFIG, "volume": [[0]]}
+
+
+def _spoiled(module, name, spoil):
+    """``module.name`` wrapped so that ``spoil`` alters its result."""
+    real = getattr(module, name)
+    return module, name, lambda *args, **kwargs: spoil(real(*args, **kwargs))
+
+
+# per subcommand: a config that passes, its JSON artifact, and one library
+# call altered so that the verdict fails (None where the run grades nothing)
+EXIT_CASES = {
+    "sandwich": (TORUS_CONFIG, "summary.json", None),
+    "af-probe": (VOLUME_CONFIG, "af_probe.json", None),
+    "cftp": (BOX_CONFIG, "verdicts.json", _spoiled(diagnostics, "ks_distance", lambda d: 1.0)),
+    "ident4": (TORUS_CONFIG, "verdicts.json", _spoiled(
+        diagnostics, "stationarity_check",
+        lambda pair: (dataclasses.replace(pair[0], passed=False), pair[1]))),
+    "spec-check": (VOLUME_CONFIG, "spec.json",
+                   _spoiled(finite_spec, "quadratic_form", lambda q: q + 1.0)),
+    "pd-check": (VOLUME_CONFIG, "certificate.json", _spoiled(
+        finite_spec, "pd_certificate", lambda c: dataclasses.replace(c, slack=c.slack + 1.0))),
+    "beta-check": (VOLUME_CONFIG, "beta.json",
+                   _spoiled(transforms, "beta_scaling_check", lambda r: 1.0)),
+    "oracle-check": (ONE_SITE_CONFIG, "oracle.json",
+                     _spoiled(truncnorm, "mean", lambda m: m + 1.0)),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(EXIT_CASES))
+def test_exit_status_follows_the_payload(tmp_path, monkeypatch, subcommand):
+    cfg, artifact, spoil = EXIT_CASES[subcommand]
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run(subcommand, path, tmp_path / "ok") == 0
+    payload = json.loads((tmp_path / "ok" / artifact).read_text())
+    assert list(payload)[:2] == ["subcommand", "config"] and payload["subcommand"] == subcommand
+    if spoil is None:
+        assert "pass" not in payload
+        return
+    assert list(payload)[-1] == "pass" and payload["pass"] is True
+    monkeypatch.setattr(*spoil)
+    assert run(subcommand, path, tmp_path / "out") == 1
+    payload = json.loads((tmp_path / "out" / artifact).read_text())
+    assert list(payload)[-1] == "pass" and payload["pass"] is False
 
 
 def test_seed_override_changes_payload(tmp_path):

@@ -27,6 +27,7 @@ from truncgibbs.streams import derive_key, uniforms
 
 NN1 = nearest_neighbor(1)
 UNIT = SpinInterval(0.0, 1.0)
+PAIR = build_matrices([(0,), (1,)], NN1)          # shell (-1,) and (2,)
 SYM = SpinInterval(-1.0, 1.0)
 
 
@@ -38,32 +39,32 @@ def test_single_site_oracle_matches_closed_form():
     # two independent routes to the same number: tensor quadrature of
     # exp(-H) versus the closed-form truncated-normal mean
     boundary = np.array([0.1, 0.7])
-    oracle = quadrature_marginals([(0,)], boundary, NN1, UNIT, n_q=256)
+    oracle = quadrature_marginals(build_matrices([(0,)], NN1), boundary, UNIT, n_q=256)
     closed = mean(TruncatedNormal(0.4, UNIT))
     assert abs(oracle.means[0] - closed) <= 1e-8
 
 
 def test_constant_boundary_symmetry():
-    oracle = quadrature_marginals([(0,), (1,)], np.array([0.3, 0.3]), NN1, UNIT, n_q=128)
+    oracle = quadrature_marginals(PAIR, np.array([0.3, 0.3]), UNIT, n_q=128)
     assert oracle.means[0] == pytest.approx(oracle.means[1], abs=1e-12)
     assert np.all(oracle.means >= 0.0) and np.all(oracle.means <= 1.0)
 
 
 def test_asymmetric_boundary_orders_means():
-    oracle = quadrature_marginals([(0,), (1,)], np.array([0.0, 1.0]), NN1, UNIT, n_q=128)
+    oracle = quadrature_marginals(PAIR, np.array([0.0, 1.0]), UNIT, n_q=128)
     assert oracle.means[0] < oracle.means[1]
 
 
 def test_grid_refinement_stability():
     boundary = np.array([0.0, 1.0])
-    coarse = quadrature_marginals([(0,), (1,)], boundary, NN1, UNIT, n_q=128)
-    fine = quadrature_marginals([(0,), (1,)], boundary, NN1, UNIT, n_q=256)
+    coarse = quadrature_marginals(PAIR, boundary, UNIT, n_q=128)
+    fine = quadrature_marginals(PAIR, boundary, UNIT, n_q=256)
     assert np.max(np.abs(coarse.means - fine.means)) < 1e-6
     assert abs(coarse.normalizer - fine.normalizer) / fine.normalizer < 1e-8
 
 
 def test_oracle_cdf_table_is_a_cdf():
-    oracle = quadrature_marginals([(0,), (1,)], np.array([0.2, 0.9]), NN1, UNIT, n_q=64)
+    oracle = quadrature_marginals(PAIR, np.array([0.2, 0.9]), UNIT, n_q=64)
     for j in range(2):
         table = oracle.marginal_cdf(j)
         assert table[0] == 0.0 and table[-1] == pytest.approx(1.0, abs=1e-15)
@@ -72,15 +73,15 @@ def test_oracle_cdf_table_is_a_cdf():
 
 def test_volume_too_large_and_grid_validation():
     with pytest.raises(VolumeTooLarge):
-        quadrature_marginals([(0,), (1,), (2,), (3,)], np.array([0.0, 1.0]),
-                             NN1, UNIT, n_q=64)
+        quadrature_marginals(build_matrices([(0,), (1,), (2,), (3,)], NN1),
+                             np.array([0.0, 1.0]), UNIT, n_q=64)
     with pytest.raises(ValueError):
-        quadrature_marginals([(0,)], np.array([0.0, 1.0]), NN1, UNIT, n_q=63)
+        quadrature_marginals(build_matrices([(0,)], NN1), np.array([0.0, 1.0]), UNIT, n_q=63)
 
 
 def test_three_site_oracle_runs():
-    oracle = quadrature_marginals([(0,), (1,), (2,)], np.array([0.0, 1.0]),
-                                  NN1, UNIT, n_q=64)
+    oracle = quadrature_marginals(build_matrices([(0,), (1,), (2,)], NN1),
+                                  np.array([0.0, 1.0]), UNIT, n_q=64)
     assert oracle.means.shape == (3,)
     assert np.all(np.diff(oracle.means) > 0.0)   # means increase toward the high edge
 
@@ -131,10 +132,11 @@ ORACLE_VOLUMES = {
 @pytest.mark.parametrize("name", ORACLE_VOLUMES)
 def test_factored_oracle_matches_dense_tensor(name):
     sites, kernel = ORACLE_VOLUMES[name]
-    gamma = np.linspace(0.9, 0.05, len(build_matrices(sites, kernel).shell))
+    vh = build_matrices(sites, kernel)
+    gamma = np.linspace(0.9, 0.05, len(vh.shell))
     interval = SpinInterval(-0.5, 1.5)
     z, means, variances, cdfs = _dense_oracle(sites, gamma, kernel, interval, 128)
-    oracle = quadrature_marginals(sites, gamma, kernel, interval, n_q=128)
+    oracle = quadrature_marginals(vh, gamma, interval, n_q=128)
     assert abs(oracle.normalizer - z) <= 1e-14 * z
     assert np.max(np.abs(oracle.means - means)) <= 1e-14
     assert np.max(np.abs(oracle.variances - variances)) <= 1e-14
@@ -145,8 +147,8 @@ def test_three_site_oracle_memory_stays_small():
     # one dense (257)^3 float64 energy tensor alone is 129.5 MiB
     tracemalloc.start()
     try:
-        quadrature_marginals([(0,), (1,), (2,)], np.array([0.9, 0.1, 0.4, 0.6]),
-                             EXP1_RANGE2, UNIT, n_q=256)
+        vh = build_matrices([(0,), (1,), (2,)], EXP1_RANGE2)
+        quadrature_marginals(vh, np.array([0.9, 0.1, 0.4, 0.6]), UNIT, n_q=256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -132,9 +132,9 @@ def test_missing_site_rejected():
 
 BOUNDARY_READERS = {
     "specification": lambda vh, gamma: specification(vh, gamma, UNIT),
-    "quadrature_marginals": lambda vh, gamma: quadrature_marginals(vh, gamma, NN1, UNIT, n_q=64),
+    "quadrature_marginals": lambda vh, gamma: quadrature_marginals(vh, gamma, UNIT, n_q=64),
     "af_specification_probe": lambda vh, gamma: af_specification_probe(
-        vh, gamma, NN1, UNIT, BipartitePartition.parity(), trials=2),
+        vh, gamma, UNIT, BipartitePartition.parity(), trials=2),
 }
 
 

@@ -11,6 +11,7 @@ from truncgibbs.errors import (
     GeometryMismatch,
     GeometryTooSmall,
     NegativeWeight,
+    NonFiniteWeight,
     ZeroOffsetPresent,
 )
 from truncgibbs.kernel import (
@@ -52,6 +53,33 @@ def test_missing_mirror_filled_in():
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         build_kernel(1, {(1,): -0.5})
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_rejected(w, normalize):
+    # NaN passes both the negative and the zero test, and inf normalizes to NaN
+    with pytest.raises(NonFiniteWeight, match="is not finite"):
+        build_kernel(1, {(1,): w}, normalize)
+    with pytest.raises(NonFiniteWeight, match="is not finite"):
+        build_kernel(2, {(1, 0): 1.0, (0, 1): w}, normalize)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_weight_sum_beyond_float_range_rejected(normalize):
+    # each weight is finite, but J(1) + J(-1) is not
+    with pytest.raises(NonFiniteWeight, match="sum beyond the float range"):
+        build_kernel(1, {(1,): 1e308}, normalize)
+    k = build_kernel(1, {(1,): 8e307}, normalize)     # the sum 1.6e308 still fits
+    assert k.norm == (1.0 if normalize else 1.6e308)
+
+
+def test_exp_decay_power_overflow_rejected():
+    with pytest.raises(NonFiniteWeight, match=r"1e\+300 \*\* 2 overflows a float"):
+        exp_decay(1e300, 2)
+    with pytest.raises(NonFiniteWeight, match="sum beyond the float range"):
+        exp_decay(1e308, 1)
+    assert list(exp_decay(1e300, 1).weights) == [0.5, 0.5]
 
 
 def test_zero_offset_rejected():

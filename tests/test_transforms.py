@@ -22,7 +22,8 @@ SYM = SpinInterval(-1.0, 1.0)
 # ---------------------------------------------------------------------------
 
 def test_beta_one_residual_zero():
-    assert beta_scaling_check([(0,), (1,)], NN1, UNIT, 1.0, trials=20, seed=0) == 0.0
+    vh = build_matrices([(0,), (1,)], NN1)
+    assert beta_scaling_check(vh, UNIT, 1.0, trials=20, seed=0) == 0.0
 
 
 def test_beta_constant_configuration_both_sides_zero():
@@ -35,16 +36,17 @@ def test_beta_constant_configuration_both_sides_zero():
 
 @pytest.mark.parametrize("beta", [0.25, 1.0, 2.5, 10.0])
 def test_beta_scaling_residual_bound(beta):
-    residual = beta_scaling_check([(0,), (1,), (2,)], NN1, UNIT, beta,
+    residual = beta_scaling_check(build_matrices([(0,), (1,), (2,)], NN1), UNIT, beta,
                                   trials=100, seed=1)
     assert residual <= 1e-10
 
 
 def test_beta_must_be_positive():
+    vh = build_matrices([(0,)], NN1)
     with pytest.raises(NonpositiveBeta):
-        beta_scaling_check([(0,)], NN1, UNIT, 0.0, trials=1)
+        beta_scaling_check(vh, UNIT, 0.0, trials=1)
     with pytest.raises(NonpositiveBeta):
-        beta_scaling_check([(0,)], NN1, UNIT, -2.0, trials=1)
+        beta_scaling_check(vh, UNIT, -2.0, trials=1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +107,8 @@ def test_reflect_touches_boundary_values_too():
 # ---------------------------------------------------------------------------
 
 def test_probe_single_trial_spread_is_zero():
-    report = af_specification_probe([(0,), (1,)], np.array([0.2, 0.8]), NN1, UNIT,
-                                    BipartitePartition.parity(), trials=1, seed=0)
+    report = af_specification_probe(build_matrices([(0,), (1,)], NN1), np.array([0.2, 0.8]),
+                                    UNIT, BipartitePartition.parity(), trials=1, seed=0)
     assert report.spread == 0.0
     assert report.deltas.shape == (1,)
 
@@ -117,9 +119,8 @@ def test_probe_single_free_site_matches_direct_evaluation():
     volume = [(0,)]
     gamma = np.array([0.3, 0.9])
     partition = BipartitePartition.parity()
-    report = af_specification_probe(volume, gamma, NN1, UNIT, partition,
-                                    trials=25, seed=7)
     vh = build_matrices(volume, NN1)
+    report = af_specification_probe(vh, gamma, UNIT, partition, trials=25, seed=7)
     from truncgibbs.streams import derive_key, uniforms
     key = derive_key(7, "af-probe")
     for trial, delta in enumerate(report.deltas):
@@ -135,15 +136,16 @@ def test_probe_single_free_site_matches_direct_evaluation():
 def test_probe_spread_generally_nonzero():
     # for the gradient pair energy the reflected difference depends on the
     # interior spins, and the probe documents exactly that
-    report = af_specification_probe([(0,), (1,)], np.array([0.5, 0.5]), NN1, UNIT,
-                                    BipartitePartition.parity(), trials=100, seed=3)
+    report = af_specification_probe(build_matrices([(0,), (1,)], NN1), np.array([0.5, 0.5]),
+                                    UNIT, BipartitePartition.parity(), trials=100, seed=3)
     assert report.spread > 1e-3
 
 
 def test_probe_deterministic():
-    a = af_specification_probe([(0,), (1,)], np.array([0.2, 0.8]), NN1, UNIT,
+    vh = build_matrices([(0,), (1,)], NN1)
+    a = af_specification_probe(vh, np.array([0.2, 0.8]), UNIT,
                                BipartitePartition.parity(), trials=50, seed=12)
-    b = af_specification_probe([(0,), (1,)], np.array([0.2, 0.8]), NN1, UNIT,
+    b = af_specification_probe(vh, np.array([0.2, 0.8]), UNIT,
                                BipartitePartition.parity(), trials=50, seed=12)
     assert np.array_equal(a.deltas, b.deltas)
 
@@ -151,8 +153,8 @@ def test_probe_deterministic():
 def test_probe_rejects_incompatible_partition():
     same_class = BipartitePartition(lambda site: 0)
     with pytest.raises(IncompatiblePartition):
-        af_specification_probe([(0,), (1,)], np.array([0.2, 0.8]), NN1, UNIT,
-                               same_class, trials=5)
+        af_specification_probe(build_matrices([(0,), (1,)], NN1), np.array([0.2, 0.8]),
+                               UNIT, same_class, trials=5)
 
 
 def test_probe_rejects_in_class_coupling():
@@ -160,5 +162,5 @@ def test_probe_rejects_in_class_coupling():
     k2 = build_kernel(1, {(2,): 1.0, (-2,): 1.0})
     vh = build_matrices([(0,), (1,)], k2)
     with pytest.raises(IncompatiblePartition):
-        af_specification_probe([(0,), (1,)], np.zeros(len(vh.shell)), k2, UNIT,
+        af_specification_probe(vh, np.zeros(len(vh.shell)), UNIT,
                                BipartitePartition.parity(), trials=5)
