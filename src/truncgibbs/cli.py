@@ -470,6 +470,9 @@ def _run_beta_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume", boundary=False)
     betas = [_typed(b, f"betas[{k}]", float)
              for k, b in enumerate(_get(cfg, "betas", list, [0.25, 1.0, 2.5, 10.0]))]
+    for k, beta in enumerate(betas):
+        if not 0.0 < beta < float("inf"):       # NaN too
+            raise ConfigInvalid(f"betas[{k}]: must be a finite number > 0, got {beta}")
     trials = _int_from(cfg, "trials", 100)
     rows = []
     for beta in betas:

@@ -21,16 +21,18 @@ update of the stretch that writes into its closed neighbourhood (the
 Cartier-Foata normal form of the update word).  The levels are peeled off
 per-site queues of pending updates: a level is every site whose next
 update comes before the next update of each of its neighbours, found by a
-fixed run of numpy calls (:func:`_level_batches`).  Applying the levels in
-increasing order, every update reads exactly the values the sequential
+fixed run of numpy calls per round (:func:`_levels`).  Applying the levels
+in increasing order, every update reads exactly the values the sequential
 scan would, so the stream, the order of the updates at each site and
 every bit of the result are those of the sequential scan.  The
 single chain and the coupled sandwich share one schedule (:func:`_blocks`):
 blocks of whole sweeps, each levelled as one stretch, so levels run on
-across sweep boundaries, and the fields after each recorded sweep are
-rebuilt from the block's log of update outputs.  A volume too small to
-give each level many updates runs the same scan one update at a time
-instead.  Distinct chains or replicas run fully in parallel with
+across sweep boundaries.  The blocks of a chunk are levelled in one pass,
+as disjoint volumes side by side; each block then runs from slices of its
+updates sorted by level, one quantile call per level, and the fields after
+each recorded sweep are rebuilt from the block's log of update outputs.  A
+volume too small to give each level many updates runs the same scan one
+update at a time instead.  Distinct chains or replicas run fully in parallel with
 independent streams.
 """
 
@@ -51,7 +53,7 @@ from .errors import (
 )
 from .kernel import LatticeGeometry, NeighborTable, SpinInterval, wrapped_offsets
 from .streams import UpdateStream, derive_key, site_uniform_pairs
-from .truncnorm import _sample_many, _sample_one
+from .truncnorm import _clip, _sample_many, _sample_one
 
 
 def _order_tolerance(interval: SpinInterval) -> float:
@@ -64,18 +66,31 @@ def _order_tolerance(interval: SpinInterval) -> float:
     return 16.0 * np.finfo(float).eps * scale
 
 
-# The runs take the stream in blocks of whole sweeps of about this many
+# The runs take the stream in blocks of whole sweeps of about _BLOCK_UPDATES
 # updates and level each block as one stretch, so levels run on across sweep
 # boundaries (about 16 updates per level on a 64-site ring, not 6 per sweep).
-# A level costs a fixed run of numpy calls, so this pays from about 10 sites
-# per closed neighbourhood (the site and its kernel neighbours), for one
-# chain and the coupled pair alike.  Levelled against scalar time, chain and
-# sandwich: a 6 x 6 nn torus (7.2) 1.34 and 1.34, a 7 x 7 torus (9.8) 0.99
-# and 0.90, a 32-site ring (10.7) 0.71 and 0.78, an 8 x 8 torus (12.8) 0.73
-# and 0.68, a 48-site ring (16) 0.53 and 0.54.  Smaller volumes keep the
-# scalar scan.
+#
+# One pass of queue-head rounds levels a chunk of about _CHUNK_SITES / n
+# blocks, so the blocks of a chunk share each round's fixed cost; volumes of
+# 512 sites or more level one block per pass.  Against one block per pass,
+# 512 ran a 64-site ring chain in 0.90x the time, a 32-site ring chain in
+# 0.88x and a 16 x 16 nn torus sandwich in 0.88x (medians of 11 to 15 runs,
+# 2-core VM).  1024 was no faster on those (1.01x and 1.00x against 512) and
+# raised the traced peak of a 64-site, 4500-sweep chain from 12.3 to
+# 16.3 MiB, above the 15.9 MiB of its stationarity check.
+#
+# A level costs a fixed run of numpy calls, so levelling pays from about 7
+# sites per closed neighbourhood (the site and its kernel neighbours), for
+# one chain and the coupled pair alike.  Levelled against scalar time, chain
+# and sandwich (medians of 7 to 9 paired runs of 60,000 updates): a 5 x 5 nn
+# torus (5.0) 1.21 and 1.27, an 18-site ring (6.0) 0.88 and 1.05, a 20-site
+# ring (6.7) 0.87 and 0.86, a 21-site ring (7.0) 0.62 and 0.84, a 6 x 6
+# torus (7.2) 0.87 and 0.75, a 24-site ring (8.0) 0.68 and 0.82, a 7 x 7
+# torus (9.8) 0.69 and 0.75, an 8 x 8 torus (12.8) 0.56 and 0.64, a 48-site
+# ring (16) 0.49 and 0.40.  Smaller volumes keep the scalar scan.
 _BLOCK_UPDATES = 1 << 14
-_LEVELED_MIN_SITES = 10
+_LEVELED_MIN_SITES = 7
+_CHUNK_SITES = 1 << 9
 
 
 def _boundary_array(table: NeighborTable, boundary, interval: SpinInterval) -> np.ndarray:
@@ -195,23 +210,12 @@ def _local_means(values: np.ndarray, nbrs: np.ndarray, w: np.ndarray) -> np.ndar
     """Kernel-weighted means of the neighbour rows ``nbrs`` of a flat field,
     or of each field along the last axis of a stack of them.
 
-    A C-contiguous stack of (1, K) @ (K, 1) products runs the same dot
-    kernel row by row as the scalar ``values[row] @ w``, so each mean is
-    bit-identical to it; ``take`` keeps the gather C-contiguous, where
-    ``values[:, nbrs]`` on a stack is not.  ``(values[nbrs] * w).sum(axis=1)``
-    and a 2-D ``@`` sum in other orders.
+    ``np.vecdot`` runs the same dot kernel row by row as the scalar
+    ``values[row] @ w``, so each mean is bit-identical to it; ``take`` keeps
+    the gather C-contiguous, where ``values[:, nbrs]`` on a stack is not.
+    ``(values[nbrs] * w).sum(axis=1)`` and a 2-D ``@`` sum in other orders.
     """
-    return np.matmul(values.take(nbrs, axis=-1)[..., None, :], w[:, None])[..., 0, 0]
-
-
-def _chain_step(values: np.ndarray, cells: np.ndarray, nbrs: np.ndarray, us: np.ndarray,
-                w: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Heat-bath update of ``cells`` in one flat field: the one-chain form of
-    :func:`_coupled_step`, under the same condition on ``nbrs``.  Returns
-    the new values."""
-    new = _sample_many(_local_means(values, nbrs, w).clip(a, b), a, b, us)
-    values[cells] = new
-    return new
+    return np.vecdot(values.take(nbrs, axis=-1), w)
 
 
 def _order_violation(k, cell, new_lo, new_up) -> OrderViolation:
@@ -236,8 +240,8 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     ``cell``.  Returns the new lower and upper values, the number of
     repairs and the largest repaired inversion.
     """
-    m_lo = _local_means(low, nbrs, w).clip(a, b)
-    m_up = _local_means(upp, nbrs, w).clip(a, b)
+    m_lo = _clip(np.vecdot(low.take(nbrs), w), a, b)     # the means of _local_means
+    m_up = _clip(np.vecdot(upp.take(nbrs), w), a, b)
     d = (m_up != m_lo).nonzero()[0]
     q = _sample_many(np.concatenate([m_lo, m_up.take(d)]), a, b, np.concatenate([us, us.take(d)]))
     new_lo = q[:m_lo.size]
@@ -279,55 +283,85 @@ def _coupled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.nd
     return log_lo, log_up, repairs, worst
 
 
-def _level_batches(sites: np.ndarray, us: np.ndarray, idx: np.ndarray, rows: np.ndarray,
-                   n_values: int):
-    """Yield the updates level by level, in increasing order, as (stream
-    positions, cells, neighbour rows, uniforms).
+def _levels(sites: np.ndarray, rows: np.ndarray, block: int) -> np.ndarray:
+    """The dependency level of each update of a chunk of blocks: ``sites``
+    is the chunk in stream order, ``block`` updates per block (the last may
+    be shorter), and each block is levelled as one stretch of its own.
 
-    ``head[y]`` is the position of site y's next pending update; it is the
-    block size once y's queue is empty, and always on the shell and in one
-    extra slot at the end.  ``after[k]`` is the position of the next update
-    at the site of update k.  A site is ready when its next update comes
-    before the next update of every neighbour in ``rows``, the neighbour
-    rows transposed to (K, n) with an entry that names the site itself
-    pointed at the extra slot.  Each round yields the ready updates as one
-    level, in site order: they are the minimal updates of the dependency
-    order, so each update lands one level deeper than the deepest earlier
-    update in its closed neighbourhood.  The queues come from one stable
-    argsort of the sites, taken on a ``uint16`` copy when every interior
-    index fits (``n <= 2**16``), where numpy runs a radix sort; a stable
-    sort of the same keys is the same permutation.
+    Block j acts on the disjoint volume of cells j n + [0, n), so one run of
+    queue-head rounds levels every block of the chunk at once.  ``head[c]``
+    is the position of cell c's next pending update; it is the chunk size
+    once c's queue is empty, and always in one extra slot at the end.
+    ``after[k]`` is the position of the next update at the cell of update k.
+    ``rows`` are the interior neighbour rows transposed to (K, n), with every
+    entry that names a shell site or the site itself set to n: such an entry
+    points at the extra slot.  A cell is ready when its next update comes
+    before the next update of every neighbour; each round gives the ready
+    updates one level, the minimal updates of the dependency order, so each
+    update lands one level deeper than the deepest earlier update of its
+    block in its closed neighbourhood.  The queues come from one stable
+    argsort of the cells, taken on a ``uint16`` copy when every cell index
+    fits, where numpy runs a radix sort; a stable sort of the same keys is
+    the same permutation.  The levels of a block of at most 2**16 updates
+    fit a ``uint16``.
     """
-    n, size = idx.shape[0], sites.size
-    order = np.argsort(sites.astype(np.uint16) if n <= 1 << 16 else sites, kind="stable")
-    ordered = sites[order]
-    first = np.diff(ordered, prepend=-1) != 0            # the first update of each site
-    head = np.full(n_values + 1, size)
+    n, size = rows.shape[1], sites.size
+    n_blocks = -(-size // block)
+    cells = np.arange(size) // block * n + sites
+    order = np.argsort(cells.astype(np.uint16) if n_blocks * n <= 1 << 16 else cells,
+                       kind="stable")
+    ordered = cells[order]
+    first = np.diff(ordered, prepend=-1) != 0            # the first update of each cell
+    head = np.full(n_blocks * n + 1, size)
     head[ordered[first]] = order[first]
     after = np.full(size, size)
     after[order[:-1]] = np.where(first[1:], size, order[1:])
-    pending = head[:n]
+    offsets = n * np.arange(n_blocks)[:, None]          # the rows of every block's cells
+    rows = np.where(rows[:, None] < n, rows[:, None] + offsets, n_blocks * n)
+    rows = rows.reshape(rows.shape[0], -1)
+    level = np.empty(size, np.uint16 if block <= 1 << 16 else np.int64)
+    pending = head[:-1]
+    depth = 0
     while (ready := (pending < np.minimum.reduce(head.take(rows), axis=0)).nonzero()[0]).size:
         pos = pending.take(ready)
-        yield pos, ready, idx.take(ready, axis=0), us.take(pos)
+        level[pos] = depth
         pending[ready] = after.take(pos)
+        depth += 1
+    return level
 
 
-def _blocks(stream: UpdateStream, n_updates: int, idx: np.ndarray, n_values: int):
+def _blocks(stream: UpdateStream, n_updates: int, idx: np.ndarray):
     """The next ``n_updates`` updates of ``stream`` in blocks of whole sweeps,
-    as (position of the block in the run, sites, uniforms, level batches):
-    the block's :func:`_level_batches`, levelled as one stretch, on volumes
-    of at least ``_LEVELED_MIN_SITES`` sites per closed neighbourhood, and
-    None on smaller ones, which run the scalar scan."""
+    as (position of the block in the run, sites, uniforms, plan).
+
+    On volumes of at least ``_LEVELED_MIN_SITES`` sites per closed
+    neighbourhood the plan runs the block level by level: (order, cells,
+    neighbour rows, uniforms, ends), where ``order`` is the block's stream
+    positions sorted by :func:`_levels` (a stable radix sort of the
+    ``uint16`` levels), the cells, rows and uniforms are gathered in that
+    order, and level d is the slice from ``ends[d - 1]`` (0 for d = 0) to
+    ``ends[d]``.  The stream is taken in chunks of about ``_CHUNK_SITES / n``
+    blocks, each levelled in one pass.  Smaller volumes get the plan None
+    and run the scalar scan.
+    """
     n = idx.shape[0]
+    block = max(1, _BLOCK_UPDATES // n) * n
     rows = None
     if n >= _LEVELED_MIN_SITES * (1 + idx.shape[1]):
-        rows = np.where(idx == np.arange(n)[:, None], n_values, idx).T.copy()
-    block = max(1, _BLOCK_UPDATES // n) * n
-    for start in range(0, n_updates, block):
-        sites, us = stream.take(min(block, n_updates - start))
-        batches = None if rows is None else _level_batches(sites, us, idx, rows, n_values)
-        yield start, sites, us, batches
+        rows = np.where((idx < n) & (idx != np.arange(n)[:, None]), idx, n).T.copy()
+    chunk = block if rows is None else max(1, _CHUNK_SITES // n) * block
+    for start in range(0, n_updates, chunk):
+        sites, us = stream.take(min(chunk, n_updates - start))
+        levels = None if rows is None else _levels(sites, rows, block)
+        for lo in range(0, sites.size, block):
+            block_sites, block_us, plan = sites[lo:lo + block], us[lo:lo + block], None
+            if levels is not None:
+                level = levels[lo:lo + block]
+                order = np.argsort(level, kind="stable")
+                cells = block_sites.take(order)
+                plan = (order, cells, idx.take(cells, axis=0), block_us.take(order),
+                        np.bincount(level).cumsum().tolist())
+            yield start + lo, block_sites, block_us, plan
 
 
 def _rows_at(before: np.ndarray, sites: np.ndarray, log: np.ndarray,
@@ -387,7 +421,7 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     upp = FieldConfiguration.all_upper(table, interval, boundary).values
     stream = UpdateStream(derive_key(seed, "sandwich"), n)
     idx, w = table.idx, table.weights
-    a, b = interval.a, interval.b
+    a, b = np.float64(interval.a), np.float64(interval.b)
     tol = _order_tolerance(interval)
 
     sup, mean, snapshots = np.empty(n_sweeps + 1), np.empty(n_sweeps + 1), {}
@@ -401,21 +435,26 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
     record(0, (upp[:n] - low[:n])[None])
     repairs, worst = 0, 0.0
-    for start, sites, us, batches in _blocks(stream, n_sweeps * n, idx, low.size):
+    for start, sites, us, plan in _blocks(stream, n_sweeps * n, idx):
         before = upp[:n] - low[:n]
         log = np.empty((2, sites.size))
-        pos = None              # a step's error indexes its level, a scan's the block
+        lo = None               # a step's error indexes its level, a scan's the block
         try:
-            if batches is None:
+            if plan is None:
                 log[0], log[1], r, inv = _coupled_scan(low, upp, sites, us, idx, w, a, b, tol)
                 repairs, worst = repairs + r, max(worst, inv)
             else:
-                for pos, cells, nbrs, level_us in batches:
-                    log[0, pos], log[1, pos], r, inv = _coupled_step(low, upp, cells, nbrs,
-                                                                     level_us, w, a, b, tol)
+                order, cells, nbrs, level_us, level_ends = plan
+                new = np.empty((2, sites.size))
+                lo = 0
+                for hi in level_ends:
+                    new[0, lo:hi], new[1, lo:hi], r, inv = _coupled_step(
+                        low, upp, cells[lo:hi], nbrs[lo:hi], level_us[lo:hi], w, a, b, tol)
                     repairs, worst = repairs + r, max(worst, inv)
+                    lo = hi
+                log[:, order] = new
         except OrderViolation as err:
-            at = start + (err.index if pos is None else int(pos[err.index]))
+            at = start + (err.index if lo is None else int(order[lo + err.index]))
             raise OrderViolation(f"coupled order broken at sweep {at // n + 1}, "
                                  f"site index {err.cell}: {err}") from None
         ends = n * np.arange(1, sites.size // n + 1)
@@ -452,22 +491,27 @@ def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
     rows of ``out`` with the interior after each of the last ``len(out)``
     sweeps of ``n_interior`` updates.
 
-    The updates run on the schedule of :func:`_blocks`, one
-    :func:`_chain_step` per level or :func:`_chain_scan` on small volumes;
-    both give the bits of the sequential scan.
+    The updates run on the schedule of :func:`_blocks`: level by level, one
+    :func:`_sample_many` call per level, or through :func:`_chain_scan` on
+    small volumes; both give the bits of the sequential scan.
     """
     n = field.n_interior
     values, idx, w = field.values, field.table.idx, field.table.weights
-    a, b = field.interval.a, field.interval.b
+    a, b = np.float64(field.interval.a), np.float64(field.interval.b)
     ends = n_updates - n * np.arange(len(out) - 1, -1, -1)   # update count at each row
-    for start, sites, us, batches in _blocks(stream, n_updates, idx, values.size):
+    for start, sites, us, plan in _blocks(stream, n_updates, idx):
         before = values[:n].copy()
-        if batches is None:
+        if plan is None:
             log = _chain_scan(values, sites, us, idx, w, a, b)
         else:
-            log = np.empty(sites.size)
-            for pos, cells, nbrs, level_us in batches:
-                log[pos] = _chain_step(values, cells, nbrs, level_us, w, a, b)
+            order, cells, nbrs, level_us, level_ends = plan
+            new, log = np.empty(sites.size), np.empty(sites.size)
+            lo = 0
+            for hi in level_ends:   # the means of _local_means, then one quantile call
+                m = _clip(np.vecdot(values.take(nbrs[lo:hi]), w), a, b)
+                new[lo:hi] = values[cells[lo:hi]] = _sample_many(m, a, b, level_us[lo:hi])
+                lo = hi
+            log[order] = new
         rows = np.flatnonzero((ends > start) & (ends <= start + sites.size))
         if rows.size:
             out[rows] = _rows_at(before, sites, log, ends[rows] - start)
@@ -537,7 +581,7 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     n = table.n_sites
     lowest = FieldConfiguration.all_lower(table, interval, boundary).values
     highest = FieldConfiguration.all_upper(table, interval, boundary).values
-    a, b = interval.a, interval.b
+    a, b = np.float64(interval.a), np.float64(interval.b)
     w = table.weights
     tol = _order_tolerance(interval)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import clip as _clip   # the ufunc behind ndarray.clip
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DegenerateInterval, OutOfRange, ProbabilityOutOfRange
@@ -25,6 +26,7 @@ from .kernel import SpinInterval
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _TINY_MASS = 1e-15   # below this, switch from linear to log-space formulas
+_SIGN = np.array([1.0, -1.0])   # the tail sign of _sample_many, at [alpha + beta > 0]
 
 
 def _phi(x):
@@ -164,15 +166,19 @@ def _sample_many(m, a, b, u):
     (mean below the midpoint) m - ndtri((1-u) Phi(-alpha) + u Phi(-beta)),
     else the lower tail with s = 1.  Scaling by s = +-1 is exact and
     m + (-y) is m - y, so each element gets its own tail formula's bits.
-    The sign is 1 - 2 [alpha + beta > 0], and the formula runs in place in
-    the fresh alpha and beta buffers, one two-operand step at a time; the
-    operands of each step commute exactly, so the bits are those of the
-    formula as written.  ``m`` and ``u`` are arrays of one shape (at least
-    1-D) and are never written.
+    The sign is read from the two-entry table ``_SIGN`` at [alpha + beta > 0],
+    and the formula runs in place in the fresh alpha and beta buffers, one
+    two-operand step at a time; the operands of each step commute exactly,
+    so the bits are those of the formula as written.  ``m`` and ``u`` are
+    arrays of one shape (at least 1-D) and are never written.  A level of
+    the dynamics is a few dozen elements, where each numpy call costs far
+    more than its arithmetic: the levelled runs pass ``a`` and ``b`` as
+    numpy scalars, which convert faster than Python floats, and the final
+    clip calls numpy's clip ufunc without the ``ndarray.clip`` wrapper.
     """
     alpha = a - m
     beta = b - m
-    s = 1.0 - 2.0 * (alpha + beta > 0.0)
+    s = _SIGN.take(alpha + beta > 0.0)
     alpha *= s
     p = ndtr(alpha, out=alpha)
     p *= 1.0 - u
@@ -183,7 +189,7 @@ def _sample_many(m, a, b, u):
     q = ndtri(p, out=p)
     q *= s
     q += m
-    return q.clip(a, b, out=q)   # np.clip's bits without its wrapper; min/max would flip -0.0
+    return _clip(q, a, b, out=q)   # np.clip's bits; min/max would flip -0.0 to +0.0
 
 
 def _sample_one(m, a, b, u):

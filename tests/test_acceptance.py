@@ -388,26 +388,37 @@ def test_cli_artifact_text_is_pinned(tmp_path):
 
 
 # Configs whose runs take the levelled steps, which none of CLI_CONFIGS
-# reaches: a sandwich on a 12 x 12 nn torus (28.8 sites per closed
-# neighbourhood), CFTP on a 3-site box, which steps every replica of a slot
-# as one level, and the single chain on a 64-site nn ring (21.3) over the
-# wide interval [0, 10].
+# reaches, each a (subcommand, config) pair: a sandwich on a 12 x 12 nn
+# torus (28.8 sites per closed neighbourhood) in one block; one on a 16 x 16
+# nn torus over [0, 4], whose 200 sweeps are four blocks (64, 64, 64 and 8
+# sweeps) levelled two per pass; CFTP on a 3-site box, which steps every
+# replica of a slot as one level; and the single chain on a 64-site nn ring
+# (21.3) over the wide interval [0, 10], in two blocks.
 LEVELLED_CONFIGS = {
-    "sandwich": {"kernel": {"preset": "nn", "dimension": 2},
-                 "geometry": {"kind": "torus", "extents": [12, 12]},
-                 "interval": [0.0, 1.0], "seed": 7, "sweeps": 40, "snapshot_every": 10},
-    "cftp": {"kernel": {"preset": "nn", "dimension": 1},
-             "geometry": {"kind": "box", "sites": [[0], [1], [2]]},
-             "interval": [0.0, 1.0],
-             "boundary": {"values": [[[-1], 0.0], [[3], 1.0]]},
-             "seed": 3, "n_samples": 2000, "n_q": 128},
-    "ident4": {"kernel": {"preset": "nn", "dimension": 1},
-               "geometry": {"kind": "torus", "extents": [64]},
-               "interval": [0.0, 10.0], "seed": 7, "burn_in": 50, "sweeps": 400},
+    "sandwich": ("sandwich", {"kernel": {"preset": "nn", "dimension": 2},
+                              "geometry": {"kind": "torus", "extents": [12, 12]},
+                              "interval": [0.0, 1.0], "seed": 7, "sweeps": 40,
+                              "snapshot_every": 10}),
+    "sandwich-blocks": ("sandwich", {"kernel": {"preset": "nn", "dimension": 2},
+                                     "geometry": {"kind": "torus", "extents": [16, 16]},
+                                     "interval": [0.0, 4.0], "seed": 11, "sweeps": 200,
+                                     "snapshot_every": 50}),
+    "cftp": ("cftp", {"kernel": {"preset": "nn", "dimension": 1},
+                      "geometry": {"kind": "box", "sites": [[0], [1], [2]]},
+                      "interval": [0.0, 1.0],
+                      "boundary": {"values": [[[-1], 0.0], [[3], 1.0]]},
+                      "seed": 3, "n_samples": 2000, "n_q": 128}),
+    "ident4": ("ident4", {"kernel": {"preset": "nn", "dimension": 1},
+                          "geometry": {"kind": "torus", "extents": [64]},
+                          "interval": [0.0, 10.0], "seed": 7, "burn_in": 50, "sweeps": 400}),
 }
 LEVELLED_SHA256 = {
     "sandwich/summary.json": "6b44735d1899cdc6cb912240e5842021c410283549abe66117ae3a97315fb248",
     "sandwich/trace.csv": "60d6f0850575218dd10eaa06b165edca91b608821e95f0c601f44093f71dca07",
+    "sandwich-blocks/summary.json":
+        "2563b358982fc92d4776ab7d18025f280ef9d0c6d654884c8b08ed81f2c3b91f",
+    "sandwich-blocks/trace.csv":
+        "4d72a9d9ea9c7573b6270aa14bb6ce7869deb343eed039c1cb95495bcdf781b3",
     "cftp/samples.csv": "470ec4780de0efb13344351d8e4bde1366835899c15e1c4f8b7888c96fc1277d",
     "cftp/verdicts.json": "bcd186a063bf7630d432fb4812321ca99de93c9dfaa3de89eabacdacc71ffdc8",
     "ident4/verdicts.json": "180f0e3c33775520a2285ae53232cce555d9890c42e19827fc2477273fc4d5ef",
@@ -416,16 +427,18 @@ LEVELLED_SHA256 = {
 
 def test_levelled_artifact_bytes_are_pinned(tmp_path):
     """The sha256 of every artifact of ``LEVELLED_CONFIGS``, recorded with
-    the quantiles drawn in two calls per coupled level, and for ``ident4``
-    with the level queues from a stable sort of the int64 sites (numpy
-    2.4.6, scipy 1.17.1, the versions CI installs).  A refactor of the
-    levelled paths must keep them.  A deliberate change of bits, such as a new quantile
+    the quantiles drawn in two calls per coupled level, for ``ident4`` with
+    the level queues from a stable sort of the int64 sites, and for
+    ``sandwich-blocks`` with each block levelled on its own (numpy 2.4.6,
+    scipy 1.17.1, the versions CI installs).  A refactor of the levelled
+    paths must keep them.  A deliberate change of bits, such as a new quantile
     tail choice, re-records them and says why in CHANGES.md."""
     digests = {}
-    for name, cfg in LEVELLED_CONFIGS.items():
+    for name, (subcommand, cfg) in LEVELLED_CONFIGS.items():
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
-        assert cli_main([name, "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        assert cli_main([subcommand, "--config", str(cfg_path),
+                         "--out", str(tmp_path / name)]) == 0
         for path in sorted((tmp_path / name).iterdir()):
             digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == LEVELLED_SHA256

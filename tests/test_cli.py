@@ -263,6 +263,13 @@ BAD_INPUTS = [
     # ident4's identities hold on a torus; a box is refused before any sweep
     ("ident4", {"geometry": BOX2}, "geometry.kind"),
     ("ident4", {"geometry": BOX2, "boundary": {"constant": 0.5}}, "geometry.kind"),
+    # each beta is a finite number > 0, checked before any run
+    ("beta-check", {"volume": VOLUME2, "betas": [0.5, -1.0]},
+     "betas[1]: must be a finite number > 0, got -1.0"),
+    ("beta-check", {"volume": VOLUME2, "betas": [0.0]}, "betas[0]: must be a finite number > 0"),
+    ("beta-check", {"volume": VOLUME2, "betas": [math.nan]}, "betas[0]: must be a finite number"),
+    ("beta-check", {"volume": VOLUME2, "betas": [1.0, 2.0, math.inf]},
+     "betas[2]: must be a finite number > 0, got inf"),
 ]
 
 

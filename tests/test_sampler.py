@@ -414,16 +414,17 @@ def sandwich_setups(draw):
 @settings(max_examples=100, deadline=None)
 @given(setup=sandwich_setups(), n_sweeps=st.integers(1, 6),
        seed=st.integers(0, 2 ** 64 - 1), snapshot_every=st.integers(0, 3),
-       block=st.integers(1, 40))
+       block=st.integers(1, 40), chunk=st.integers(1, 64))
 def test_sandwich_matches_sequential_scan_bitwise(path, setup, n_sweeps, seed, snapshot_every,
-                                                  block):
+                                                  block, chunk):
     # blocks of max(1, block // n) sweeps: their edges fall inside the run
-    # and between snapshots
+    # and between snapshots; max(1, chunk // n) blocks share a level pass
     table, kernel, geometry, interval, boundary = setup
     with pytest.MonkeyPatch.context() as mp:      # hand-made ring tables pass as-is
         mp.setattr(sampler, "wrapped_offsets", lambda k, g: table)
         mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
+        mp.setattr(sampler, "_CHUNK_SITES", chunk)
         trace = run_sandwich(geometry, kernel, interval, n_sweeps, seed,
                              snapshot_every=snapshot_every, boundary=boundary)
     sup, mean_, snapshots, lower, upper, repairs, frac = reference_sandwich(
@@ -473,10 +474,11 @@ def reference_levels(sites, closed):
 
 @settings(max_examples=150, deadline=None)
 @given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
-       n_updates=st.integers(0, 90), block=st.integers(1, 40))
-def test_level_batches_are_the_as_soon_as_possible_schedule(setup, seed, n_updates, block):
-    # every block of max(1, block // n) sweeps is levelled on its own; the 2-
-    # and 3-site rings name a site in its own neighbour row
+       n_updates=st.integers(0, 90), block=st.integers(1, 40), chunk=st.integers(1, 64))
+def test_block_plans_are_the_as_soon_as_possible_schedule(setup, seed, n_updates, block, chunk):
+    # blocks of max(1, block // n) sweeps, max(1, chunk // n) of them levelled
+    # per pass, and update counts that leave a partial last block; the 2- and
+    # 3-site rings name a site in its own neighbour row, boxes have a shell
     table = setup[0]
     n = table.n_sites
     closed = np.vstack([np.arange(n), table.idx.T])
@@ -484,17 +486,20 @@ def test_level_batches_are_the_as_soon_as_possible_schedule(setup, seed, n_updat
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "_LEVELED_MIN_SITES", 0)
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
-        blocks = list(sampler._blocks(stream, n_updates, table.idx, n + len(table.shell)))
+        mp.setattr(sampler, "_CHUNK_SITES", chunk)
+        blocks = list(sampler._blocks(stream, n_updates, table.idx))
+    assert [start for start, *_ in blocks] == list(range(0, n_updates, max(1, block // n) * n))
     assert sum(sites.size for _, sites, _, _ in blocks) == n_updates
-    for _, sites, us, batches in blocks:
-        level = np.full(sites.size, -1)
-        for depth, (pos, cells, nbrs, level_us) in enumerate(batches):
-            assert np.all(level[pos] == -1) and np.unique(pos).size == pos.size
-            level[pos] = depth
-            assert np.array_equal(cells, sites[pos])
-            assert np.array_equal(nbrs, table.idx[cells])
-            assert np.array_equal(level_us, us[pos])
-        assert np.all(level >= 0)                     # every position exactly once
+    for _, sites, us, (order, cells, nbrs, level_us, ends) in blocks:
+        assert np.array_equal(np.sort(order), np.arange(sites.size))   # each position once
+        assert np.array_equal(cells, sites[order])
+        assert np.array_equal(nbrs, table.idx[cells])
+        assert np.array_equal(level_us, us[order])
+        assert ends[-1] == sites.size and all(lo < hi for lo, hi in zip([0] + ends, ends))
+        level = np.empty(sites.size, dtype=int)
+        for depth, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            level[order[lo:hi]] = depth
+            assert np.all(np.diff(order[lo:hi]) > 0)      # stream order within a level
         assert level.tolist() == reference_levels(sites, closed)
         for i in range(sites.size):
             for j in range(i + 1, sites.size):
@@ -505,41 +510,33 @@ def test_level_batches_are_the_as_soon_as_possible_schedule(setup, seed, n_updat
                     assert level[i] < level[j]
 
 
-def int64_sort_level_batches(sites, us, idx, rows, n_values):
-    """:func:`sampler._level_batches` with its queues from a stable argsort
-    of the int64 sites, whatever the volume: the reference for the 16-bit
-    sort that small volumes take."""
-    n, size = idx.shape[0], sites.size
-    order = np.argsort(sites, kind="stable")
-    ordered = sites[order]
-    first = np.diff(ordered, prepend=-1) != 0
-    head = np.full(n_values + 1, size)
-    head[ordered[first]] = order[first]
-    after = np.full(size, size)
-    after[order[:-1]] = np.where(first[1:], size, order[1:])
-    pending = head[:n]
-    while (ready := (pending < head.take(rows).min(axis=0)).nonzero()[0]).size:
-        pos = pending.take(ready)
-        yield pos, ready, idx.take(ready, axis=0), us.take(pos)
-        pending[ready] = after.take(pos)
+def sequential_levels(sites, idx, block):
+    """The as-soon-as-possible level of each update, one update at a time:
+    one deeper than the latest earlier update of its block at the site or a
+    neighbour, each block of ``block`` updates on its own."""
+    level = np.empty(sites.size, dtype=int)
+    for start in range(0, sites.size, block):
+        latest = np.full(idx.shape[0], -1)
+        for k in range(start, min(start + block, sites.size)):
+            s = sites[k]
+            latest[s] = level[k] = 1 + max(latest[s], latest[idx[s]].max())
+    return level
 
 
-@pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
-def test_level_batches_sort_matches_int64_stable_sort(n):
-    # rings on either side of the 16-bit cast; a block of n updates names
-    # most sites more than once, and the top index several times
+@pytest.mark.parametrize("n, n_blocks", [(1 << 16, 1), ((1 << 16) + 1, 1),
+                                         (1 << 15, 2), ((1 << 15) + 1, 2)])
+def test_levels_on_either_side_of_the_16_bit_casts(n, n_blocks):
+    # rings whose chunk of cells fills 2**16 exactly, or one cell more, so the
+    # queues sort on a uint16 copy or on the int64 cells; a block of n > 2**16
+    # updates keeps its levels in int64.  A block of n updates names most
+    # sites more than once, and the top index several times
     idx = (np.arange(n)[:, None] + np.array([-1, 1])) % n
-    rows = idx.T.copy()
     rng = np.random.default_rng(n)
-    sites = np.concatenate([rng.integers(0, n, n - 8), np.full(8, n - 1)])
-    rng.shuffle(sites)
-    us = rng.random(n)
-    got = list(sampler._level_batches(sites, us, idx, rows, n))
-    want = list(int64_sort_level_batches(sites, us, idx, rows, n))
-    assert len(got) == len(want)
-    for batch, ref in zip(got, want):
-        for x, y in zip(batch, ref):
-            assert x.dtype == y.dtype and np.array_equal(x, y)
+    sites = rng.integers(0, n, n_blocks * n)
+    sites[rng.integers(0, sites.size, 8)] = n - 1
+    level = sampler._levels(sites, idx.T.copy(), n)
+    assert level.dtype == (np.uint16 if n <= 1 << 16 else np.int64)
+    assert np.array_equal(level, sequential_levels(sites, idx, n))
 
 
 @pytest.mark.parametrize("k", range(2, 25))
@@ -743,16 +740,18 @@ def reference_run(table, interval, seed, burn_in, n_sweeps, start, boundary):
 @given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
        burn_in=st.integers(0, 4), n_sweeps=st.integers(1, 6),
        start=st.sampled_from(["midpoint", "lower", "upper"]),
-       block=st.integers(1, 40))
+       block=st.integers(1, 40), chunk=st.integers(1, 64))
 def test_stationary_run_matches_sequential_scan_bitwise(path, setup, seed, burn_in,
-                                                         n_sweeps, start, block):
+                                                         n_sweeps, start, block, chunk):
     # blocks of max(1, block // n) sweeps: their edges fall inside the burn-in
-    # and inside the measurement sweeps
+    # and inside the measurement sweeps; max(1, chunk // n) blocks share a
+    # level pass
     table, kernel, geometry, interval, boundary = setup
     with pytest.MonkeyPatch.context() as mp:      # hand-made ring tables pass as-is
         mp.setattr(sampler, "wrapped_offsets", lambda k, g: table)
         mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
+        mp.setattr(sampler, "_CHUNK_SITES", chunk)
         trace = stationary_run(geometry, kernel, interval, seed, burn_in, n_sweeps,
                                start=start, boundary=boundary)
     fields = reference_run(table, interval, seed, burn_in, n_sweeps, start, boundary)
@@ -810,26 +809,26 @@ def counted_calls(mp, names):
 
 
 def test_default_chain_path_follows_volume():
-    # 28/3 sites per closed neighbourhood run scalar, 30/3 leveled
+    # 20/3 sites per closed neighbourhood run scalar, 21/3 leveled
     with pytest.MonkeyPatch.context() as mp:
-        calls = counted_calls(mp, ["_chain_scan", "_level_batches"])
-        stationary_run(LatticeGeometry.torus([28]), NN1, UNIT, 0, 1, 2)
-        assert calls == {"_chain_scan": 1, "_level_batches": 0}
-        stationary_run(LatticeGeometry.torus([30]), NN1, UNIT, 0, 1, 2)
-        assert calls == {"_chain_scan": 1, "_level_batches": 1}
+        calls = counted_calls(mp, ["_chain_scan", "_levels"])
+        stationary_run(LatticeGeometry.torus([20]), NN1, UNIT, 0, 1, 2)
+        assert calls == {"_chain_scan": 1, "_levels": 0}
+        stationary_run(LatticeGeometry.torus([21]), NN1, UNIT, 0, 1, 2)
+        assert calls == {"_chain_scan": 1, "_levels": 1}
 
 
 def test_default_sweep_path_follows_volume():
-    # the sandwich switches at the chain's crossover: 28/3 and 9.8 (7 x 7)
-    # sites per closed neighbourhood run scalar, 30/3 and 12.8 (8 x 8) leveled
+    # the sandwich switches at the chain's crossover: 20/3 and 5.0 (5 x 5)
+    # sites per closed neighbourhood run scalar, 21/3 and 7.2 (6 x 6) leveled
     with pytest.MonkeyPatch.context() as mp:
-        calls = counted_calls(mp, ["_coupled_scan", "_level_batches"])
-        run_sandwich(LatticeGeometry.torus([28]), NN1, UNIT, 2, seed=0)
-        run_sandwich(LatticeGeometry.torus([7, 7]), nearest_neighbor(2), UNIT, 2, seed=0)
-        assert calls == {"_coupled_scan": 2, "_level_batches": 0}
-        run_sandwich(LatticeGeometry.torus([30]), NN1, UNIT, 2, seed=0)
-        run_sandwich(LatticeGeometry.torus([8, 8]), nearest_neighbor(2), UNIT, 2, seed=0)
-        assert calls == {"_coupled_scan": 2, "_level_batches": 2}
+        calls = counted_calls(mp, ["_coupled_scan", "_levels"])
+        run_sandwich(LatticeGeometry.torus([20]), NN1, UNIT, 2, seed=0)
+        run_sandwich(LatticeGeometry.torus([5, 5]), nearest_neighbor(2), UNIT, 2, seed=0)
+        assert calls == {"_coupled_scan": 2, "_levels": 0}
+        run_sandwich(LatticeGeometry.torus([21]), NN1, UNIT, 2, seed=0)
+        run_sandwich(LatticeGeometry.torus([6, 6]), nearest_neighbor(2), UNIT, 2, seed=0)
+        assert calls == {"_coupled_scan": 2, "_levels": 2}
 
 
 # ---------------------------------------------------------------------------
