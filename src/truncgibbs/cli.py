@@ -368,14 +368,17 @@ def _run_cftp(cfg, out, seed):
     run = _Setup(cfg, seed, "geometry")
     if run.geometry.kind != "box":
         raise ConfigInvalid("geometry.kind: cftp requires a box")
+    sites = run.geometry.sites
     n_samples = _int_from(cfg, "n_samples", 1000)
+    if len(sites) <= 3 and n_samples < diagnostics.KS_MIN_SAMPLES:
+        raise ConfigInvalid(f"n_samples: the oracle checks of a box of at most 3 sites "
+                            f"need at least {diagnostics.KS_MIN_SAMPLES}, got {n_samples}")
     eps = _get(cfg, "eps_coal", float, 1e-9)
     if not eps >= 0.0:     # a negative or NaN tolerance never coalesces, runs to t_cap
         raise ConfigInvalid(f"eps_coal: must be >= 0, got {eps}")
     t_cap = _int_from(cfg, "t_cap", 1 << 20)
     n_q = _int_from(cfg, "n_q", 256)
 
-    sites = run.geometry.sites
     samples = sampler.cftp_samples(run.geometry, run.kernel, run.interval, run.boundary,
                                    n_samples, seed, eps_coal=eps, t_cap=t_cap)
     _write_csv(out, "samples.csv", [_site_column(s) for s in sites], samples.tolist())

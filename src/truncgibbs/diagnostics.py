@@ -220,10 +220,13 @@ def domination_check(samples_low, samples_high, functionals=None):
     return verdicts
 
 
+KS_MIN_SAMPLES = 100     # the fewest samples ks_distance accepts
+
+
 def ks_distance(samples, grid, cdf_values) -> float:
     """Sup over the grid of |empirical CDF - oracle CDF|."""
     samples = np.asarray(samples, dtype=float)
-    if samples.size < 100:
-        raise TooFewSamples(f"need at least 100 samples, got {samples.size}")
+    if samples.size < KS_MIN_SAMPLES:
+        raise TooFewSamples(f"need at least {KS_MIN_SAMPLES} samples, got {samples.size}")
     ecdf = np.searchsorted(np.sort(samples), grid, side="right") / samples.size
     return float(np.max(np.abs(ecdf - np.asarray(cdf_values, dtype=float))))

@@ -75,7 +75,7 @@ class TooFewSamples(ValueError):
 
 
 class NonpositiveBeta(ValueError):
-    """Inverse temperature must be strictly positive."""
+    """Inverse temperature must be a finite number > 0."""
 
 
 class IncompatiblePartition(ValueError):

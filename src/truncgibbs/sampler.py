@@ -32,12 +32,15 @@ as disjoint volumes side by side; each block then runs from slices of its
 updates sorted by level, one quantile call per level, and the fields after
 each recorded sweep are rebuilt from the block's log of update outputs.  A
 volume too small to give each level many updates runs the same scan one
-update at a time instead.  Distinct chains or replicas run fully in parallel with
-independent streams.
+update at a time instead.  CFTP's replicas have independent streams, so
+each of its horizons runs them in contiguous groups side by side, one
+thread per usable CPU, with the bits of a single group.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,7 +224,7 @@ def _local_means(values: np.ndarray, nbrs: np.ndarray, w: np.ndarray) -> np.ndar
 def _order_violation(k, cell, new_lo, new_up) -> OrderViolation:
     # the caller adds what the input position ``k`` and flat index ``cell`` name
     err = OrderViolation(f"{new_lo} > {new_up}")
-    err.index, err.cell = int(k), int(cell)
+    err.index, err.cell, err.excess = int(k), int(cell), float(new_lo - new_up)
     return err
 
 
@@ -550,6 +553,58 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 # Coupling from the past
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:        # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# CFTP splits each horizon's active replicas into contiguous groups, one
+# thread each, at least _MIN_GROUP_REPLICAS replicas per group and no more
+# groups than usable CPUs: numpy and scipy.special release the GIL on the
+# wide per-slot arrays, so the groups overlap, but each slot's fixed run of
+# calls holds it.  Two groups against one, one horizon of 48 slots on a
+# 3-site nn box over [0, 1] (medians of 9 to 15 paired runs, 2-core VM):
+# 5,000 replicas 1.34, 6,000 0.91 and 1.03, 8,000 0.73 and 0.79, 10,000
+# 0.58, 12,000 0.53, 20,000 0.48 to 0.72.  The floor sits where every run
+# favoured two groups.  At 20,000 replicas on 2 CPUs, three groups took
+# 0.99x and four 1.16x the time of two.
+_MIN_GROUP_REPLICAS = 6000
+
+
+def _cftp_horizon(active, horizon, keys, lowest, highest, idx, w, a, b, tol, eps_coal):
+    """Run the replicas ``active`` from time -horizon to time zero; returns
+    which of them coalesced within ``eps_coal`` and their midpoints.
+
+    Both chains of every replica start from the extremal fields ``lowest``
+    and ``highest``, and each slot t (time -t) is one :func:`_coupled_step`
+    over the replicas, row r of the flat fields being replica active[r].  An
+    ``OrderViolation`` names the time, replica and site of the largest
+    inversion of the first slot that has one (the lowest replica on a tie),
+    and carries them as ``time``, ``excess`` and ``replica``.
+    """
+    n = idx.shape[0]
+    low, upp = np.tile(lowest, (active.size, 1)), np.tile(highest, (active.size, 1))
+    base = np.arange(active.size) * low.shape[1]          # offset of each replica's row
+    sk, uk = keys.site_key[active], keys.uniform_key[active]
+    for t in range(horizon, 0, -1):
+        sites, us = site_uniform_pairs(sk, uk, t, n)
+        try:
+            _coupled_step(low.reshape(-1), upp.reshape(-1), base + sites,
+                          base[:, None] + idx[sites], us, w, a, b, tol)
+        except OrderViolation as err:
+            row, site = divmod(err.cell, low.shape[1])
+            broken = OrderViolation(
+                f"coupled order broken inside coupling from the past at time -{t}, "
+                f"replica {active[row]}, site index {site}: {err}")
+            broken.time, broken.excess, broken.replica = t, err.excess, int(active[row])
+            raise broken from None
+    done = (upp[:, :n] - low[:, :n]).max(axis=1) <= eps_coal
+    return done, 0.5 * (low[done, :n] + upp[done, :n])
+
+
 def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
                  boundary, n_samples: int, seed: int,
                  eps_coal: float = 1e-9, t_cap: int = 1 << 20) -> np.ndarray:
@@ -559,7 +614,11 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     time -T with a fixed per-slot randomness assignment (re-derived from
     the counter-based stream, so deepening the past never stores history),
     and T doubles until the chains agree at time zero within eps_coal in
-    sup norm.  Replicas are independent and advance together, vectorized.
+    sup norm.  Replicas are independent: at each horizon the active ones
+    advance in contiguous groups, one thread per group and the replicas of
+    a group vectorized (see :func:`_cftp_horizon`).  A replica's sample
+    depends only on the seed and its index, so the bits, the horizons and
+    any error raised are the same for every number of groups.
     Every replica starts from the extremal :class:`FieldConfiguration`
     states, so the kernel and boundary pass the checks of every heat-bath run.
 
@@ -581,11 +640,9 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     n = table.n_sites
     lowest = FieldConfiguration.all_lower(table, interval, boundary).values
     highest = FieldConfiguration.all_upper(table, interval, boundary).values
-    a, b = np.float64(interval.a), np.float64(interval.b)
-    w = table.weights
-    tol = _order_tolerance(interval)
-
-    replicas = UpdateStream(derive_key(seed, "cftp", np.arange(n_samples)), n)
+    fixed = (UpdateStream(derive_key(seed, "cftp", np.arange(n_samples)), n), lowest, highest,
+             table.idx, table.weights, np.float64(interval.a), np.float64(interval.b),
+             _order_tolerance(interval), eps_coal)
 
     out = np.empty((n_samples, n))
     active = np.arange(n_samples)
@@ -595,27 +652,36 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
             raise NoCoalescence(
                 f"{active.size} replicas not coalesced at horizon {horizon // 2} "
                 f"(cap {t_cap}, eps {eps_coal})")
-        ra = active.size
-        low, upp = np.tile(lowest, (ra, 1)), np.tile(highest, (ra, 1))
-        base = np.arange(ra) * low.shape[1]       # offset of each replica's row
-        sk, uk = replicas.site_key[active], replicas.uniform_key[active]
-        for t in range(horizon, 0, -1):           # slot t is time -t
-            sites, us = site_uniform_pairs(sk, uk, t, n)
-            try:
-                _coupled_step(low.reshape(-1), upp.reshape(-1), base + sites,
-                              base[:, None] + table.idx[sites], us, w, a, b, tol)
-            except OrderViolation as err:
-                row, site = divmod(err.cell, low.shape[1])
-                raise OrderViolation(
-                    f"coupled order broken inside coupling from the past at time -{t}, "
-                    f"replica {active[row]}, site index {site}: {err}") from None
-        gap = (upp[:, :n] - low[:, :n]).max(axis=1)
-        done = gap <= eps_coal
-        if np.any(done):
-            out[active[done]] = 0.5 * (low[done, :n] + upp[done, :n])
-            active = active[~done]
+        groups = np.array_split(active, max(1, min(_usable_cpus(),
+                                                   active.size // _MIN_GROUP_REPLICAS)))
+        outcomes = _cftp_groups(groups, horizon, fixed)
+        for group, (done, samples) in zip(groups, outcomes):
+            out[group[done]] = samples
+        active = np.concatenate([g[~done] for g, (done, _) in zip(groups, outcomes)])
         horizon *= 2
     return out
+
+
+def _cftp_groups(groups, horizon: int, fixed) -> list:
+    """:func:`_cftp_horizon` on each group, the first in the caller and each
+    other in a thread of its own, all joined before this returns.  If a group
+    failed, raises what the one-group run would: the first error that is not
+    an ``OrderViolation``, else the violation at the earliest time, then the
+    largest inversion, then the lowest replica."""
+    if len(groups) == 1:
+        return [_cftp_horizon(groups[0], horizon, *fixed)]
+    with ThreadPoolExecutor(len(groups) - 1) as pool:
+        futures = [pool.submit(_cftp_horizon, g, horizon, *fixed) for g in groups[1:]]
+        try:
+            first = _cftp_horizon(groups[0], horizon, *fixed)
+        except Exception as err:
+            first = err
+    outcomes = [first] + [f.exception() or f.result() for f in futures]
+    errors = [o for o in outcomes if isinstance(o, Exception)]
+    if errors:
+        other = [e for e in errors if not isinstance(e, OrderViolation)]
+        raise other[0] if other else min(errors, key=lambda e: (-e.time, -e.excess, e.replica))
+    return outcomes
 
 
 def cftp(geometry: LatticeGeometry, kernel, interval: SpinInterval,

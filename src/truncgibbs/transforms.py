@@ -78,8 +78,8 @@ def beta_scaling_check(vh: VolumeHamiltonian, interval: SpinInterval, beta: floa
     scales).  The scaled configuration lives in the scaled interval.
     ``vh`` is the volume's :func:`~truncgibbs.finite_spec.build_matrices`.
     """
-    if not beta > 0.0:
-        raise NonpositiveBeta(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:       # NaN too
+        raise NonpositiveBeta(f"beta must be a finite number > 0, got {beta}")
     root = np.sqrt(beta)
     worst = 0.0
     for xi in uniform_configurations(seed, "beta-check", interval,

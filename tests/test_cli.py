@@ -72,6 +72,17 @@ def test_cftp_artifacts(tmp_path):
     assert verdicts["pass"] is True
 
 
+def test_cftp_without_oracle_takes_few_samples(tmp_path):
+    # above 3 sites there is no KS oracle, so no floor on n_samples
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": NN_KERNEL, "geometry": {"kind": "box", "sites": [[0], [1], [2], [3]]},
+        "interval": [0.0, 1.0], "boundary": {"constant": 0.5}, "seed": 3, "n_samples": 1,
+    })
+    assert run("cftp", cfg, tmp_path / "out") == 0
+    assert len((tmp_path / "out" / "samples.csv").read_text().splitlines()) == 2
+    assert json.loads((tmp_path / "out" / "verdicts.json").read_text())["pass"] is True
+
+
 def test_ident4_artifacts(tmp_path):
     cfg = write_config(tmp_path, "i.json", {
         "kernel": NN_KERNEL, "geometry": {"kind": "torus", "extents": [8]},
@@ -270,6 +281,12 @@ BAD_INPUTS = [
     ("beta-check", {"volume": VOLUME2, "betas": [math.nan]}, "betas[0]: must be a finite number"),
     ("beta-check", {"volume": VOLUME2, "betas": [1.0, 2.0, math.inf]},
      "betas[2]: must be a finite number > 0, got inf"),
+    # the KS oracle of a box of at most 3 sites needs 100 samples, checked before any run
+    ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "n_samples": 1},
+     "n_samples: the oracle checks of a box of at most 3 sites need at least 100, got 1"),
+    ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1], [2]]},
+              "boundary": {"constant": 0.5}, "n_samples": 99},
+     "n_samples: the oracle checks of a box of at most 3 sites need at least 100, got 99"),
 ]
 
 

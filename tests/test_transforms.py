@@ -47,6 +47,10 @@ def test_beta_must_be_positive():
         beta_scaling_check(vh, UNIT, 0.0, trials=1)
     with pytest.raises(NonpositiveBeta):
         beta_scaling_check(vh, UNIT, -2.0, trials=1)
+    # inf * H(xi) - H(inf * xi) is inf - inf: a RuntimeWarning, not a residual
+    for beta in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NonpositiveBeta, match="must be a finite number > 0"):
+            beta_scaling_check(vh, UNIT, beta, trials=5)
 
 
 # ---------------------------------------------------------------------------
