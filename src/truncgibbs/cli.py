@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, finite_spec, sampler, transforms, truncnorm
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, MissingSite, OutOfRange
 from .kernel import (
     LatticeGeometry,
     SpinInterval,
+    _boundary_array,
     build_kernel,
     exp_decay,
     nearest_neighbor,
@@ -85,6 +86,13 @@ def _int_from(cfg, path, default=_REQUIRED, least=1):
     if value < least:
         raise ConfigInvalid(f"{path}: must be an integer >= {least}, got {value}")
     return value
+
+
+def _n_q_from(cfg):
+    n_q = _get(cfg, "n_q", int, 256)
+    if n_q < diagnostics.MIN_N_Q or n_q % 2:
+        raise ConfigInvalid(f"n_q: must be an even integer >= {diagnostics.MIN_N_Q}, got {n_q}")
+    return n_q
 
 
 def _load_config(path: str) -> dict:
@@ -163,11 +171,10 @@ def _interval_from(cfg: dict):
 def _boundary_from(cfg: dict, shell, interval):
     if "constant" in _get(cfg, "boundary", dict):
         path = "boundary.constant"
-        level = _get(cfg, path, float)
-        gamma, echo = np.full(len(shell), level), {"constant": level}
+        given = _get(cfg, path, float)
     else:
         path = "boundary.values"
-        slots, table = set(shell), {}
+        slots, given = set(shell), {}
         for row, entry in enumerate(_get(cfg, path, list)):
             at = f"{path}[{row}]"
             if not (isinstance(entry, list) and len(entry) == 2):
@@ -175,17 +182,16 @@ def _boundary_from(cfg: dict, shell, interval):
             site = _int_tuple(entry[0], f"{at}[0]")
             if site not in slots:
                 raise ConfigInvalid(f"{at}[0]: {list(site)} is not a shell site")
-            if site in table:
+            if site in given:
                 raise ConfigInvalid(f"{at}[0]: shell site {list(site)} is given twice")
-            table[site] = _typed(entry[1], f"{at}[1]", float)
-        missing = [s for s in shell if s not in table]
-        if missing:
-            raise ConfigInvalid(f"{path}: missing shell sites {missing}")
-        gamma = np.array([table[s] for s in shell])
-        echo = {"values": [[list(s), table[s]] for s in shell]}
-    if not interval.contains(gamma):
-        raise ConfigInvalid(f"{path}: values must lie in the spin interval")
-    return gamma, echo
+            given[site] = _typed(entry[1], f"{at}[1]", float)
+    try:
+        gamma = _boundary_array(shell, given, interval)
+    except (MissingSite, OutOfRange) as err:
+        raise ConfigInvalid(f"{path}: {err}") from None
+    if isinstance(given, dict):
+        return gamma, {"values": [[list(s), given[s]] for s in shell]}
+    return gamma, {"constant": given}
 
 
 def _volume_from(cfg: dict):
@@ -377,7 +383,7 @@ def _run_cftp(cfg, out, seed):
     if not eps >= 0.0:     # a negative or NaN tolerance never coalesces, runs to t_cap
         raise ConfigInvalid(f"eps_coal: must be >= 0, got {eps}")
     t_cap = _int_from(cfg, "t_cap", 1 << 20)
-    n_q = _int_from(cfg, "n_q", 256)
+    n_q = _n_q_from(cfg)
 
     samples = sampler.cftp_samples(run.geometry, run.kernel, run.interval, run.boundary,
                                    n_samples, seed, eps_coal=eps, t_cap=t_cap)
@@ -478,8 +484,11 @@ def _run_beta_check(cfg, out, seed):
             raise ConfigInvalid(f"betas[{k}]: must be a finite number > 0, got {beta}")
     trials = _int_from(cfg, "trials", 100)
     rows = []
-    for beta in betas:
-        residual = transforms.beta_scaling_check(run.vh, run.interval, beta, trials, seed=seed)
+    for k, beta in enumerate(betas):
+        try:
+            residual = transforms.beta_scaling_check(run.vh, run.interval, beta, trials, seed=seed)
+        except OutOfRange as err:
+            raise ConfigInvalid(f"betas[{k}]: {err}") from None
         rows.append({"beta": beta, "max_residual": residual, "pass": residual <= 1e-10})
     return {
         "config": run.config(betas=betas, trials=trials),
@@ -501,7 +510,7 @@ def _run_af_probe(cfg, out, seed):
 
 def _run_oracle_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
-    n_q = _int_from(cfg, "n_q", 256)
+    n_q = _n_q_from(cfg)
     law = (run.vh, run.boundary, run.interval)
     oracle = diagnostics.quadrature_marginals(*law, n_q=n_q)
     refined = diagnostics.quadrature_marginals(*law, n_q=2 * n_q)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, NotTorus, TooFewSamples, VolumeTooLarge
-from .finite_spec import VolumeHamiltonian, _boundary_vector
-from .kernel import SpinInterval
+from .finite_spec import VolumeHamiltonian
+from .kernel import SpinInterval, _boundary_array
 from .sampler import RunTrace, _local_means
 from .truncnorm import varphi
 
@@ -77,6 +77,7 @@ def _simpson_weights(n_intervals: int, step: float) -> np.ndarray:
 
 
 _AXES = "abc"                    # one einsum index per volume site
+MIN_N_Q = 64                     # the fewest Simpson subintervals quadrature_marginals accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,14 +107,15 @@ def quadrature_marginals(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
     tests.  Volumes above three sites are rejected: when every pair of four
     sites is coupled, any order of summing out the sites leaves a term in
     three grid variables, the (n_q + 1)^3 tensor the factored form avoids.
-    ``vh`` is the volume's :func:`~truncgibbs.finite_spec.build_matrices`.
+    ``vh`` is the volume's :func:`~truncgibbs.finite_spec.build_matrices`, ``gamma``
+    a scalar, a shell-site mapping or a shell-order array in ``interval``.
     """
-    if n_q < 64 or n_q % 2:
-        raise ValueError("n_q must be an even subinterval count of at least 64")
+    if n_q < MIN_N_Q or n_q % 2:
+        raise ValueError(f"n_q must be an even subinterval count of at least {MIN_N_Q}")
     k = vh.n_sites
     if k > 3:
         raise VolumeTooLarge(f"tensor grid over {k} sites is not tractable (limit 3)")
-    gamma = _boundary_vector(vh, gamma)
+    gamma = _boundary_array(vh.shell, gamma, interval)
 
     grid = np.linspace(interval.a, interval.b, n_q + 1)
     wq = _simpson_weights(n_q, grid[1] - grid[0])

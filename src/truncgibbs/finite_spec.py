@@ -31,8 +31,8 @@ from .errors import (
     MissingSite,
     NotPositiveDefinite,
 )
-from .kernel import (InteractionKernel, LatticeGeometry, SpinInterval, _neighbour_index,
-                     _sorted_sites, check_torus_extents)
+from .kernel import (InteractionKernel, LatticeGeometry, SpinInterval, _boundary_array,
+                     _neighbour_index, _sorted_sites, check_torus_extents)
 
 
 def _as_sites(volume):
@@ -120,14 +120,6 @@ def _full_values(vh: VolumeHamiltonian, xi):
     return xi[:vh.n_sites], xi[vh.n_sites:]
 
 
-def _boundary_vector(vh: VolumeHamiltonian, gamma) -> np.ndarray:
-    """Boundary values as a float array, one per shell site, in shell order."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (len(vh.shell),):
-        raise MissingSite(f"expected {len(vh.shell)} boundary values, got shape {gamma.shape}")
-    return gamma
-
-
 def hamiltonian(vh: VolumeHamiltonian, xi) -> float:
     """Direct pair sum: half of J(y-x)(xi(x) - xi(y))^2 over pairs meeting the volume.
 
@@ -174,8 +166,9 @@ class GaussianSpecification:
 
 
 def specification(vh: VolumeHamiltonian, gamma, interval: SpinInterval) -> GaussianSpecification:
-    """Solve A m = B gamma and Sigma = A^{-1} through a Cholesky factorization."""
-    gamma = _boundary_vector(vh, gamma)
+    """Solve A m = B gamma and Sigma = A^{-1} through a Cholesky factorization;
+    ``gamma`` is a scalar, a shell-site mapping or a shell-order array in ``interval``."""
+    gamma = _boundary_array(vh.shell, gamma, interval)
     try:
         factor = cho_factor(vh.precision, lower=True)
     except LinAlgError as err:

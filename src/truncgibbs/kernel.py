@@ -6,7 +6,8 @@ the total weight to one by default, so a site's local mean is always a
 convex combination of its neighbors.  Geometries are the two finite
 stand-ins for the infinite lattice: a periodic torus and a finite box of
 sites wrapped in the exterior shell the kernel can reach.  One neighbour
-index gives the box shells, the neighbour tables and ``finite_spec``'s matrices.
+index gives the box shells, the neighbour tables and ``finite_spec``'s
+matrices, and one reader puts boundary values in shell order for all of them.
 
 Kernels, geometries and neighbor tables are immutable after construction
 and safe to share across concurrent readers.
@@ -27,8 +28,10 @@ from .errors import (
     EmptyVolume,
     GeometryMismatch,
     GeometryTooSmall,
+    MissingSite,
     NegativeWeight,
     NonFiniteWeight,
+    OutOfRange,
     ZeroOffsetPresent,
 )
 
@@ -59,6 +62,28 @@ class SpinInterval:
     def contains(self, values) -> bool:
         values = np.asarray(values)
         return bool(np.all(values >= self.a) and np.all(values <= self.b))
+
+
+def _boundary_array(shell, boundary, interval: SpinInterval) -> np.ndarray:
+    """Resolve a boundary request (scalar, mapping, or array) to shell order."""
+    if not shell:
+        return np.empty(0)
+    if boundary is None:
+        raise MissingSite("box geometry requires boundary values")
+    if np.isscalar(boundary):
+        gamma = np.full(len(shell), float(boundary))
+    elif isinstance(boundary, dict):
+        try:
+            gamma = np.array([float(boundary[s]) for s in shell])
+        except KeyError as missing:
+            raise MissingSite(f"boundary does not cover shell site {missing.args[0]}") from None
+    else:
+        gamma = np.asarray(boundary, dtype=float)
+        if gamma.shape != (len(shell),):
+            raise MissingSite(f"expected {len(shell)} boundary values, got shape {gamma.shape}")
+    if not interval.contains(gamma):
+        raise OutOfRange("boundary values must lie in the spin interval")
+    return gamma
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,13 +48,11 @@ import numpy as np
 from .errors import (
     BoundarySite,
     GeometryMismatch,
-    MissingSite,
     NoCoalescence,
     OrderViolation,
-    OutOfRange,
     ProbabilityOutOfRange,
 )
-from .kernel import LatticeGeometry, NeighborTable, SpinInterval, wrapped_offsets
+from .kernel import LatticeGeometry, NeighborTable, SpinInterval, _boundary_array, wrapped_offsets
 from .streams import UpdateStream, derive_key, site_uniform_pairs
 from .truncnorm import _clip, _sample_many, _sample_one
 
@@ -96,29 +94,6 @@ _LEVELED_MIN_SITES = 7
 _CHUNK_SITES = 1 << 9
 
 
-def _boundary_array(table: NeighborTable, boundary, interval: SpinInterval) -> np.ndarray:
-    """Resolve a boundary request (scalar, mapping, or array) to shell order."""
-    shell = table.shell
-    if not shell:
-        return np.empty(0)
-    if boundary is None:
-        raise MissingSite("box geometry requires boundary values")
-    if np.isscalar(boundary):
-        gamma = np.full(len(shell), float(boundary))
-    elif isinstance(boundary, dict):
-        try:
-            gamma = np.array([float(boundary[s]) for s in shell])
-        except KeyError as missing:
-            raise MissingSite(f"boundary does not cover shell site {missing.args[0]}") from None
-    else:
-        gamma = np.asarray(boundary, dtype=float)
-        if gamma.shape != (len(shell),):
-            raise MissingSite(f"expected {len(shell)} boundary values, got shape {gamma.shape}")
-    if not interval.contains(gamma):
-        raise OutOfRange("boundary values must lie in the spin interval")
-    return gamma
-
-
 class FieldConfiguration:
     """A spin assignment on a finite geometry, one value in [a, b] per site.
 
@@ -134,7 +109,7 @@ class FieldConfiguration:
         self.table = table
         self.interval = interval
         self.n_interior = table.n_sites
-        gamma = _boundary_array(table, boundary, interval)
+        gamma = _boundary_array(table.shell, boundary, interval)
         values = np.asarray(values, dtype=float)
         if values.shape != (self.n_interior,):
             raise ValueError(f"expected {self.n_interior} interior values, got {values.shape}")
@@ -224,7 +199,7 @@ def _local_means(values: np.ndarray, nbrs: np.ndarray, w: np.ndarray) -> np.ndar
 def _order_violation(k, cell, new_lo, new_up) -> OrderViolation:
     # the caller adds what the input position ``k`` and flat index ``cell`` name
     err = OrderViolation(f"{new_lo} > {new_up}")
-    err.index, err.cell, err.excess = int(k), int(cell), float(new_lo - new_up)
+    err.index, err.cell = int(k), int(cell)
     return err
 
 
@@ -582,8 +557,7 @@ def _cftp_horizon(active, horizon, keys, lowest, highest, idx, w, a, b, tol, eps
     and ``highest``, and each slot t (time -t) is one :func:`_coupled_step`
     over the replicas, row r of the flat fields being replica active[r].  An
     ``OrderViolation`` names the time, replica and site of the largest
-    inversion of the first slot that has one (the lowest replica on a tie),
-    and carries them as ``time``, ``excess`` and ``replica``.
+    inversion of the first slot that has one (the lowest replica on a tie).
     """
     n = idx.shape[0]
     low, upp = np.tile(lowest, (active.size, 1)), np.tile(highest, (active.size, 1))
@@ -596,11 +570,9 @@ def _cftp_horizon(active, horizon, keys, lowest, highest, idx, w, a, b, tol, eps
                           base[:, None] + idx[sites], us, w, a, b, tol)
         except OrderViolation as err:
             row, site = divmod(err.cell, low.shape[1])
-            broken = OrderViolation(
+            raise OrderViolation(
                 f"coupled order broken inside coupling from the past at time -{t}, "
-                f"replica {active[row]}, site index {site}: {err}")
-            broken.time, broken.excess, broken.replica = t, err.excess, int(active[row])
-            raise broken from None
+                f"replica {active[row]}, site index {site}: {err}") from None
     done = (upp[:, :n] - low[:, :n]).max(axis=1) <= eps_coal
     return done, 0.5 * (low[done, :n] + upp[done, :n])
 
@@ -617,8 +589,8 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     sup norm.  Replicas are independent: at each horizon the active ones
     advance in contiguous groups, one thread per group and the replicas of
     a group vectorized (see :func:`_cftp_horizon`).  A replica's sample
-    depends only on the seed and its index, so the bits, the horizons and
-    any error raised are the same for every number of groups.
+    depends only on the seed and its index, and a failed horizon is re-run as
+    one group, so the bits, horizons and errors are the same for any group count.
     Every replica starts from the extremal :class:`FieldConfiguration`
     states, so the kernel and boundary pass the checks of every heat-bath run.
 
@@ -665,23 +637,17 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 def _cftp_groups(groups, horizon: int, fixed) -> list:
     """:func:`_cftp_horizon` on each group, the first in the caller and each
     other in a thread of its own, all joined before this returns.  If a group
-    failed, raises what the one-group run would: the first error that is not
-    an ``OrderViolation``, else the violation at the earliest time, then the
-    largest inversion, then the lowest replica."""
+    fails, the horizon is re-run as one group to raise what that run raises."""
     if len(groups) == 1:
         return [_cftp_horizon(groups[0], horizon, *fixed)]
-    with ThreadPoolExecutor(len(groups) - 1) as pool:
-        futures = [pool.submit(_cftp_horizon, g, horizon, *fixed) for g in groups[1:]]
-        try:
+    try:
+        with ThreadPoolExecutor(len(groups) - 1) as pool:
+            futures = [pool.submit(_cftp_horizon, g, horizon, *fixed) for g in groups[1:]]
             first = _cftp_horizon(groups[0], horizon, *fixed)
-        except Exception as err:
-            first = err
-    outcomes = [first] + [f.exception() or f.result() for f in futures]
-    errors = [o for o in outcomes if isinstance(o, Exception)]
-    if errors:
-        other = [e for e in errors if not isinstance(e, OrderViolation)]
-        raise other[0] if other else min(errors, key=lambda e: (-e.time, -e.excess, e.replica))
-    return outcomes
+        return [first] + [f.result() for f in futures]
+    except Exception:
+        _cftp_horizon(np.concatenate(groups), horizon, *fixed)
+        raise
 
 
 def cftp(geometry: LatticeGeometry, kernel, interval: SpinInterval,

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatiblePartition, NonpositiveBeta
-from .finite_spec import VolumeHamiltonian, _boundary_vector, hamiltonian
-from .kernel import SpinInterval
+from .errors import IncompatiblePartition, NonpositiveBeta, OutOfRange
+from .finite_spec import VolumeHamiltonian, hamiltonian
+from .kernel import SpinInterval, _boundary_array
 from .sampler import FieldConfiguration
 from .streams import uniform_configurations
 
@@ -77,6 +77,7 @@ def beta_scaling_check(vh: VolumeHamiltonian, interval: SpinInterval, beta: floa
     returned residual is float noise only (at most around 1e-10 at desk
     scales).  The scaled configuration lives in the scaled interval.
     ``vh`` is the volume's :func:`~truncgibbs.finite_spec.build_matrices`.
+    Raises OutOfRange where either energy leaves the float range.
     """
     if not 0.0 < beta < np.inf:       # NaN too
         raise NonpositiveBeta(f"beta must be a finite number > 0, got {beta}")
@@ -84,7 +85,11 @@ def beta_scaling_check(vh: VolumeHamiltonian, interval: SpinInterval, beta: floa
     worst = 0.0
     for xi in uniform_configurations(seed, "beta-check", interval,
                                      vh.n_sites + len(vh.shell), trials):
-        worst = max(worst, abs(beta * hamiltonian(vh, xi) - hamiltonian(vh, root * xi)))
+        with np.errstate(over="ignore"):        # reported below, not warned
+            residual = abs(beta * hamiltonian(vh, xi) - hamiltonian(vh, root * xi))
+        if not residual < np.inf:     # inf or NaN: an energy overflowed
+            raise OutOfRange(f"beta H(xi) or H(sqrt(beta) xi) is not finite at beta = {beta}")
+        worst = max(worst, residual)
     return worst
 
 
@@ -108,10 +113,11 @@ def af_specification_probe(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
     onto the other.  The probe evaluates that difference over random
     interior configurations at a fixed boundary and reports the spread;
     it asserts nothing about the outcome.  ``vh`` is the volume's
-    :func:`~truncgibbs.finite_spec.build_matrices`.
+    :func:`~truncgibbs.finite_spec.build_matrices`; ``gamma`` is a scalar, a
+    shell-site mapping or a shell-order array, every value in ``interval``.
     """
     flip_sites = _check_partition(vh, partition) == 1
-    gamma = _boundary_vector(vh, gamma)
+    gamma = _boundary_array(vh.shell, gamma, interval)
 
     pivot = interval.a + interval.b
     deltas = np.empty(trials)

@@ -281,6 +281,14 @@ BAD_INPUTS = [
     ("beta-check", {"volume": VOLUME2, "betas": [math.nan]}, "betas[0]: must be a finite number"),
     ("beta-check", {"volume": VOLUME2, "betas": [1.0, 2.0, math.inf]},
      "betas[2]: must be a finite number > 0, got inf"),
+    # a beta that takes the pair energy beyond the float range is named, not passed
+    ("beta-check", {"volume": VOLUME2, "interval": [0.0, 10.0], "betas": [1.0, 1e308]},
+     "betas[1]: beta H(xi) or H(sqrt(beta) xi) is not finite at beta = 1e+308"),
+    # the quadrature oracle's n_q is an even integer >= 64, checked before any run
+    ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "n_q": 65},
+     "n_q: must be an even integer >= 64, got 65"),
+    ("oracle-check", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "n_q": 32},
+     "n_q: must be an even integer >= 64, got 32"),
     # the KS oracle of a box of at most 3 sites needs 100 samples, checked before any run
     ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "n_samples": 1},
      "n_samples: the oracle checks of a box of at most 3 sites need at least 100, got 1"),

@@ -21,6 +21,7 @@ from truncgibbs.errors import (
     GeometryMismatch,
     GeometryTooSmall,
     MissingSite,
+    OutOfRange,
 )
 from truncgibbs.finite_spec import (
     build_matrices,
@@ -33,7 +34,9 @@ from truncgibbs.finite_spec import (
     toeplitz_quadratic_form,
     z_connected_classes,
 )
-from truncgibbs.kernel import LatticeGeometry, SpinInterval, exp_decay, nearest_neighbor
+from truncgibbs.kernel import (LatticeGeometry, SpinInterval, exp_decay, nearest_neighbor,
+                               wrapped_offsets)
+from truncgibbs.sampler import FieldConfiguration, cftp_samples, run_sandwich
 from truncgibbs.transforms import BipartitePartition, af_specification_probe
 from truncgibbs.truncnorm import TruncatedNormal, mean
 
@@ -130,20 +133,57 @@ def test_missing_site_rejected():
         hamiltonian(vh, np.array([1.0, 0.0]))
 
 
-BOUNDARY_READERS = {
-    "specification": lambda vh, gamma: specification(vh, gamma, UNIT),
-    "quadrature_marginals": lambda vh, gamma: quadrature_marginals(vh, gamma, UNIT, n_q=64),
-    "af_specification_probe": lambda vh, gamma: af_specification_probe(
-        vh, gamma, UNIT, BipartitePartition.parity(), trials=2),
+VOLUME2 = build_matrices([(0,), (1,)], NN1)          # shell (-1,) and (2,)
+BOX2 = LatticeGeometry.box([(0,), (1,)], NN1)         # the same shell
+BOUNDARY_READERS = {      # each reader's result as arrays, read at one boundary
+    "FieldConfiguration": lambda gamma: [FieldConfiguration(
+        wrapped_offsets(NN1, BOX2), UNIT, [0.5, 0.5], gamma).values],
+    "run_sandwich": lambda gamma: [
+        (trace := run_sandwich(BOX2, NN1, UNIT, 3, 0, boundary=gamma)).sup_gap,
+        trace.mean_gap, trace.final_lower, trace.final_upper],
+    "cftp_samples": lambda gamma: [cftp_samples(BOX2, NN1, UNIT, gamma, 3, 0)],
+    "specification": lambda gamma: [(spec := specification(VOLUME2, gamma, UNIT)).mean,
+                                    spec.covariance],
+    "quadrature_marginals": lambda gamma: [
+        (q := quadrature_marginals(VOLUME2, gamma, UNIT, n_q=64)).boundary, q.means,
+        q.variances, q.marginal_cdfs, np.array(q.normalizer)],
+    "af_specification_probe": lambda gamma: [af_specification_probe(
+        VOLUME2, gamma, UNIT, BipartitePartition.parity(), trials=2).deltas],
+}
+BOUNDARY_CASES = {        # boundary: the array it reads as, or the error it raises
+    "array": (np.array([0.25, 0.75]), np.array([0.25, 0.75])),
+    "scalar": (0.5, np.array([0.5, 0.5])),
+    "mapping": ({(2,): 0.75, (-1,): 0.25}, np.array([0.25, 0.75])),
+    "1": (np.array([0.5]), (MissingSite, "expected 2 boundary values, got shape (1,)")),
+    "3": (np.array([0.5, 0.5, 0.5]),
+          (MissingSite, "expected 2 boundary values, got shape (3,)")),
+    "1x2": (np.array([[0.5, 0.5]]),
+            (MissingSite, "expected 2 boundary values, got shape (1, 2)")),
+    "missing": ({(-1,): 0.25}, (MissingSite, "boundary does not cover shell site (2,)")),
+    "out_of_range": (np.array([5.0, -3.0]),
+                     (OutOfRange, "boundary values must lie in the spin interval")),
 }
 
 
+def boundary_outcome(reader, gamma):
+    """The bytes of the reader's result arrays, or the type and text of its error."""
+    try:
+        return [np.asarray(a).tobytes() for a in BOUNDARY_READERS[reader](gamma)]
+    except (MissingSite, OutOfRange) as err:
+        return type(err), str(err)
+
+
 @pytest.mark.parametrize("reader", sorted(BOUNDARY_READERS))
-@pytest.mark.parametrize("gamma", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]], ids=["1", "3", "1x2"])
+@pytest.mark.parametrize("gamma", list(BOUNDARY_CASES))
 def test_boundary_shape_is_one_typed_error(reader, gamma):
-    vh = build_matrices([(0,), (1,)], NN1)          # shell (-1,) and (2,)
-    with pytest.raises(MissingSite, match="expected 2 boundary values"):
-        BOUNDARY_READERS[reader](vh, np.array(gamma))
+    # every boundary reader resolves a scalar, a mapping and an array alike,
+    # and rejects a wrong shape, a missing site and a value outside [a, b]
+    # with one error type and message
+    boundary, expected = BOUNDARY_CASES[gamma]
+    if isinstance(expected, np.ndarray):
+        expected = boundary_outcome(reader, expected)
+        assert isinstance(expected, list)
+    assert boundary_outcome(reader, boundary) == expected
 
 
 def test_quadratic_form_matches_pair_sum():

@@ -1081,6 +1081,25 @@ def test_cftp_groups_pass_on_other_errors(monkeypatch):
         assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("groups", [2, 3])
+def test_cftp_groups_run_each_successful_horizon_once(monkeypatch, groups):
+    # a horizon whose groups all succeed is not re-run as one group
+    calls = {}
+
+    def counted(active, horizon, *rest):
+        calls.setdefault(horizon, []).append(active.size)
+        return real(active, horizon, *rest)
+
+    real = sampler._cftp_horizon
+    monkeypatch.setattr(sampler, "_cftp_horizon", counted)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: groups)
+    monkeypatch.setattr(sampler, "_MIN_GROUP_REPLICAS", 1)
+    cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 40, seed=2)
+    assert len(calls) > 1
+    for sizes in calls.values():
+        assert len(sizes) == min(groups, sum(sizes))
+
+
 @pytest.mark.parametrize("cpus, floor, sizes", [
     (3, 4, [4, 4, 5]),                  # 13 // 4 = 3 groups
     (2, 4, [6, 7]),                     # no more groups than usable CPUs

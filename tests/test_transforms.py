@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from truncgibbs.errors import IncompatiblePartition, NonpositiveBeta
+from truncgibbs.errors import IncompatiblePartition, NonpositiveBeta, OutOfRange
 from truncgibbs.finite_spec import build_matrices, hamiltonian
-from truncgibbs.kernel import LatticeGeometry, SpinInterval, build_kernel, nearest_neighbor, wrapped_offsets
+from truncgibbs.kernel import (LatticeGeometry, SpinInterval, build_kernel, exp_decay,
+                               nearest_neighbor, wrapped_offsets)
 from truncgibbs.sampler import FieldConfiguration
 from truncgibbs.transforms import (
     BipartitePartition,
@@ -51,6 +54,20 @@ def test_beta_must_be_positive():
     for beta in (np.inf, -np.inf, np.nan):
         with pytest.raises(NonpositiveBeta, match="must be a finite number > 0"):
             beta_scaling_check(vh, UNIT, beta, trials=5)
+
+
+@pytest.mark.parametrize("volume, kernel, interval", [
+    ([(i, j) for i in range(20) for j in range(20)], exp_decay(0.5, 2, 2), UNIT),
+    ([(0,), (1,)], NN1, SpinInterval(0.0, 10.0)),
+])
+def test_beta_beyond_float_range_is_out_of_range(volume, kernel, interval):
+    # beta H(xi) and H(sqrt(beta) xi) overflow to inf and their difference is
+    # NaN, which a max over residuals would drop; raised, with no warning
+    vh = build_matrices(volume, kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match=r"is not finite at beta = 1e\+308"):
+            beta_scaling_check(vh, interval, 1e308, trials=3)
 
 
 # ---------------------------------------------------------------------------
