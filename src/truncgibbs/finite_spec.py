@@ -136,8 +136,12 @@ def hamiltonian(vh: VolumeHamiltonian, xi) -> float:
 
 
 def psi_boundary(vh: VolumeHamiltonian, gamma) -> float:
-    """The boundary-only term: sum over cross pairs of J(y-x) gamma(y)^2."""
-    gamma = np.asarray(gamma, dtype=float)
+    """The boundary-only term: sum over cross pairs of J(y-x) gamma(y)^2.
+
+    ``gamma`` is a scalar, a shell-site mapping or a shell-order array, read
+    as :func:`specification` reads it but with no range check.
+    """
+    gamma = _boundary_array(vh.shell, gamma, None)
     _, s, w = vh.cross_pairs
     # float_power squares through C pow, the rounding of a float's ``** 2``;
     # the array ``** 2`` multiplies, which differs in the last bit now and then
@@ -149,9 +153,10 @@ def quadratic_form(vh: VolumeHamiltonian, eta, gamma) -> float:
 
     Agrees with :func:`hamiltonian` on the juxtaposed configuration; the
     pair of routes is the working identity behind the conditional law.
+    ``gamma`` takes the forms of :func:`psi_boundary`.
     """
     eta = np.asarray(eta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = _boundary_array(vh.shell, gamma, None)
     bg = vh.cross @ gamma if len(vh.shell) else np.zeros(vh.n_sites)
     return float(0.5 * eta @ vh.precision @ eta - eta @ bg + 0.5 * psi_boundary(vh, gamma))
 

@@ -64,8 +64,9 @@ class SpinInterval:
         return bool(np.all(values >= self.a) and np.all(values <= self.b))
 
 
-def _boundary_array(shell, boundary, interval: SpinInterval) -> np.ndarray:
-    """Resolve a boundary request (scalar, mapping, or array) to shell order."""
+def _boundary_array(shell, boundary, interval: SpinInterval | None) -> np.ndarray:
+    """Resolve a boundary request (scalar, mapping, or array) to shell order;
+    with no ``interval`` the values are not range-checked."""
     if not shell:
         return np.empty(0)
     if boundary is None:
@@ -81,7 +82,7 @@ def _boundary_array(shell, boundary, interval: SpinInterval) -> np.ndarray:
         gamma = np.asarray(boundary, dtype=float)
         if gamma.shape != (len(shell),):
             raise MissingSite(f"expected {len(shell)} boundary values, got shape {gamma.shape}")
-    if not interval.contains(gamma):
+    if interval is not None and not interval.contains(gamma):
         raise OutOfRange("boundary values must lie in the spin interval")
     return gamma
 

@@ -8,8 +8,9 @@ invertible) together with its inverse.
 Sampling is by inverse CDF on purpose: the map (m, u) -> quantile is
 deterministic and non-decreasing in both arguments, which is what makes
 coupled chains driven by shared uniforms preserve pointwise order, and
-each draw evaluates one normal tail (:func:`_sample_many`).  All
-functions broadcast over numpy arrays and are pure.
+each draw evaluates one normal tail (:func:`_sample_many`), as does each
+interval mass (:func:`_mass`).  All functions broadcast over numpy arrays
+and are pure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .kernel import SpinInterval
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _TINY_MASS = 1e-15   # below this, switch from linear to log-space formulas
-_SIGN = np.array([1.0, -1.0])   # the tail sign of _sample_many, at [alpha + beta > 0]
+_SIGN = np.array([1.0, -1.0])   # the tail sign s, indexed by [upper tail]
+_ZERO, _ONE = np.array(0.0), np.array(1.0)   # 0-d operands for _sample_many
 
 
 def _phi(x):
@@ -38,12 +40,19 @@ def _log_phi(x):
 
 
 def _mass(alpha, beta):
-    """Phi(beta) - Phi(alpha) through the smaller tail, elementwise."""
+    """Phi(beta) - Phi(alpha) through the smaller tail, elementwise.
+
+    One normal tail per element, 2 ``ndtr``: s (Phi(s beta) - Phi(s alpha))
+    with s = -1 from ``_SIGN`` where alpha > 0 (the survival side, accurate
+    there), else s = 1.  Negation is exact and x - y is -(y - x), so each
+    element gets the bits of its tail's formula as written.  A zero mass
+    from equal ``ndtr`` values comes out as s * +0.0, which is -0.0 for
+    s = -1; adding +0.0 keeps it at +0.0 and changes no other value.
+    """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    upper = ndtr(-alpha) - ndtr(-beta)   # survival side, accurate when alpha > 0
-    lower = ndtr(beta) - ndtr(alpha)
-    return np.where(alpha > 0.0, upper, lower)
+    s = _SIGN.take(alpha > 0.0)
+    return s * (ndtr(s * beta) - ndtr(s * alpha)) + 0.0
 
 
 def _log_mass(alpha, beta):
@@ -106,13 +115,15 @@ def varphi(m, interval: SpinInterval):
     """The mean-shift (phi(b-m) - phi(a-m)) / (Phi(b-m) - Phi(a-m)).
 
     Odd about the interval midpoint and strictly increasing on [a, b];
-    the truncated-normal mean is m minus this value.
+    the truncated-normal mean is m minus this value.  The mass takes 2
+    ``ndtr`` per element (:func:`_mass`), and the ``np.where`` guards of
+    the log-space fallback run only when some mass is below ``_TINY_MASS``.
     """
     alpha, beta = _endpoints(m, interval)
     z = _mass(alpha, beta)
     small = z < _TINY_MASS
-    plain = np.where(small, np.nan, (_phi(beta) - _phi(alpha)) / np.where(small, 1.0, z))
     if not np.any(small):
+        plain = (_phi(beta) - _phi(alpha)) / z
         return plain if plain.ndim else float(plain)
 
     # log-space fallback: numerator and denominator shrink at matched rates
@@ -126,6 +137,7 @@ def varphi(m, interval: SpinInterval):
     fallback = sign * np.exp(lognum - logz)
     if np.any(small & ~np.isfinite(fallback)):
         raise DegenerateInterval(f"no normal mass on [{interval.a}, {interval.b}] for m={m}")
+    plain = (_phi(beta) - _phi(alpha)) / np.where(small, 1.0, z)
     out = np.where(small, fallback, plain)
     return out if out.ndim else float(out)
 
@@ -170,18 +182,24 @@ def _sample_many(m, a, b, u):
     and the formula runs in place in the fresh alpha and beta buffers, one
     two-operand step at a time; the operands of each step commute exactly,
     so the bits are those of the formula as written.  ``m`` and ``u`` are
-    arrays of one shape (at least 1-D) and are never written.  A level of
-    the dynamics is a few dozen elements, where each numpy call costs far
-    more than its arithmetic: the levelled runs pass ``a`` and ``b`` as
-    numpy scalars, which convert faster than Python floats, and the final
-    clip calls numpy's clip ufunc without the ``ndarray.clip`` wrapper.
+    arrays of one shape (at least 1-D) and are never written; ``a`` and ``b``
+    may be floats, numpy scalars or 0-d arrays, with the same bits.
+
+    A level of the dynamics is a few dozen elements, where each of the 17
+    numpy calls costs far more than its arithmetic, and a call with a 0-d
+    float64 operand costs less than one with a numpy scalar or a Python
+    float (``1.0 - u`` 429 vs 1258 ns, the clip 639 vs 1040 ns, ``a - m`` 631
+    vs 831 ns at 16 elements, best of 7).  So the vector runs pass the
+    interval's ends as 0-d arrays, the constants here are the 0-d ``_ZERO``
+    and ``_ONE``, and the final clip calls numpy's clip ufunc without the
+    ``ndarray.clip`` wrapper.
     """
     alpha = a - m
     beta = b - m
-    s = _SIGN.take(alpha + beta > 0.0)
+    s = _SIGN.take(alpha + beta > _ZERO)
     alpha *= s
     p = ndtr(alpha, out=alpha)
-    p *= 1.0 - u
+    p *= _ONE - u
     beta *= s
     t = ndtr(beta, out=beta)
     t *= u

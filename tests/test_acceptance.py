@@ -366,6 +366,37 @@ def test_criterion_10_cli_determinism(tmp_path):
     assert ok
 
 
+CLI_SHA256 = {
+    "sandwich/summary.json": "b9f375a2bd3f2a062295bdb5a5d648ec274c66461fb086e6bf81bcab03e4ed6e",
+    "sandwich/trace.csv": "fd271323dbbccf62e1b41d9158d3078e2c94860548d8d2d04044ab54f1e7f576",
+    "cftp/samples.csv": "b8d409c48ac0f267cd4473ec6f6c42cea05dacae21c083dbb61cca3a8af19199",
+    "cftp/verdicts.json": "b771306a55478e75742876fb6a297581baf2fc048f079a869c6e4041d64647ec",
+    "ident4/verdicts.json": "69a2eb5a800873a88924aa5f20239e6f1e21b774112fc83e2c8396153318c397",
+    "spec-check/spec.json": "3c0964638719180ac0c01d4bbe7b2c1c45ff0e39ad8bfa56238f863c08de172b",
+    "pd-check/certificate.json": "216f772929a1d487f7b5681dbb2069b3048c859a515ee8b9e1bd109411136a9f",
+    "beta-check/beta.json": "3f70b366c2c187c2562a701c982b2a76537ed0aa93de1248529355219ca0abd1",
+    "af-probe/af_probe.json": "848c41c34c215a57662fb400cca3747131164aaee80ec4ed97b7520519cdf56d",
+    "oracle-check/oracle.json": "c483e99ae248d895b70db0fe08f7ee01aceb885535ebf1b63f2207f75f69dd3d",
+}
+
+
+def test_cli_artifact_bytes_are_pinned(tmp_path):
+    """The sha256 of every artifact of ``CLI_CONFIGS``, recorded as
+    ``LEVELLED_SHA256`` is (numpy 2.4.6, scipy 1.17.1).  These runs take the
+    scalar twins of the levelled steps (16-, 8- and 2-site volumes), every
+    finite-volume subcommand and the 1-site quadrature oracle, whose
+    densities evaluate ``truncnorm._mass``; a change of their bits says why
+    in CHANGES.md and re-records them."""
+    digests = {}
+    for name, cfg in CLI_CONFIGS.items():
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main([name, "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        for path in sorted((tmp_path / name).iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == CLI_SHA256
+
+
 def test_cli_artifact_text_is_pinned(tmp_path):
     # JSON artifacts are the standard library's indent=2 text (floats and ints
     # round-trip exactly, so re-encoding what was read gives the same bytes);

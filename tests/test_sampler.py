@@ -629,6 +629,16 @@ def test_coupled_step_matches_two_call_reference_bitwise(level):
                                                                       level)
 
 
+@settings(max_examples=200, deadline=None)
+@given(level=coupled_levels())
+def test_coupled_step_takes_0d_ends_bitwise(level):
+    # the sandwich and CFTP pass the ends as 0-d arrays, the bitwise references as floats
+    low, upp, cells, nbrs, us, w, a, b, tol = level
+    ends = sampler._array_ends(SpinInterval(a, b))
+    assert (step_outcome(sampler._coupled_step, (low, upp, cells, nbrs, us, w, *ends, tol))
+            == step_outcome(sampler._coupled_step, level))
+
+
 @settings(max_examples=100, deadline=None)
 @given(level=coupled_levels())
 def test_coupled_step_draws_each_level_in_one_call(level):

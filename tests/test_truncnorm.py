@@ -16,9 +16,11 @@ from scipy.special import log_ndtr, ndtr, ndtri
 from truncgibbs import truncnorm
 from truncgibbs.errors import DegenerateInterval, OutOfRange, ProbabilityOutOfRange
 from truncgibbs.kernel import SpinInterval
+from truncgibbs.sampler import _array_ends
 from truncgibbs.streams import derive_key, uniforms
 from truncgibbs.truncnorm import (
     TruncatedNormal,
+    _mass,
     _sample_many,
     _sample_one,
     cdf,
@@ -429,6 +431,17 @@ def test_in_place_core_matches_where_formula_bitwise(inputs):
     assert _sample_many(m, a, b, u).tobytes() == where_sign_quantile(m, a, b, u).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(inputs=core_inputs())
+def test_quantile_core_takes_0d_ends_bitwise(inputs):
+    # the vector runs pass the ends as 0-d arrays, the bitwise references as floats
+    a, b, m, u = inputs
+    a0, b0 = _array_ends(SpinInterval(a, b))
+    got = _sample_many(m, a0, b0, u)
+    assert got.shape == m.shape and got.tobytes() == _sample_many(m, a, b, u).tobytes()
+    assert (a0.tobytes(), b0.tobytes()) == (np.float64(a).tobytes(), np.float64(b).tobytes())
+
+
 def where_sign_inverse_cdf(m, a, b, p):
     """:func:`inverse_cdf` past its checks, on the ``np.where`` core, which
     also takes a 0-d mean."""
@@ -456,6 +469,71 @@ def test_inverse_cdf_keeps_bits_and_shapes(inputs):
         want = where_sign_inverse_cdf(mean_, a, b, p)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The normal mass of an interval
+# ---------------------------------------------------------------------------
+
+def two_tail_mass(alpha, beta):
+    """Both normal tails evaluated and one kept by ``np.where``: the bitwise
+    reference for the one-tail :func:`truncnorm._mass`."""
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    upper = ndtr(-alpha) - ndtr(-beta)
+    lower = ndtr(beta) - ndtr(alpha)
+    return np.where(alpha > 0.0, upper, lower)
+
+
+# both tails, the midpoint, signed zeros, ends past +-38.5 where ndtr reaches
+# 0 (so equal ndtr values and zero masses in either tail) and NaN
+MASS_ENDS = st.one_of(st.floats(-50.0, 50.0),
+                      st.sampled_from([0.0, -0.0, 9.0, -9.0, 40.0, -40.0, 45.0, -45.0, np.nan]))
+
+
+@st.composite
+def mass_pairs(draw):
+    """1 to 32 pairs alpha <= beta (or with a NaN), some of them equal or
+    one ulp apart."""
+    def ordered(pair):
+        x, y = pair
+        return (y, x) if y < x else (x, y)
+    pairs = st.one_of(st.tuples(MASS_ENDS, MASS_ENDS).map(ordered),
+                      MASS_ENDS.map(lambda x: (x, x)),
+                      MASS_ENDS.map(lambda x: (x, float(np.nextafter(x, np.inf)))))
+    alpha, beta = map(np.array, zip(*draw(st.lists(pairs, min_size=1, max_size=32))))
+    return alpha, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=mass_pairs())
+@example(pairs=(np.array([40.0, -45.0, 1.0, 0.0]), np.array([45.0, -40.0, 1.0, -0.0])))
+@example(pairs=(np.array([np.nan, 1.0, np.nan]), np.array([1.0, np.nan, np.nan])))
+@example(pairs=(np.array([-0.1]), np.array([0.3])))   # the tails differ in the last bit
+def test_one_tail_mass_matches_two_tail_formula_bitwise(pairs):
+    # a zero mass (equal ndtr values) stays +0.0 in both tails, NaN stays NaN
+    alpha, beta = pairs
+    assert _mass(alpha, beta).tobytes() == two_tail_mass(alpha, beta).tobytes()
+    for x, y in zip(alpha[:4].tolist(), beta[:4].tolist()):   # scalar operands
+        assert np.asarray(_mass(x, y)).tobytes() == two_tail_mass(x, y).tobytes()
+
+
+def test_mass_evaluates_one_tail(monkeypatch):
+    """2 ndtr per element in ``_mass``, and so in ``varphi`` away from its
+    log-space fallback, whichever tail an element takes."""
+    count = [0]
+
+    def counting(x, *args, **kwargs):
+        count[0] += np.size(x)
+        return ndtr(x, *args, **kwargs)
+
+    monkeypatch.setattr(truncnorm, "ndtr", counting)
+    alpha = np.array([-3.0, -0.5, 0.0, 0.25, 2.0, 9.0])   # both tails and zero
+    _mass(alpha, alpha + 1.0)
+    assert count[0] == 2 * alpha.size
+    count[0] = 0
+    m = np.linspace(-2.0, 3.0, 11)
+    varphi(m, UNIT)
+    assert count[0] == 2 * m.size
 
 
 # ---------------------------------------------------------------------------
