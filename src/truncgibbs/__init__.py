@@ -46,7 +46,6 @@ from .sampler import (
     FieldConfiguration,
     RunTrace,
     SandwichTrace,
-    cftp,
     cftp_samples,
     local_mean,
     run_sandwich,
@@ -58,7 +57,6 @@ from .diagnostics import (
     QuadratureOracle,
     StatVerdict,
     batch_means_se,
-    domination_check,
     ks_distance,
     quadrature_marginals,
     stationarity_check,
@@ -68,7 +66,6 @@ from .transforms import (
     ReflectionProbeReport,
     af_specification_probe,
     beta_scaling_check,
-    reflect,
 )
 from .streams import UpdateStream, derive_key
 

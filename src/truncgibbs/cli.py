@@ -382,7 +382,7 @@ def _run_cftp(cfg, out, seed):
     eps = _get(cfg, "eps_coal", float, 1e-9)
     if not eps >= 0.0:     # a negative or NaN tolerance never coalesces, runs to t_cap
         raise ConfigInvalid(f"eps_coal: must be >= 0, got {eps}")
-    t_cap = _int_from(cfg, "t_cap", 1 << 20)
+    t_cap = _int_from(cfg, "t_cap", 1 << 20, least=max(2, len(sites)))   # the first horizon
     n_q = _n_q_from(cfg)
 
     samples = sampler.cftp_samples(run.geometry, run.kernel, run.interval, run.boundary,

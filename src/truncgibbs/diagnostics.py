@@ -5,9 +5,8 @@ distributions (normalizer, marginal moments, marginal CDF tables).  The
 integrand exp(-H) stays factored, one grid vector per site and one
 (n_q + 1)^2 matrix per coupled site pair, contracted with the Simpson
 weights, so memory grows with the coupled pairs, not as (n_q + 1)^sites.
-Batch means turn equilibrium runs into estimates with honest errors, and the
-remaining helpers compare sample sets against oracles or against each
-other under stochastic order.
+Batch means turn equilibrium runs into estimates with honest errors, and a
+KS distance compares a sample set against an oracle's CDF table.
 
 The statistical pass rule is fixed at three standard errors with
 batch-means SE so that exact identities are separated from Monte Carlo
@@ -20,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatch, NotTorus, TooFewSamples, VolumeTooLarge
+from .errors import NotTorus, TooFewSamples, VolumeTooLarge
 from .finite_spec import VolumeHamiltonian
 from .kernel import SpinInterval, _boundary_array
-from .sampler import RunTrace, _local_means
+from .sampler import RunTrace
 from .truncnorm import varphi
 
 
@@ -37,19 +36,17 @@ class StatVerdict:
     target: float
     z: float
     passed: bool
-    sided: str = "two"       # "two": |z| <= 3; "upper": estimate <= target + 3 se
 
     def as_dict(self) -> dict:
         return {"name": self.name, "estimate": self.estimate, "se": self.se,
                 "target": self.target, "z": self.z, "pass": self.passed}
 
 
-def _verdict(name, estimate, se, target, sided="two") -> StatVerdict:
+def _verdict(name, estimate, se, target) -> StatVerdict:
     diff = estimate - target
     z = 0.0 if diff == 0.0 else (diff / se if se > 0.0 else np.inf * np.sign(diff))
-    passed = (abs(z) <= 3.0) if sided == "two" else (z <= 3.0)
     return StatVerdict(name, float(estimate), float(se), float(target), float(z),
-                       bool(passed), sided)
+                       bool(abs(z) <= 3.0))
 
 
 def batch_means_se(series, batches: int = 32) -> float:
@@ -175,7 +172,11 @@ def stationarity_check(trace: RunTrace, batches: int = 32):
     if table.geometry.kind != "torus":
         raise NotTorus("stationarity identities require the torus geometry")
     fields = trace.fields                              # (T, n)
-    local_means = _local_means(fields, table.idx, table.weights)
+    # np.vecdot runs the dot kernel of the scalar ``field[row] @ w`` row by row,
+    # so each mean is bit-identical to it; ``take`` keeps the gather C-contiguous,
+    # where ``fields[:, idx]`` is not.  ``(fields[:, idx] * w).sum(-1)`` and a
+    # 2-D ``@`` sum in other orders.
+    local_means = np.vecdot(fields.take(table.idx, axis=-1), table.weights)
     shift_series = varphi(local_means, trace.interval).mean(axis=1)
     balance_series = (local_means - fields).mean(axis=1)
     shift = _verdict("mean_shift_zero", shift_series.mean(),
@@ -188,39 +189,8 @@ def stationarity_check(trace: RunTrace, batches: int = 32):
 
 
 # ---------------------------------------------------------------------------
-# Stochastic domination and distribution distance
+# Distribution distance
 # ---------------------------------------------------------------------------
-
-def _increasing_functionals(n_sites: int):
-    funcs = [("site_average", lambda s: s.mean(axis=1)),
-             ("site_max", lambda s: s.max(axis=1)),
-             ("sum_exp", lambda s: np.exp(s).sum(axis=1))]
-    for j in range(n_sites):
-        funcs.append((f"site_{j}", lambda s, j=j: s[:, j]))
-    return funcs
-
-
-def domination_check(samples_low, samples_high, functionals=None):
-    """One-sided verdicts that every increasing functional is ordered in mean.
-
-    Both sample sets must share a geometry (same column layout).  Each
-    verdict passes when mean f(low) <= mean f(high) + 3 pooled SE; equal
-    sample sets give exact zeros.
-    """
-    samples_low = np.asarray(samples_low, dtype=float)
-    samples_high = np.asarray(samples_high, dtype=float)
-    if samples_low.ndim != 2 or samples_low.shape[1] != samples_high.shape[1]:
-        raise GeometryMismatch("sample sets do not share a site layout")
-    if functionals is None:
-        functionals = _increasing_functionals(samples_low.shape[1])
-    verdicts = []
-    for name, f in functionals:
-        lo, hi = f(samples_low), f(samples_high)
-        se = float(np.sqrt(lo.var(ddof=1) / lo.size + hi.var(ddof=1) / hi.size))
-        verdicts.append(_verdict(f"dominated[{name}]", lo.mean() - hi.mean(), se,
-                                 0.0, sided="upper"))
-    return verdicts
-
 
 KS_MIN_SAMPLES = 100     # the fewest samples ks_distance accepts
 

@@ -153,8 +153,11 @@ def quadratic_form(vh: VolumeHamiltonian, eta, gamma) -> float:
 
     Agrees with :func:`hamiltonian` on the juxtaposed configuration; the
     pair of routes is the working identity behind the conditional law.
-    ``gamma`` takes the forms of :func:`psi_boundary`.
+    ``eta`` is an array in volume-site order; ``gamma`` takes the forms of
+    :func:`psi_boundary`.
     """
+    if np.shape(eta) != (vh.n_sites,):      # a site mapping too: its shape is ()
+        raise MissingSite(f"expected {vh.n_sites} volume values, got shape {np.shape(eta)}")
     eta = np.asarray(eta, dtype=float)
     gamma = _boundary_array(vh.shell, gamma, None)
     bg = vh.cross @ gamma if len(vh.shell) else np.zeros(vh.n_sites)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,13 +71,13 @@ def _boundary_array(shell, boundary, interval: SpinInterval | None) -> np.ndarra
         return np.empty(0)
     if boundary is None:
         raise MissingSite("box geometry requires boundary values")
-    if np.isscalar(boundary):
-        gamma = np.full(len(shell), float(boundary))
-    elif isinstance(boundary, dict):
+    if isinstance(boundary, dict):      # before the 0-d test: np.ndim({}) is 0 too
         try:
             gamma = np.array([float(boundary[s]) for s in shell])
         except KeyError as missing:
             raise MissingSite(f"boundary does not cover shell site {missing.args[0]}") from None
+    elif np.ndim(boundary) == 0:        # a number, a numpy scalar or a 0-d array
+        gamma = np.full(len(shell), float(boundary))
     else:
         gamma = np.asarray(boundary, dtype=float)
         if gamma.shape != (len(shell),):
@@ -95,15 +95,6 @@ class InteractionKernel:
     offsets: tuple          # lexicographically sorted nonzero offset vectors
     weights: np.ndarray     # positive, aligned with offsets
     norm: float             # exact fsum of the stored weights
-    _index: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {z: i for i, z in enumerate(self.offsets)})
-
-    def weight(self, z) -> float:
-        """J(z); zero for offsets outside the support."""
-        i = self._index.get(tuple(z))
-        return float(self.weights[i]) if i is not None else 0.0
 
     @property
     def normalized(self) -> bool:

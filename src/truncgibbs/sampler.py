@@ -135,14 +135,6 @@ class FieldConfiguration:
     def interior(self) -> np.ndarray:
         return self.values[:self.n_interior]
 
-    def copy(self) -> "FieldConfiguration":
-        clone = object.__new__(FieldConfiguration)
-        clone.table = self.table
-        clone.interval = self.interval
-        clone.n_interior = self.n_interior
-        clone.values = self.values.copy()
-        return clone
-
     def _site_index(self, x) -> int:
         if isinstance(x, (int, np.integer)):
             i = int(x)
@@ -192,18 +184,6 @@ def sweep(field: FieldConfiguration, stream: UpdateStream, n_updates: int) -> Fi
     return field
 
 
-def _local_means(values: np.ndarray, nbrs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Kernel-weighted means of the neighbour rows ``nbrs`` of a flat field,
-    or of each field along the last axis of a stack of them.
-
-    ``np.vecdot`` runs the same dot kernel row by row as the scalar
-    ``values[row] @ w``, so each mean is bit-identical to it; ``take`` keeps
-    the gather C-contiguous, where ``values[:, nbrs]`` on a stack is not.
-    ``(values[nbrs] * w).sum(axis=1)`` and a 2-D ``@`` sum in other orders.
-    """
-    return np.vecdot(values.take(nbrs, axis=-1), w)
-
-
 def _order_violation(k, cell, new_lo, new_up) -> OrderViolation:
     # the caller adds what the input position ``k`` and flat index ``cell`` name
     err = OrderViolation(f"{new_lo} > {new_up}")
@@ -226,7 +206,7 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     ``cell``.  Returns the new lower and upper values, the number of
     repairs and the largest repaired inversion.
     """
-    m_lo = _clip(np.vecdot(low.take(nbrs), w), a, b)     # the means of _local_means
+    m_lo = _clip(np.vecdot(low.take(nbrs), w), a, b)     # the scan's row @ w, bit for bit
     m_up = _clip(np.vecdot(upp.take(nbrs), w), a, b)
     d = (m_up != m_lo).nonzero()[0]
     q = _sample_many(np.concatenate([m_lo, m_up.take(d)]), a, b, np.concatenate([us, us.take(d)]))
@@ -498,7 +478,7 @@ def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
             order, cells, nbrs, level_us, level_ends = plan
             new, log = np.empty(sites.size), np.empty(sites.size)
             lo = 0
-            for hi in level_ends:   # the means of _local_means, then one quantile call
+            for hi in level_ends:   # the scan's means, bit for bit, then one quantile call
                 m = _clip(np.vecdot(values.take(nbrs[lo:hi]), w), a0, b0)
                 new[lo:hi] = values[cells[lo:hi]] = _sample_many(m, a0, b0, level_us[lo:hi])
                 lo = hi
@@ -598,10 +578,11 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     Monotone coupling from the past: both extremal chains are run from
     time -T with a fixed per-slot randomness assignment (re-derived from
     the counter-based stream, so deepening the past never stores history),
-    and T doubles until the chains agree at time zero within eps_coal in
-    sup norm.  Replicas are independent: at each horizon the active ones
-    advance in contiguous groups, one thread per group and the replicas of
-    a group vectorized (see :func:`_cftp_horizon`).  A replica's sample
+    and T, from max(2, n) on n sites, doubles until the chains agree at
+    time zero within eps_coal in sup norm; ``t_cap`` bounds T and may not
+    lie below its first value.  Replicas are independent: at each horizon
+    the active ones advance in contiguous groups, one thread per group and
+    the replicas of a group vectorized (see :func:`_cftp_horizon`).  A replica's sample
     depends only on the seed and its index, and a failed horizon is re-run as
     one group, so the bits, horizons and errors are the same for any group count.
     Every replica starts from the extremal :class:`FieldConfiguration`
@@ -619,10 +600,11 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         raise ValueError(f"n_samples must be at least 0, got {n_samples}")
     if not eps_coal >= 0.0:       # NaN too: it never coalesces and runs to t_cap
         raise ValueError(f"eps_coal must be at least 0, got {eps_coal}")
-    if t_cap < 1:
-        raise ValueError(f"t_cap must be at least 1, got {t_cap}")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
+    horizon = max(2, n)
+    if t_cap < horizon:           # no horizon would run, yet one would be reported
+        raise ValueError(f"t_cap must be at least the first horizon {horizon}, got {t_cap}")
     lowest = FieldConfiguration.all_lower(table, interval, boundary).values
     highest = FieldConfiguration.all_upper(table, interval, boundary).values
     fixed = (UpdateStream(derive_key(seed, "cftp", np.arange(n_samples)), n), lowest, highest,
@@ -631,7 +613,6 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
     out = np.empty((n_samples, n))
     active = np.arange(n_samples)
-    horizon = max(2, n)
     while active.size:
         if horizon > t_cap:
             raise NoCoalescence(
@@ -661,13 +642,3 @@ def _cftp_groups(groups, horizon: int, fixed) -> list:
     except Exception:
         _cftp_horizon(np.concatenate(groups), horizon, *fixed)
         raise
-
-
-def cftp(geometry: LatticeGeometry, kernel, interval: SpinInterval,
-         boundary, seed: int, eps_coal: float = 1e-9, t_cap: int = 1 << 20) -> np.ndarray:
-    """One exact sample from the finite-box conditional law (see cftp_samples):
-    the midpoint of the coalesced chains, within eps_coal/2 in sup norm of
-    the exact draw of the same randomness, which monotonicity sandwiches
-    between the two chains at time zero."""
-    return cftp_samples(geometry, kernel, interval, boundary, 1, seed,
-                        eps_coal=eps_coal, t_cap=t_cap)[0]

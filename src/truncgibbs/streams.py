@@ -111,10 +111,6 @@ class UpdateStream:
         """Vectorized (sites, uniforms) for an array of slot indices."""
         return site_uniform_pairs(self.site_key, self.uniform_key, slots, self.n_sites)
 
-    def pair_at(self, slot):
-        sites, us = self.pairs_at(np.asarray([slot]))
-        return int(sites[0]), float(us[0])
-
     def take(self, n: int):
         """Consume the next n pairs, advancing the cursor."""
         slots = np.arange(self._cursor, self._cursor + n, dtype=np.uint64)

@@ -1,5 +1,5 @@
-"""Reduction identities: inverse-temperature rescaling and the bipartite
-spin reflection.
+"""Reduction identities: inverse-temperature rescaling, and a probe of the
+bipartite spin reflection.
 
 Rescaling is exact: beta times the pair energy of a configuration equals
 the pair energy of the configuration scaled by sqrt(beta), so any inverse
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import IncompatiblePartition, NonpositiveBeta, OutOfRange
 from .finite_spec import VolumeHamiltonian, hamiltonian
 from .kernel import SpinInterval, _boundary_array
-from .sampler import FieldConfiguration
 from .streams import uniform_configurations
 
 
@@ -51,22 +50,6 @@ def _check_partition(vh: VolumeHamiltonian, partition: BipartitePartition) -> np
         x, y = every[first[clash[0]]], every[second[clash[0]]]
         raise IncompatiblePartition(f"sites {x} and {y} are coupled but share a class")
     return side
-
-
-def reflect(field: FieldConfiguration, partition: BipartitePartition) -> FieldConfiguration:
-    """Map spins on the second class to a + b - value, everywhere (boundary too).
-
-    An involution that preserves the spin interval; the first class is
-    untouched.
-    """
-    out = field.copy()
-    iv = field.interval
-    pivot = iv.a + iv.b
-    sites = list(field.table.sites) + list(field.table.shell)
-    flip = np.array([partition.side(s) == 1 for s in sites])
-    out.values[flip] = pivot - out.values[flip]
-    out.values[:] = np.clip(out.values, iv.a, iv.b)
-    return out
 
 
 def beta_scaling_check(vh: VolumeHamiltonian, interval: SpinInterval, beta: float,

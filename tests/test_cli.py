@@ -295,6 +295,10 @@ BAD_INPUTS = [
     ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1], [2]]},
               "boundary": {"constant": 0.5}, "n_samples": 99},
      "n_samples: the oracle checks of a box of at most 3 sites need at least 100, got 99"),
+    # CFTP's first horizon is max(2, n) on n sites: a cap below it would run nothing
+    ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1], [2]]},
+              "boundary": {"constant": 0.5}, "t_cap": 2},
+     "t_cap: must be an integer >= 3, got 2"),
 ]
 
 

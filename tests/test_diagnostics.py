@@ -6,12 +6,11 @@ import pytest
 from truncgibbs.diagnostics import (
     _simpson_weights,
     batch_means_se,
-    domination_check,
     ks_distance,
     quadrature_marginals,
     stationarity_check,
 )
-from truncgibbs.errors import GeometryMismatch, NotTorus, TooFewSamples, VolumeTooLarge
+from truncgibbs.errors import NotTorus, TooFewSamples, VolumeTooLarge
 from truncgibbs.finite_spec import build_matrices
 from truncgibbs.kernel import (
     LatticeGeometry,
@@ -21,7 +20,7 @@ from truncgibbs.kernel import (
     nearest_neighbor,
     wrapped_offsets,
 )
-from truncgibbs.sampler import RunTrace, cftp_samples, stationary_run
+from truncgibbs.sampler import RunTrace, stationary_run
 from truncgibbs.truncnorm import TruncatedNormal, cdf, inverse_cdf, mean
 from truncgibbs.streams import derive_key, uniforms
 
@@ -222,7 +221,7 @@ def test_stationarity_passes_across_seeds():
 
 
 # ---------------------------------------------------------------------------
-# Distances and domination
+# Distances
 # ---------------------------------------------------------------------------
 
 def test_ks_distance_consistency_with_own_draws():
@@ -243,37 +242,6 @@ def test_ks_distance_degenerate_samples():
 def test_ks_distance_needs_samples():
     with pytest.raises(TooFewSamples):
         ks_distance(np.zeros(50), np.linspace(0, 1, 11), np.linspace(0, 1, 11))
-
-
-def test_domination_identical_sets_exactly_zero():
-    samples = cftp_samples(LatticeGeometry.box([(0,), (1,)], NN1), NN1, UNIT,
-                           {(-1,): 0.3, (2,): 0.6}, 200, seed=9)
-    for verdict in domination_check(samples, samples.copy()):
-        assert verdict.estimate == 0.0
-        assert verdict.z == 0.0
-        assert verdict.passed
-
-
-def test_domination_extremal_boundaries():
-    box = LatticeGeometry.box([(0,), (1,)], NN1)
-    low = cftp_samples(box, NN1, UNIT, {(-1,): 0.0, (2,): 0.0}, 400, seed=14)
-    high = cftp_samples(box, NN1, UNIT, {(-1,): 1.0, (2,): 1.0}, 400, seed=14)
-    verdicts = domination_check(low, high)
-    assert all(v.passed for v in verdicts)
-    assert all(v.estimate < 0.0 for v in verdicts)   # strict ordering, not ties
-
-
-def test_domination_geometry_mismatch():
-    with pytest.raises(GeometryMismatch):
-        domination_check(np.zeros((10, 2)), np.zeros((10, 3)))
-
-
-def test_domination_detects_violation():
-    rng = np.random.default_rng(3)
-    high = rng.uniform(0.0, 0.2, (400, 2))
-    low = rng.uniform(0.8, 1.0, (400, 2))     # deliberately inverted
-    verdicts = domination_check(low, high)
-    assert not all(v.passed for v in verdicts)
 
 
 def test_batch_means_se_iid_scale():

@@ -8,6 +8,8 @@ whose Hessian is [[1, -1/2], [-1/2, 1]]; its inverse is
 solves A m = (0, 1/2), giving m = (1/3, 2/3).
 """
 
+import re
+
 import numpy as np
 import pytest
 from helpers import random_kernel, random_volume
@@ -156,6 +158,8 @@ UNRANGED_READERS = {"psi_boundary", "quadratic_form"}   # no interval, so no ran
 BOUNDARY_CASES = {        # boundary: the array it reads as, or the error it raises
     "array": (np.array([0.25, 0.75]), np.array([0.25, 0.75])),
     "scalar": (0.5, np.array([0.5, 0.5])),
+    "numpy_scalar": (np.float64(0.5), np.array([0.5, 0.5])),
+    "0d_array": (np.array(0.5), np.array([0.5, 0.5])),
     "mapping": ({(2,): 0.75, (-1,): 0.25}, np.array([0.25, 0.75])),
     "1": (np.array([0.5]), (MissingSite, "expected 2 boundary values, got shape (1,)")),
     "3": (np.array([0.5, 0.5, 0.5]),
@@ -190,6 +194,16 @@ def test_boundary_shape_is_one_typed_error(reader, gamma):
         expected = boundary_outcome(reader, expected)
         assert isinstance(expected, list)
     assert boundary_outcome(reader, boundary) == expected
+
+
+@pytest.mark.parametrize("eta, shape", [([0.5], "(1,)"), ([0.5, 0.5, 0.5], "(3,)"),
+                                        ({(0,): 0.5, (1,): 0.5}, "()")],
+                         ids=["1", "3", "mapping"])
+def test_quadratic_form_eta_shape_is_missing_site(eta, shape):
+    # eta is an array in volume-site order; a site mapping has no such order
+    message = f"expected 2 volume values, got shape {shape}"
+    with pytest.raises(MissingSite, match=re.escape(message)):
+        quadratic_form(VOLUME2, eta, [0.5, 0.5])
 
 
 def test_quadratic_form_matches_pair_sum():

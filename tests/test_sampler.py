@@ -28,7 +28,6 @@ from truncgibbs.kernel import (
 )
 from truncgibbs.sampler import (
     FieldConfiguration,
-    cftp,
     cftp_samples,
     local_mean,
     run_sandwich,
@@ -544,26 +543,28 @@ def test_levels_on_either_side_of_the_16_bit_casts(n, n_blocks):
 
 @pytest.mark.parametrize("k", range(2, 25))
 def test_local_means_match_scalar_dot_bitwise(k):
+    # the vector means of the levels, the coupled step and the stationarity
+    # check, np.vecdot(values.take(rows, axis=-1), w), against the scalar scan's
     rng = np.random.default_rng(k)
     w = rng.uniform(0.1, 2.0, k)
     w /= w.sum()                                       # non-dyadic weights
     values = rng.uniform(-3.0, 5.0, 500)
     nbrs = rng.integers(0, values.size, (4000, k))
     scalar = np.array([values[row] @ w for row in nbrs])
-    assert sampler._local_means(values, nbrs, w).tobytes() == scalar.tobytes()
-    # a stack of fields, as the stationarity check passes: each row as its own
+    assert np.vecdot(values.take(nbrs, axis=-1), w).tobytes() == scalar.tobytes()
+    # a stack of fields, as the stationarity check reads them: each row as its own
     fields = rng.uniform(-3.0, 5.0, (50, 40))
     rows = rng.integers(0, 40, (40, k))
     scalar = np.array([[field[row] @ w for row in rows] for field in fields])
-    assert sampler._local_means(fields, rows, w).tobytes() == scalar.tobytes()
+    assert np.vecdot(fields.take(rows, axis=-1), w).tobytes() == scalar.tobytes()
 
 
 def two_call_coupled_step(low, upp, cells, nbrs, us, w, a, b, tol):
     """The coupled level step with its quantiles drawn in two calls, one for
     the lower chain and one for the upper chain where its mean differs: the
     bitwise reference for the one-call :func:`sampler._coupled_step`."""
-    m_lo = sampler._local_means(low, nbrs, w).clip(a, b)
-    m_up = sampler._local_means(upp, nbrs, w).clip(a, b)
+    m_lo = np.vecdot(low.take(nbrs, axis=-1), w).clip(a, b)
+    m_up = np.vecdot(upp.take(nbrs, axis=-1), w).clip(a, b)
     new_lo = _sample_many(m_lo, a, b, us)
     new_up = new_lo.copy()
     differ = m_up != m_lo
@@ -644,8 +645,8 @@ def test_coupled_step_takes_0d_ends_bitwise(level):
 def test_coupled_step_draws_each_level_in_one_call(level):
     # L + |d| quantiles: every lower entry and the upper entries whose mean differs
     low, upp, cells, nbrs, us, w, a, b, tol = level
-    differ = np.count_nonzero(sampler._local_means(low, nbrs, w).clip(a, b)
-                              != sampler._local_means(upp, nbrs, w).clip(a, b))
+    differ = np.count_nonzero(np.vecdot(low.take(nbrs, axis=-1), w).clip(a, b)
+                              != np.vecdot(upp.take(nbrs, axis=-1), w).clip(a, b))
     sizes = []
 
     def counted(m, *args):
@@ -874,10 +875,11 @@ def test_cftp_deterministic_in_seed():
 
 
 def test_cftp_single_call_matches_batch_row():
+    # one sample is the first row of any larger batch of the same seed
     boundary = {(-1,): 0.0, (2,): 1.0}
-    one = cftp(box_pair(), NN1, UNIT, boundary, seed=8)
-    batch = cftp_samples(box_pair(), NN1, UNIT, boundary, 1, seed=8)
-    assert np.array_equal(one, batch[0])
+    one = cftp_samples(box_pair(), NN1, UNIT, boundary, 1, seed=8)
+    batch = cftp_samples(box_pair(), NN1, UNIT, boundary, 20, seed=8)
+    assert one.shape == (1, 2) and np.array_equal(one[0], batch[0])
 
 
 def test_cftp_values_in_interval():
@@ -887,7 +889,7 @@ def test_cftp_values_in_interval():
 
 def test_cftp_requires_box():
     with pytest.raises(GeometryMismatch):
-        cftp(LatticeGeometry.torus([8]), NN1, UNIT, None, seed=0)
+        cftp_samples(LatticeGeometry.torus([8]), NN1, UNIT, None, 1, seed=0)
 
 
 def test_cftp_sample_count_validation():
@@ -929,11 +931,22 @@ def test_cftp_horizon_cap_signalled():
                      eps_coal=0.0, t_cap=8)
 
 
-@pytest.mark.parametrize("t_cap", [0, -5])
+@pytest.mark.parametrize("t_cap", [1, 0, -5])
 def test_cftp_rejects_t_cap_below_one(t_cap):
-    # unchecked, it would run no step and report no coalescence at horizon 1
-    with pytest.raises(ValueError, match="t_cap"):
+    # below the first horizon, max(2, n), it would run no step and report no
+    # coalescence at a horizon that never ran
+    with pytest.raises(ValueError, match="t_cap must be at least"):
         cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 4, seed=0, t_cap=t_cap)
+
+
+def test_cftp_rejects_t_cap_below_first_horizon():
+    # n = 5 sites: the first horizon is 5, so a cap of 4 would have reported
+    # "not coalesced at horizon 2" with no horizon run; a cap of 5 runs one
+    box5 = LatticeGeometry.box([(i,) for i in range(5)], NN1)
+    with pytest.raises(ValueError, match="t_cap must be at least the first horizon 5, got 4"):
+        cftp_samples(box5, NN1, UNIT, 0.5, 4, seed=0, t_cap=4)
+    with pytest.raises(NoCoalescence, match="not coalesced at horizon 5 "):
+        cftp_samples(box5, NN1, UNIT, 0.5, 4, seed=0, eps_coal=0.0, t_cap=5)
 
 
 class _ScalarReplicaStreams:
@@ -1032,6 +1045,25 @@ def test_cftp_sample_depends_only_on_seed_and_replica(setup, sizes, groups, seed
     whole = cftp_outcome(setup, many, seed, groups, t_cap=1 << 20)
     n = whole[0][1]
     assert part == ((few, n), whole[1][:few * n * 8])
+
+
+@settings(max_examples=40, deadline=None)
+@given(setup=cftp_setups(), lift=st.sampled_from([0.0, 1e-9, 0.1, 1.0]),
+       n_samples=st.integers(1, 30), seed=st.integers(0, 2 ** 63))
+def test_cftp_samples_ordered_in_boundary_pathwise(setup, lift, n_samples, seed):
+    # stochastic domination as a pathwise property: each sample lies within
+    # eps/2 of the exact draw of the same randomness, and that draw is
+    # non-decreasing in the boundary, so boundaries lo <= hi and one seed give
+    # lo's samples <= hi's + eps at every replica and site (the coupling's
+    # rounding tolerance when eps is 0, where both chains meet exactly)
+    box, kernel, interval, low, eps = setup
+    rng = np.random.default_rng(seed)
+    high = np.minimum(low + lift * rng.uniform(0.0, 1.0, low.size) * (interval.b - low),
+                      interval.b)
+    below = cftp_samples(box, kernel, interval, low, n_samples, seed, eps_coal=eps)
+    above = cftp_samples(box, kernel, interval, high, n_samples, seed, eps_coal=eps)
+    slack = eps if eps > 0.0 else sampler._order_tolerance(interval)
+    assert np.all(below <= above + slack)
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,9 +18,9 @@ def test_same_seed_same_sequence():
 
 def test_slots_are_stateless():
     s = UpdateStream(derive_key(7), 8)
-    site_5, u_5 = s.pair_at(5)
+    site_5, u_5 = s.pairs_at([5])
     s.take(100)  # consuming the stream must not change slot content
-    assert s.pair_at(5) == (site_5, u_5)
+    assert s.pairs_at([5]) == (site_5, u_5)
 
 
 def test_take_matches_pairs_at():
@@ -60,7 +60,7 @@ def test_batched_pairs_match_update_streams():
     for slot in (1, 2, 17):
         sites, us = site_uniform_pairs(site_keys, u_keys, slot, 4)
         for r, stream in enumerate(streams):
-            site_r, u_r = stream.pair_at(slot)
+            (site_r,), (u_r,) = stream.pairs_at([slot])
             assert sites[r] == site_r
             assert us[r] == u_r
 

@@ -5,19 +5,15 @@ import pytest
 
 from truncgibbs.errors import IncompatiblePartition, NonpositiveBeta, OutOfRange
 from truncgibbs.finite_spec import build_matrices, hamiltonian
-from truncgibbs.kernel import (LatticeGeometry, SpinInterval, build_kernel, exp_decay,
-                               nearest_neighbor, wrapped_offsets)
-from truncgibbs.sampler import FieldConfiguration
+from truncgibbs.kernel import SpinInterval, build_kernel, exp_decay, nearest_neighbor
 from truncgibbs.transforms import (
     BipartitePartition,
     af_specification_probe,
     beta_scaling_check,
-    reflect,
 )
 
 NN1 = nearest_neighbor(1)
 UNIT = SpinInterval(0.0, 1.0)
-SYM = SpinInterval(-1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,59 +64,6 @@ def test_beta_beyond_float_range_is_out_of_range(volume, kernel, interval):
         warnings.simplefilter("error")
         with pytest.raises(OutOfRange, match=r"is not finite at beta = 1e\+308"):
             beta_scaling_check(vh, interval, 1e308, trials=3)
-
-
-# ---------------------------------------------------------------------------
-# Bipartite reflection
-# ---------------------------------------------------------------------------
-
-def field_on_torus(interval, values):
-    table = wrapped_offsets(NN1, LatticeGeometry.torus([len(values)]))
-    return FieldConfiguration(table, interval, np.asarray(values, dtype=float))
-
-
-def test_reflect_fixes_midpoint():
-    field = field_on_torus(UNIT, np.full(8, 0.5))
-    out = reflect(field, BipartitePartition.parity())
-    assert np.array_equal(out.values, field.values)
-
-
-def test_reflect_all_lower_becomes_checkerboard():
-    field = field_on_torus(UNIT, np.zeros(8))
-    out = reflect(field, BipartitePartition.parity())
-    assert np.array_equal(out.interior, np.array([0.0, 1.0] * 4))
-
-
-@pytest.mark.parametrize("interval", [SYM, UNIT])
-def test_reflect_involution_exact_on_canonical_intervals(interval):
-    rng = np.random.default_rng(4)
-    field = field_on_torus(interval, rng.uniform(interval.a, interval.b, 16))
-    partition = BipartitePartition.parity()
-    twice = reflect(reflect(field, partition), partition)
-    assert np.array_equal(twice.values, field.values)
-
-
-def test_reflect_involution_general_interval_within_ulp():
-    # a + b not exactly representable as a clean pivot: the double
-    # subtraction can move a value by one ulp, never more
-    interval = SpinInterval(0.3, 1.7)
-    rng = np.random.default_rng(5)
-    field = field_on_torus(interval, rng.uniform(0.3, 1.7, 16))
-    partition = BipartitePartition.parity()
-    twice = reflect(reflect(field, partition), partition)
-    assert np.max(np.abs(twice.values - field.values)) <= np.spacing(1.7)
-    assert np.all(twice.values >= 0.3) and np.all(twice.values <= 1.7)
-
-
-def test_reflect_touches_boundary_values_too():
-    box = LatticeGeometry.box([(0,), (1,)], NN1)
-    table = wrapped_offsets(NN1, box)
-    field = FieldConfiguration(table, UNIT, np.array([0.25, 0.75]),
-                               boundary={(-1,): 0.0, (2,): 1.0})
-    out = reflect(field, BipartitePartition.parity())
-    # shell sites -1 and 2 land in opposite classes: -1 is odd, 2 is even
-    assert out.values[table.index_of[(-1,)]] == 1.0
-    assert out.values[table.index_of[(2,)]] == 1.0
 
 
 # ---------------------------------------------------------------------------
