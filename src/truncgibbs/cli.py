@@ -332,12 +332,14 @@ def _write_json(directory: Path, name: str, payload: dict):
         handle.write("\n")
 
 
-def _write_csv(directory: Path, name: str, header, rows):
-    """One line per row; floats as ``float.__repr__``, ints as written."""
+def _write_csv(directory: Path, name: str, header, values):
+    """The header, then ``values`` row-major in rows of ``len(header)``,
+    formatted in one pass: floats as ``float.__repr__``, ints as written."""
+    text = map(repr, values)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / name, "w") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        handle.writelines(",".join(row) + "\n" for row in zip(*[text] * len(header)))
 
 
 def _site_column(site) -> str:
@@ -356,9 +358,9 @@ def _run_sandwich(cfg, out, seed):
     snapshot_every = _int_from(cfg, "snapshot_every", 0, least=0)
     trace = sampler.run_sandwich(run.geometry, run.kernel, run.interval, sweeps, seed,
                                  snapshot_every=snapshot_every, boundary=run.boundary)
-    rows = [(s, float(trace.sup_gap[s]), float(trace.mean_gap[s]))
-            for s in range(sweeps + 1)]
-    _write_csv(out, "trace.csv", ["sweep", "sup_gap", "mean_gap"], rows)
+    rows = zip(range(sweeps + 1), trace.sup_gap.tolist(), trace.mean_gap.tolist())
+    _write_csv(out, "trace.csv", ["sweep", "sup_gap", "mean_gap"],
+               [v for row in rows for v in row])
     return {
         "config": run.config(sweeps=sweeps, snapshot_every=snapshot_every),
         "initial_sup_gap": float(trace.sup_gap[0]),
@@ -387,7 +389,7 @@ def _run_cftp(cfg, out, seed):
 
     samples = sampler.cftp_samples(run.geometry, run.kernel, run.interval, run.boundary,
                                    n_samples, seed, eps_coal=eps, t_cap=t_cap)
-    _write_csv(out, "samples.csv", [_site_column(s) for s in sites], samples.tolist())
+    _write_csv(out, "samples.csv", [_site_column(s) for s in sites], samples.ravel().tolist())
 
     verdicts = []
     ks_rows = []

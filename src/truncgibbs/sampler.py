@@ -13,19 +13,23 @@ chain of independent rate-one clocks; the equilibrium law and the
 monotone coupling depend only on the order of updates, so no waiting
 times are drawn.
 
-Two updates commute when neither site lies in the other's closed
-neighbourhood (the site plus its kernel neighbours): neither reads what
-the other writes.  So the runs batch a stretch of the random scan by
-dependency level, each update one level deeper than the deepest earlier
-update of the stretch that writes into its closed neighbourhood (the
-Cartier-Foata normal form of the update word).  The levels are peeled off
-per-site queues of pending updates: a level is every site whose next
-update comes before the next update of each of its neighbours, found by a
-fixed run of numpy calls per round (:func:`_levels`).  Applying the levels
-in increasing order, every update reads exactly the values the sequential
-scan would, so the stream, the order of the updates at each site and
-every bit of the result are those of the sequential scan.  The
-single chain and the coupled sandwich share one schedule (:func:`_blocks`):
+An update reads its neighbours and writes its site; it never reads the
+value it replaces.  So two updates commute when neither reads the site the
+other writes, and the runs batch a stretch of the random scan by
+dependency level: each update one level deeper than the deepest earlier
+update of the stretch at a site it reads, and, on volumes whose levels
+are narrow, no shallower than its site's previous update, whose value it
+overwrites unread (with one level per update of a site, the Cartier-Foata
+normal form of the update word).  The levels are peeled off per-site
+queues of pending runs, a site's back-to-back updates with no neighbour
+update between them: a level is every site whose next run comes before
+the next run of each of its neighbours, found by a fixed run of numpy
+calls per round (:func:`_levels`).  Applying the levels in increasing
+order, every update reads exactly the values the sequential scan would,
+and a level writes each site once, its last update there; so the stream,
+the order of the updates at each site and every bit of the result are
+those of the sequential scan.  The single chain and the coupled sandwich
+share one schedule (:func:`_blocks`):
 blocks of whole sweeps, each levelled as one stretch, so levels run on
 across sweep boundaries.  The blocks of a chunk are levelled in one pass,
 as disjoint volumes side by side; each block then runs from slices of its
@@ -69,7 +73,10 @@ def _order_tolerance(interval: SpinInterval) -> float:
 
 # The runs take the stream in blocks of whole sweeps of about _BLOCK_UPDATES
 # updates and level each block as one stretch, so levels run on across sweep
-# boundaries (about 16 updates per level on a 64-site ring, not 6 per sweep).
+# boundaries.  A 64-site ring gets about 23 updates per level (12,694 levels
+# in 4500 sweeps, seed 3), 16 with one level per update of a site and 6 when
+# each sweep is levelled on its own; a 32 x 32 nn torus, which keeps one
+# level per update of a site, about 120.
 #
 # One pass of queue-head rounds levels a chunk of about _CHUNK_SITES / n
 # blocks, so the blocks of a chunk share each round's fixed cost; volumes of
@@ -79,6 +86,13 @@ def _order_tolerance(interval: SpinInterval) -> float:
 # 2-core VM).  1024 was no faster on those (1.01x and 1.00x against 512) and
 # raised the traced peak of a 64-site, 4500-sweep chain from 12.3 to
 # 16.3 MiB, above the 15.9 MiB of its stationarity check.
+#
+# The same volumes under _CHUNK_SITES give a site's back-to-back updates one
+# level: a 64-site ring chain of 4500 sweeps then ran in 0.85x the time of
+# one level per update (median of 12 paired runs, 2-core VM), while a
+# 32 x 32 nn torus sandwich, whose levels are wide, ran 1.12x and 1.17x
+# slower merging (two sets of 12), its run sorts costing more than its 16%
+# fewer levels save.
 #
 # A level costs a fixed run of numpy calls, so levelling pays from about 7
 # sites per closed neighbourhood (the site and its kernel neighbours), for
@@ -249,42 +263,88 @@ def _coupled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.nd
     return log_lo, log_up, repairs, worst
 
 
-def _levels(sites: np.ndarray, rows: np.ndarray, block: int) -> np.ndarray:
-    """The dependency level of each update of a chunk of blocks: ``sites``
-    is the chunk in stream order, ``block`` updates per block (the last may
-    be shorter), and each block is levelled as one stretch of its own.
+def _runs(sites: np.ndarray, rows: np.ndarray, block: int):
+    """The positions of a chunk of blocks sorted stably by cell, as
+    :func:`_levels` sorts them, and whether each update starts a run: whether
+    its site reads a write, its own included, since the site's previous
+    update in the block.
+
+    Each block takes one stable argsort, by site, of K + 1 entries per
+    update, its own site and then its row (``rows`` as in :func:`_levels`):
+    an update's own entry is followed by the next update of its site exactly
+    when nothing that site reads is written between them.  The sort runs on
+    ``uint16`` keys when every site fits, where numpy runs a radix sort, and
+    one block at a time, which bounds its int64 permutation.
+    """
+    width, n = rows.shape[0] + 1, rows.shape[1]
+    keys = np.vstack([np.arange(n), rows]).T.astype(np.uint16 if n < 1 << 16 else np.int64)
+    own_entry = np.tile(np.arange(width) == 0, min(block, sites.size))
+    order, split = np.empty(sites.size, np.int64), np.empty(sites.size, bool)
+    for lo in range(0, sites.size, block):
+        by_site = np.argsort(keys.take(sites[lo:lo + block], axis=0).ravel(), kind="stable")
+        own = own_entry[:by_site.size].take(by_site).nonzero()[0]
+        order[lo:lo + block] = by_site.take(own) // width + lo
+        split[lo:lo + block] = np.diff(own, prepend=-2) > 1
+    return order, split
+
+
+def _levels(sites: np.ndarray, rows: np.ndarray, block: int, merge: bool):
+    """The dependency level of each update of a chunk of blocks, and whether a
+    later update of its site overwrites it in the same level: ``sites`` is
+    the chunk in stream order, ``block`` updates per block (the last may be
+    shorter), and each block is levelled as one stretch of its own.
+
+    An update reads its row and writes its site.  It lands one level deeper
+    than the deepest earlier update of its block at a site it reads (the
+    neighbour relation being symmetric, this also puts it after every earlier
+    update that reads its site), and no shallower than its site's previous
+    update; without ``merge``, one level deeper than that too.  So with
+    ``merge`` a run of a site's back-to-back updates, with no update at a site
+    they read in between, shares one level, and the level's one scatter must
+    keep only the run's last value: ``overwritten`` marks the others.  A row
+    that names its own site reads the value its previous update wrote, so
+    its runs are single updates.
 
     Block j acts on the disjoint volume of cells j n + [0, n), so one run of
-    queue-head rounds levels every block of the chunk at once.  ``head[c]``
-    is the position of cell c's next pending update; it is the chunk size
-    once c's queue is empty, and always in one extra slot at the end.
-    ``after[k]`` is the position of the next update at the cell of update k.
-    ``rows`` are the interior neighbour rows transposed to (K, n), with every
-    entry that names a shell site or the site itself set to n: such an entry
-    points at the extra slot.  A cell is ready when its next update comes
-    before the next update of every neighbour; each round gives the ready
-    updates one level, the minimal updates of the dependency order, so each
-    update lands one level deeper than the deepest earlier update of its
-    block in its closed neighbourhood.  The queues come from one stable
-    argsort of the cells, taken on a ``uint16`` copy when every cell index
-    fits, where numpy runs a radix sort; a stable sort of the same keys is
-    the same permutation.  The levels of a block of at most 2**16 updates
-    fit a ``uint16``.
+    queue-head rounds levels every block of the chunk at once.  ``rows`` are
+    the interior neighbour rows transposed to (K, n), with every entry that
+    names a shell site set to n.  The queues come from one stable argsort of
+    the cells, taken on a ``uint16`` copy when every cell index fits, where
+    numpy runs a radix sort; a stable sort of the same keys is the same
+    permutation, which :func:`_runs` gives with ``merge``, along with the
+    runs.
+
+    ``head[c]`` is the position of the first update of cell c's next pending
+    run; it is the chunk size once c's queue is empty, and always in one
+    extra slot at the end.  ``after[k]`` is the position of the next run at
+    the cell of run k.  A cell is ready when its pending run comes before the
+    pending run of every neighbour; each round gives the ready runs one
+    level, the minimal runs of the dependency order, and a run's later
+    updates take the level of its first.  The levels of a block of at most
+    2**16 updates fit a ``uint16``.
     """
-    n, size = rows.shape[1], sites.size
-    n_blocks = -(-size // block)
+    (width, n), size = rows.shape, sites.size
+    n_cells = -(-size // block) * n
     cells = np.arange(size) // block * n + sites
-    order = np.argsort(cells.astype(np.uint16) if n_blocks * n <= 1 << 16 else cells,
-                       kind="stable")
-    ordered = cells[order]
-    first = np.diff(ordered, prepend=-1) != 0            # the first update of each cell
-    head = np.full(n_blocks * n + 1, size)
-    head[ordered[first]] = order[first]
+    if merge:
+        order, split = _runs(sites, rows, block)
+    else:
+        order = np.argsort(cells.astype(np.uint16) if n_cells <= 1 << 16 else cells,
+                           kind="stable")
+    first = np.diff(cells.take(order), prepend=-1) != 0  # the first update of each cell
+    heads, head_first = order, first                     # the first update of each run
+    if merge:
+        runs = first | split
+        heads, head_first = order[runs], first[runs]
+    head = np.full(n_cells + 1, size)
+    head[cells.take(order[first])] = order[first]
     after = np.full(size, size)
-    after[order[:-1]] = np.where(first[1:], size, order[1:])
-    offsets = n * np.arange(n_blocks)[:, None]          # the rows of every block's cells
-    rows = np.where(rows[:, None] < n, rows[:, None] + offsets, n_blocks * n)
-    rows = rows.reshape(rows.shape[0], -1)
+    after[heads[:-1]] = np.where(head_first[1:], size, heads[1:])
+    # the rows of every block's cells, an entry naming a shell site or the
+    # site itself pointing at the extra slot
+    offsets = n * np.arange(n_cells // n)[:, None]
+    rows = np.where((rows[:, None] < n) & (rows[:, None] != np.arange(n)),
+                    rows[:, None] + offsets, n_cells).reshape(width, -1)
     level = np.empty(size, np.uint16 if block <= 1 << 16 else np.int64)
     pending = head[:-1]
     depth = 0
@@ -293,7 +353,11 @@ def _levels(sites: np.ndarray, rows: np.ndarray, block: int) -> np.ndarray:
         level[pos] = depth
         pending[ready] = after.take(pos)
         depth += 1
-    return level
+    overwritten = np.zeros(size, bool)
+    if merge:
+        level[order] = level.take(heads)[np.cumsum(runs) - 1]
+        overwritten[order[:-1]] = ~runs[1:]             # all but the last of each run
+    return level, overwritten
 
 
 def _blocks(stream: UpdateStream, n_updates: int, idx: np.ndarray):
@@ -304,28 +368,35 @@ def _blocks(stream: UpdateStream, n_updates: int, idx: np.ndarray):
     neighbourhood the plan runs the block level by level: (order, cells,
     neighbour rows, uniforms, ends), where ``order`` is the block's stream
     positions sorted by :func:`_levels` (a stable radix sort of the
-    ``uint16`` levels), the cells, rows and uniforms are gathered in that
-    order, and level d is the slice from ``ends[d - 1]`` (0 for d = 0) to
+    ``uint16`` levels), the rows and uniforms are gathered in that order,
+    and level d is the slice from ``ends[d - 1]`` (0 for d = 0) to
     ``ends[d]``.  The stream is taken in chunks of about ``_CHUNK_SITES / n``
-    blocks, each levelled in one pass.  Smaller volumes get the plan None
-    and run the scalar scan.
+    blocks, each levelled in one pass.  Volumes under ``_CHUNK_SITES`` sites
+    give a site's back-to-back updates one level, and ``cells``, the cells
+    written in level order, point each update that a later one of its level
+    overwrites at a write-off slot, index -1 of working fields that carry one
+    extra slot: numpy gives repeated indices of one assignment no order, and
+    the block's log keeps every value.  Volumes with fewer sites per closed
+    neighbourhood get the plan None and run the scalar scan.
     """
     n = idx.shape[0]
     block = max(1, _BLOCK_UPDATES // n) * n
     rows = None
     if n >= _LEVELED_MIN_SITES * (1 + idx.shape[1]):
-        rows = np.where((idx < n) & (idx != np.arange(n)[:, None]), idx, n).T.copy()
+        rows = np.where(idx < n, idx, n).T.copy()
     chunk = block if rows is None else max(1, _CHUNK_SITES // n) * block
     for start in range(0, n_updates, chunk):
         sites, us = stream.take(min(chunk, n_updates - start))
-        levels = None if rows is None else _levels(sites, rows, block)
+        levels = None if rows is None else _levels(sites, rows, block, n < _CHUNK_SITES)
         for lo in range(0, sites.size, block):
             block_sites, block_us, plan = sites[lo:lo + block], us[lo:lo + block], None
             if levels is not None:
-                level = levels[lo:lo + block]
+                level = levels[0][lo:lo + block]
                 order = np.argsort(level, kind="stable")
                 cells = block_sites.take(order)
-                plan = (order, cells, idx.take(cells, axis=0), block_us.take(order),
+                nbrs = idx.take(cells, axis=0)
+                cells[levels[1][lo:lo + block].take(order)] = -1    # the write-off slot
+                plan = (order, cells, nbrs, block_us.take(order),
                         np.bincount(level).cumsum().tolist())
             yield start + lo, block_sites, block_us, plan
 
@@ -384,8 +455,9 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         raise ValueError(f"snapshot_every must be an integer >= 0, got {snapshot_every!r}")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
-    low = FieldConfiguration.all_lower(table, interval, boundary).values
-    upp = FieldConfiguration.all_upper(table, interval, boundary).values
+    # each field with the write-off slot of _blocks at the end
+    low = np.append(FieldConfiguration.all_lower(table, interval, boundary).values, 0.0)
+    upp = np.append(FieldConfiguration.all_upper(table, interval, boundary).values, 0.0)
     stream = UpdateStream(derive_key(seed, "sandwich"), n)
     idx, w = table.idx, table.weights
     a, b = np.float64(interval.a), np.float64(interval.b)   # the scan's ends
@@ -421,10 +493,10 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
                     repairs, worst = repairs + r, max(worst, inv)
                     lo = hi
                 log[:, order] = new
-        except OrderViolation as err:
-            at = start + (err.index if lo is None else int(order[lo + err.index]))
-            raise OrderViolation(f"coupled order broken at sweep {at // n + 1}, "
-                                 f"site index {err.cell}: {err}") from None
+        except OrderViolation as err:   # by stream position: a level's cell may be the slot
+            k = err.index if lo is None else int(order[lo + err.index])
+            raise OrderViolation(f"coupled order broken at sweep {(start + k) // n + 1}, "
+                                 f"site index {sites[k]}: {err}") from None
         ends = n * np.arange(1, sites.size // n + 1)
         record(start // n + 1, _rows_at(before, sites, log[1] - log[0], ends))
     return SandwichTrace(sup, mean, snapshots, seed, interval, low[:n].copy(), upp[:n].copy(),
@@ -466,7 +538,8 @@ def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
     (see :func:`_array_ends`).
     """
     n = field.n_interior
-    values, idx, w = field.values, field.table.idx, field.table.weights
+    values = np.append(field.values, 0.0)        # with the write-off slot of _blocks
+    idx, w = field.table.idx, field.table.weights
     a, b = np.float64(field.interval.a), np.float64(field.interval.b)   # the scan's ends
     a0, b0 = _array_ends(field.interval)                                # the levels' ends
     ends = n_updates - n * np.arange(len(out) - 1, -1, -1)   # update count at each row
@@ -486,6 +559,7 @@ def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
         rows = np.flatnonzero((ends > start) & (ends <= start + sites.size))
         if rows.size:
             out[rows] = _rows_at(before, sites, log, ends[rows] - start)
+    field.values[:] = values[:-1]
 
 
 def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
@@ -558,9 +632,10 @@ def _cftp_horizon(active, horizon, keys, lowest, highest, idx, w, a, b, tol, eps
     sk, uk = keys.site_key[active], keys.uniform_key[active]
     for t in range(horizon, 0, -1):
         sites, us = site_uniform_pairs(sk, uk, t, n)
+        nbrs = idx.take(sites, axis=0)              # each replica's row, offset into the flat fields
+        nbrs += base[:, None]
         try:
-            _coupled_step(low.reshape(-1), upp.reshape(-1), base + sites,
-                          base[:, None] + idx[sites], us, w, a, b, tol)
+            _coupled_step(low.reshape(-1), upp.reshape(-1), base + sites, nbrs, us, w, a, b, tol)
         except OrderViolation as err:
             row, site = divmod(err.cell, low.shape[1])
             raise OrderViolation(

@@ -466,11 +466,16 @@ def test_sandwich_gap_record_matches_per_sweep_reference(n_sweeps, every, block_
         assert trace.snapshots[s].tobytes() == gap.tobytes()
 
 
-def reference_levels(sites, closed):
+def reference_levels(sites, idx, merge):
+    """An update reads its neighbour row and writes its site: it lands one
+    level deeper than the deepest earlier update at a site it reads, and
+    with ``merge`` no shallower than its site's previous update, else one
+    deeper than that too."""
     level = []
     for j, s in enumerate(sites):
-        deps = [level[i] for i in range(j) if sites[i] in closed[:, s]]
-        level.append(1 + max(deps, default=-1))
+        read = max((level[i] for i in range(j) if sites[i] in idx[s]), default=-1)
+        written = max((level[i] for i in range(j) if sites[i] == s), default=-1)
+        level.append(max(1 + read, written if merge else 1 + written))
     return level
 
 
@@ -479,11 +484,11 @@ def reference_levels(sites, closed):
        n_updates=st.integers(0, 90), block=st.integers(1, 40), chunk=st.integers(1, 64))
 def test_block_plans_are_the_as_soon_as_possible_schedule(setup, seed, n_updates, block, chunk):
     # blocks of max(1, block // n) sweeps, max(1, chunk // n) of them levelled
-    # per pass, and update counts that leave a partial last block; the 2- and
+    # per pass, and update counts that leave a partial last block; volumes
+    # under chunk sites merge a site's back-to-back updates; the 2- and
     # 3-site rings name a site in its own neighbour row, boxes have a shell
     table = setup[0]
     n = table.n_sites
-    closed = np.vstack([np.arange(n), table.idx.T])
     stream = UpdateStream(derive_key(seed, "levels"), n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "_LEVELED_MIN_SITES", 0)
@@ -494,34 +499,41 @@ def test_block_plans_are_the_as_soon_as_possible_schedule(setup, seed, n_updates
     assert sum(sites.size for _, sites, _, _ in blocks) == n_updates
     for _, sites, us, (order, cells, nbrs, level_us, ends) in blocks:
         assert np.array_equal(np.sort(order), np.arange(sites.size))   # each position once
-        assert np.array_equal(cells, sites[order])
-        assert np.array_equal(nbrs, table.idx[cells])
+        overwritten = np.zeros(sites.size, bool)                # by stream position
+        overwritten[order] = cells == -1
+        assert np.array_equal(cells[cells != -1], sites[order][cells != -1])
+        assert n < chunk or not overwritten.any()
+        assert np.array_equal(nbrs, table.idx[sites[order]])
         assert np.array_equal(level_us, us[order])
         assert ends[-1] == sites.size and all(lo < hi for lo, hi in zip([0] + ends, ends))
         level = np.empty(sites.size, dtype=int)
         for depth, (lo, hi) in enumerate(zip([0] + ends, ends)):
             level[order[lo:hi]] = depth
             assert np.all(np.diff(order[lo:hi]) > 0)      # stream order within a level
-        assert level.tolist() == reference_levels(sites, closed)
+            real = cells[lo:hi][cells[lo:hi] >= 0]
+            assert np.unique(real).size == real.size      # no level writes a cell twice
+        assert level.tolist() == reference_levels(sites, table.idx, n < chunk)
         for i in range(sites.size):
             for j in range(i + 1, sites.size):
-                if level[i] == level[j]:              # one level: disjoint neighbourhoods
-                    assert sites[i] not in closed[:, sites[j]]
-                    assert sites[j] not in closed[:, sites[i]]
-                if sites[i] == sites[j]:              # one site: stream order kept
-                    assert level[i] < level[j]
+                if level[i] == level[j]:              # one level: neither reads the other
+                    assert sites[i] not in table.idx[sites[j]]
+                    assert sites[j] not in table.idx[sites[i]]
+                if sites[i] == sites[j]:              # one site: stream order kept, and the
+                    assert level[i] <= level[j]       # later update's write is the one kept
+                    assert level[i] < level[j] or overwritten[i]
 
 
-def sequential_levels(sites, idx, block):
-    """The as-soon-as-possible level of each update, one update at a time:
-    one deeper than the latest earlier update of its block at the site or a
-    neighbour, each block of ``block`` updates on its own."""
+def sequential_levels(sites, idx, block, merge):
+    """:func:`reference_levels` one update at a time: one deeper than the
+    latest earlier update of its block at a site it reads, and no shallower
+    than its site's previous update (one deeper without ``merge``), each
+    block of ``block`` updates on its own."""
     level = np.empty(sites.size, dtype=int)
     for start in range(0, sites.size, block):
         latest = np.full(idx.shape[0], -1)
         for k in range(start, min(start + block, sites.size)):
             s = sites[k]
-            latest[s] = level[k] = 1 + max(latest[s], latest[idx[s]].max())
+            latest[s] = level[k] = max(1 + latest[idx[s]].max(), latest[s] + (not merge))
     return level
 
 
@@ -529,16 +541,30 @@ def sequential_levels(sites, idx, block):
                                          (1 << 15, 2), ((1 << 15) + 1, 2)])
 def test_levels_on_either_side_of_the_16_bit_casts(n, n_blocks):
     # rings whose chunk of cells fills 2**16 exactly, or one cell more, so the
-    # queues sort on a uint16 copy or on the int64 cells; a block of n > 2**16
+    # unmerged queues sort on a uint16 copy or on the int64 cells; the merged
+    # runs sort keys 0..n (n for a shell entry), on a uint16 copy for the
+    # 2**15-site rings and on int64 for the others; a block of n > 2**16
     # updates keeps its levels in int64.  A block of n updates names most
     # sites more than once, and the top index several times
     idx = (np.arange(n)[:, None] + np.array([-1, 1])) % n
     rng = np.random.default_rng(n)
     sites = rng.integers(0, n, n_blocks * n)
     sites[rng.integers(0, sites.size, 8)] = n - 1
-    level = sampler._levels(sites, idx.T.copy(), n)
-    assert level.dtype == (np.uint16 if n <= 1 << 16 else np.int64)
-    assert np.array_equal(level, sequential_levels(sites, idx, n))
+    for merge in (False, True):
+        level, overwritten = sampler._levels(sites, idx.T.copy(), n, merge)
+        assert level.dtype == (np.uint16 if n <= 1 << 16 else np.int64)
+        assert np.array_equal(level, sequential_levels(sites, idx, n, merge))
+        assert np.array_equal(overwritten, overwritten_updates(sites, level, n) & merge)
+
+
+def overwritten_updates(sites, level, block):
+    """Whether a later update of the same block and site has the same level."""
+    seen, out = set(), np.zeros(sites.size, bool)
+    for k in range(sites.size - 1, -1, -1):
+        key = (k // block, int(sites[k]), int(level[k]))
+        out[k] = key in seen
+        seen.add(key)
+    return out
 
 
 @pytest.mark.parametrize("k", range(2, 25))
@@ -803,6 +829,70 @@ def test_order_violation_names_a_later_sweep_of_the_block(sweep_path, monkeypatc
         u == target, a + b - m, _sample_many(m, a, b, u)))
     with pytest.raises(OrderViolation, match=rf"at sweep 3, site index {sites[21]}: "):
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
+
+
+def test_order_violation_names_an_overwritten_update(sweep_path, monkeypatch):
+    # the first update after sweep 1 that its site's next update overwrites in
+    # the same level inverts; the levelled step raises it at the write-off
+    # slot, so the message must come from its stream position on both paths
+    table = wrapped_offsets(NN1, LatticeGeometry.torus([8]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_LEVELED_MIN_SITES", 0)
+        [(_, sites, us, (order, cells, *_))] = sampler._blocks(
+            UpdateStream(derive_key(1, "sandwich"), 8), 10 * 8, table.idx)
+    overwritten = np.sort(order[cells == -1])
+    k = overwritten[overwritten >= 8][0]
+    target = us[k]
+    monkeypatch.setattr(sampler, "_sample_one", lambda m, a, b, u: (
+        a + b - m if u == target else _sample_one(m, a, b, u)))
+    monkeypatch.setattr(sampler, "_sample_many", lambda m, a, b, u: np.where(
+        u == target, a + b - m, _sample_many(m, a, b, u)))
+    with pytest.raises(OrderViolation, match=rf"at sweep {k // 8 + 1}, site index {sites[k]}: "):
+        run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
+
+
+@pytest.mark.parametrize("run", ["chain", "sandwich"])
+def test_overwritten_updates_keep_their_values_in_the_log(run):
+    # a merged level writes each site once, yet the log that the recorded
+    # sweeps are rebuilt from holds every update's value, the scalar scan's
+    # log bit for bit; a 32-site ring levels and merges by default
+    geometry = LatticeGeometry.torus([32])
+    logs, overwritten = {path: [] for path in PATHS}, []
+    rows_at, levels = sampler._rows_at, sampler._levels
+
+    def spy_levels(*args):
+        level, over = levels(*args)
+        overwritten.append(over.any())
+        return level, over
+
+    for path in sorted(PATHS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
+            mp.setattr(sampler, "_rows_at", lambda before, sites, log, ends: (
+                logs[path].append(log.copy()) or rows_at(before, sites, log, ends)))
+            mp.setattr(sampler, "_levels", spy_levels)
+            if run == "chain":
+                stationary_run(geometry, NN1, UNIT, seed=2, burn_in=3, n_sweeps=20)
+            else:
+                run_sandwich(geometry, NN1, UNIT, 20, seed=2)
+    assert any(overwritten)
+    assert [log.tobytes() for log in logs["leveled"]] == [log.tobytes() for log in logs["scalar"]]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_self_reading_row_never_shares_a_level_with_itself(n):
+    # a kernel of range n names each site of an n-site ring in its own row:
+    # an update there reads its site's previous value, so two updates of a
+    # site never share a level; a range-1 kernel on the same ring merges some
+    sites, _ = UpdateStream(derive_key(5, "levels"), n).take(300)
+    for reach, self_reading in ((n, True), (1, False)):
+        idx = ring_table(exp_decay(0.5, reach, 1), n).idx
+        assert (idx == np.arange(n)[:, None]).any() == self_reading
+        level, overwritten = sampler._levels(sites, idx.T.copy(), sites.size, True)
+        steps = np.concatenate([np.diff(level[sites == s].astype(int)) for s in range(n)])
+        assert steps.min() >= (1 if self_reading else 0)
+        assert overwritten.any() != self_reading
+        assert np.array_equal(level, sequential_levels(sites, idx, sites.size, True))
 
 
 def counted_calls(mp, names):
