@@ -27,12 +27,14 @@ from .kernel import (
     SpinInterval,
     _boundary_array,
     build_kernel,
+    check_torus_extents,
     exp_decay,
     nearest_neighbor,
 )
 from .streams import uniform_configurations
 
 _REQUIRED = object()
+_SHARED = ("kernel", "geometry", "volume", "interval", "boundary", "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +81,28 @@ def _sites_from(nodes: list, path: str) -> list:
         seen.add(site)
         sites.append(site)
     return sites
+
+
+def _check_dimension(sites: list, path: str, kernel):
+    """Raise ConfigInvalid unless every site has the kernel's dimension."""
+    for r, site in enumerate(sites):
+        if len(site) != kernel.dimension:
+            raise ConfigInvalid(f"{path}[{r}]: site {list(site)} has {len(site)} coordinates, "
+                                f"kernel.dimension is {kernel.dimension}")
+
+
+def _unknown_fields(cfg: dict, echo: dict, path: str = ""):
+    """Raise ConfigInvalid for the first field of ``cfg`` that its echo lacks,
+    which no resolver read; a field both give as an object is checked
+    field by field.  At the top level the shared fields always pass, since
+    a subcommand that reads none of them echoes none."""
+    for key, node in cfg.items():
+        if key not in echo:
+            if not path and key in _SHARED:
+                continue
+            raise ConfigInvalid(f"{path}{key}: unknown field")
+        if isinstance(node, dict) and isinstance(echo[key], dict):
+            _unknown_fields(node, echo[key], f"{path}{key}.")
 
 
 def _int_from(cfg, path, default=_REQUIRED, least=1):
@@ -148,9 +172,20 @@ def _geometry_from(cfg: dict, kernel):
     kind = _get(cfg, "geometry.kind", str)
     if kind == "torus":
         extents = list(_int_tuple(_get(cfg, "geometry.extents", list), "geometry.extents"))
-        return LatticeGeometry.torus(extents), {"kind": "torus", "extents": extents}
+        if len(extents) != kernel.dimension:
+            raise ConfigInvalid(f"geometry.extents: {len(extents)} extents, "
+                                f"kernel.dimension is {kernel.dimension}")
+        try:
+            torus = LatticeGeometry.torus(extents)
+            check_torus_extents(kernel, torus)
+        except ValueError as err:
+            raise ConfigInvalid(f"geometry.extents: {err}") from None
+        return torus, {"kind": "torus", "extents": extents}
     if kind == "box":
         sites = _sites_from(_get(cfg, "geometry.sites", list), "geometry.sites")
+        if not sites:
+            raise ConfigInvalid("geometry.sites: must list at least one site")
+        _check_dimension(sites, "geometry.sites", kernel)
         return LatticeGeometry.box(sites, kernel), {
             "kind": "box", "sites": [list(s) for s in sorted(sites)]}
     raise ConfigInvalid(f"geometry.kind: expected 'torus' or 'box', got {kind!r}")
@@ -211,6 +246,7 @@ class _Setup:
     """
 
     def __init__(self, cfg, seed, space, interval=True, boundary=True):
+        self._cfg = cfg
         self.kernel, kern_cfg = _kernel_from(cfg)
         self.geometry = self.volume = self.vh = self.interval = self.boundary = None
         self._head = {"kernel": kern_cfg}
@@ -221,7 +257,9 @@ class _Setup:
             self.geometry, self._head["geometry"] = _geometry_from(cfg, self.kernel)
             shell = self.geometry.shell
         else:
-            self.volume = sorted(_volume_from(cfg))
+            volume = _volume_from(cfg)
+            _check_dimension(volume, "volume", self.kernel)
+            self.volume = sorted(volume)
             self._head["volume"] = [list(s) for s in self.volume]
             self.vh = finite_spec.build_matrices(self.volume, self.kernel)
             shell = self.vh.shell
@@ -236,8 +274,12 @@ class _Setup:
 
     def config(self, **params) -> dict:
         """The echoed config: kernel, geometry or volume, interval, seed, the
-        subcommand's own parameters, then the boundary."""
-        return {**self._head, **params, **self._tail}
+        subcommand's own parameters, then the boundary.  A config field that
+        the echo lacks was read by nothing and raises ConfigInvalid, so each
+        handler takes its echo before it runs or writes anything."""
+        echo = {**self._head, **params, **self._tail}
+        _unknown_fields(self._cfg, echo)
+        return echo
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +398,14 @@ def _run_sandwich(cfg, out, seed):
     run = _Setup(cfg, seed, "geometry")
     sweeps = _int_from(cfg, "sweeps", 500)
     snapshot_every = _int_from(cfg, "snapshot_every", 0, least=0)
+    config = run.config(sweeps=sweeps, snapshot_every=snapshot_every)
     trace = sampler.run_sandwich(run.geometry, run.kernel, run.interval, sweeps, seed,
                                  snapshot_every=snapshot_every, boundary=run.boundary)
     rows = zip(range(sweeps + 1), trace.sup_gap.tolist(), trace.mean_gap.tolist())
     _write_csv(out, "trace.csv", ["sweep", "sup_gap", "mean_gap"],
                [v for row in rows for v in row])
     return {
-        "config": run.config(sweeps=sweeps, snapshot_every=snapshot_every),
+        "config": config,
         "initial_sup_gap": float(trace.sup_gap[0]),
         "final_sup_gap": float(trace.sup_gap[-1]),
         "final_mean_gap": float(trace.mean_gap[-1]),
@@ -386,6 +429,7 @@ def _run_cftp(cfg, out, seed):
         raise ConfigInvalid(f"eps_coal: must be >= 0, got {eps}")
     t_cap = _int_from(cfg, "t_cap", 1 << 20, least=max(2, len(sites)))   # the first horizon
     n_q = _n_q_from(cfg)
+    config = run.config(n_samples=n_samples, eps_coal=eps, t_cap=t_cap, n_q=n_q)
 
     samples = sampler.cftp_samples(run.geometry, run.kernel, run.interval, run.boundary,
                                    n_samples, seed, eps_coal=eps, t_cap=t_cap)
@@ -409,7 +453,7 @@ def _run_cftp(cfg, out, seed):
             ks_rows.append({"name": f"ks[{_site_column(site)}]", "distance": distance,
                             "threshold": ks_threshold, "pass": distance < ks_threshold})
     return {
-        "config": run.config(n_samples=n_samples, eps_coal=eps, t_cap=t_cap, n_q=n_q),
+        "config": config,
         "mean_verdicts": verdicts, "ks": ks_rows,
         "pass": all(v["pass"] for v in verdicts) and all(r["pass"] for r in ks_rows),
     }
@@ -425,12 +469,13 @@ def _run_ident4(cfg, out, seed):
     start = _get(cfg, "start", str, "midpoint")
     if start not in ("midpoint", "lower", "upper"):
         raise ConfigInvalid(f"start: expected 'midpoint', 'lower' or 'upper', got {start!r}")
+    config = run.config(burn_in=burn_in, sweeps=sweeps, batches=batches, start=start)
 
     trace = sampler.stationary_run(run.geometry, run.kernel, run.interval, seed,
                                    burn_in, sweeps, start=start)
     shift, balance = diagnostics.stationarity_check(trace, batches=batches)
     return {
-        "config": run.config(burn_in=burn_in, sweeps=sweeps, batches=batches, start=start),
+        "config": config,
         "verdicts": [shift.as_dict(), balance.as_dict()],
         "pass": shift.passed and balance.passed,
     }
@@ -439,6 +484,7 @@ def _run_ident4(cfg, out, seed):
 def _run_spec_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
     trials = _int_from(cfg, "identity_trials", 100)
+    config = run.config(identity_trials=trials)
     vh = run.vh
     spec = finite_spec.specification(vh, run.boundary, run.interval)
     worst = 0.0
@@ -450,7 +496,7 @@ def _run_spec_check(cfg, out, seed):
     solve_residual = float(np.max(np.abs(
         vh.precision @ spec.mean - vh.cross @ run.boundary))) if len(vh.shell) else 0.0
     return {
-        "config": run.config(identity_trials=trials),
+        "config": config,
         "sites": [list(s) for s in vh.sites], "shell": [list(s) for s in vh.shell],
         "precision": vh.precision, "cross": vh.cross,
         "mean": spec.mean, "covariance": spec.covariance,
@@ -461,12 +507,13 @@ def _run_spec_check(cfg, out, seed):
 
 def _run_pd_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume", interval=False, boundary=False)
+    config = run.config()
     vh = run.vh
     cert = finite_spec.pd_certificate(vh)
     residual = float(np.max(np.abs(cert.reassemble() - vh.precision)))
     min_eig = float(np.linalg.eigvalsh(vh.precision).min())
     return {
-        "config": run.config(),
+        "config": config,
         "slack": cert.slack,
         "terms": [{"offset": list(z), "weight": w,
                    "classes": [[list(s) for s in chain] for chain in classes]}
@@ -485,6 +532,7 @@ def _run_beta_check(cfg, out, seed):
         if not 0.0 < beta < float("inf"):       # NaN too
             raise ConfigInvalid(f"betas[{k}]: must be a finite number > 0, got {beta}")
     trials = _int_from(cfg, "trials", 100)
+    config = run.config(betas=betas, trials=trials)
     rows = []
     for k, beta in enumerate(betas):
         try:
@@ -493,7 +541,7 @@ def _run_beta_check(cfg, out, seed):
             raise ConfigInvalid(f"betas[{k}]: {err}") from None
         rows.append({"beta": beta, "max_residual": residual, "pass": residual <= 1e-10})
     return {
-        "config": run.config(betas=betas, trials=trials),
+        "config": config,
         "results": rows, "pass": all(r["pass"] for r in rows),
     }
 
@@ -501,25 +549,30 @@ def _run_beta_check(cfg, out, seed):
 def _run_af_probe(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
     trials = _int_from(cfg, "trials", 100)
+    config = run.config(trials=trials, partition="parity")
     report = transforms.af_specification_probe(
         run.vh, run.boundary, run.interval,
         transforms.BipartitePartition.parity(), trials, seed=seed)
     return {     # measurement only; no correctness assertion, so no "pass"
-        "config": run.config(trials=trials, partition="parity"),
+        "config": config,
         "deltas": report.deltas, "mean": report.mean, "spread": report.spread,
     }
 
 
 def _run_oracle_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
+    if len(run.volume) > 3:
+        raise ConfigInvalid(f"volume: the quadrature oracle takes at most 3 sites, "
+                            f"got {len(run.volume)}")
     n_q = _n_q_from(cfg)
+    config = run.config(n_q=n_q)
     law = (run.vh, run.boundary, run.interval)
     oracle = diagnostics.quadrature_marginals(*law, n_q=n_q)
     refined = diagnostics.quadrature_marginals(*law, n_q=2 * n_q)
     mean_shift = float(np.max(np.abs(refined.means - oracle.means)))
     z_shift = abs(refined.normalizer - oracle.normalizer) / oracle.normalizer
     payload = {
-        "config": run.config(n_q=n_q),
+        "config": config,
         "quadrature_means": oracle.means,
         "normalizer": oracle.normalizer,
         "refinement_mean_shift": mean_shift,

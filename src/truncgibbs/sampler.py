@@ -29,16 +29,15 @@ order, every update reads exactly the values the sequential scan would,
 and a level writes each site once, its last update there; so the stream,
 the order of the updates at each site and every bit of the result are
 those of the sequential scan.  The single chain and the coupled sandwich
-share one schedule (:func:`_blocks`):
-blocks of whole sweeps, each levelled as one stretch, so levels run on
-across sweep boundaries.  The blocks of a chunk are levelled in one pass,
-as disjoint volumes side by side; each block then runs from slices of its
-updates sorted by level, one quantile call per level, and the fields after
-each recorded sweep are rebuilt from the block's log of update outputs.  A
-volume too small to give each level many updates runs the same scan one
-update at a time instead.  CFTP's replicas have independent streams, so
-each of its horizons runs them in contiguous groups side by side, one
-thread per usable CPU, with the bits of a single group.
+share one schedule (:func:`_blocks`) on every volume: blocks of whole
+sweeps, each levelled as one stretch, so levels run on across sweep
+boundaries.  The blocks of a chunk are levelled in one pass, as disjoint
+volumes side by side; each block then runs from slices of its updates
+sorted by level, one quantile call per level, and the fields after each
+recorded sweep are rebuilt from the block's log of update outputs.
+CFTP's replicas have independent streams, so each of its horizons runs them
+in contiguous groups side by side, one thread per usable CPU, with the bits
+of a single group.
 """
 
 from __future__ import annotations
@@ -94,18 +93,21 @@ def _order_tolerance(interval: SpinInterval) -> float:
 # slower merging (two sets of 12), its run sorts costing more than its 16%
 # fewer levels save.
 #
-# A level costs a fixed run of numpy calls, so levelling pays from about 7
-# sites per closed neighbourhood (the site and its kernel neighbours), for
-# one chain and the coupled pair alike.  Levelled against scalar time, chain
-# and sandwich (medians of 7 to 9 paired runs of 60,000 updates): a 5 x 5 nn
-# torus (5.0) 1.21 and 1.27, an 18-site ring (6.0) 0.88 and 1.05, a 20-site
-# ring (6.7) 0.87 and 0.86, a 21-site ring (7.0) 0.62 and 0.84, a 6 x 6
-# torus (7.2) 0.87 and 0.75, a 24-site ring (8.0) 0.68 and 0.82, a 7 x 7
-# torus (9.8) 0.69 and 0.75, an 8 x 8 torus (12.8) 0.56 and 0.64, a 48-site
-# ring (16) 0.49 and 0.40.  Smaller volumes keep the scalar scan.
+# A chunk holds at most _CHUNK_UPDATES updates (one block at least).  That
+# binds only below 16 sites, where _CHUNK_SITES / n would exceed 32 blocks
+# (170 blocks, 2.8 million updates, on 3 sites), and keeps a small volume's
+# level pass to the size of a 16-site volume's.
+#
+# Every volume runs levelled.  A level costs a fixed run of numpy calls, so
+# volumes under about 12 sites, whose levels hold few updates, ran faster
+# one update at a time.  Against that loop (CPU-time medians of 10
+# interleaved pairs, 2-core VM) an 8-site ring chain took 1.48x the time,
+# 8-site ring and 4 x 4 torus sandwiches 1.42x and 1.29x, and a 3-site box
+# sandwich 2.0x, while a 16-site ring chain took 0.62x and its sandwich
+# 0.87x.  No workload, example or acceptance run uses a volume that small.
 _BLOCK_UPDATES = 1 << 14
-_LEVELED_MIN_SITES = 7
 _CHUNK_SITES = 1 << 9
+_CHUNK_UPDATES = 1 << 19
 
 
 class FieldConfiguration:
@@ -162,10 +164,8 @@ class FieldConfiguration:
 
 
 def _array_ends(interval: SpinInterval):
-    """The interval's ends as 0-d float64 arrays, which the vector steps'
-    numpy calls take faster than numpy scalars (see :func:`_sample_many`).
-    The scalar twins keep numpy scalars: with 0-d ends their Python
-    arithmetic ran a 16-site ring 2.1x slower."""
+    """The interval's ends as 0-d float64 arrays, which the steps' numpy
+    calls take faster than numpy scalars (see :func:`_sample_many`)."""
     return np.array(interval.a, dtype=float), np.array(interval.b, dtype=float)
 
 
@@ -198,10 +198,10 @@ def sweep(field: FieldConfiguration, stream: UpdateStream, n_updates: int) -> Fi
     return field
 
 
-def _order_violation(k, cell, new_lo, new_up) -> OrderViolation:
-    # the caller adds what the input position ``k`` and flat index ``cell`` name
+def _order_violation(k, new_lo, new_up) -> OrderViolation:
+    # the caller adds what the input position ``k`` names
     err = OrderViolation(f"{new_lo} > {new_up}")
-    err.index, err.cell = int(k), int(cell)
+    err.index = int(k)
     return err
 
 
@@ -216,9 +216,8 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     differ; where they agree the upper chain copies the lower chain's draw.
     Inversions up to ``tol`` are repaired by taking the min / max;
     a larger one raises OrderViolation, with the offending update's
-    position in ``cells`` as its ``index`` and its flat index as its
-    ``cell``.  Returns the new lower and upper values, the number of
-    repairs and the largest repaired inversion.
+    position in ``cells`` as its ``index``.  Returns the new lower and
+    upper values, the number of repairs and the largest repaired inversion.
     """
     m_lo = _clip(np.vecdot(low.take(nbrs), w), a, b)     # the scan's row @ w, bit for bit
     m_up = _clip(np.vecdot(upp.take(nbrs), w), a, b)
@@ -233,34 +232,12 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     if worst > 0.0:
         if worst > tol:
             k = int(inversion.argmax())
-            raise _order_violation(k, cells[k], new_lo[k], new_up[k])
+            raise _order_violation(k, new_lo[k], new_up[k])
         repairs = int(np.count_nonzero(inversion > 0.0))   # sub-ulp rounding wobble
         new_lo, new_up = np.minimum(new_lo, new_up), np.maximum(new_lo, new_up)
     low[cells] = new_lo
     upp[cells] = new_up
     return new_lo, new_up, repairs, worst
-
-
-def _coupled_scan(low: np.ndarray, upp: np.ndarray, sites: np.ndarray, us: np.ndarray,
-                  idx: np.ndarray, w: np.ndarray, a: float, b: float, tol: float):
-    """Scalar twin of :func:`_coupled_step`: the updates one at a time in
-    stream order, with the same arithmetic, checks and return values."""
-    log_lo, log_up = np.empty(sites.size), np.empty(sites.size)
-    repairs, worst = 0, 0.0
-    for k, (i, u) in enumerate(zip(sites.tolist(), us.tolist())):
-        row = idx[i]
-        m_lo = min(max(low[row] @ w, a), b)
-        m_up = min(max(upp[row] @ w, a), b)
-        new_lo = _sample_one(m_lo, a, b, u)
-        new_up = new_lo if m_up == m_lo else _sample_one(m_up, a, b, u)
-        if new_lo > new_up:
-            if new_lo - new_up > tol:
-                raise _order_violation(k, i, new_lo, new_up)
-            repairs, worst = repairs + 1, max(worst, new_lo - new_up)
-            new_lo, new_up = new_up, new_lo   # sub-ulp rounding wobble
-        low[i] = log_lo[k] = new_lo
-        upp[i] = log_up[k] = new_up
-    return log_lo, log_up, repairs, worst
 
 
 def _runs(sites: np.ndarray, rows: np.ndarray, block: int):
@@ -362,43 +339,38 @@ def _levels(sites: np.ndarray, rows: np.ndarray, block: int, merge: bool):
 
 def _blocks(stream: UpdateStream, n_updates: int, idx: np.ndarray):
     """The next ``n_updates`` updates of ``stream`` in blocks of whole sweeps,
-    as (position of the block in the run, sites, uniforms, plan).
+    as (position of the block in the run, sites, plan).
 
-    On volumes of at least ``_LEVELED_MIN_SITES`` sites per closed
-    neighbourhood the plan runs the block level by level: (order, cells,
-    neighbour rows, uniforms, ends), where ``order`` is the block's stream
-    positions sorted by :func:`_levels` (a stable radix sort of the
-    ``uint16`` levels), the rows and uniforms are gathered in that order,
-    and level d is the slice from ``ends[d - 1]`` (0 for d = 0) to
-    ``ends[d]``.  The stream is taken in chunks of about ``_CHUNK_SITES / n``
-    blocks, each levelled in one pass.  Volumes under ``_CHUNK_SITES`` sites
-    give a site's back-to-back updates one level, and ``cells``, the cells
-    written in level order, point each update that a later one of its level
-    overwrites at a write-off slot, index -1 of working fields that carry one
-    extra slot: numpy gives repeated indices of one assignment no order, and
-    the block's log keeps every value.  Volumes with fewer sites per closed
-    neighbourhood get the plan None and run the scalar scan.
+    The plan runs the block level by level: (order, cells, neighbour rows,
+    uniforms, ends), where ``order`` is the block's stream positions sorted
+    by :func:`_levels` (a stable radix sort of the ``uint16`` levels), the
+    rows and uniforms are gathered in that order, and level d is the slice
+    from ``ends[d - 1]`` (0 for d = 0) to ``ends[d]``.  The stream is taken
+    in chunks of about ``_CHUNK_SITES / n`` blocks and at most
+    ``_CHUNK_UPDATES`` updates (one block at least), each levelled in one
+    pass.  Volumes under ``_CHUNK_SITES`` sites give a site's back-to-back
+    updates one level, and ``cells``, the cells written in level order, point
+    each update that a later one of its level overwrites at a write-off slot,
+    index -1 of working fields that carry one extra slot: numpy gives
+    repeated indices of one assignment no order, and the block's log keeps
+    every value.
     """
     n = idx.shape[0]
     block = max(1, _BLOCK_UPDATES // n) * n
-    rows = None
-    if n >= _LEVELED_MIN_SITES * (1 + idx.shape[1]):
-        rows = np.where(idx < n, idx, n).T.copy()
-    chunk = block if rows is None else max(1, _CHUNK_SITES // n) * block
+    rows = np.where(idx < n, idx, n).T.copy()
+    chunk = max(1, min(_CHUNK_SITES // n, _CHUNK_UPDATES // block)) * block
     for start in range(0, n_updates, chunk):
         sites, us = stream.take(min(chunk, n_updates - start))
-        levels = None if rows is None else _levels(sites, rows, block, n < _CHUNK_SITES)
+        levels, overwritten = _levels(sites, rows, block, n < _CHUNK_SITES)
         for lo in range(0, sites.size, block):
-            block_sites, block_us, plan = sites[lo:lo + block], us[lo:lo + block], None
-            if levels is not None:
-                level = levels[0][lo:lo + block]
-                order = np.argsort(level, kind="stable")
-                cells = block_sites.take(order)
-                nbrs = idx.take(cells, axis=0)
-                cells[levels[1][lo:lo + block].take(order)] = -1    # the write-off slot
-                plan = (order, cells, nbrs, block_us.take(order),
-                        np.bincount(level).cumsum().tolist())
-            yield start + lo, block_sites, block_us, plan
+            block_sites, block_us = sites[lo:lo + block], us[lo:lo + block]
+            level = levels[lo:lo + block]
+            order = np.argsort(level, kind="stable")
+            cells = block_sites.take(order)
+            nbrs = idx.take(cells, axis=0)
+            cells[overwritten[lo:lo + block].take(order)] = -1      # the write-off slot
+            yield start + lo, block_sites, (
+                order, cells, nbrs, block_us.take(order), np.bincount(level).cumsum().tolist())
 
 
 def _rows_at(before: np.ndarray, sites: np.ndarray, log: np.ndarray,
@@ -443,11 +415,10 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     toward zero is the finite-volume face of uniqueness of the equilibrium
     state.  Both chains run on the single chain's schedule (see
     :func:`_blocks`): each block of whole sweeps goes level by level, one
-    :func:`_coupled_step` per level, or through :func:`_coupled_scan` on
-    small volumes, and the gaps after each sweep are rebuilt from the gaps
-    before the block and the block's log of gaps, upper minus lower.  Every
-    bit is the sequential scan's, and an ``OrderViolation`` names the sweep
-    of the update that raised it.
+    :func:`_coupled_step` per level, and the gaps after each sweep are
+    rebuilt from the gaps before the block and the block's log of gaps,
+    upper minus lower.  Every bit is the sequential scan's, and an
+    ``OrderViolation`` names the sweep of the update that raised it.
     """
     if n_sweeps < 0:
         raise ValueError(f"n_sweeps must be at least 0, got {n_sweeps}")
@@ -460,8 +431,7 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     upp = np.append(FieldConfiguration.all_upper(table, interval, boundary).values, 0.0)
     stream = UpdateStream(derive_key(seed, "sandwich"), n)
     idx, w = table.idx, table.weights
-    a, b = np.float64(interval.a), np.float64(interval.b)   # the scan's ends
-    a0, b0 = _array_ends(interval)                          # the steps' ends
+    a, b = _array_ends(interval)
     tol = _order_tolerance(interval)
 
     sup, mean, snapshots = np.empty(n_sweeps + 1), np.empty(n_sweeps + 1), {}
@@ -475,30 +445,25 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
     record(0, (upp[:n] - low[:n])[None])
     repairs, worst = 0, 0.0
-    for start, sites, us, plan in _blocks(stream, n_sweeps * n, idx):
+    for start, sites, (order, cells, nbrs, level_us, level_ends) in _blocks(
+            stream, n_sweeps * n, idx):
         before = upp[:n] - low[:n]
-        log = np.empty((2, sites.size))
-        lo = None               # a step's error indexes its level, a scan's the block
+        new = np.empty((2, sites.size))
+        lo = 0
         try:
-            if plan is None:
-                log[0], log[1], r, inv = _coupled_scan(low, upp, sites, us, idx, w, a, b, tol)
+            for hi in level_ends:
+                new[0, lo:hi], new[1, lo:hi], r, inv = _coupled_step(
+                    low, upp, cells[lo:hi], nbrs[lo:hi], level_us[lo:hi], w, a, b, tol)
                 repairs, worst = repairs + r, max(worst, inv)
-            else:
-                order, cells, nbrs, level_us, level_ends = plan
-                new = np.empty((2, sites.size))
-                lo = 0
-                for hi in level_ends:
-                    new[0, lo:hi], new[1, lo:hi], r, inv = _coupled_step(
-                        low, upp, cells[lo:hi], nbrs[lo:hi], level_us[lo:hi], w, a0, b0, tol)
-                    repairs, worst = repairs + r, max(worst, inv)
-                    lo = hi
-                log[:, order] = new
+                lo = hi
         except OrderViolation as err:   # by stream position: a level's cell may be the slot
-            k = err.index if lo is None else int(order[lo + err.index])
+            k = int(order[lo + err.index])
             raise OrderViolation(f"coupled order broken at sweep {(start + k) // n + 1}, "
                                  f"site index {sites[k]}: {err}") from None
+        gaps = np.empty(sites.size)     # the block's log of gaps, in stream order
+        gaps[order] = new[1] - new[0]
         ends = n * np.arange(1, sites.size // n + 1)
-        record(start // n + 1, _rows_at(before, sites, log[1] - log[0], ends))
+        record(start // n + 1, _rows_at(before, sites, gaps, ends))
     return SandwichTrace(sup, mean, snapshots, seed, interval, low[:n].copy(), upp[:n].copy(),
                          repairs, float(worst / tol))
 
@@ -514,17 +479,6 @@ class RunTrace:
     burn_in: int
 
 
-def _chain_scan(values: np.ndarray, sites: np.ndarray, us: np.ndarray, idx: np.ndarray,
-                w: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The updates of one chain one at a time in stream order, with the
-    arithmetic of :func:`_chain_step`; returns the new values in stream order."""
-    log = np.empty(sites.size)
-    for k, (i, u) in enumerate(zip(sites.tolist(), us.tolist())):
-        m = values[idx[i]] @ w
-        values[i] = log[k] = _sample_one(min(max(m, a), b), a, b, u)
-    return log
-
-
 def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
                out: np.ndarray) -> None:
     """Apply ``n_updates`` stream updates to ``field`` in place, and fill the
@@ -532,30 +486,24 @@ def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
     sweeps of ``n_interior`` updates.
 
     The updates run on the schedule of :func:`_blocks`: level by level, one
-    :func:`_sample_many` call per level, or through :func:`_chain_scan` on
-    small volumes; both give the bits of the sequential scan.  The levels
-    take the interval's ends as 0-d arrays and the scan as numpy scalars
-    (see :func:`_array_ends`).
+    :func:`_sample_many` call per level, with the bits of the sequential
+    scan.
     """
     n = field.n_interior
     values = np.append(field.values, 0.0)        # with the write-off slot of _blocks
     idx, w = field.table.idx, field.table.weights
-    a, b = np.float64(field.interval.a), np.float64(field.interval.b)   # the scan's ends
-    a0, b0 = _array_ends(field.interval)                                # the levels' ends
+    a, b = _array_ends(field.interval)
     ends = n_updates - n * np.arange(len(out) - 1, -1, -1)   # update count at each row
-    for start, sites, us, plan in _blocks(stream, n_updates, idx):
+    for start, sites, (order, cells, nbrs, level_us, level_ends) in _blocks(
+            stream, n_updates, idx):
         before = values[:n].copy()
-        if plan is None:
-            log = _chain_scan(values, sites, us, idx, w, a, b)
-        else:
-            order, cells, nbrs, level_us, level_ends = plan
-            new, log = np.empty(sites.size), np.empty(sites.size)
-            lo = 0
-            for hi in level_ends:   # the scan's means, bit for bit, then one quantile call
-                m = _clip(np.vecdot(values.take(nbrs[lo:hi]), w), a0, b0)
-                new[lo:hi] = values[cells[lo:hi]] = _sample_many(m, a0, b0, level_us[lo:hi])
-                lo = hi
-            log[order] = new
+        new, log = np.empty(sites.size), np.empty(sites.size)
+        lo = 0
+        for hi in level_ends:       # the scan's means, bit for bit, then one quantile call
+            m = _clip(np.vecdot(values.take(nbrs[lo:hi]), w), a, b)
+            new[lo:hi] = values[cells[lo:hi]] = _sample_many(m, a, b, level_us[lo:hi])
+            lo = hi
+        log[order] = new
         rows = np.flatnonzero((ends > start) & (ends <= start + sites.size))
         if rows.size:
             out[rows] = _rows_at(before, sites, log, ends[rows] - start)
@@ -570,10 +518,10 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     ``start`` picks the initial state: "midpoint", "lower", or "upper";
     starting from "upper" with no burn-in gives the deliberately
     non-equilibrated chain used as a negative control.  The run is one
-    stretch of ``(burn_in + n_sweeps)`` sweeps of the stream, applied in
-    blocks of whole sweeps whose dependency levels cross sweep boundaries
-    (see :func:`_run_chain`); every recorded field is bit-identical to the
-    sequential scan's.
+    stretch of ``(burn_in + n_sweeps)`` sweeps of the stream, applied on
+    every volume in blocks of whole sweeps whose dependency levels cross
+    sweep boundaries (see :func:`_run_chain`); every recorded field is
+    bit-identical to the sequential scan's.
     """
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
@@ -636,11 +584,10 @@ def _cftp_horizon(active, horizon, keys, lowest, highest, idx, w, a, b, tol, eps
         nbrs += base[:, None]
         try:
             _coupled_step(low.reshape(-1), upp.reshape(-1), base + sites, nbrs, us, w, a, b, tol)
-        except OrderViolation as err:
-            row, site = divmod(err.cell, low.shape[1])
+        except OrderViolation as err:      # one update per replica row
             raise OrderViolation(
                 f"coupled order broken inside coupling from the past at time -{t}, "
-                f"replica {active[row]}, site index {site}: {err}") from None
+                f"replica {active[err.index]}, site index {sites[err.index]}: {err}") from None
     done = (upp[:, :n] - low[:, :n]).max(axis=1) <= eps_coal
     return done, 0.5 * (low[done, :n] + upp[done, :n])
 

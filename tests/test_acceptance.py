@@ -383,7 +383,7 @@ CLI_SHA256 = {
 def test_cli_artifact_bytes_are_pinned(tmp_path):
     """The sha256 of every artifact of ``CLI_CONFIGS``, recorded as
     ``LEVELLED_SHA256`` is (numpy 2.4.6, scipy 1.17.1).  These runs take the
-    scalar twins of the levelled steps (16-, 8- and 2-site volumes), every
+    levelled steps on small volumes (16-, 8- and 2-site), every
     finite-volume subcommand and the 1-site quadrature oracle, whose
     densities evaluate ``truncnorm._mass``; a change of their bits says why
     in CHANGES.md and re-records them."""
@@ -418,13 +418,13 @@ def test_cli_artifact_text_is_pinned(tmp_path):
                     assert repr(value) == field, (path.name, field)
 
 
-# Configs whose runs take the levelled steps, which none of CLI_CONFIGS
-# reaches, each a (subcommand, config) pair: a sandwich on a 12 x 12 nn
-# torus (28.8 sites per closed neighbourhood) in one block; one on a 16 x 16
-# nn torus over [0, 4], whose 200 sweeps are four blocks (64, 64, 64 and 8
-# sweeps) levelled two per pass; CFTP on a 3-site box, which steps every
-# replica of a slot as one level; and the single chain on a 64-site nn ring
-# (21.3) over the wide interval [0, 10], in two blocks.
+# Configs whose runs take the levelled steps on wider volumes than those of
+# CLI_CONFIGS, each a (subcommand, config) pair: a sandwich on a 12 x 12 nn
+# torus in one block; one on a 16 x 16 nn torus over [0, 4], whose 200
+# sweeps are four blocks (64, 64, 64 and 8 sweeps) levelled two per pass;
+# CFTP on a 3-site box, which steps every replica of a slot as one level;
+# and the single chain on a 64-site nn ring over the wide interval [0, 10],
+# in two blocks.
 LEVELLED_CONFIGS = {
     "sandwich": ("sandwich", {"kernel": {"preset": "nn", "dimension": 2},
                               "geometry": {"kind": "torus", "extents": [12, 12]},

@@ -299,7 +299,52 @@ BAD_INPUTS = [
     ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1], [2]]},
               "boundary": {"constant": 0.5}, "t_cap": 2},
      "t_cap: must be an integer >= 3, got 2"),
+    # a field that the subcommand never reads is named, not dropped
+    ("sandwich", {"geometry": TORUS8, "sweep": 3}, "sweep: unknown field"),
+    ("spec-check", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "identity_trial": 3},
+     "identity_trial: unknown field"),
+    ("pd-check", {"volume": VOLUME2, "trials": 5}, "trials: unknown field"),
+    ("sandwich", {"kernel": {**NN_KERNEL, "rate": 0.5}, "geometry": TORUS8},
+     "kernel.rate: unknown field"),
+    ("cftp", {"geometry": {**BOX2, "extents": [2]}, "boundary": {"constant": 0.5}},
+     "geometry.extents: unknown field"),
+    ("spec-check", {"volume": VOLUME2, "boundary": {
+        "constant": 0.5, "values": [[[-1], 0.0], [[2], 1.0]]}}, "boundary.values: unknown field"),
+    # volumes and geometries the library would refuse only once the run starts
+    ("oracle-check", {"volume": [[0], [1], [2], [3]], "boundary": {"constant": 0.5}},
+     "volume: the quadrature oracle takes at most 3 sites, got 4"),
+    ("sandwich", {"kernel": {"preset": "nn", "dimension": 2}, "geometry": TORUS8},
+     "geometry.extents: 1 extents, kernel.dimension is 2"),
+    ("cftp", {"kernel": {"preset": "nn", "dimension": 2}, "geometry": BOX2,
+              "boundary": {"constant": 0.5}},
+     "geometry.sites[0]: site [0] has 1 coordinates, kernel.dimension is 2"),
+    ("spec-check", {"kernel": {"preset": "nn", "dimension": 2}, "volume": VOLUME2,
+                    "boundary": {"constant": 0.5}},
+     "volume[0]: site [0] has 1 coordinates, kernel.dimension is 2"),
+    ("pd-check", {"volume": [[0], [1, 0]]},
+     "volume[1]: site [1, 0] has 2 coordinates, kernel.dimension is 1"),
+    ("ident4", {"geometry": {"kind": "torus", "extents": [2]}},
+     "geometry.extents: torus extent 2 on axis 0 must exceed twice the kernel range 1"),
+    ("sandwich", {"geometry": {"kind": "torus", "extents": [0]}},
+     "geometry.extents: torus extents must be positive"),
+    ("cftp", {"geometry": {"kind": "box", "sites": []}, "boundary": {"constant": 0.5}},
+     "geometry.sites: must list at least one site"),
 ]
+
+
+@pytest.mark.parametrize("subcommand, fields", [
+    ("pd-check", {"volume": VOLUME2, "interval": [0.0, 1.0], "boundary": {"constant": 0.5}}),
+    ("beta-check", {"volume": VOLUME2, "boundary": {"constant": 0.5}}),
+    ("ident4", {"geometry": TORUS8, "boundary": {"constant": 0.5}, "volume": VOLUME2,
+                "burn_in": 10, "sweeps": 100}),
+    ("sandwich", {"geometry": TORUS8, "volume": VOLUME2}),
+])
+def test_shared_fields_pass_where_unread(tmp_path, subcommand, fields):
+    # the shared fields pass where nothing reads them, so one config can
+    # serve every finite-volume subcommand
+    cfg = write_config(tmp_path, "c.json", {"kernel": NN_KERNEL, "interval": [0.0, 1.0],
+                                            "seed": 1, **fields})
+    assert run(subcommand, cfg, tmp_path / "out") == 0
 
 
 @pytest.mark.parametrize("subcommand, fields, path", BAD_INPUTS,
@@ -365,8 +410,16 @@ def test_nan_coalescence_tolerance_is_config_error(tmp_path, capsys):
 
 
 VOLUME_CONFIG = {"kernel": NN_KERNEL, "volume": [[0], [1], [2]], "interval": [0.0, 1.0],
-                 "boundary": {"constant": 0.5}, "trials": 5, "identity_trials": 5,
-                 "betas": [0.5, 2.0, 4.0], "n_q": 64}
+                 "boundary": {"constant": 0.5}}
+# each finite-volume subcommand's own fields, small for a quick run; a field
+# that a subcommand does not read is a config error
+VOLUME_FIELDS = {"spec-check": {"identity_trials": 5}, "pd-check": {},
+                 "beta-check": {"trials": 5, "betas": [0.5, 2.0, 4.0]},
+                 "af-probe": {"trials": 5}, "oracle-check": {"n_q": 64}}
+
+
+def volume_config(subcommand, **changes):
+    return {**VOLUME_CONFIG, **VOLUME_FIELDS[subcommand], **changes}
 
 
 @pytest.mark.parametrize("subcommand",
@@ -383,7 +436,7 @@ def test_volume_matrices_built_once_per_call(tmp_path, monkeypatch, subcommand):
         if module is not None and module.__name__.startswith("truncgibbs") \
                 and getattr(module, "build_matrices", None) is real:
             monkeypatch.setattr(module, "build_matrices", counted)
-    cfg = write_config(tmp_path, "v.json", VOLUME_CONFIG)
+    cfg = write_config(tmp_path, "v.json", volume_config(subcommand))
     assert run(subcommand, cfg, tmp_path / "out") == 0
     assert len(calls) == 1
 
@@ -401,7 +454,6 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
 
 def test_forced_order_violation_fails_run(tmp_path, capsys, monkeypatch):
     # a quantile that decreases in the mean puts the lower chain above the upper
-    monkeypatch.setattr(sampler, "_sample_one", lambda m, a, b, u: a + b - m)
     monkeypatch.setattr(sampler, "_sample_many", lambda m, a, b, u: a + b - m)
     cfg = write_config(tmp_path, "fault.json", {
         "kernel": NN_KERNEL, "geometry": {"kind": "torus", "extents": [8]},
@@ -412,10 +464,9 @@ def test_forced_order_violation_fails_run(tmp_path, capsys, monkeypatch):
 
 
 TORUS_CONFIG = {"kernel": NN_KERNEL, "geometry": TORUS8, "interval": [0.0, 1.0],
-                "seed": 1, "sweeps": 10, "burn_in": 10}
+                "seed": 1, "sweeps": 10}
 BOX_CONFIG = {"kernel": NN_KERNEL, "geometry": BOX2, "interval": [0.0, 1.0],
               "boundary": {"constant": 0.5}, "seed": 1, "n_samples": 200, "n_q": 64}
-ONE_SITE_CONFIG = {**VOLUME_CONFIG, "volume": [[0]]}
 
 
 def _spoiled(module, name, spoil):
@@ -428,18 +479,18 @@ def _spoiled(module, name, spoil):
 # call altered so that the verdict fails (None where the run grades nothing)
 EXIT_CASES = {
     "sandwich": (TORUS_CONFIG, "summary.json", None),
-    "af-probe": (VOLUME_CONFIG, "af_probe.json", None),
+    "af-probe": (volume_config("af-probe"), "af_probe.json", None),
     "cftp": (BOX_CONFIG, "verdicts.json", _spoiled(diagnostics, "ks_distance", lambda d: 1.0)),
-    "ident4": (TORUS_CONFIG, "verdicts.json", _spoiled(
+    "ident4": ({**TORUS_CONFIG, "burn_in": 10}, "verdicts.json", _spoiled(
         diagnostics, "stationarity_check",
         lambda pair: (dataclasses.replace(pair[0], passed=False), pair[1]))),
-    "spec-check": (VOLUME_CONFIG, "spec.json",
+    "spec-check": (volume_config("spec-check"), "spec.json",
                    _spoiled(finite_spec, "quadratic_form", lambda q: q + 1.0)),
-    "pd-check": (VOLUME_CONFIG, "certificate.json", _spoiled(
+    "pd-check": (volume_config("pd-check"), "certificate.json", _spoiled(
         finite_spec, "pd_certificate", lambda c: dataclasses.replace(c, slack=c.slack + 1.0))),
-    "beta-check": (VOLUME_CONFIG, "beta.json",
+    "beta-check": (volume_config("beta-check"), "beta.json",
                    _spoiled(transforms, "beta_scaling_check", lambda r: 1.0)),
-    "oracle-check": (ONE_SITE_CONFIG, "oracle.json",
+    "oracle-check": (volume_config("oracle-check", volume=[[0]]), "oracle.json",
                      _spoiled(truncnorm, "mean", lambda m: m + 1.0)),
 }
 

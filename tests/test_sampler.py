@@ -299,8 +299,7 @@ def decreasing_quantile(m, a, b, u):
 
 
 def patch_quantile(monkeypatch, quantile):
-    # the scalar scan calls _sample_one, the level-batched step _sample_many
-    monkeypatch.setattr(sampler, "_sample_one", quantile)
+    # every run draws its quantiles through _sample_many, one call per level
     monkeypatch.setattr(sampler, "_sample_many", quantile)
 
 
@@ -321,20 +320,29 @@ def test_sandwich_determinism():
 # The level-batched sandwich against the sequential scan
 # ---------------------------------------------------------------------------
 
-# values of _LEVELED_MIN_SITES that force every volume onto one path
-PATHS = {"scalar": 10 ** 9, "leveled": 0}
+# Two schedules of the one level plan, keyed by the names these tests carried
+# while small volumes ran a scalar scan: "scalar" levels each block in a pass
+# of its own, a block being one sweep unless the test draws its blocks, and
+# "leveled" keeps the default blocks and chunks.
+SCHEDULES = {"scalar": {"_BLOCK_UPDATES": 1, "_CHUNK_UPDATES": 1}, "leveled": {}}
 
 
-@pytest.fixture(params=sorted(PATHS))
-def sweep_path(request, monkeypatch):
-    monkeypatch.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[request.param])
+def set_schedule(mp, name):
+    for constant, value in SCHEDULES[name].items():
+        mp.setattr(sampler, constant, value)
+
+
+@pytest.fixture(params=sorted(SCHEDULES))
+def schedule(request, monkeypatch):
+    set_schedule(monkeypatch, request.param)
     return request.param
 
 
 def reference_sandwich(table, interval, n_sweeps, seed, snapshot_every=0, boundary=None,
-                       quantile=_sample_one):
+                       quantile=_sample_one, log=None):
     """The sandwich one update at a time in stream order: the scalar loop the
-    level-batched run must reproduce bit for bit, with its repairs counted."""
+    level-batched run must reproduce bit for bit, with its repairs counted.
+    ``log``, a list, receives each update's gap, upper minus lower."""
     n = table.n_sites
     lo_vals = FieldConfiguration.all_lower(table, interval, boundary).values
     up_vals = FieldConfiguration.all_upper(table, interval, boundary).values
@@ -368,6 +376,8 @@ def reference_sandwich(table, interval, n_sweeps, seed, snapshot_every=0, bounda
                 new_lo, new_up = new_up, new_lo
             lo_vals[i] = new_lo
             up_vals[i] = new_up
+            if log is not None:
+                log.append(new_up - new_lo)
         record(s)
     return sup, mean_, snapshots, lo_vals[:n].copy(), up_vals[:n].copy(), repairs, worst / tol
 
@@ -412,19 +422,19 @@ def sandwich_setups(draw):
     return table, kernel, geometry, interval, boundary
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @settings(max_examples=100, deadline=None)
 @given(setup=sandwich_setups(), n_sweeps=st.integers(1, 6),
        seed=st.integers(0, 2 ** 64 - 1), snapshot_every=st.integers(0, 3),
        block=st.integers(1, 40), chunk=st.integers(1, 64))
-def test_sandwich_matches_sequential_scan_bitwise(path, setup, n_sweeps, seed, snapshot_every,
-                                                  block, chunk):
+def test_sandwich_matches_sequential_scan_bitwise(schedule, setup, n_sweeps, seed,
+                                                  snapshot_every, block, chunk):
     # blocks of max(1, block // n) sweeps: their edges fall inside the run
     # and between snapshots; max(1, chunk // n) blocks share a level pass
     table, kernel, geometry, interval, boundary = setup
     with pytest.MonkeyPatch.context() as mp:      # hand-made ring tables pass as-is
         mp.setattr(sampler, "wrapped_offsets", lambda k, g: table)
-        mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
+        set_schedule(mp, schedule)
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
         mp.setattr(sampler, "_CHUNK_SITES", chunk)
         trace = run_sandwich(geometry, kernel, interval, n_sweeps, seed,
@@ -490,14 +500,16 @@ def test_block_plans_are_the_as_soon_as_possible_schedule(setup, seed, n_updates
     table = setup[0]
     n = table.n_sites
     stream = UpdateStream(derive_key(seed, "levels"), n)
+    stream_sites, stream_us = UpdateStream(derive_key(seed, "levels"), n).take(n_updates)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_LEVELED_MIN_SITES", 0)
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
         mp.setattr(sampler, "_CHUNK_SITES", chunk)
         blocks = list(sampler._blocks(stream, n_updates, table.idx))
     assert [start for start, *_ in blocks] == list(range(0, n_updates, max(1, block // n) * n))
-    assert sum(sites.size for _, sites, _, _ in blocks) == n_updates
-    for _, sites, us, (order, cells, nbrs, level_us, ends) in blocks:
+    assert sum(sites.size for _, sites, _ in blocks) == n_updates
+    for start, sites, (order, cells, nbrs, level_us, ends) in blocks:
+        assert np.array_equal(sites, stream_sites[start:start + sites.size])
+        us = stream_us[start:start + sites.size]
         assert np.array_equal(np.sort(order), np.arange(sites.size))   # each position once
         overwritten = np.zeros(sites.size, bool)                # by stream position
         overwritten[order] = cells == -1
@@ -602,7 +614,7 @@ def two_call_coupled_step(low, upp, cells, nbrs, us, w, a, b, tol):
     if worst > 0.0:
         if worst > tol:
             k = int(inversion.argmax())
-            raise sampler._order_violation(k, cells[k], new_lo[k], new_up[k])
+            raise sampler._order_violation(k, new_lo[k], new_up[k])
         repairs = int(np.count_nonzero(inversion > 0.0))
         new_lo, new_up = np.minimum(new_lo, new_up), np.maximum(new_lo, new_up)
     low[cells] = new_lo
@@ -645,7 +657,7 @@ def step_outcome(step, level):
     try:
         new_lo, new_up, repairs, worst = step(low, upp, cells, nbrs, us, w, a, b, tol)
     except OrderViolation as err:
-        return str(err), err.index, err.cell
+        return str(err), err.index
     return new_lo.tobytes(), new_up.tobytes(), repairs, worst, low.tobytes(), upp.tobytes()
 
 
@@ -686,7 +698,6 @@ def test_coupled_step_draws_each_level_in_one_call(level):
 
 
 def test_levelled_sandwich_makes_one_quantile_call_per_level():
-    # a 12 x 12 nn torus has 28.8 sites per closed neighbourhood, so it levels
     with pytest.MonkeyPatch.context() as mp:
         calls = counted_calls(mp, ["_coupled_step", "_sample_many"])
         run_sandwich(LatticeGeometry.torus([12, 12]), nearest_neighbor(2), UNIT, 5, seed=1)
@@ -698,7 +709,7 @@ def sub_tolerance_inversion(m, a, b, u):
     return 0.25 + 0.5 * u - 1e-15 * m
 
 
-def test_inversion_just_above_tolerance_raises(sweep_path, monkeypatch):
+def test_inversion_just_above_tolerance_raises(schedule, monkeypatch):
     # A quantile decreasing in the mean with slope c inverts a pair by c times
     # the gap of the means.  The sandwich's gaps are at most b - a = 1, and 1
     # at its first update; CFTP's are at most 0.5, and 0.5 at its first slot.
@@ -713,7 +724,7 @@ def test_inversion_just_above_tolerance_raises(sweep_path, monkeypatch):
             run()
 
 
-def test_sandwich_counts_sub_ulp_repairs(sweep_path, monkeypatch):
+def test_sandwich_counts_sub_ulp_repairs(schedule, monkeypatch):
     geometry = LatticeGeometry.torus([16])
     table = wrapped_offsets(NN1, geometry)
     patch_quantile(monkeypatch, sub_tolerance_inversion)
@@ -726,7 +737,7 @@ def test_sandwich_counts_sub_ulp_repairs(sweep_path, monkeypatch):
     assert np.all(trace.final_lower <= trace.final_upper)
 
 
-def test_sandwich_order_violation_names_sweep_and_site(sweep_path, monkeypatch):
+def test_sandwich_order_violation_names_sweep_and_site(schedule, monkeypatch):
     patch_quantile(monkeypatch, decreasing_quantile)
     with pytest.raises(OrderViolation, match=r"at sweep 1, site index [0-7]: "):
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
@@ -753,12 +764,15 @@ def test_stationary_run_start_validation():
 
 
 def reference_chain(values, stream, n_updates, table, interval):
-    """``n_updates`` single-chain updates one at a time in stream order."""
+    """``n_updates`` single-chain updates one at a time in stream order;
+    returns each update's new value."""
     idx, w = table.idx, table.weights
     a, b = interval.a, interval.b
     sites, us = stream.take(n_updates)
-    for i, u in zip(sites, us):
-        values[i] = _sample_one(min(max(values[idx[i]] @ w, a), b), a, b, u)
+    log = np.empty(n_updates)
+    for k, (i, u) in enumerate(zip(sites, us)):
+        values[i] = log[k] = _sample_one(min(max(values[idx[i]] @ w, a), b), a, b, u)
+    return log
 
 
 def reference_run(table, interval, seed, burn_in, n_sweeps, start, boundary):
@@ -775,13 +789,13 @@ def reference_run(table, interval, seed, burn_in, n_sweeps, start, boundary):
     return fields
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @settings(max_examples=100, deadline=None)
 @given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
        burn_in=st.integers(0, 4), n_sweeps=st.integers(1, 6),
        start=st.sampled_from(["midpoint", "lower", "upper"]),
        block=st.integers(1, 40), chunk=st.integers(1, 64))
-def test_stationary_run_matches_sequential_scan_bitwise(path, setup, seed, burn_in,
+def test_stationary_run_matches_sequential_scan_bitwise(schedule, setup, seed, burn_in,
                                                          n_sweeps, start, block, chunk):
     # blocks of max(1, block // n) sweeps: their edges fall inside the burn-in
     # and inside the measurement sweeps; max(1, chunk // n) blocks share a
@@ -789,7 +803,7 @@ def test_stationary_run_matches_sequential_scan_bitwise(path, setup, seed, burn_
     table, kernel, geometry, interval, boundary = setup
     with pytest.MonkeyPatch.context() as mp:      # hand-made ring tables pass as-is
         mp.setattr(sampler, "wrapped_offsets", lambda k, g: table)
-        mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
+        set_schedule(mp, schedule)
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
         mp.setattr(sampler, "_CHUNK_SITES", chunk)
         trace = stationary_run(geometry, kernel, interval, seed, burn_in, n_sweeps,
@@ -798,11 +812,11 @@ def test_stationary_run_matches_sequential_scan_bitwise(path, setup, seed, burn_
     assert trace.fields.tobytes() == fields.tobytes()
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @settings(max_examples=50, deadline=None)
 @given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
        calls=st.lists(st.integers(0, 50), min_size=1, max_size=3), block=st.integers(1, 40))
-def test_sweep_matches_sequential_scan_bitwise(path, setup, seed, calls, block):
+def test_sweep_matches_sequential_scan_bitwise(schedule, setup, seed, calls, block):
     # update counts that are not whole sweeps leave a partial last block
     table, _, _, interval, boundary = setup
     field = FieldConfiguration.constant(table, interval, interval.midpoint, boundary)
@@ -810,7 +824,7 @@ def test_sweep_matches_sequential_scan_bitwise(path, setup, seed, calls, block):
     stream = UpdateStream(derive_key(seed, "sweep"), table.n_sites)
     twin = UpdateStream(derive_key(seed, "sweep"), table.n_sites)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
+        set_schedule(mp, schedule)
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
         for n_updates in calls:
             sweep(field, stream, n_updates)
@@ -818,33 +832,28 @@ def test_sweep_matches_sequential_scan_bitwise(path, setup, seed, calls, block):
             assert field.values.tobytes() == values.tobytes()
 
 
-def test_order_violation_names_a_later_sweep_of_the_block(sweep_path, monkeypatch):
-    # one 10-sweep run is one block; only the update at stream position 21,
-    # in sweep 3, inverts, so the message must name sweep 3 on both paths
+def test_order_violation_names_a_later_sweep_of_the_block(schedule, monkeypatch):
+    # a 10-sweep run is one block ("leveled") or ten; only the update at
+    # stream position 21, in sweep 3, inverts, so the message must name sweep 3
     sites, us = UpdateStream(derive_key(1, "sandwich"), 8).take(10 * 8)
     target = us[21]
-    monkeypatch.setattr(sampler, "_sample_one", lambda m, a, b, u: (
-        a + b - m if u == target else _sample_one(m, a, b, u)))
     monkeypatch.setattr(sampler, "_sample_many", lambda m, a, b, u: np.where(
         u == target, a + b - m, _sample_many(m, a, b, u)))
     with pytest.raises(OrderViolation, match=rf"at sweep 3, site index {sites[21]}: "):
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1)
 
 
-def test_order_violation_names_an_overwritten_update(sweep_path, monkeypatch):
+def test_order_violation_names_an_overwritten_update(schedule, monkeypatch):
     # the first update after sweep 1 that its site's next update overwrites in
     # the same level inverts; the levelled step raises it at the write-off
-    # slot, so the message must come from its stream position on both paths
+    # slot, so the message must come from its stream position
     table = wrapped_offsets(NN1, LatticeGeometry.torus([8]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_LEVELED_MIN_SITES", 0)
-        [(_, sites, us, (order, cells, *_))] = sampler._blocks(
-            UpdateStream(derive_key(1, "sandwich"), 8), 10 * 8, table.idx)
-    overwritten = np.sort(order[cells == -1])
+    overwritten = np.sort(np.concatenate([
+        start + order[cells == -1] for start, _, (order, cells, *_) in sampler._blocks(
+            UpdateStream(derive_key(1, "sandwich"), 8), 10 * 8, table.idx)]))
+    sites, us = UpdateStream(derive_key(1, "sandwich"), 8).take(10 * 8)
     k = overwritten[overwritten >= 8][0]
     target = us[k]
-    monkeypatch.setattr(sampler, "_sample_one", lambda m, a, b, u: (
-        a + b - m if u == target else _sample_one(m, a, b, u)))
     monkeypatch.setattr(sampler, "_sample_many", lambda m, a, b, u: np.where(
         u == target, a + b - m, _sample_many(m, a, b, u)))
     with pytest.raises(OrderViolation, match=rf"at sweep {k // 8 + 1}, site index {sites[k]}: "):
@@ -854,10 +863,12 @@ def test_order_violation_names_an_overwritten_update(sweep_path, monkeypatch):
 @pytest.mark.parametrize("run", ["chain", "sandwich"])
 def test_overwritten_updates_keep_their_values_in_the_log(run):
     # a merged level writes each site once, yet the log that the recorded
-    # sweeps are rebuilt from holds every update's value, the scalar scan's
-    # log bit for bit; a 32-site ring levels and merges by default
+    # sweeps are rebuilt from holds every update's value (the chain's) or gap
+    # (the sandwich's), the sequential scan's log bit for bit; a 32-site ring
+    # merges by default, and its 23 or 20 sweeps are one block
     geometry = LatticeGeometry.torus([32])
-    logs, overwritten = {path: [] for path in PATHS}, []
+    table = wrapped_offsets(NN1, geometry)
+    logs, overwritten = [], []
     rows_at, levels = sampler._rows_at, sampler._levels
 
     def spy_levels(*args):
@@ -865,18 +876,24 @@ def test_overwritten_updates_keep_their_values_in_the_log(run):
         overwritten.append(over.any())
         return level, over
 
-    for path in sorted(PATHS):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampler, "_LEVELED_MIN_SITES", PATHS[path])
-            mp.setattr(sampler, "_rows_at", lambda before, sites, log, ends: (
-                logs[path].append(log.copy()) or rows_at(before, sites, log, ends)))
-            mp.setattr(sampler, "_levels", spy_levels)
-            if run == "chain":
-                stationary_run(geometry, NN1, UNIT, seed=2, burn_in=3, n_sweeps=20)
-            else:
-                run_sandwich(geometry, NN1, UNIT, 20, seed=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_rows_at", lambda before, sites, log, ends: (
+            logs.append(log.copy()) or rows_at(before, sites, log, ends)))
+        mp.setattr(sampler, "_levels", spy_levels)
+        if run == "chain":
+            stationary_run(geometry, NN1, UNIT, seed=2, burn_in=3, n_sweeps=20)
+        else:
+            run_sandwich(geometry, NN1, UNIT, 20, seed=2)
+    if run == "chain":
+        values = FieldConfiguration.constant(table, UNIT, UNIT.midpoint).values
+        reference = reference_chain(values, UpdateStream(derive_key(2, "stationary"), 32),
+                                    23 * 32, table, UNIT)
+    else:
+        gaps = []
+        reference_sandwich(table, UNIT, 20, 2, log=gaps)
+        reference = np.array(gaps)
     assert any(overwritten)
-    assert [log.tobytes() for log in logs["leveled"]] == [log.tobytes() for log in logs["scalar"]]
+    assert [log.tobytes() for log in logs] == [reference.tobytes()]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -912,27 +929,38 @@ def counted_calls(mp, names):
     return calls
 
 
-def test_default_chain_path_follows_volume():
-    # 20/3 sites per closed neighbourhood run scalar, 21/3 leveled
+def chunk_sizes(geometry, n_updates):
+    """The updates each level pass of :func:`sampler._blocks` takes, for a
+    run of ``n_updates`` updates on ``geometry`` under the nn kernel."""
+    table = wrapped_offsets(NN1, geometry)
+    sizes, levels = [], sampler._levels
+
+    def spy_levels(sites, *args):
+        sizes.append(sites.size)
+        return levels(sites, *args)
+
     with pytest.MonkeyPatch.context() as mp:
-        calls = counted_calls(mp, ["_chain_scan", "_levels"])
-        stationary_run(LatticeGeometry.torus([20]), NN1, UNIT, 0, 1, 2)
-        assert calls == {"_chain_scan": 1, "_levels": 0}
-        stationary_run(LatticeGeometry.torus([21]), NN1, UNIT, 0, 1, 2)
-        assert calls == {"_chain_scan": 1, "_levels": 1}
+        mp.setattr(sampler, "_levels", spy_levels)
+        for _ in sampler._blocks(UpdateStream(derive_key(0, "chunks"), table.n_sites),
+                                 n_updates, table.idx):
+            pass
+    return sizes
 
 
-def test_default_sweep_path_follows_volume():
-    # the sandwich switches at the chain's crossover: 20/3 and 5.0 (5 x 5)
-    # sites per closed neighbourhood run scalar, 21/3 and 7.2 (6 x 6) leveled
-    with pytest.MonkeyPatch.context() as mp:
-        calls = counted_calls(mp, ["_coupled_scan", "_levels"])
-        run_sandwich(LatticeGeometry.torus([20]), NN1, UNIT, 2, seed=0)
-        run_sandwich(LatticeGeometry.torus([5, 5]), nearest_neighbor(2), UNIT, 2, seed=0)
-        assert calls == {"_coupled_scan": 2, "_levels": 0}
-        run_sandwich(LatticeGeometry.torus([21]), NN1, UNIT, 2, seed=0)
-        run_sandwich(LatticeGeometry.torus([6, 6]), nearest_neighbor(2), UNIT, 2, seed=0)
-        assert calls == {"_coupled_scan": 2, "_levels": 2}
+def test_small_volume_chunk_stays_under_the_cap():
+    # a 3-site box takes blocks of 16,383 updates, and _CHUNK_SITES // 3 = 170
+    # of them would make a chunk of 2.8 million; the cap keeps 32 per chunk
+    block = sampler._BLOCK_UPDATES // 3 * 3
+    sizes = chunk_sizes(LatticeGeometry.box([(0,), (1,), (2,)], NN1), 2 * 32 * block + 5)
+    assert max(sizes) <= sampler._CHUNK_UPDATES
+    assert sizes == [32 * block, 32 * block, 5]
+
+
+def test_sixteen_site_ring_keeps_chunk_sites_blocks_per_chunk():
+    # at 16 sites _CHUNK_SITES // n blocks of _BLOCK_UPDATES make the cap exactly
+    block = sampler._BLOCK_UPDATES
+    sizes = chunk_sizes(LatticeGeometry.torus([16]), sampler._CHUNK_UPDATES + 16)
+    assert sizes == [sampler._CHUNK_SITES // 16 * block, 16]
 
 
 # ---------------------------------------------------------------------------
