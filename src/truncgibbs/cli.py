@@ -549,7 +549,10 @@ def _run_beta_check(cfg, out, seed):
 def _run_af_probe(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
     trials = _int_from(cfg, "trials", 100)
-    config = run.config(trials=trials, partition="parity")
+    partition = _get(cfg, "partition", str, "parity")
+    if partition != "parity":
+        raise ConfigInvalid(f"partition: expected 'parity', got {partition!r}")
+    config = run.config(trials=trials, partition=partition)
     report = transforms.af_specification_probe(
         run.vh, run.boundary, run.interval,
         transforms.BipartitePartition.parity(), trials, seed=seed)

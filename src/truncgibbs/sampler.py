@@ -57,7 +57,7 @@ from .errors import (
 )
 from .kernel import LatticeGeometry, NeighborTable, SpinInterval, _boundary_array, wrapped_offsets
 from .streams import UpdateStream, derive_key, site_uniform_pairs
-from .truncnorm import _clip, _sample_many, _sample_one
+from .truncnorm import _clip, _sample_many
 
 
 def _order_tolerance(interval: SpinInterval) -> float:
@@ -179,12 +179,13 @@ def local_mean(field: FieldConfiguration, x) -> float:
 
 
 def site_update(field: FieldConfiguration, x, u: float) -> FieldConfiguration:
-    """Heat-bath update of one site from a uniform in [0, 1], in place."""
+    """Heat-bath update of one site from a uniform in [0, 1], in place: the
+    runs' quantile core, :func:`_sample_many`, on one element."""
     if not 0.0 <= u <= 1.0:       # NaN too
         raise ProbabilityOutOfRange(f"u must lie in [0, 1], got {u}")
     i = field._site_index(x)
-    m = local_mean(field, i)
-    field.values[i] = _sample_one(m, field.interval.a, field.interval.b, u)
+    m = np.array([local_mean(field, i)])
+    field.values[i] = _sample_many(m, *_array_ends(field.interval), np.array([u], dtype=float))[0]
     return field
 
 
@@ -196,13 +197,6 @@ def sweep(field: FieldConfiguration, stream: UpdateStream, n_updates: int) -> Fi
         raise ValueError(f"n_updates must be at least 0, got {n_updates}")
     _run_chain(field, stream, n_updates, np.empty((0, field.n_interior)))
     return field
-
-
-def _order_violation(k, new_lo, new_up) -> OrderViolation:
-    # the caller adds what the input position ``k`` names
-    err = OrderViolation(f"{new_lo} > {new_up}")
-    err.index = int(k)
-    return err
 
 
 def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.ndarray,
@@ -231,8 +225,10 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     repairs = 0
     if worst > 0.0:
         if worst > tol:
-            k = int(inversion.argmax())
-            raise _order_violation(k, new_lo[k], new_up[k])
+            k = int(inversion.argmax())      # the caller adds what position k names
+            err = OrderViolation(f"{new_lo[k]} > {new_up[k]}")
+            err.index = k
+            raise err
         repairs = int(np.count_nonzero(inversion > 0.0))   # sub-ulp rounding wobble
         new_lo, new_up = np.minimum(new_lo, new_up), np.maximum(new_lo, new_up)
     low[cells] = new_lo
@@ -422,7 +418,8 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     """
     if n_sweeps < 0:
         raise ValueError(f"n_sweeps must be at least 0, got {n_sweeps}")
-    if not isinstance(snapshot_every, (int, np.integer)) or snapshot_every < 0:
+    if (isinstance(snapshot_every, bool) or not isinstance(snapshot_every, (int, np.integer))
+            or snapshot_every < 0):
         raise ValueError(f"snapshot_every must be an integer >= 0, got {snapshot_every!r}")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites

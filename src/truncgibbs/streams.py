@@ -113,6 +113,8 @@ class UpdateStream:
 
     def take(self, n: int):
         """Consume the next n pairs, advancing the cursor."""
+        if not isinstance(n, (int, np.integer)) or n < 0:     # before the cursor moves
+            raise ValueError(f"n must be an integer >= 0, got {n!r}")
         slots = np.arange(self._cursor, self._cursor + n, dtype=np.uint64)
         self._cursor += n
         return self.pairs_at(slots)

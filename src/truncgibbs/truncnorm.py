@@ -1,4 +1,4 @@
-"""Scalar truncated-normal mathematics.
+"""Truncated-normal mathematics for one spin.
 
 Everything the dynamics needs about the unit-variance normal conditioned
 to [a, b]: density, CDF, inverse CDF, the closed-form mean, and the
@@ -7,10 +7,10 @@ invertible) together with its inverse.
 
 Sampling is by inverse CDF on purpose: the map (m, u) -> quantile is
 deterministic and non-decreasing in both arguments, which is what makes
-coupled chains driven by shared uniforms preserve pointwise order, and
-each draw evaluates one normal tail (:func:`_sample_many`), as does each
-interval mass (:func:`_mass`).  All functions broadcast over numpy arrays
-and are pure.
+coupled chains driven by shared uniforms preserve pointwise order.  One
+quantile kernel, :func:`_sample_many`, makes every draw, each from one
+normal tail, as each interval mass (:func:`_mass`) takes one tail.  All
+functions broadcast over numpy arrays and are pure.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def inverse_cdf(tn: TruncatedNormal, p):
 
 
 def _sample_many(m, a, b, u):
-    """The quantile core on raw arrays: the dynamics hot path, and
-    :func:`inverse_cdf` behind its input checks.
+    """The one quantile kernel, on raw arrays: the runs' hot path, ``site_update``
+    on one element, and :func:`inverse_cdf` behind its input checks.
 
     One normal tail per element, by the sign of alpha + beta: with s = -1
     (mean below the midpoint) m - ndtri((1-u) Phi(-alpha) + u Phi(-beta)),
@@ -208,18 +208,6 @@ def _sample_many(m, a, b, u):
     q *= s
     q += m
     return _clip(q, a, b, out=q)   # np.clip's bits; min/max would flip -0.0 to +0.0
-
-
-def _sample_one(m, a, b, u):
-    """Scalar twin of :func:`_sample_many`: the same values bit for bit,
-    with no array overhead."""
-    alpha = a - m
-    beta = b - m
-    if alpha + beta > 0.0:
-        q = m - ndtri((1.0 - u) * ndtr(-alpha) + u * ndtr(-beta))
-    else:
-        q = m + ndtri((1.0 - u) * ndtr(alpha) + u * ndtr(beta))
-    return min(max(q, a), b)
 
 
 def varphi_inverse(y, interval: SpinInterval):

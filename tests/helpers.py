@@ -1,4 +1,7 @@
-"""Shared generators for randomized property tests (seeded, reproducible)."""
+"""Shared generators for randomized property tests (seeded, reproducible),
+and the scalar quantile the reference scans update with."""
+
+from scipy.special import ndtr, ndtri
 
 from truncgibbs.kernel import build_kernel
 
@@ -33,3 +36,16 @@ def random_volume(rng, dimension, max_sites=4, span=5):
     while len(sites) < n:
         sites.add(tuple(int(c) for c in rng.integers(-span, span + 1, dimension)))
     return sorted(sites)
+
+
+def scalar_quantile(m, a, b, u):
+    """The heat-bath quantile of one update on Python floats, one tail by the
+    sign of alpha + beta: the per-update reference of the sequential scans,
+    equal bit for bit to the vector core ``truncnorm._sample_many``."""
+    alpha = a - m
+    beta = b - m
+    if alpha + beta > 0.0:
+        q = m - ndtri((1.0 - u) * ndtr(-alpha) + u * ndtr(-beta))
+    else:
+        q = m + ndtri((1.0 - u) * ndtr(alpha) + u * ndtr(beta))
+    return min(max(q, a), b)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import scalar_quantile
 from truncgibbs import sampler
 from truncgibbs.errors import (
     BoundarySite,
@@ -36,7 +37,7 @@ from truncgibbs.sampler import (
     sweep,
 )
 from truncgibbs.streams import UpdateStream, derive_key, uniforms
-from truncgibbs.truncnorm import TruncatedNormal, _sample_many, _sample_one, cdf, mean
+from truncgibbs.truncnorm import TruncatedNormal, _sample_many, cdf, mean
 
 NN1 = nearest_neighbor(1)
 UNIT = SpinInterval(0.0, 1.0)
@@ -281,9 +282,11 @@ def test_sandwich_rejects_negative_sweeps(n_sweeps):
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, n_sweeps, seed=1)
 
 
-@pytest.mark.parametrize("every", [-1, -10, 2.5])
+@pytest.mark.parametrize("every", [-1, -10, 2.5, True, False])
 def test_sandwich_rejects_negative_or_fractional_snapshot_every(every):
-    # unchecked, -1 would snapshot every sweep and 2.5 sweeps 0 and 5
+    # unchecked, -1 would snapshot every sweep and 2.5 sweeps 0 and 5; a bool
+    # is an int to isinstance, and True would snapshot every sweep (the CLI's
+    # config reader refuses a bool there too)
     with pytest.raises(ValueError, match="snapshot_every"):
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, 10, seed=1, snapshot_every=every)
 
@@ -320,11 +323,10 @@ def test_sandwich_determinism():
 # The level-batched sandwich against the sequential scan
 # ---------------------------------------------------------------------------
 
-# Two schedules of the one level plan, keyed by the names these tests carried
-# while small volumes ran a scalar scan: "scalar" levels each block in a pass
-# of its own, a block being one sweep unless the test draws its blocks, and
-# "leveled" keeps the default blocks and chunks.
-SCHEDULES = {"scalar": {"_BLOCK_UPDATES": 1, "_CHUNK_UPDATES": 1}, "leveled": {}}
+# Two schedules of the one level plan: "one-block" levels each block in a
+# pass of its own, a block being one sweep unless the test draws its blocks,
+# and "leveled" keeps the default blocks and chunks.
+SCHEDULES = {"one-block": {"_BLOCK_UPDATES": 1, "_CHUNK_UPDATES": 1}, "leveled": {}}
 
 
 def set_schedule(mp, name):
@@ -339,7 +341,7 @@ def schedule(request, monkeypatch):
 
 
 def reference_sandwich(table, interval, n_sweeps, seed, snapshot_every=0, boundary=None,
-                       quantile=_sample_one, log=None):
+                       quantile=scalar_quantile, log=None):
     """The sandwich one update at a time in stream order: the scalar loop the
     level-batched run must reproduce bit for bit, with its repairs counted.
     ``log``, a list, receives each update's gap, upper minus lower."""
@@ -614,7 +616,9 @@ def two_call_coupled_step(low, upp, cells, nbrs, us, w, a, b, tol):
     if worst > 0.0:
         if worst > tol:
             k = int(inversion.argmax())
-            raise sampler._order_violation(k, new_lo[k], new_up[k])
+            err = OrderViolation(f"{new_lo[k]} > {new_up[k]}")
+            err.index = k
+            raise err
         repairs = int(np.count_nonzero(inversion > 0.0))
         new_lo, new_up = np.minimum(new_lo, new_up), np.maximum(new_lo, new_up)
     low[cells] = new_lo
@@ -771,7 +775,7 @@ def reference_chain(values, stream, n_updates, table, interval):
     sites, us = stream.take(n_updates)
     log = np.empty(n_updates)
     for k, (i, u) in enumerate(zip(sites, us)):
-        values[i] = log[k] = _sample_one(min(max(values[idx[i]] @ w, a), b), a, b, u)
+        values[i] = log[k] = scalar_quantile(min(max(values[idx[i]] @ w, a), b), a, b, u)
     return log
 
 
@@ -830,6 +834,25 @@ def test_sweep_matches_sequential_scan_bitwise(schedule, setup, seed, calls, blo
             sweep(field, stream, n_updates)
             reference_chain(values, twin, n_updates, table, interval)
             assert field.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("geometry, boundary", [
+    (LatticeGeometry.torus([16]), None),
+    (LatticeGeometry.box([(0,), (1,), (2,)], NN1), {(-1,): -0.5, (3,): 2.5}),
+], ids=["ring16", "box3"])
+def test_site_update_matches_sweep_bitwise(geometry, boundary):
+    # site_update fed a stream's (site, u) pairs one at a time and sweep over
+    # the same stream draw through the one quantile core, with the same bits
+    interval = SpinInterval(-1.0, 3.0)
+    table = wrapped_offsets(NN1, geometry)
+    n_updates = 200 * table.n_sites
+    by_sweep = FieldConfiguration.constant(table, interval, 0.0, boundary)
+    sweep(by_sweep, UpdateStream(derive_key(4, "site"), table.n_sites), n_updates)
+    by_site = FieldConfiguration.constant(table, interval, 0.0, boundary)
+    sites, us = UpdateStream(derive_key(4, "site"), table.n_sites).take(n_updates)
+    for i, u in zip(sites.tolist(), us.tolist()):
+        site_update(by_site, i, u)
+    assert by_site.values.tobytes() == by_sweep.values.tobytes()
 
 
 def test_order_violation_names_a_later_sweep_of_the_block(schedule, monkeypatch):

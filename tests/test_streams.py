@@ -32,6 +32,19 @@ def test_take_matches_pairs_at():
     assert np.array_equal(us, us2)
 
 
+@pytest.mark.parametrize("n", [-2, 2.5])
+def test_take_rejects_a_count_that_is_not_an_integer_at_least_zero(n):
+    # unchecked, take(-2) after take(3) moved the cursor back to 1 and take(2.5)
+    # left it at 2.5, so the next take(2) replayed slots already consumed
+    s = UpdateStream(derive_key(3), 8)
+    s.take(3)
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        s.take(n)
+    sites, us = s.take(np.int64(2))      # numpy integers count too
+    want_sites, want_us = s.pairs_at(np.arange(3, 5))
+    assert np.array_equal(sites, want_sites) and np.array_equal(us, want_us)
+
+
 def test_uniforms_open_interval_and_mean():
     u = uniforms(derive_key(1, "u"), np.arange(200_000))
     assert np.all(u > 0.0) and np.all(u < 1.0)

@@ -13,16 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr, ndtri
 
+from helpers import scalar_quantile
 from truncgibbs import truncnorm
 from truncgibbs.errors import DegenerateInterval, OutOfRange, ProbabilityOutOfRange
 from truncgibbs.kernel import SpinInterval
-from truncgibbs.sampler import _array_ends
+from truncgibbs.sampler import _array_ends, _order_tolerance
 from truncgibbs.streams import derive_key, uniforms
 from truncgibbs.truncnorm import (
     TruncatedNormal,
     _mass,
     _sample_many,
-    _sample_one,
     cdf,
     density,
     inverse_cdf,
@@ -288,7 +288,8 @@ EDGE_UNIFORMS = (2.0 ** -54, 1e-12, 0.5, 1.0 - 2.0 ** -53)
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 @pytest.mark.parametrize("width", [1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0, 20.0])
 def test_scalar_twin_matches_quantile_core_bitwise(width, offset):
-    """_sample_one, _sample_many and inverse_cdf agree to the last bit."""
+    """The scalar reference of the sequential scans, the quantile core
+    _sample_many and inverse_cdf agree to the last bit."""
     a, b = offset - 0.5 * width, offset + 0.5 * width
     key = derive_key(11, "twin", int(width * 1e6), int(offset))
     random_u = uniforms(key, np.arange(200))
@@ -298,7 +299,7 @@ def test_scalar_twin_matches_quantile_core_bitwise(width, offset):
     u = np.concatenate([np.tile(EDGE_UNIFORMS, len(grid_m)), random_u])
 
     many = _sample_many(m, a, b, u)
-    one = np.array([_sample_one(float(mi), a, b, float(ui)) for mi, ui in zip(m, u)])
+    one = np.array([scalar_quantile(float(mi), a, b, float(ui)) for mi, ui in zip(m, u)])
     via_inverse = np.asarray(inverse_cdf(TruncatedNormal(m, SpinInterval(a, b)), u))
     assert np.array_equal(one.view(np.int64), many.view(np.int64))
     assert np.array_equal(via_inverse.view(np.int64), many.view(np.int64))
@@ -386,6 +387,36 @@ def test_quantile_core_evaluates_one_tail(monkeypatch):
     assert counts == {"ndtr": 2 * m.size, "ndtri": m.size}
 
 
+@st.composite
+def uniform_ladders(draw):
+    """An interval of width 1e-6 to 100 around an offset centre; means at its
+    ends, its midpoint and inside it, as the runs clip them; and an
+    increasing ladder of stream uniforms: both extreme lattice points and
+    random ones, each next to its lattice neighbour."""
+    width = 10.0 ** draw(st.floats(-6.0, 2.0))
+    centre = draw(st.floats(-1e3, 1e3))
+    a, b = centre - 0.5 * width, centre + 0.5 * width
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    means = np.concatenate([[a, b, 0.5 * (a + b)], rng.uniform(a, b, 13)])
+    words = rng.integers(0, 2 ** 53 - 1, 60)
+    words = np.unique(np.concatenate([[0, 1, 2 ** 53 - 2, 2 ** 53 - 1], words, words + 1]))
+    u = np.array([stream_uniform(k) for k in words.tolist()])
+    return a, b, means, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=uniform_ladders())
+def test_quantile_core_non_decreasing_in_u(inputs):
+    # the coupled chains share u, not the mean; an inversion in u within the
+    # order tolerance is rounding, which the runs repair.  The tolerance
+    # scales with the interval, so means far beyond it, which the runs never
+    # pass, are left out: m + ndtri(...) then rounds at the scale of m
+    a, b, means, u = inputs
+    m = np.repeat(means, u.size)
+    q = _sample_many(m, a, b, np.tile(u, means.size)).reshape(means.size, u.size)
+    assert np.diff(q, axis=1).min() >= -_order_tolerance(SpinInterval(a, b))
+
+
 def where_sign_quantile(m, a, b, u):
     """The quantile core with the sign from ``np.where`` and each step a new
     array: the bitwise reference for the in-place :func:`_sample_many`."""
@@ -422,6 +453,14 @@ def test_quantile_core_leaves_inputs_unchanged(inputs):
     m0, u0 = m.copy(), u.copy()
     _sample_many(m, a, b, u)
     assert m.tobytes() == m0.tobytes() and u.tobytes() == u0.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=core_inputs())
+def test_quantile_core_stays_in_the_interval(inputs):
+    a, b, m, u = inputs
+    q = _sample_many(m, a, b, u)
+    assert np.all((q >= a) & (q <= b))
 
 
 @settings(max_examples=200, deadline=None)
