@@ -62,7 +62,6 @@ from .diagnostics import (
     stationarity_check,
 )
 from .transforms import (
-    BipartitePartition,
     ReflectionProbeReport,
     af_specification_probe,
     beta_scaling_check,

@@ -293,15 +293,14 @@ def _json_chunks(value, pad="\n"):
     as lists.  ``pad`` is a newline and the indentation of ``value``.  A
     list of ints is one chunk, formatted in C by ``list.__repr__`` (which
     calls ``int.__repr__``, as ``json`` does; no such repr contains ", ").
-    A finite float array (or list of floats) goes to :func:`_float_chunks`,
-    which calls ``float.__repr__`` once per distinct bit pattern and still
-    writes a row at a time; the CSV writer keeps its own per-row ``repr``.
-    Every other scalar and every key (a str in every payload) goes through
-    ``json.dumps``, so escapes and the NaN and Infinity spellings are the
-    standard library's.  A matrix is written a row at a time.
+    A finite float array goes to :func:`_float_chunks`, which calls
+    ``float.__repr__`` once per distinct bit pattern and still writes a row
+    at a time; the CSV writer keeps its own per-row ``repr``.  Every other
+    scalar (a float too: ``json`` writes it as ``float.__repr__``) and every
+    key (a str in every payload) goes through ``json.dumps``, so escapes and
+    the NaN and Infinity spellings are the standard library's.  A matrix is
+    written a row at a time.
     """
-    if isinstance(value, (list, tuple)) and value and all(type(x) is float for x in value):
-        value = np.array(value)
     if isinstance(value, np.ndarray):
         if (value.dtype.kind == "f" and value.dtype.itemsize <= 8 and value.ndim
                 and value.size and np.isfinite(value).all()):
@@ -553,9 +552,8 @@ def _run_af_probe(cfg, out, seed):
     if partition != "parity":
         raise ConfigInvalid(f"partition: expected 'parity', got {partition!r}")
     config = run.config(trials=trials, partition=partition)
-    report = transforms.af_specification_probe(
-        run.vh, run.boundary, run.interval,
-        transforms.BipartitePartition.parity(), trials, seed=seed)
+    report = transforms.af_specification_probe(run.vh, run.boundary, run.interval,
+                                               trials, seed=seed)
     return {     # measurement only; no correctness assertion, so no "pass"
         "config": config,
         "deltas": report.deltas, "mean": report.mean, "spread": report.spread,

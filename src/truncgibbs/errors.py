@@ -31,7 +31,7 @@ class GeometryTooSmall(ValueError):
 
 
 class GeometryMismatch(ValueError):
-    """Two objects assume different geometries (or an incomplete shell)."""
+    """Two objects assume different geometries (or a box shell of another kernel)."""
 
 
 class DegenerateInterval(ValueError):
@@ -79,7 +79,7 @@ class NonpositiveBeta(ValueError):
 
 
 class IncompatiblePartition(ValueError):
-    """The kernel couples two sites within one class of the partition."""
+    """The kernel couples two sites of one parity (coordinate sum mod 2)."""
 
 
 class ConfigInvalid(ValueError):

@@ -31,8 +31,8 @@ from .errors import (
     MissingSite,
     NotPositiveDefinite,
 )
-from .kernel import (InteractionKernel, LatticeGeometry, SpinInterval, _boundary_array,
-                     _neighbour_index, _sorted_sites, check_torus_extents)
+from .kernel import (InteractionKernel, SpinInterval, _boundary_array, _neighbour_index,
+                     _sorted_sites)
 
 
 def _as_sites(volume):
@@ -53,42 +53,25 @@ class VolumeHamiltonian:
     cross: np.ndarray            # B, |V| x |shell|, entries J(y - x) >= 0
     inside_pairs: tuple          # arrays (i, j, weight), each unordered interior pair once
     cross_pairs: tuple           # arrays (i, s, weight), volume site i to shell slot s
-    wrapped_extents: tuple | None = None   # torus periods when the ambient wraps
 
     @property
     def n_sites(self) -> int:
         return len(self.sites)
 
 
-def build_matrices(volume, kernel: InteractionKernel,
-                   geometry: LatticeGeometry | None = None) -> VolumeHamiltonian:
-    """Populate A, B and the pair lists for a finite volume.
-
-    The ambient lattice is the infinite lattice unless a torus geometry is
-    given, in which case offsets wrap; a box geometry only asserts that
-    the volume lies inside it.
-    """
+def build_matrices(volume, kernel: InteractionKernel) -> VolumeHamiltonian:
+    """Populate A, B and the pair lists for a finite volume of Z^d, whose
+    shell is every outside site the kernel reaches."""
     sites = _as_sites(volume)
     d = len(sites[0])
     if kernel.dimension != d:
         raise GeometryMismatch(f"kernel dimension {kernel.dimension} != site dimension {d}")
-    wrap = None
-    if geometry is not None:
-        if geometry.dimension != d:
-            raise GeometryMismatch("geometry dimension mismatch")
-        if geometry.kind == "torus":
-            check_torus_extents(kernel, geometry)
-            wrap = geometry.extents
-        elif not set(sites) <= set(geometry.sites):
-            raise GeometryMismatch("volume is not contained in the box geometry")
-
-    idx, shell = _neighbour_index(sites, kernel.offsets, wrap)
+    idx, shell = _neighbour_index(sites, kernel.offsets)
     n = len(sites)
     rows = np.broadcast_to(np.arange(n)[:, None], idx.shape)
     weights = np.broadcast_to(kernel.weights, idx.shape)
     inside, cross = idx < n, idx >= n
-    # each entry is hit by one offset at most (the torus extent check keeps
-    # wrapped offsets distinct), and 0.0 - w is -w
+    # each entry is hit by one offset at most (the offsets are distinct), and 0.0 - w is -w
     a_mat = np.diag(np.full(n, kernel.norm))
     a_mat[rows[inside], idx[inside]] = -weights[inside]
     b_mat = np.zeros((n, len(shell)))
@@ -96,7 +79,7 @@ def build_matrices(volume, kernel: InteractionKernel,
     upper = inside & (idx > rows)       # each unordered interior pair once
     return VolumeHamiltonian(sites, shell, kernel, a_mat, b_mat,
                              (rows[upper], idx[upper], weights[upper]),
-                             (rows[cross], idx[cross] - n, weights[cross]), wrap)
+                             (rows[cross], idx[cross] - n, weights[cross]))
 
 
 def _sequential_sum(terms) -> float:
@@ -143,9 +126,7 @@ def psi_boundary(vh: VolumeHamiltonian, gamma) -> float:
     """
     gamma = _boundary_array(vh.shell, gamma, None)
     _, s, w = vh.cross_pairs
-    # float_power squares through C pow, the rounding of a float's ``** 2``;
-    # the array ``** 2`` multiplies, which differs in the last bit now and then
-    return _sequential_sum(w * np.float_power(gamma[s], 2))
+    return _sequential_sum(w * np.square(gamma[s]))
 
 
 def quadratic_form(vh: VolumeHamiltonian, eta, gamma) -> float:
@@ -284,10 +265,6 @@ def pd_certificate(vh: VolumeHamiltonian) -> PDCertificate:
     Toeplitz term over the progressions of its neighbour-index columns;
     unrealized ones add 2 J(z) to the slack on I.  Reassembly reproduces A entrywise.
     """
-    if vh.wrapped_extents is not None:
-        raise GeometryMismatch(
-            "the progression certificate is defined on the infinite lattice; "
-            "wrapped volumes would turn progressions into cycles")
     sites, n = vh.sites, vh.n_sites
     idx = _neighbour_index(sites, vh.kernel.offsets)[0]
     slack = 0.0

@@ -214,7 +214,8 @@ class LatticeGeometry:
 
     @classmethod
     def box(cls, sites, kernel: InteractionKernel) -> "LatticeGeometry":
-        """A finite set of sites plus every exterior site the kernel reaches."""
+        """A finite set of sites plus every exterior site the kernel reaches,
+        for that kernel's neighbor table (:func:`wrapped_offsets`) only."""
         sites = _sorted_sites(sites)
         if not sites:
             raise EmptyVolume("box needs at least one site")
@@ -272,7 +273,8 @@ def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> Nei
     On the torus the neighbor at offset z is (x + z) mod extents (see
     :func:`check_torus_extents`).  On a box, neighbors fall either in
     the interior or in the exterior shell; weights are carried unchanged,
-    so each site's weights sum to the kernel norm exactly.
+    so each site's weights sum to the kernel norm exactly.  A box built
+    for another kernel has another shell and raises GeometryMismatch.
     """
     if kernel.dimension != geometry.dimension:
         raise GeometryMismatch(
@@ -283,16 +285,11 @@ def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> Nei
         check_torus_extents(kernel, geometry)
         periods = geometry.extents
     idx, reached = _neighbour_index(sites, kernel.offsets, periods)
-    index_of = {s: i for i, s in enumerate(sites + geometry.shell)}
-    if reached != geometry.shell:       # a box whose shell is not this kernel's
-        # reached shell slot -> slot in the geometry's own shell (-1: not there)
-        slots = np.array([*range(len(sites)), *(index_of.get(y, -1) for y in reached)])
-        idx = slots[idx]
-        if (idx < 0).any():
-            i, k = np.argwhere(idx < 0)[0]
-            y = tuple(c + dz for c, dz in zip(sites[i], kernel.offsets[k]))
-            raise GeometryMismatch(f"shell does not cover site {y} needed by {sites[i]}")
-    return NeighborTable(kernel, geometry, idx, index_of)
+    if reached != geometry.shell:
+        raise GeometryMismatch("box shell is not the shell this kernel reaches; "
+                               "build the box with the kernel it runs")
+    return NeighborTable(kernel, geometry, idx,
+                         {s: i for i, s in enumerate(sites + geometry.shell)})
 
 
 def _neighbour_index(sites, offsets, periods=None):
@@ -317,13 +314,10 @@ def _neighbour_index(sites, offsets, periods=None):
     dims = tuple((hi - lo + 1).tolist())
     site_codes = np.ravel_multi_index(tuple(points - lo[:, None]), dims)
     codes = np.ravel_multi_index(tuple(reach - lo[:, None, None]), dims)
-    n = len(sites)
-    if math.prod(dims) == n and np.array_equal(site_codes, np.arange(n)):
-        return codes, ()            # the sites fill their box: codes are indices
     # the last of equal sites, as a site -> index dict would keep it
     pos = np.searchsorted(site_codes, codes, side="right") - 1
     inside = (pos >= 0) & (site_codes[pos] == codes)
     shell_codes = np.unique(codes[~inside])
     shell = np.stack(np.unravel_index(shell_codes, dims), axis=-1) + lo
-    idx = np.where(inside, pos, n + np.searchsorted(shell_codes, codes))
+    idx = np.where(inside, pos, len(sites) + np.searchsorted(shell_codes, codes))
     return idx, tuple(map(tuple, shell.tolist()))

@@ -1,11 +1,11 @@
 """Reduction identities: inverse-temperature rescaling, and a probe of the
-bipartite spin reflection.
+parity spin reflection.
 
 Rescaling is exact: beta times the pair energy of a configuration equals
 the pair energy of the configuration scaled by sqrt(beta), so any inverse
 temperature reduces to the unit one with a rescaled spin interval.  The
-reflection flips spins about the interval midpoint on one class of a
-bipartition, the classical bridge between attractive and repulsive
+reflection flips spins about the interval midpoint on the sites of odd
+coordinate sum, the classical bridge between attractive and repulsive
 couplings; whether it maps the gradient-form conditional densities into
 each other exactly is measured, not asserted, by the probe below, which
 reports the spread of the energy difference over random configurations.
@@ -23,26 +23,11 @@ from .kernel import SpinInterval, _boundary_array
 from .streams import uniform_configurations
 
 
-@dataclass(frozen=True)
-class BipartitePartition:
-    """A two-coloring of sites under which the kernel couples only across colors."""
-
-    classifier: object          # site tuple -> 0 or 1
-
-    @classmethod
-    def parity(cls) -> "BipartitePartition":
-        """Color by the parity of the coordinate sum (the usual checkerboard)."""
-        return cls(lambda site: sum(site) & 1)
-
-    def side(self, site) -> int:
-        return int(self.classifier(tuple(site))) & 1
-
-
-def _check_partition(vh: VolumeHamiltonian, partition: BipartitePartition) -> np.ndarray:
-    """Every coupled pair must straddle the two classes; returns each site's
-    class, volume sites then shell."""
+def _check_partition(vh: VolumeHamiltonian) -> np.ndarray:
+    """Every coupled pair must join sites of opposite parity; returns each
+    site's parity (coordinate sum & 1), volume sites then shell."""
     every = vh.sites + vh.shell
-    side = np.array([partition.side(s) for s in every])
+    side = np.array([sum(s) & 1 for s in every])
     (i, j, _), (c, s, _) = vh.inside_pairs, vh.cross_pairs
     first, second = np.concatenate([i, c]), np.concatenate([j, vh.n_sites + s])
     clash = np.flatnonzero(side[first] == side[second])
@@ -86,8 +71,7 @@ class ReflectionProbeReport:
 
 
 def af_specification_probe(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
-                           partition: BipartitePartition, trials: int,
-                           seed: int = 0) -> ReflectionProbeReport:
+                           trials: int, seed: int = 0) -> ReflectionProbeReport:
     """Measure how far the reflection is from an exact conditional-density map.
 
     The repulsive-coupling energy of the reflected configuration minus the
@@ -95,11 +79,12 @@ def af_specification_probe(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
     in the interior spins for the reflection to carry one conditional law
     onto the other.  The probe evaluates that difference over random
     interior configurations at a fixed boundary and reports the spread;
-    it asserts nothing about the outcome.  ``vh`` is the volume's
+    it asserts nothing about the outcome; a kernel that couples two sites
+    of one parity raises IncompatiblePartition.  ``vh`` is the volume's
     :func:`~truncgibbs.finite_spec.build_matrices`; ``gamma`` is a scalar, a
     shell-site mapping or a shell-order array, every value in ``interval``.
     """
-    flip_sites = _check_partition(vh, partition) == 1
+    flip_sites = _check_partition(vh) == 1
     gamma = _boundary_array(vh.shell, gamma, interval)
 
     pivot = interval.a + interval.b

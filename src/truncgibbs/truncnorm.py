@@ -6,8 +6,8 @@ mean-shift function (odd about the interval midpoint, increasing, and
 invertible) together with its inverse.
 
 Sampling is by inverse CDF on purpose: the map (m, u) -> quantile is
-deterministic and non-decreasing in both arguments, which is what makes
-coupled chains driven by shared uniforms preserve pointwise order.  One
+deterministic and non-decreasing in both arguments up to rounding (see
+:func:`_sample_many`), so coupled chains keep pointwise order.  One
 quantile kernel, :func:`_sample_many`, makes every draw, each from one
 normal tail, as each interval mass (:func:`_mass`) takes one tail.  All
 functions broadcast over numpy arrays and are pure.
@@ -149,13 +149,13 @@ def mean(tn: TruncatedNormal):
 
 
 def inverse_cdf(tn: TruncatedNormal, p):
-    """The quantile F^{-1}(p), monotone in both p and m, clipped to [a, b].
+    """The quantile F^{-1}(p), clipped to [a, b], by :func:`_sample_many`.
 
-    Draws by inverse CDF from a shared uniform: for fixed p the map is
-    non-decreasing in m, which realizes the monotone coupling the
-    attractive dynamics is built on.  Computed through whichever normal
-    tail is better conditioned; the residual |F(quantile) - p| stays below
-    1e-12 for any mean within tens of units of the interval.
+    Draws by inverse CDF from a shared uniform, the map the monotone
+    coupling is built on; it is non-decreasing in p and in m only within
+    rounding, and only where :func:`_sample_many` says.  The residual
+    |F(quantile) - p| stays below 1e-12 for any mean within tens of units
+    of the interval.
     """
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):     # NaN too
@@ -184,6 +184,13 @@ def _sample_many(m, a, b, u):
     so the bits are those of the formula as written.  ``m`` and ``u`` are
     arrays of one shape (at least 1-D) and are never written; ``a`` and ``b``
     may be floats, numpy scalars or 0-d arrays, with the same bits.
+
+    Non-decreasing only within the sampler's ``_order_tolerance``, and not
+    everywhere.  In u it holds for means in [a, b], as the runs clip them;
+    a mean 35 units above b inverts adjacent stream uniforms by 2x the
+    tolerance (m + ndtri rounds at the scale of m).  In m, inversions pass
+    the tolerance from widths b - a of about 6 up (27x at width 8), where
+    the sign of alpha + beta picks a tail whose target rounds to 0 or 1.
 
     A level of the dynamics is a few dozen elements, where each of the 17
     numpy calls costs far more than its arithmetic, and a call with a 0-d

@@ -9,6 +9,7 @@ solves A m = (0, 1/2), giving m = (1/3, 2/3).
 """
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from truncgibbs.errors import (
     DuplicateSite,
     EmptyVolume,
     GeometryMismatch,
-    GeometryTooSmall,
     MissingSite,
     OutOfRange,
 )
@@ -39,7 +39,7 @@ from truncgibbs.finite_spec import (
 from truncgibbs.kernel import (LatticeGeometry, SpinInterval, exp_decay, nearest_neighbor,
                                wrapped_offsets)
 from truncgibbs.sampler import FieldConfiguration, cftp_samples, run_sandwich
-from truncgibbs.transforms import BipartitePartition, af_specification_probe
+from truncgibbs.transforms import af_specification_probe
 from truncgibbs.truncnorm import TruncatedNormal, mean
 
 NN1 = nearest_neighbor(1)
@@ -112,6 +112,11 @@ def test_repeated_volume_site_rejected():
         build_matrices([(0,), (0,), (1,)], NN1)
 
 
+def test_build_matrices_rejects_kernel_of_another_dimension():
+    with pytest.raises(GeometryMismatch, match="kernel dimension 2 != site dimension 1"):
+        build_matrices([(0,), (1,)], nearest_neighbor(2))
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian
 # ---------------------------------------------------------------------------
@@ -150,7 +155,7 @@ BOUNDARY_READERS = {      # each reader's result as arrays, read at one boundary
         (q := quadrature_marginals(VOLUME2, gamma, UNIT, n_q=64)).boundary, q.means,
         q.variances, q.marginal_cdfs, np.array(q.normalizer)],
     "af_specification_probe": lambda gamma: [af_specification_probe(
-        VOLUME2, gamma, UNIT, BipartitePartition.parity(), trials=2).deltas],
+        VOLUME2, gamma, UNIT, trials=2).deltas],
     "psi_boundary": lambda gamma: [np.array(psi_boundary(VOLUME2, gamma))],
     "quadratic_form": lambda gamma: [np.array(quadratic_form(VOLUME2, [0.5, 0.25], gamma))],
 }
@@ -289,7 +294,7 @@ def _loop_energies(sites, shell, kernel, values):
         energy += 0.5 * w * diff * diff
     psi = 0.0
     for _, s, w in cross:
-        psi += w * gamma[s] ** 2
+        psi += w * (gamma[s] * gamma[s])
     return energy, psi
 
 
@@ -321,14 +326,17 @@ def test_pair_sums_match_python_loop_bitwise(case):
     assert psi_boundary(vh, np.array(values[vh.n_sites:])) == psi
 
 
-def test_psi_squares_as_python_floats_do():
-    # boundary values where a float's ``** 2`` (C pow) and x * x round apart
+def test_psi_squares_are_correctly_rounded():
+    # boundary values whose square a float's ``** 2`` (C pow) rounds away
+    # from the exact square, which x * x rounds correctly
     candidates = np.random.default_rng(3).uniform(-50.0, 50.0, 20_000).tolist()
-    awkward = [x for x in candidates if x ** 2 != x * x][:10] or candidates[:10]
-    vh = build_matrices([(0,)], NN1)
+    awkward = [x for x in candidates if x ** 2 != float(Fraction(x) ** 2)][:10] or candidates[:10]
+    vh = build_matrices([(0,)], NN1)          # shell (-1,) and (1,), weights 1/2
     for left, right in zip(awkward[::2], awkward[1::2]):
         values = [0.0, left, right]
-        assert psi_boundary(vh, values[1:]) == _loop_energies(vh.sites, vh.shell, NN1, values)[1]
+        exact = 0.0 + 0.5 * float(Fraction(left) ** 2) + 0.5 * float(Fraction(right) ** 2)
+        assert psi_boundary(vh, values[1:]) == exact
+        assert _loop_energies(vh.sites, vh.shell, NN1, values)[1] == exact
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +377,6 @@ def test_certificate_random_volumes():
         assert np.max(np.abs(cert.reassemble() - vh.precision)) <= 1e-14
         # factorization succeeds, i.e. A is positive definite
         specification(vh, np.zeros(len(vh.shell)), UNIT)
-
-
-def test_certificate_rejects_wrapped_volumes():
-    geom = LatticeGeometry.torus([8])
-    vh = build_matrices([(0,), (1,)], NN1, geometry=geom)
-    with pytest.raises(GeometryMismatch):
-        pd_certificate(vh)
 
 
 # ---------------------------------------------------------------------------
@@ -444,34 +445,3 @@ def test_toeplitz_form_matches_dense_and_positive():
         assert abs(by_classes - dense) <= 1e-12
         if np.any(eta != 0.0):
             assert by_classes > 0.0
-
-
-# ---------------------------------------------------------------------------
-# Ambient geometries
-# ---------------------------------------------------------------------------
-
-def test_torus_ambient_wraps_shell():
-    geom = LatticeGeometry.torus([8])
-    vh = build_matrices([(0,), (7,)], NN1, geometry=geom)
-    # sites 0 and 7 are wrapped neighbors, so they couple inside the volume
-    i0, i7 = vh.sites.index((0,)), vh.sites.index((7,))
-    assert vh.precision[i0, i7] == -0.5
-    assert vh.shell == ((1,), (6,))
-
-
-def test_torus_ambient_too_small():
-    with pytest.raises(GeometryTooSmall):
-        build_matrices([(0,)], NN1, geometry=LatticeGeometry.torus([2]))
-
-
-def test_box_ambient_containment_check():
-    box = LatticeGeometry.box([(0,), (1,)], NN1)
-    with pytest.raises(GeometryMismatch):
-        build_matrices([(5,)], NN1, geometry=box)
-
-
-def test_build_matrices_rejects_kernel_or_geometry_of_another_dimension():
-    with pytest.raises(GeometryMismatch, match="kernel dimension 2 != site dimension 1"):
-        build_matrices([(0,), (1,)], nearest_neighbor(2))
-    with pytest.raises(GeometryMismatch, match="geometry dimension mismatch"):
-        build_matrices([(0,), (1,)], NN1, geometry=LatticeGeometry.torus([8, 8]))

@@ -1,10 +1,11 @@
 """The vectorised neighbour index against the per-site loops it replaced.
 
 Box shells, neighbour tables, A, B, the pair arrays, the Toeplitz blocks,
-the certificate's realized offsets and the partition check all read one
-index (``kernel._neighbour_index``).  The reference functions below are
-the ``x + z`` loops each of them ran before; every comparison is bit for
-bit, dtypes and orders included.
+the certificate's realized offsets and the parity check all read one
+index (``kernel._neighbour_index``), by one sorted search on boxes, whole
+tori and scattered volumes alike.  The reference functions below are the
+``x + z`` loops each of them ran before; every comparison is bit for bit,
+dtypes and orders included.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from truncgibbs.kernel import (
     nearest_neighbor,
     wrapped_offsets,
 )
-from truncgibbs.transforms import BipartitePartition, _check_partition
+from truncgibbs.transforms import _check_partition
 from helpers import _lex_positive
 
 # ---------------------------------------------------------------------------
@@ -61,14 +62,8 @@ def reference_table(kernel, geometry):
                  for z in kernel.offsets] for x in sites]
         return np.array([[index_of[y] for y in row] for row in wrap], dtype=np.int64), index_of
     index_of = {s: i for i, s in enumerate(list(sites) + list(geometry.shell))}
-    idx = np.empty((len(sites), len(kernel.offsets)), dtype=np.int64)
-    for i, x in enumerate(sites):
-        for k, z in enumerate(kernel.offsets):
-            y = _shift(x, z)
-            j = index_of.get(y)
-            if j is None:
-                raise GeometryMismatch(f"shell does not cover site {y} needed by {x}")
-            idx[i, k] = j
+    idx = np.array([[index_of[_shift(x, z)] for z in kernel.offsets] for x in sites],
+                   dtype=np.int64)
     return idx, index_of
 
 
@@ -78,7 +73,7 @@ def _pair_arrays(triples):
             np.array(weight, dtype=float))
 
 
-def reference_matrices(volume, kernel, wrap=None):
+def reference_matrices(volume, kernel):
     """(shell, A, B, inside_pairs, cross_pairs) from the per-site loop."""
     sites = tuple(sorted(volume))
     interior = {s: i for i, s in enumerate(sites)}
@@ -87,8 +82,6 @@ def reference_matrices(volume, kernel, wrap=None):
     for i, x in enumerate(sites):
         for k, z in enumerate(kernel.offsets):
             y = _shift(x, z)
-            if wrap is not None:
-                y = tuple(c % e for c, e in zip(y, wrap))
             neighbors.append((i, k, y))
             if y not in interior:
                 shell.add(y)
@@ -139,12 +132,16 @@ def reference_certificate(sites, kernel):
     return slack, tuple(terms)
 
 
-def reference_partition_ok(sites, shell, kernel, partition):
+def parity(site):
+    return sum(site) & 1
+
+
+def reference_parity_ok(sites, shell, kernel):
     covered = set(sites) | set(shell)
     for x in sites:
         for z in kernel.offsets:
             y = _shift(x, z)
-            if y in covered and partition.side(y) == partition.side(x):
+            if y in covered and parity(y) == parity(x):
                 return False
     return True
 
@@ -182,8 +179,8 @@ def volumes(draw, max_sites=12):
 
 
 def cube_kernel(d, reach=2):
-    """Every nonzero offset up to ``reach`` on each axis: a shell wide
-    enough for any kernel drawn above."""
+    """Every nonzero offset up to ``reach`` on each axis: a box built for it
+    has a shell at least as wide as any kernel drawn above reaches."""
     return build_kernel(d, {z: 1.0 for z in itertools.product(range(-reach, reach + 1), repeat=d)
                             if any(z)})
 
@@ -197,12 +194,11 @@ def torus_for(kernel, extra):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(volumes(), st.booleans())
-def test_box_shell_and_table_match_loops(case, wide_shell):
+@given(volumes())
+def test_box_shell_and_table_match_loops(case):
     kernel, sites = case
-    shell_kernel = cube_kernel(kernel.dimension) if wide_shell else kernel
-    box = LatticeGeometry.box(sites, shell_kernel)
-    assert box.shell == reference_box_shell(sites, shell_kernel)
+    box = LatticeGeometry.box(sites, kernel)
+    assert box.shell == reference_box_shell(sites, kernel)
     table = wrapped_offsets(kernel, box)
     idx, index_of = reference_table(kernel, box)
     assert same_bits(table.idx, idx)
@@ -224,16 +220,28 @@ def test_torus_table_matches_loop(kernel, data):
 
 def test_box_built_for_a_shorter_kernel_is_a_mismatch():
     box = LatticeGeometry.box([(0,), (1,), (2,)], nearest_neighbor(1))
-    wide = exp_decay(0.5, 2)
-    with pytest.raises(GeometryMismatch) as got:
-        wrapped_offsets(wide, box)
-    with pytest.raises(GeometryMismatch) as want:
-        reference_table(wide, box)
-    assert str(got.value) == str(want.value) == "shell does not cover site (-2,) needed by (0,)"
+    with pytest.raises(GeometryMismatch, match="^box shell is not the shell this kernel "
+                                               "reaches; build the box with the kernel it runs$"):
+        wrapped_offsets(exp_decay(0.5, 2), box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(volumes(), st.sampled_from(["cube", "nn"]))
+def test_box_built_for_another_kernel_is_a_mismatch(case, built_for):
+    # a box built for the cube kernel has a wider shell, one built for nn
+    # another; only a shell equal to the kernel's own is accepted
+    kernel, sites = case
+    d = kernel.dimension
+    box = LatticeGeometry.box(sites, cube_kernel(d) if built_for == "cube" else nearest_neighbor(d))
+    if box.shell == reference_box_shell(sites, kernel):
+        assert same_bits(wrapped_offsets(kernel, box).idx, reference_table(kernel, box)[0])
+    else:
+        with pytest.raises(GeometryMismatch, match="build the box with the kernel it runs"):
+            wrapped_offsets(kernel, box)
 
 
 # ---------------------------------------------------------------------------
-# Matrices and pair arrays, in all three ambients
+# Matrices and pair arrays
 # ---------------------------------------------------------------------------
 
 def assert_matrices_match(vh, reference):
@@ -249,34 +257,17 @@ def assert_matrices_match(vh, reference):
 @given(volumes())
 def test_matrices_match_loop_on_infinite_and_box_ambients(case):
     kernel, sites = case
-    reference = reference_matrices(sites, kernel)
-    assert_matrices_match(build_matrices(sites, kernel), reference)
-    box = LatticeGeometry.box(sites + [tuple(c + 9 for c in sites[0])], kernel)
-    assert_matrices_match(build_matrices(sites, kernel, geometry=box), reference)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3).flatmap(kernels), st.data())
-def test_matrices_match_loop_on_torus_ambient(kernel, data):
-    d = kernel.dimension
-    torus = torus_for(kernel, data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
-    # volume sites outside the fundamental domain stay unwrapped, as before
-    coords = st.tuples(*[st.integers(-1, e) for e in torus.extents])
-    sites = sorted(data.draw(st.lists(coords, min_size=1, max_size=12, unique=True)))
-    vh = build_matrices(sites, kernel, geometry=torus)
-    assert_matrices_match(vh, reference_matrices(sites, kernel, wrap=torus.extents))
-
-
-def test_whole_torus_volume_has_no_shell():
-    kernel = nearest_neighbor(2)
-    torus = LatticeGeometry.torus([4, 5])
-    vh = build_matrices(torus.sites, kernel, geometry=torus)
-    assert vh.shell == () and vh.cross_pairs[0].size == 0
-    assert_matrices_match(vh, reference_matrices(torus.sites, kernel, wrap=torus.extents))
+    vh = build_matrices(sites, kernel)
+    assert_matrices_match(vh, reference_matrices(sites, kernel))
+    # the box of the same sites, as the runs build it, has the same shell
+    # and the same cross pairs, in the same order
+    table = wrapped_offsets(kernel, LatticeGeometry.box(sites, kernel))
+    assert table.shell == vh.shell
+    assert same_bits(table.idx[table.idx >= vh.n_sites] - vh.n_sites, vh.cross_pairs[1])
 
 
 # ---------------------------------------------------------------------------
-# Certificate, Toeplitz blocks and the partition check
+# Certificate, Toeplitz blocks and the parity check
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
@@ -290,25 +281,24 @@ def test_toeplitz_and_certificate_match_loops(case, data):
     assert cert.slack == slack and cert.terms == terms
 
 
-PARTITIONS = {
-    "parity": BipartitePartition.parity(),
-    "first-axis": BipartitePartition(lambda site: site[0]),
-    "one-class": BipartitePartition(lambda site: 0),
-    "blocks": BipartitePartition(lambda site: sum(site) // 2),
-}
-
-
 @settings(max_examples=200, deadline=None)
-@given(volumes(), st.sampled_from(sorted(PARTITIONS)))
-def test_partition_verdict_matches_loop(case, name):
+@given(volumes())
+def test_partition_verdict_matches_loop(case):
     kernel, sites = case
-    partition = PARTITIONS[name]
     vh = build_matrices(sites, kernel)
-    ok = reference_partition_ok(vh.sites, vh.shell, kernel, partition)
+    ok = reference_parity_ok(vh.sites, vh.shell, kernel)
     try:
-        side = _check_partition(vh, partition)
+        side = _check_partition(vh)
     except IncompatiblePartition:
         assert not ok
     else:
         assert ok
-        assert side.tolist() == [partition.side(s) for s in vh.sites + vh.shell]
+        assert side.tolist() == [parity(s) for s in vh.sites + vh.shell]
+
+
+def test_partition_check_names_two_coupled_sites_of_one_parity():
+    # the range-2 exp-decay kernel couples (0, 0) to its diagonal neighbour
+    vh = build_matrices([(0, 0), (0, 1), (1, 0), (1, 1)], exp_decay(0.5, 2, 2))
+    with pytest.raises(IncompatiblePartition,
+                       match=r"^sites \(0, 0\) and \(1, 1\) are coupled but share a class$"):
+        _check_partition(vh)

@@ -7,7 +7,6 @@ from truncgibbs.errors import IncompatiblePartition, NonpositiveBeta, OutOfRange
 from truncgibbs.finite_spec import build_matrices, hamiltonian
 from truncgibbs.kernel import SpinInterval, build_kernel, exp_decay, nearest_neighbor
 from truncgibbs.transforms import (
-    BipartitePartition,
     af_specification_probe,
     beta_scaling_check,
 )
@@ -72,7 +71,7 @@ def test_beta_beyond_float_range_is_out_of_range(volume, kernel, interval):
 
 def test_probe_single_trial_spread_is_zero():
     report = af_specification_probe(build_matrices([(0,), (1,)], NN1), np.array([0.2, 0.8]),
-                                    UNIT, BipartitePartition.parity(), trials=1, seed=0)
+                                    UNIT, trials=1, seed=0)
     assert report.spread == 0.0
     assert report.deltas.shape == (1,)
 
@@ -82,9 +81,8 @@ def test_probe_single_free_site_matches_direct_evaluation():
     # difference by hand through the pair sums and compare per trial
     volume = [(0,)]
     gamma = np.array([0.3, 0.9])
-    partition = BipartitePartition.parity()
     vh = build_matrices(volume, NN1)
-    report = af_specification_probe(vh, gamma, UNIT, partition, trials=25, seed=7)
+    report = af_specification_probe(vh, gamma, UNIT, trials=25, seed=7)
     from truncgibbs.streams import derive_key, uniforms
     key = derive_key(7, "af-probe")
     for trial, delta in enumerate(report.deltas):
@@ -101,24 +99,15 @@ def test_probe_spread_generally_nonzero():
     # for the gradient pair energy the reflected difference depends on the
     # interior spins, and the probe documents exactly that
     report = af_specification_probe(build_matrices([(0,), (1,)], NN1), np.array([0.5, 0.5]),
-                                    UNIT, BipartitePartition.parity(), trials=100, seed=3)
+                                    UNIT, trials=100, seed=3)
     assert report.spread > 1e-3
 
 
 def test_probe_deterministic():
     vh = build_matrices([(0,), (1,)], NN1)
-    a = af_specification_probe(vh, np.array([0.2, 0.8]), UNIT,
-                               BipartitePartition.parity(), trials=50, seed=12)
-    b = af_specification_probe(vh, np.array([0.2, 0.8]), UNIT,
-                               BipartitePartition.parity(), trials=50, seed=12)
+    a = af_specification_probe(vh, np.array([0.2, 0.8]), UNIT, trials=50, seed=12)
+    b = af_specification_probe(vh, np.array([0.2, 0.8]), UNIT, trials=50, seed=12)
     assert np.array_equal(a.deltas, b.deltas)
-
-
-def test_probe_rejects_incompatible_partition():
-    same_class = BipartitePartition(lambda site: 0)
-    with pytest.raises(IncompatiblePartition):
-        af_specification_probe(build_matrices([(0,), (1,)], NN1), np.array([0.2, 0.8]),
-                               UNIT, same_class, trials=5)
 
 
 def test_probe_rejects_in_class_coupling():
@@ -126,5 +115,4 @@ def test_probe_rejects_in_class_coupling():
     k2 = build_kernel(1, {(2,): 1.0, (-2,): 1.0})
     vh = build_matrices([(0,), (1,)], k2)
     with pytest.raises(IncompatiblePartition):
-        af_specification_probe(vh, np.zeros(len(vh.shell)), UNIT,
-                               BipartitePartition.parity(), trials=5)
+        af_specification_probe(vh, np.zeros(len(vh.shell)), UNIT, trials=5)
