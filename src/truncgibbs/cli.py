@@ -448,7 +448,7 @@ def _run_cftp(cfg, out, seed):
             verdicts.append(diagnostics._verdict(
                 f"mean[{_site_column(site)}]", float(column.mean()), se,
                 float(oracle.means[j])).as_dict())
-            distance = diagnostics.ks_distance(column, oracle.grid, oracle.marginal_cdf(j))
+            distance = diagnostics.ks_distance(column, oracle.grid, oracle.marginal_cdfs[j])
             ks_rows.append({"name": f"ks[{_site_column(site)}]", "distance": distance,
                             "threshold": ks_threshold, "pass": distance < ks_threshold})
     return {

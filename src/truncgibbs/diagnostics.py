@@ -79,20 +79,15 @@ MIN_N_Q = 64                     # the fewest Simpson subintervals quadrature_ma
 
 @dataclass(frozen=True, eq=False)
 class QuadratureOracle:
-    """Exact reference law of a tiny volume from composite Simpson quadrature."""
+    """Exact reference law of a tiny volume from composite Simpson quadrature;
+    the per-site arrays, rows of ``marginal_cdfs`` included, follow ``sites``."""
 
     sites: tuple
-    boundary: np.ndarray
-    interval: SpinInterval
-    n_q: int
     grid: np.ndarray             # n_q + 1 points per axis
     normalizer: float
     means: np.ndarray
     variances: np.ndarray
     marginal_cdfs: np.ndarray    # (n_sites, n_q + 1), CDF table on the grid
-
-    def marginal_cdf(self, site_index: int) -> np.ndarray:
-        return self.marginal_cdfs[site_index]
 
 
 def quadrature_marginals(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
@@ -146,8 +141,7 @@ def quadrature_marginals(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
         steps = 0.5 * (marginal[1:] + marginal[:-1]) * (grid[1] - grid[0])
         cdf = np.concatenate([[0.0], np.cumsum(steps)])
         cdfs[i] = cdf / cdf[-1]
-    return QuadratureOracle(vh.sites, gamma, interval, n_q, grid, z,
-                            means, variances, cdfs)
+    return QuadratureOracle(vh.sites, grid, z, means, variances, cdfs)
 
 
 # ---------------------------------------------------------------------------

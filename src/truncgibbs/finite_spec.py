@@ -88,18 +88,12 @@ def _sequential_sum(terms) -> float:
 
 
 def _full_values(vh: VolumeHamiltonian, xi):
-    """Accept a site->value mapping or a flat array over sites then shell."""
-    if isinstance(xi, dict):
-        try:
-            eta = np.array([xi[s] for s in vh.sites], dtype=float)
-            gamma = np.array([xi[s] for s in vh.shell], dtype=float)
-        except KeyError as missing:
-            raise MissingSite(f"configuration does not cover site {missing.args[0]}") from None
-        return eta, gamma
-    xi = np.asarray(xi, dtype=float)
+    """A flat array over volume sites then shell, split in two; any other
+    shape, a site mapping included, raises MissingSite."""
     want = vh.n_sites + len(vh.shell)
-    if xi.shape != (want,):
-        raise MissingSite(f"expected {want} values (volume then shell), got shape {xi.shape}")
+    if np.shape(xi) != (want,):         # a site mapping too: its shape is ()
+        raise MissingSite(f"expected {want} values (volume then shell), got shape {np.shape(xi)}")
+    xi = np.asarray(xi, dtype=float)
     return xi[:vh.n_sites], xi[vh.n_sites:]
 
 
@@ -109,6 +103,7 @@ def hamiltonian(vh: VolumeHamiltonian, xi) -> float:
     Non-negative, and zero exactly when xi is constant on every coupled
     component meeting the volume.  This is the route independent of the
     matrices, kept separate so the quadratic-form identity is a real check.
+    ``xi`` is one array: the values at ``vh.sites``, then at ``vh.shell``.
     """
     eta, gamma = _full_values(vh, xi)
     i, j, w = vh.inside_pairs
@@ -151,7 +146,6 @@ class GaussianSpecification:
 
     mean: np.ndarray
     covariance: np.ndarray
-    interval: SpinInterval
 
 
 def specification(vh: VolumeHamiltonian, gamma, interval: SpinInterval) -> GaussianSpecification:
@@ -169,7 +163,7 @@ def specification(vh: VolumeHamiltonian, gamma, interval: SpinInterval) -> Gauss
         raise NotPositiveDefinite(f"solve residual {residual:.3e} exceeds 1e-10")
     sigma = cho_solve(factor, np.eye(vh.n_sites))
     sigma = 0.5 * (sigma + sigma.T)
-    return GaussianSpecification(m, sigma, interval)
+    return GaussianSpecification(m, sigma)
 
 
 # ---------------------------------------------------------------------------

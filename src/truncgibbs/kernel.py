@@ -35,9 +35,6 @@ from .errors import (
     ZeroOffsetPresent,
 )
 
-Offset = tuple
-Site = tuple
-
 
 @dataclass(frozen=True)
 class SpinInterval:
@@ -107,7 +104,8 @@ class InteractionKernel:
 
 
 def build_kernel(dimension: int, raw: dict, normalize: bool = True) -> InteractionKernel:
-    """Validate, symmetrize and (optionally) normalize an offset->weight map.
+    """Validate, symmetrize and (optionally) normalize a map from offset
+    tuples to weights.
 
     Zero-weight entries are dropped.  A missing mirror offset is filled in;
     if both J(z) and J(-z) are given they must agree exactly.  With
@@ -116,7 +114,7 @@ def build_kernel(dimension: int, raw: dict, normalize: bool = True) -> Interacti
     zero = (0,) * dimension
     table = {}
     for z, w in raw.items():
-        z = tuple(int(c) for c in z) if isinstance(z, (tuple, list)) else (int(z),)
+        z = tuple(int(c) for c in z)
         if len(z) != dimension:
             raise ValueError(f"offset {z} does not have dimension {dimension}")
         w = float(w)
@@ -230,20 +228,16 @@ class LatticeGeometry:
 class NeighborTable:
     """Per-site neighbor indices and weights for one (kernel, geometry) pair.
 
-    Interior sites occupy indices 0..n-1, shell sites (box only) follow;
-    ``idx[i, k]`` is the combined index of site i's neighbor at offset k,
-    so a field stored as one flat array supports local means by a gather
-    plus a dot with ``weights``.
+    Interior sites occupy indices 0..n-1 in the order of
+    ``geometry.sites``, shell sites (box only) follow in the order of
+    ``geometry.shell``; ``idx[i, k]`` is the combined index of site i's
+    neighbor at offset k, so a field stored as one flat array supports local
+    means by a gather plus a dot with ``weights``.
     """
 
     kernel: InteractionKernel
     geometry: LatticeGeometry
     idx: np.ndarray             # (n_sites, n_offsets) combined indices
-    index_of: dict              # site tuple -> combined index
-
-    @property
-    def sites(self):
-        return self.geometry.sites
 
     @property
     def shell(self):
@@ -288,8 +282,7 @@ def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> Nei
     if reached != geometry.shell:
         raise GeometryMismatch("box shell is not the shell this kernel reaches; "
                                "build the box with the kernel it runs")
-    return NeighborTable(kernel, geometry, idx,
-                         {s: i for i, s in enumerate(sites + geometry.shell)})
+    return NeighborTable(kernel, geometry, idx)
 
 
 def _neighbour_index(sites, offsets, periods=None):

@@ -42,6 +42,7 @@ of a single group.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ from .errors import (
     BoundarySite,
     GeometryMismatch,
     NoCoalescence,
+    NotTorus,
     OrderViolation,
     ProbabilityOutOfRange,
 )
@@ -113,9 +115,9 @@ _CHUNK_UPDATES = 1 << 19
 class FieldConfiguration:
     """A spin assignment on a finite geometry, one value in [a, b] per site.
 
-    Interior values occupy the first ``n_interior`` slots of ``values``;
-    for a box the frozen boundary values follow and are never mutated by
-    the dynamics.
+    Interior values occupy the first ``n_interior`` slots of ``values``, and
+    a site is named by its index there; for a box the frozen boundary values
+    follow in shell order and are never mutated by the dynamics.
     """
 
     def __init__(self, table: NeighborTable, interval: SpinInterval,
@@ -137,27 +139,12 @@ class FieldConfiguration:
     def constant(cls, table, interval, level: float, boundary=None):
         return cls(table, interval, np.full(table.n_sites, float(level)), boundary)
 
-    @classmethod
-    def all_lower(cls, table, interval, boundary=None):
-        """The extremal all-a configuration."""
-        return cls.constant(table, interval, interval.a, boundary)
-
-    @classmethod
-    def all_upper(cls, table, interval, boundary=None):
-        """The extremal all-b configuration."""
-        return cls.constant(table, interval, interval.b, boundary)
-
     @property
     def interior(self) -> np.ndarray:
         return self.values[:self.n_interior]
 
     def _site_index(self, x) -> int:
-        if isinstance(x, (int, np.integer)):
-            i = int(x)
-        else:
-            i = self.table.index_of.get(tuple(x))
-            if i is None:
-                raise KeyError(f"site {x} not in geometry")
+        i = operator.index(x)          # an integer; a site tuple raises TypeError
         if not 0 <= i < self.n_interior:
             raise BoundarySite(f"site {x} is a frozen boundary site")
         return i
@@ -169,18 +156,18 @@ def _array_ends(interval: SpinInterval):
     return np.array(interval.a, dtype=float), np.array(interval.b, dtype=float)
 
 
-def local_mean(field: FieldConfiguration, x) -> float:
-    """The kernel-weighted mean of the neighbors of x; a convex combination,
-    so it always lies inside the spin interval."""
+def local_mean(field: FieldConfiguration, x: int) -> float:
+    """The kernel-weighted mean of the neighbors of interior site index x; a
+    convex combination, so it always lies inside the spin interval."""
     i = field._site_index(x)
     m = float(field.values[field.table.idx[i]] @ field.table.weights)
     iv = field.interval
     return min(max(m, iv.a), iv.b)
 
 
-def site_update(field: FieldConfiguration, x, u: float) -> FieldConfiguration:
-    """Heat-bath update of one site from a uniform in [0, 1], in place: the
-    runs' quantile core, :func:`_sample_many`, on one element."""
+def site_update(field: FieldConfiguration, x: int, u: float) -> FieldConfiguration:
+    """Heat-bath update of interior site index x from a uniform in [0, 1], in
+    place: the runs' quantile core, :func:`_sample_many`, on one element."""
     if not 0.0 <= u <= 1.0:       # NaN too
         raise ProbabilityOutOfRange(f"u must lie in [0, 1], got {u}")
     i = field._site_index(x)
@@ -390,16 +377,10 @@ class SandwichTrace:
     sup_gap: np.ndarray          # length n_sweeps + 1, entry 0 is the initial b - a
     mean_gap: np.ndarray
     snapshots: dict              # sweep index -> per-site gap array
-    seed: int
-    interval: SpinInterval
     final_lower: np.ndarray
     final_upper: np.ndarray
     order_repairs: int           # sub-ulp order inversions repaired
     max_inversion_frac: float    # largest repaired inversion / _order_tolerance
-
-    @property
-    def n_sweeps(self) -> int:
-        return len(self.sup_gap) - 1
 
 
 def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
@@ -424,8 +405,8 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     # each field with the write-off slot of _blocks at the end
-    low = np.append(FieldConfiguration.all_lower(table, interval, boundary).values, 0.0)
-    upp = np.append(FieldConfiguration.all_upper(table, interval, boundary).values, 0.0)
+    low = np.append(FieldConfiguration.constant(table, interval, interval.a, boundary).values, 0.0)
+    upp = np.append(FieldConfiguration.constant(table, interval, interval.b, boundary).values, 0.0)
     stream = UpdateStream(derive_key(seed, "sandwich"), n)
     idx, w = table.idx, table.weights
     a, b = _array_ends(interval)
@@ -461,7 +442,7 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         gaps[order] = new[1] - new[0]
         ends = n * np.arange(1, sites.size // n + 1)
         record(start // n + 1, _rows_at(before, sites, gaps, ends))
-    return SandwichTrace(sup, mean, snapshots, seed, interval, low[:n].copy(), upp[:n].copy(),
+    return SandwichTrace(sup, mean, snapshots, low[:n].copy(), upp[:n].copy(),
                          repairs, float(worst / tol))
 
 
@@ -472,8 +453,6 @@ class RunTrace:
     fields: np.ndarray           # (n_sweeps, n_sites)
     table: NeighborTable
     interval: SpinInterval
-    seed: int
-    burn_in: int
 
 
 def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
@@ -509,8 +488,9 @@ def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
 
 def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
                    seed: int, burn_in: int, n_sweeps: int,
-                   start: str = "midpoint", boundary=None) -> RunTrace:
-    """Burn in, then record the field after each of n_sweeps measurement sweeps.
+                   start: str = "midpoint") -> RunTrace:
+    """Burn in, then record the field after each of n_sweeps measurement sweeps
+    of a chain on a torus; a box, whose shell would need values, raises NotTorus.
 
     ``start`` picks the initial state: "midpoint", "lower", or "upper";
     starting from "upper" with no burn-in gives the deliberately
@@ -520,6 +500,8 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     sweep boundaries (see :func:`_run_chain`); every recorded field is
     bit-identical to the sequential scan's.
     """
+    if geometry.kind != "torus":
+        raise NotTorus("the stationary chain runs on a torus and takes no boundary")
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     levels = {"midpoint": interval.midpoint, "lower": interval.a, "upper": interval.b}
@@ -529,11 +511,11 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
         raise ValueError(f"burn_in must be at least 0, got {burn_in}")
     if n_sweeps < 0:
         raise ValueError(f"n_sweeps must be at least 0, got {n_sweeps}")
-    chain = FieldConfiguration.constant(table, interval, levels[start], boundary)
+    chain = FieldConfiguration.constant(table, interval, levels[start])
     stream = UpdateStream(derive_key(seed, "stationary"), n)
     out = np.empty((n_sweeps, n))
     _run_chain(chain, stream, (burn_in + n_sweeps) * n, out)
-    return RunTrace(out, table, interval, seed, burn_in)
+    return RunTrace(out, table, interval)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +606,8 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     horizon = max(2, n)
     if t_cap < horizon:           # no horizon would run, yet one would be reported
         raise ValueError(f"t_cap must be at least the first horizon {horizon}, got {t_cap}")
-    lowest = FieldConfiguration.all_lower(table, interval, boundary).values
-    highest = FieldConfiguration.all_upper(table, interval, boundary).values
+    lowest = FieldConfiguration.constant(table, interval, interval.a, boundary).values
+    highest = FieldConfiguration.constant(table, interval, interval.b, boundary).values
     fixed = (UpdateStream(derive_key(seed, "cftp", np.arange(n_samples)), n), lowest, highest,
              table.idx, table.weights, *_array_ends(interval), _order_tolerance(interval),
              eps_coal)

@@ -90,12 +90,13 @@ def uniform_configurations(seed, tag: str, interval, size: int, trials: int):
 class UpdateStream:
     """Deterministic stream of (site index, uniform) update pairs.
 
-    The pair at slot t is a pure function of (key, t); the stream can be
-    consumed sequentially with :meth:`take` or revisited at arbitrary
-    slots with :meth:`pairs_at`.  Sites are marginally uniform over the
-    volume and uniforms are independent across slots.  ``key`` may be an
-    array of keys, one independent stream each; ``site_key`` and
-    ``uniform_key`` are then arrays of the same shape.
+    The pair at slot t is :func:`site_uniform_pairs` of the stream's two keys
+    at t, a pure function of (key, t): :meth:`take` consumes the stream in
+    order, and coupling from the past draws any slot through that function.
+    Sites are marginally uniform over the volume and uniforms are
+    independent across slots.  ``key`` may be an array of keys, one
+    independent stream each; ``site_key`` and ``uniform_key`` are then
+    arrays of the same shape.
     """
 
     def __init__(self, key, n_sites: int):
@@ -107,17 +108,13 @@ class UpdateStream:
         self.uniform_key = derive_key(self.key, "uniform")
         self._cursor = 0
 
-    def pairs_at(self, slots):
-        """Vectorized (sites, uniforms) for an array of slot indices."""
-        return site_uniform_pairs(self.site_key, self.uniform_key, slots, self.n_sites)
-
     def take(self, n: int):
         """Consume the next n pairs, advancing the cursor."""
         if not isinstance(n, (int, np.integer)) or n < 0:     # before the cursor moves
             raise ValueError(f"n must be an integer >= 0, got {n!r}")
         slots = np.arange(self._cursor, self._cursor + n, dtype=np.uint64)
         self._cursor += n
-        return self.pairs_at(slots)
+        return site_uniform_pairs(self.site_key, self.uniform_key, slots, self.n_sites)
 
 
 def site_uniform_pairs(site_keys, uniform_keys, slot, n_sites: int):

@@ -104,7 +104,7 @@ def cdf(tn: TruncatedNormal, u):
     alpha, beta = _endpoints(tn.m, tn.interval)
     u = np.asarray(u, dtype=float)
     z = _mass(alpha, beta)
-    if np.any(z <= 0.0):
+    if not np.all(z > 0.0):         # NaN too: a NaN mean has no mass
         raise DegenerateInterval(f"no normal mass on [{tn.interval.a}, {tn.interval.b}] for m={tn.m}")
     f = np.clip(_mass(alpha, u - tn.m) / z, 0.0, 1.0)
     f = np.where(u <= tn.interval.a, 0.0, np.where(u >= tn.interval.b, 1.0, f))
@@ -161,7 +161,7 @@ def inverse_cdf(tn: TruncatedNormal, p):
     if not np.all((p >= 0.0) & (p <= 1.0)):     # NaN too
         raise ProbabilityOutOfRange("p must lie in [0, 1]")
     alpha, beta = _endpoints(tn.m, tn.interval)
-    if np.any(_mass(alpha, beta) <= 0.0):
+    if not np.all(_mass(alpha, beta) > 0.0):     # NaN too
         raise DegenerateInterval(f"no normal mass on [{tn.interval.a}, {tn.interval.b}] for m={tn.m}")
     a, b = tn.interval.a, tn.interval.b
     m, u = np.broadcast_arrays(np.asarray(tn.m, dtype=float), p)
@@ -221,13 +221,13 @@ def varphi_inverse(y, interval: SpinInterval):
     """The m in [a, b] with varphi(m) = y, by bracketed bisection.
 
     The attainable range is [varphi(a), varphi(b)] since the mean shift is
-    increasing; values outside raise OutOfRange.
+    increasing; values outside, and NaN, raise OutOfRange.
     """
     y = float(y)
     lo, hi = interval.a, interval.b
     v_lo = varphi(lo, interval)
     v_hi = varphi(hi, interval)
-    if y < v_lo or y > v_hi:
+    if not v_lo <= y <= v_hi:       # NaN too
         raise OutOfRange(f"{y} outside attainable range [{v_lo}, {v_hi}]")
     if y == v_lo:
         return lo

@@ -65,7 +65,7 @@ def test_grid_refinement_stability():
 def test_oracle_cdf_table_is_a_cdf():
     oracle = quadrature_marginals(PAIR, np.array([0.2, 0.9]), UNIT, n_q=64)
     for j in range(2):
-        table = oracle.marginal_cdf(j)
+        table = oracle.marginal_cdfs[j]
         assert table[0] == 0.0 and table[-1] == pytest.approx(1.0, abs=1e-15)
         assert np.all(np.diff(table) >= 0.0)
 
@@ -161,7 +161,7 @@ def test_three_site_oracle_memory_stays_small():
 def test_stationarity_requires_torus():
     box = LatticeGeometry.box([(0,), (1,)], NN1)
     table = wrapped_offsets(NN1, box)
-    fake = RunTrace(np.zeros((10, 2)), table, UNIT, seed=0, burn_in=0)
+    fake = RunTrace(np.zeros((10, 2)), table, UNIT)
     with pytest.raises(NotTorus):
         stationarity_check(fake)
 
@@ -194,7 +194,7 @@ def test_balance_fails_when_weights_do_not_sum_to_one():
     trace = stationary_run(geometry, kernel, UNIT, seed=0, burn_in=50, n_sweeps=400)
     scaled = build_kernel(1, {z: 1.01 * w for z, w in zip(kernel.offsets, kernel.weights)},
                           normalize=False)
-    heavy = RunTrace(trace.fields, wrapped_offsets(scaled, geometry), UNIT, seed=0, burn_in=50)
+    heavy = RunTrace(trace.fields, wrapped_offsets(scaled, geometry), UNIT)
     _, balance = stationarity_check(heavy)
     assert not balance.passed
     assert balance.z > 3.0

@@ -123,19 +123,23 @@ def test_build_matrices_rejects_kernel_of_another_dimension():
 
 def test_constant_configuration_zero_energy():
     vh = build_matrices([(0,), (1,), (2,)], NN1)
-    xi = {s: 0.7 for s in vh.sites + vh.shell}
+    xi = np.full(vh.n_sites + len(vh.shell), 0.7)
     assert hamiltonian(vh, xi) == 0.0
 
 
 def test_singleton_hand_sum():
     vh = build_matrices([(0,)], NN1)
-    assert hamiltonian(vh, {(-1,): 0.0, (0,): 1.0, (1,): 0.0}) == pytest.approx(0.5, abs=0)
+    # site (0,), then the shell (-1,) and (1,)
+    assert hamiltonian(vh, np.array([1.0, 0.0, 0.0])) == pytest.approx(0.5, abs=0)
 
 
 def test_missing_site_rejected():
+    # xi is one array, volume then shell; a site mapping, complete or not,
+    # has no such order
     vh = build_matrices([(0,)], NN1)
-    with pytest.raises(MissingSite):
-        hamiltonian(vh, {(0,): 1.0, (1,): 0.0})
+    for xi in ({(-1,): 0.0, (0,): 1.0, (1,): 0.0}, {(0,): 1.0, (1,): 0.0}):
+        with pytest.raises(MissingSite, match=re.escape("got shape ()")):
+            hamiltonian(vh, xi)
     with pytest.raises(MissingSite):
         hamiltonian(vh, np.array([1.0, 0.0]))
 
@@ -152,7 +156,7 @@ BOUNDARY_READERS = {      # each reader's result as arrays, read at one boundary
     "specification": lambda gamma: [(spec := specification(VOLUME2, gamma, UNIT)).mean,
                                     spec.covariance],
     "quadrature_marginals": lambda gamma: [
-        (q := quadrature_marginals(VOLUME2, gamma, UNIT, n_q=64)).boundary, q.means,
+        (q := quadrature_marginals(VOLUME2, gamma, UNIT, n_q=64)).means,
         q.variances, q.marginal_cdfs, np.array(q.normalizer)],
     "af_specification_probe": lambda gamma: [af_specification_probe(
         VOLUME2, gamma, UNIT, trials=2).deltas],

@@ -157,10 +157,11 @@ def test_box_interior_and_boundary_split():
     geom = LatticeGeometry.box([(0,), (1,)], k)
     assert geom.shell == ((-1,), (2,))
     table = wrapped_offsets(k, geom)
-    i0 = table.index_of[(0,)]
+    index_of = {s: i for i, s in enumerate(geom.sites + geom.shell)}
+    i0 = index_of[(0,)]
     # neighbor at -1 is the shell slot, neighbor at +1 is interior site 1
-    assert table.idx[i0, 0] == table.index_of[(-1,)]
-    assert table.idx[i0, 1] == table.index_of[(1,)]
+    assert table.idx[i0, 0] == index_of[(-1,)]
+    assert table.idx[i0, 1] == index_of[(1,)]
 
 
 def test_box_with_a_repeated_site_rejected():
@@ -207,6 +208,8 @@ def test_offset_of_the_wrong_dimension_rejected():
         build_kernel(2, {(1,): 1.0})
     with pytest.raises(ValueError, match="does not have dimension 1"):
         build_kernel(1, {(1, 0): 1.0})
+    with pytest.raises(TypeError):          # an offset is a tuple, in 1D too
+        build_kernel(1, {1: 1.0})
 
 
 @pytest.mark.parametrize("extents", [[0], [8, 0], [-3]])

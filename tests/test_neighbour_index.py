@@ -54,17 +54,16 @@ def reference_box_shell(sites, kernel):
 
 
 def reference_table(kernel, geometry):
-    """(idx, index_of) as the torus and box loops built them."""
+    """idx as the torus and box loops built it, through a site -> index map."""
     sites = geometry.sites
     if geometry.kind == "torus":
         index_of = {s: i for i, s in enumerate(sites)}
         wrap = [[tuple(c % e for c, e in zip(_shift(x, z), geometry.extents))
                  for z in kernel.offsets] for x in sites]
-        return np.array([[index_of[y] for y in row] for row in wrap], dtype=np.int64), index_of
+        return np.array([[index_of[y] for y in row] for row in wrap], dtype=np.int64)
     index_of = {s: i for i, s in enumerate(list(sites) + list(geometry.shell))}
-    idx = np.array([[index_of[_shift(x, z)] for z in kernel.offsets] for x in sites],
-                   dtype=np.int64)
-    return idx, index_of
+    return np.array([[index_of[_shift(x, z)] for z in kernel.offsets] for x in sites],
+                    dtype=np.int64)
 
 
 def _pair_arrays(triples):
@@ -200,10 +199,7 @@ def test_box_shell_and_table_match_loops(case):
     box = LatticeGeometry.box(sites, kernel)
     assert box.shell == reference_box_shell(sites, kernel)
     table = wrapped_offsets(kernel, box)
-    idx, index_of = reference_table(kernel, box)
-    assert same_bits(table.idx, idx)
-    assert table.index_of == index_of
-    assert list(table.index_of) == list(index_of)
+    assert same_bits(table.idx, reference_table(kernel, box))
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,9 +209,7 @@ def test_torus_table_matches_loop(kernel, data):
                                max_size=kernel.dimension))
     torus = torus_for(kernel, extra)
     table = wrapped_offsets(kernel, torus)
-    idx, index_of = reference_table(kernel, torus)
-    assert same_bits(table.idx, idx)
-    assert table.index_of == index_of
+    assert same_bits(table.idx, reference_table(kernel, torus))
 
 
 def test_box_built_for_a_shorter_kernel_is_a_mismatch():
@@ -234,7 +228,7 @@ def test_box_built_for_another_kernel_is_a_mismatch(case, built_for):
     d = kernel.dimension
     box = LatticeGeometry.box(sites, cube_kernel(d) if built_for == "cube" else nearest_neighbor(d))
     if box.shell == reference_box_shell(sites, kernel):
-        assert same_bits(wrapped_offsets(kernel, box).idx, reference_table(kernel, box)[0])
+        assert same_bits(wrapped_offsets(kernel, box).idx, reference_table(kernel, box))
     else:
         with pytest.raises(GeometryMismatch, match="build the box with the kernel it runs"):
             wrapped_offsets(kernel, box)

@@ -18,16 +18,16 @@ def test_same_seed_same_sequence():
 
 def test_slots_are_stateless():
     s = UpdateStream(derive_key(7), 8)
-    site_5, u_5 = s.pairs_at([5])
+    site_5, u_5 = site_uniform_pairs(s.site_key, s.uniform_key, [5], 8)
     s.take(100)  # consuming the stream must not change slot content
-    assert s.pairs_at([5]) == (site_5, u_5)
+    assert site_uniform_pairs(s.site_key, s.uniform_key, [5], 8) == (site_5, u_5)
 
 
-def test_take_matches_pairs_at():
+def test_take_matches_site_uniform_pairs():
     s1 = UpdateStream(derive_key(3), 8)
     sites, us = s1.take(50)
     s2 = UpdateStream(derive_key(3), 8)
-    sites2, us2 = s2.pairs_at(np.arange(50))
+    sites2, us2 = site_uniform_pairs(s2.site_key, s2.uniform_key, np.arange(50), 8)
     assert np.array_equal(sites, sites2)
     assert np.array_equal(us, us2)
 
@@ -41,7 +41,7 @@ def test_take_rejects_a_count_that_is_not_an_integer_at_least_zero(n):
     with pytest.raises(ValueError, match="n must be an integer >= 0"):
         s.take(n)
     sites, us = s.take(np.int64(2))      # numpy integers count too
-    want_sites, want_us = s.pairs_at(np.arange(3, 5))
+    want_sites, want_us = site_uniform_pairs(s.site_key, s.uniform_key, np.arange(3, 5), 8)
     assert np.array_equal(sites, want_sites) and np.array_equal(us, want_us)
 
 
@@ -73,9 +73,10 @@ def test_batched_pairs_match_update_streams():
     for slot in (1, 2, 17):
         sites, us = site_uniform_pairs(site_keys, u_keys, slot, 4)
         for r, stream in enumerate(streams):
-            (site_r,), (u_r,) = stream.pairs_at([slot])
-            assert sites[r] == site_r
-            assert us[r] == u_r
+            # slot t of a stream is the last of the first t + 1 pairs it hands out
+            want_sites, want_us = UpdateStream(stream.key, 4).take(slot + 1)
+            assert sites[r] == want_sites[-1]
+            assert us[r] == want_us[-1]
 
 
 def test_n_sites_validation():

@@ -252,6 +252,11 @@ def test_degenerate_interval_signaled():
         inverse_cdf(TruncatedNormal(1e9, UNIT), 0.5)
     with pytest.raises(DegenerateInterval):
         inverse_cdf(TruncatedNormal(-45.0, UNIT), 0.5)
+    # a NaN mean has no mass either; unchecked, both returned NaN
+    with pytest.raises(DegenerateInterval):
+        inverse_cdf(TruncatedNormal(np.array([0.5, np.nan]), UNIT), 0.5)
+    with pytest.raises(DegenerateInterval):
+        cdf(TruncatedNormal(np.nan, UNIT), 0.5)
 
 
 def test_sample_monotone_coupling_example():
@@ -608,3 +613,5 @@ def test_varphi_inverse_residual():
 def test_varphi_inverse_out_of_range():
     with pytest.raises(OutOfRange):
         varphi_inverse(varphi(1.0, SYM) + 0.1, SYM)
+    with pytest.raises(OutOfRange):         # unchecked, NaN bisected to about a
+        varphi_inverse(np.nan, UNIT)
