@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, finite_spec, sampler, transforms, truncnorm
-from .errors import ConfigInvalid, MissingSite, OutOfRange
+from .errors import ConfigInvalid, MissingSite, NonpositiveBeta, OutOfRange
 from .kernel import (
     LatticeGeometry,
     SpinInterval,
@@ -291,15 +291,16 @@ def _json_chunks(value, pad="\n"):
 
     numpy arrays and scalars are written as their Python values, tuples
     as lists.  ``pad`` is a newline and the indentation of ``value``.  A
-    list of ints is one chunk, formatted in C by ``list.__repr__`` (which
-    calls ``int.__repr__``, as ``json`` does; no such repr contains ", ").
-    A finite float array goes to :func:`_float_chunks`, which calls
-    ``float.__repr__`` once per distinct bit pattern and still writes a row
-    at a time; the CSV writer keeps its own per-row ``repr``.  Every other
-    scalar (a float too: ``json`` writes it as ``float.__repr__``) and every
-    key (a str in every payload) goes through ``json.dumps``, so escapes and
-    the NaN and Infinity spellings are the standard library's.  A matrix is
-    written a row at a time.
+    list of ints is one chunk (:func:`_int_list_text`), and so is a list of
+    nonempty int lists, such as a list of sites; a bool or a numpy int
+    among them sends the list down the general path.  A finite float array
+    goes to :func:`_float_chunks`, which calls ``float.__repr__`` once per
+    distinct bit pattern and still writes a row at a time; the CSV writer
+    keeps its own per-row ``repr``.  Every other scalar (a float too:
+    ``json`` writes it as ``float.__repr__``) and every key (a str in every
+    payload) goes through ``json.dumps``, so escapes and the NaN and
+    Infinity spellings are the standard library's.  A matrix is written a
+    row at a time.
     """
     if isinstance(value, np.ndarray):
         if (value.dtype.kind == "f" and value.dtype.itemsize <= 8 and value.ndim
@@ -324,7 +325,9 @@ def _json_chunks(value, pad="\n"):
         if not value:
             yield "[]"
         elif all(type(x) is int for x in value):
-            yield "[" + inner + list.__repr__(value)[1:-1].replace(", ", "," + inner) \
+            yield _int_list_text(value, pad)
+        elif all(type(x) is list and x and all(type(y) is int for y in x) for x in value):
+            yield "[" + inner + ("," + inner).join([_int_list_text(x, inner) for x in value]) \
                 + pad + "]"
         else:
             head = "[" + inner
@@ -337,6 +340,14 @@ def _json_chunks(value, pad="\n"):
         if isinstance(value, np.generic):
             value = value.item()
         yield json.dumps(value)
+
+
+def _int_list_text(value: list, pad: str) -> str:
+    """The ``indent=2`` text of a nonempty list of ints, formatted in C by
+    ``list.__repr__`` (which calls ``int.__repr__``, as ``json`` does; no
+    such repr contains ", ")."""
+    inner = pad + "  "
+    return "[" + inner + list.__repr__(value)[1:-1].replace(", ", "," + inner) + pad + "]"
 
 
 def _float_chunks(array: np.ndarray, pad: str):
@@ -492,8 +503,7 @@ def _run_spec_check(cfg, out, seed):
         direct = finite_spec.hamiltonian(vh, xi)
         quad = finite_spec.quadratic_form(vh, xi[:vh.n_sites], xi[vh.n_sites:])
         worst = max(worst, abs(direct - quad))
-    solve_residual = float(np.max(np.abs(
-        vh.precision @ spec.mean - vh.cross @ run.boundary))) if len(vh.shell) else 0.0
+    solve_residual = float(np.max(np.abs(vh.precision @ spec.mean - vh.cross @ run.boundary)))
     return {
         "config": config,
         "sites": [list(s) for s in vh.sites], "shell": [list(s) for s in vh.shell],
@@ -527,18 +537,14 @@ def _run_beta_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume", boundary=False)
     betas = [_typed(b, f"betas[{k}]", float)
              for k, b in enumerate(_get(cfg, "betas", list, [0.25, 1.0, 2.5, 10.0]))]
-    for k, beta in enumerate(betas):
-        if not 0.0 < beta < float("inf"):       # NaN too
-            raise ConfigInvalid(f"betas[{k}]: must be a finite number > 0, got {beta}")
     trials = _int_from(cfg, "trials", 100)
     config = run.config(betas=betas, trials=trials)
-    rows = []
-    for k, beta in enumerate(betas):
-        try:
-            residual = transforms.beta_scaling_check(run.vh, run.interval, beta, trials, seed=seed)
-        except OutOfRange as err:
-            raise ConfigInvalid(f"betas[{k}]: {err}") from None
-        rows.append({"beta": beta, "max_residual": residual, "pass": residual <= 1e-10})
+    try:
+        residuals = transforms.beta_scaling_check(run.vh, run.interval, betas, trials, seed=seed)
+    except (NonpositiveBeta, OutOfRange) as err:      # each message starts with betas[k]
+        raise ConfigInvalid(str(err)) from None
+    rows = [{"beta": beta, "max_residual": residual, "pass": residual <= 1e-10}
+            for beta, residual in zip(betas, residuals)]
     return {
         "config": config,
         "results": rows, "pass": all(r["pass"] for r in rows),

@@ -54,6 +54,10 @@ class BoundarySite(ValueError):
     """A dynamics operation was addressed to a frozen boundary site."""
 
 
+class UnknownSite(ValueError):
+    """A site index names neither an interior site nor a boundary site."""
+
+
 class EmptyVolume(ValueError):
     """The requested volume contains no sites."""
 

@@ -136,8 +136,8 @@ def quadratic_form(vh: VolumeHamiltonian, eta, gamma) -> float:
         raise MissingSite(f"expected {vh.n_sites} volume values, got shape {np.shape(eta)}")
     eta = np.asarray(eta, dtype=float)
     gamma = _boundary_array(vh.shell, gamma, None)
-    bg = vh.cross @ gamma if len(vh.shell) else np.zeros(vh.n_sites)
-    return float(0.5 * eta @ vh.precision @ eta - eta @ bg + 0.5 * psi_boundary(vh, gamma))
+    return float(0.5 * eta @ vh.precision @ eta - eta @ (vh.cross @ gamma)
+                 + 0.5 * psi_boundary(vh, gamma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +156,9 @@ def specification(vh: VolumeHamiltonian, gamma, interval: SpinInterval) -> Gauss
         factor = cho_factor(vh.precision, lower=True)
     except LinAlgError as err:
         raise NotPositiveDefinite(f"precision matrix is not positive definite: {err}") from None
-    rhs = vh.cross @ gamma if len(vh.shell) else np.zeros(vh.n_sites)
+    rhs = vh.cross @ gamma
     m = cho_solve(factor, rhs)
-    residual = np.max(np.abs(vh.precision @ m - rhs)) if m.size else 0.0
+    residual = np.max(np.abs(vh.precision @ m - rhs))
     if residual > 1e-10:
         raise NotPositiveDefinite(f"solve residual {residual:.3e} exceeds 1e-10")
     sigma = cho_solve(factor, np.eye(vh.n_sites))
@@ -244,10 +244,24 @@ class PDCertificate:
     terms: tuple
 
     def reassemble(self) -> np.ndarray:
-        n = len(self.sites)
-        out = self.slack * np.eye(n)
-        for z, w, _classes in self.terms:
-            out += w * toeplitz_matrix(self.sites, z)
+        """A rebuilt from the certificate's own classes: slack I, then per
+        term, in term order, 2 J(z) at each site of a class and -J(z) at
+        each consecutive pair of a class, both ways round.
+
+        This is slack I + sum J(z) T_z bit for bit: no off-diagonal entry
+        takes -J(z) from two terms (a pair of sites differs by one offset),
+        and the dense T_z only adds +0.0 elsewhere.  So a certificate whose
+        classes miss, repeat or split a progression does not reassemble A.
+        """
+        index = {site: i for i, site in enumerate(self.sites)}
+        out = self.slack * np.eye(len(self.sites))
+        for _z, w, classes in self.terms:
+            chains = [[index[site] for site in chain] for chain in classes]
+            every = [i for chain in chains for i in chain]
+            np.add.at(out, (every, every), 2.0 * w)
+            head = [i for chain in chains for i in chain[:-1]]
+            tail = [i for chain in chains for i in chain[1:]]
+            np.subtract.at(out, (head + tail, tail + head), w)
         return out
 
 

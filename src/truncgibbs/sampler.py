@@ -56,6 +56,7 @@ from .errors import (
     NotTorus,
     OrderViolation,
     ProbabilityOutOfRange,
+    UnknownSite,
 )
 from .kernel import LatticeGeometry, NeighborTable, SpinInterval, _boundary_array, wrapped_offsets
 from .streams import UpdateStream, derive_key, site_uniform_pairs
@@ -144,10 +145,14 @@ class FieldConfiguration:
         return self.values[:self.n_interior]
 
     def _site_index(self, x) -> int:
+        """``x`` as an interior index; a box's shell slot raises BoundarySite,
+        any other index UnknownSite."""
         i = operator.index(x)          # an integer; a site tuple raises TypeError
-        if not 0 <= i < self.n_interior:
-            raise BoundarySite(f"site {x} is a frozen boundary site")
-        return i
+        if 0 <= i < self.n_interior:
+            return i
+        if self.n_interior <= i < len(self.values):
+            raise BoundarySite(f"site {i} is a frozen boundary site")
+        raise UnknownSite(f"site {i} is not an interior index in [0, {self.n_interior})")
 
 
 def _array_ends(interval: SpinInterval):

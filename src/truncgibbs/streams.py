@@ -78,13 +78,13 @@ def uniforms(key, counters):
     return np.minimum(u, _BELOW_ONE)
 
 
-def uniform_configurations(seed, tag: str, interval, size: int, trials: int):
-    """Yield ``trials`` configurations of ``size`` spins, each uniform on the
-    interval, from consecutive counters of the key ``derive_key(seed, tag)``."""
-    key = derive_key(seed, tag)
-    for trial in range(trials):
-        u = uniforms(key, np.arange(trial * size, (trial + 1) * size, dtype=np.uint64))
-        yield interval.a + interval.width * u
+def uniform_configurations(seed, tag: str, interval, size: int, trials: int) -> np.ndarray:
+    """``trials`` configurations of ``size`` spins, each uniform on the
+    interval, as the rows of a (trials, size) array: row t holds counters
+    t size to (t + 1) size - 1 of the key ``derive_key(seed, tag)``, all
+    drawn by one :func:`uniforms` call."""
+    u = uniforms(derive_key(seed, tag), np.arange(trials * size, dtype=np.uint64))
+    return interval.a + interval.width * u.reshape(trials, size)
 
 
 class UpdateStream:

@@ -37,28 +37,39 @@ def _check_partition(vh: VolumeHamiltonian) -> np.ndarray:
     return side
 
 
-def beta_scaling_check(vh: VolumeHamiltonian, interval: SpinInterval, beta: float,
-                       trials: int, seed: int = 0) -> float:
-    """Max over random configurations of |beta H(xi) - H(sqrt(beta) xi)|.
+def beta_scaling_check(vh: VolumeHamiltonian, interval: SpinInterval, betas,
+                       trials: int, seed: int = 0) -> list:
+    """Per beta of the sequence ``betas``, the max over random configurations
+    of |beta H(xi) - H(sqrt(beta) xi)|, as a list in the order of ``betas``.
 
-    An exact algebraic identity for the quadratic pair energy; the
-    returned residual is float noise only (at most around 1e-10 at desk
-    scales).  The scaled configuration lives in the scaled interval.
+    An exact algebraic identity for the quadratic pair energy; each
+    residual is float noise only (at most around 1e-10 at desk scales).
+    The scaled configuration lives in the scaled interval.  The ``trials``
+    configurations are drawn once and serve every beta, so H(xi) is
+    evaluated once per configuration and H(sqrt(beta) xi) once per beta.
     ``vh`` is the volume's :func:`~truncgibbs.finite_spec.build_matrices`.
-    Raises OutOfRange where either energy leaves the float range.
+    A beta that is not a finite number > 0 raises NonpositiveBeta, and the
+    first beta at which either energy leaves the float range raises
+    OutOfRange; both messages start with its position, ``betas[k]``.
     """
-    if not 0.0 < beta < np.inf:       # NaN too
-        raise NonpositiveBeta(f"beta must be a finite number > 0, got {beta}")
-    root = np.sqrt(beta)
-    worst = 0.0
-    for xi in uniform_configurations(seed, "beta-check", interval,
-                                     vh.n_sites + len(vh.shell), trials):
-        with np.errstate(over="ignore"):        # reported below, not warned
-            residual = abs(beta * hamiltonian(vh, xi) - hamiltonian(vh, root * xi))
-        if not residual < np.inf:     # inf or NaN: an energy overflowed
-            raise OutOfRange(f"beta H(xi) or H(sqrt(beta) xi) is not finite at beta = {beta}")
-        worst = max(worst, residual)
-    return worst
+    betas = list(betas)
+    for k, beta in enumerate(betas):
+        if not 0.0 < beta < np.inf:       # NaN too
+            raise NonpositiveBeta(f"betas[{k}]: must be a finite number > 0, got {beta}")
+    roots = np.sqrt(betas)
+    configurations = uniform_configurations(seed, "beta-check", interval,
+                                            vh.n_sites + len(vh.shell), trials)
+    residuals = np.empty((trials, len(betas)))
+    with np.errstate(over="ignore"):            # reported below, not warned
+        for row, xi in zip(residuals, configurations):
+            energy = hamiltonian(vh, xi)
+            row[:] = [abs(beta * energy - hamiltonian(vh, root * xi))
+                      for beta, root in zip(betas, roots)]
+    for k, beta in enumerate(betas):
+        if not np.all(residuals[:, k] < np.inf):      # inf or NaN: an energy overflowed
+            raise OutOfRange(f"betas[{k}]: beta H(xi) or H(sqrt(beta) xi) is not finite "
+                             f"at beta = {beta}")
+    return residuals.max(axis=0, initial=0.0).tolist()
 
 
 @dataclass(frozen=True, eq=False)

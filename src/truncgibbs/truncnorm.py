@@ -81,12 +81,20 @@ def _endpoints(m, interval):
     return interval.a - m, interval.b - m
 
 
+def _points(u):
+    """``u`` as floats; NaN, which is no point of the line, raises OutOfRange."""
+    u = np.asarray(u, dtype=float)
+    if np.isnan(u).any():
+        raise OutOfRange("the point u must not be NaN")
+    return u
+
+
 def density(tn: TruncatedNormal, u):
     """phi(u - m) / (Phi(b - m) - Phi(a - m)) on [a, b], zero outside."""
     alpha, beta = _endpoints(tn.m, tn.interval)
-    u = np.asarray(u, dtype=float)
+    u = _points(u)
     z = _mass(alpha, beta)
-    small = z < _TINY_MASS
+    small = ~(z >= _TINY_MASS)      # NaN too: a NaN mean fails the log-space check
     if np.any(small):
         logz = _log_mass(alpha, beta)
         if np.any(~np.isfinite(np.where(small, logz, 0.0))):
@@ -102,7 +110,7 @@ def density(tn: TruncatedNormal, u):
 def cdf(tn: TruncatedNormal, u):
     """(Phi(u - m) - Phi(a - m)) / (Phi(b - m) - Phi(a - m)), clamped to [0, 1]."""
     alpha, beta = _endpoints(tn.m, tn.interval)
-    u = np.asarray(u, dtype=float)
+    u = _points(u)
     z = _mass(alpha, beta)
     if not np.all(z > 0.0):         # NaN too: a NaN mean has no mass
         raise DegenerateInterval(f"no normal mass on [{tn.interval.a}, {tn.interval.b}] for m={tn.m}")
@@ -117,11 +125,13 @@ def varphi(m, interval: SpinInterval):
     Odd about the interval midpoint and strictly increasing on [a, b];
     the truncated-normal mean is m minus this value.  The mass takes 2
     ``ndtr`` per element (:func:`_mass`), and the ``np.where`` guards of
-    the log-space fallback run only when some mass is below ``_TINY_MASS``.
+    the log-space fallback run only when some mass is below ``_TINY_MASS``
+    or NaN; a NaN mean then fails the fallback's check and raises
+    DegenerateInterval.
     """
     alpha, beta = _endpoints(m, interval)
     z = _mass(alpha, beta)
-    small = z < _TINY_MASS
+    small = ~(z >= _TINY_MASS)
     if not np.any(small):
         plain = (_phi(beta) - _phi(alpha)) / z
         return plain if plain.ndim else float(plain)

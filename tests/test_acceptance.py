@@ -10,6 +10,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from truncgibbs.cli import main as cli_main
 from truncgibbs.diagnostics import (
@@ -249,10 +250,9 @@ def test_criterion_07_stationarity_identity():
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_beta_rescaling():
-    worst = {}
-    for beta in (0.25, 1.0, 2.5, 10.0):
-        worst[beta] = beta_scaling_check(build_matrices([(0,), (1,), (2,)], NN1), UNIT,
-                                         beta, trials=100, seed=88)
+    betas = (0.25, 1.0, 2.5, 10.0)
+    worst = dict(zip(betas, beta_scaling_check(build_matrices([(0,), (1,), (2,)], NN1), UNIT,
+                                               betas, trials=100, seed=88)))
     ok = all(r <= 1e-10 for r in worst.values())
     report(8, "inverse-temperature rescaling", ok,
            "max residuals " + ", ".join(f"beta={b}: {r:.1e}" for b, r in worst.items())
@@ -380,21 +380,40 @@ CLI_SHA256 = {
 }
 
 
-def test_cli_artifact_bytes_are_pinned(tmp_path):
-    """The sha256 of every artifact of ``CLI_CONFIGS``, recorded as
+def artifact_digests(directory, runs):
+    """The sha256 of every artifact of ``runs``, (name, subcommand, config)
+    triples each run once under ``directory``, keyed ``name/file``."""
+    digests = {}
+    for name, subcommand, cfg in runs:
+        cfg_path = directory / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main([subcommand, "--config", str(cfg_path),
+                         "--out", str(directory / name)]) == 0
+        for path in sorted((directory / name).iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def cli_digests(tmp_path_factory):
+    return artifact_digests(tmp_path_factory.mktemp("cli"),
+                            [(name, name, cfg) for name, cfg in CLI_CONFIGS.items()])
+
+
+def test_cli_artifacts_are_the_pinned_set(cli_digests):
+    assert list(cli_digests) == list(CLI_SHA256)
+
+
+@pytest.mark.parametrize("artifact", list(CLI_SHA256))
+def test_cli_artifact_bytes_are_pinned(cli_digests, artifact):
+    """The sha256 of each artifact of ``CLI_CONFIGS``, recorded as
     ``LEVELLED_SHA256`` is (numpy 2.4.6, scipy 1.17.1).  These runs take the
     levelled steps on small volumes (16-, 8- and 2-site), every
     finite-volume subcommand and the 1-site quadrature oracle, whose
     densities evaluate ``truncnorm._mass``; a change of their bits says why
-    in CHANGES.md and re-records them."""
-    digests = {}
-    for name, cfg in CLI_CONFIGS.items():
-        cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert cli_main([name, "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
-        for path in sorted((tmp_path / name).iterdir()):
-            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == CLI_SHA256
+    in CHANGES.md and re-records them.  One test per artifact, so that a run
+    on other numpy kernels can deselect exactly the artifacts that move."""
+    assert cli_digests[artifact] == CLI_SHA256[artifact]
 
 
 def test_cli_artifact_text_is_pinned(tmp_path):
@@ -456,23 +475,26 @@ LEVELLED_SHA256 = {
 }
 
 
-def test_levelled_artifact_bytes_are_pinned(tmp_path):
-    """The sha256 of every artifact of ``LEVELLED_CONFIGS``, recorded with
+@pytest.fixture(scope="module")
+def levelled_digests(tmp_path_factory):
+    return artifact_digests(tmp_path_factory.mktemp("levelled"),
+                            [(name, *run) for name, run in LEVELLED_CONFIGS.items()])
+
+
+def test_levelled_artifacts_are_the_pinned_set(levelled_digests):
+    assert list(levelled_digests) == list(LEVELLED_SHA256)
+
+
+@pytest.mark.parametrize("artifact", list(LEVELLED_SHA256))
+def test_levelled_artifact_bytes_are_pinned(levelled_digests, artifact):
+    """The sha256 of each artifact of ``LEVELLED_CONFIGS``, recorded with
     the quantiles drawn in two calls per coupled level, for ``ident4`` with
     the level queues from a stable sort of the int64 sites, and for
     ``sandwich-blocks`` with each block levelled on its own (numpy 2.4.6,
     scipy 1.17.1, the versions CI installs).  A refactor of the levelled
     paths must keep them.  A deliberate change of bits, such as a new quantile
     tail choice, re-records them and says why in CHANGES.md."""
-    digests = {}
-    for name, (subcommand, cfg) in LEVELLED_CONFIGS.items():
-        cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert cli_main([subcommand, "--config", str(cfg_path),
-                         "--out", str(tmp_path / name)]) == 0
-        for path in sorted((tmp_path / name).iterdir()):
-            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == LEVELLED_SHA256
+    assert levelled_digests[artifact] == LEVELLED_SHA256[artifact]
 
 
 # ---------------------------------------------------------------------------

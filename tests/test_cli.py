@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from truncgibbs import diagnostics, finite_spec, sampler, transforms, truncnorm
-from truncgibbs.cli import _write_json, main
+from truncgibbs.cli import _json_chunks, _write_json, main
 from truncgibbs.kernel import LatticeGeometry, SpinInterval, nearest_neighbor
 
 NN_KERNEL = {"preset": "nn", "dimension": 1}
@@ -284,6 +284,9 @@ BAD_INPUTS = [
     # a beta that takes the pair energy beyond the float range is named, not passed
     ("beta-check", {"volume": VOLUME2, "interval": [0.0, 10.0], "betas": [1.0, 1e308]},
      "betas[1]: beta H(xi) or H(sqrt(beta) xi) is not finite at beta = 1e+308"),
+    ("beta-check", {"volume": VOLUME2, "interval": [0.0, 10.0],
+                    "betas": [1.0, 2.0, 1e308, 1e308]},
+     "betas[2]: beta H(xi) or H(sqrt(beta) xi) is not finite at beta = 1e+308"),
     # the quadrature oracle's n_q is an even integer >= 64, checked before any run
     ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "n_q": 65},
      "n_q: must be an even integer >= 64, got 65"),
@@ -492,7 +495,7 @@ EXIT_CASES = {
     "pd-check": (volume_config("pd-check"), "certificate.json", _spoiled(
         finite_spec, "pd_certificate", lambda c: dataclasses.replace(c, slack=c.slack + 1.0))),
     "beta-check": (volume_config("beta-check"), "beta.json",
-                   _spoiled(transforms, "beta_scaling_check", lambda r: 1.0)),
+                   _spoiled(transforms, "beta_scaling_check", lambda rs: [1.0] * len(rs))),
     "oracle-check": (volume_config("oracle-check", volume=[[0]]), "oracle.json",
                      _spoiled(truncnorm, "mean", lambda m: m + 1.0)),
 }
@@ -619,3 +622,26 @@ def test_writer_matches_stdlib_indent2(tmp_path, payload):
     _write_json(tmp_path, "out.json", payload)
     expected = json.dumps(reference_plain(payload), indent=2) + "\n"
     assert (tmp_path / "out.json").read_text() == expected
+
+
+# lists of int lists (sites, progressions) are one chunk; a bool or a numpy
+# int in one, or an empty inner list, sends the outer list down the general path
+INT_LISTS = st.lists(st.one_of(
+    st.lists(st.integers(), min_size=1, max_size=4),
+    st.lists(st.integers(-9, 9), max_size=3),
+    st.lists(st.one_of(st.integers(), st.booleans(), INT64), min_size=1, max_size=3)),
+    max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(INT_LISTS, st.lists(INT_LISTS, max_size=4)),
+       depth=st.integers(0, 3))
+@example(value=[[0, -1], [2**70, 3]], depth=0)
+@example(value=[[1], []], depth=1)
+@example(value=[[True, 1], [1]], depth=0)
+@example(value=[[np.int64(-4)], [5]], depth=2)
+@example(value=[[[0, 0], [0, 1]], [[1, 0]]], depth=1)
+def test_int_list_lists_match_stdlib_indent2(value, depth):
+    pad = "\n" + "  " * depth
+    expected = json.dumps(reference_plain(value), indent=2).replace("\n", pad)
+    assert "".join(_json_chunks(value, pad)) == expected

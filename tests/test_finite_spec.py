@@ -8,6 +8,7 @@ whose Hessian is [[1, -1/2], [-1/2, 1]]; its inverse is
 solves A m = (0, 1/2), giving m = (1/3, 2/3).
 """
 
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -369,6 +370,21 @@ def test_certificate_unrealized_offset_feeds_slack():
     assert cert.terms == ()
     assert cert.slack == pytest.approx(2.0 * 0.5, abs=0)
     assert np.max(np.abs(cert.reassemble() - vh.precision)) == 0.0
+
+
+def test_certificate_with_a_split_class_does_not_reassemble():
+    # the 1-d nn certificate of four sites has one class, (0,) to (3,); split
+    # in two it misses -J at the pair (1,), (2,), which the classes report
+    vh = build_matrices([(0,), (1,), (2,), (3,)], NN1)
+    cert = pd_certificate(vh)
+    [(z, w, [chain])] = cert.terms
+    assert np.max(np.abs(cert.reassemble() - vh.precision)) == 0.0
+    split = dataclasses.replace(cert, terms=((z, w, (chain[:2], chain[2:])),))
+    assert np.max(np.abs(split.reassemble() - vh.precision)) == w
+    # so do a repeated class and a class that leaves a site out
+    for classes in ((chain, chain), (chain[:3],)):
+        spoiled = dataclasses.replace(cert, terms=((z, w, classes),))
+        assert np.max(np.abs(spoiled.reassemble() - vh.precision)) > 0.0
 
 
 def test_certificate_random_volumes():

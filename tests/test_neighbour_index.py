@@ -276,6 +276,21 @@ def test_toeplitz_and_certificate_match_loops(case, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(volumes(max_sites=16))
+def test_reassembly_from_classes_matches_dense_toeplitz_sum(case):
+    # A from the certificate's progressions, against slack I plus one dense
+    # T_z per term, the sum the certificate reassembled before
+    kernel, sites = case
+    vh = build_matrices(sites, kernel)
+    cert = pd_certificate(vh)
+    dense = cert.slack * np.eye(len(cert.sites))
+    for z, w, _classes in cert.terms:
+        dense += w * toeplitz_matrix(cert.sites, z)
+    assert same_bits(cert.reassemble(), dense)
+    assert same_bits(cert.reassemble(), vh.precision) == same_bits(dense, vh.precision)
+
+
+@settings(max_examples=200, deadline=None)
 @given(volumes())
 def test_partition_verdict_matches_loop(case):
     kernel, sites = case

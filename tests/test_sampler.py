@@ -19,6 +19,7 @@ from truncgibbs.errors import (
     OrderViolation,
     OutOfRange,
     ProbabilityOutOfRange,
+    UnknownSite,
 )
 from truncgibbs.kernel import (
     LatticeGeometry,
@@ -86,6 +87,29 @@ def test_boundary_site_rejected():
         site_update(field, 3, 0.5)      # the shell site (2,)
 
 
+@pytest.mark.parametrize("kind", ["ring", "box"])
+def test_site_index_outside_the_interior(kind):
+    # an 8-site ring has no shell; the 2-site box has the shell slots 2 and 3.
+    # Only a shell slot is a boundary site; any other index names none
+    if kind == "ring":
+        field = FieldConfiguration.constant(torus_table(8), UNIT, 0.5)
+        boundary_slots, unknown = [], [8, 9, -1, -8]
+    else:
+        table = wrapped_offsets(NN1, LatticeGeometry.box([(0,), (1,)], NN1))
+        field = FieldConfiguration.constant(table, UNIT, 0.5, boundary=0.2)
+        boundary_slots, unknown = [2, 3], [4, -1, -3]
+    n = field.n_interior
+    for i in boundary_slots:
+        for call in (lambda: local_mean(field, i), lambda: site_update(field, i, 0.5)):
+            with pytest.raises(BoundarySite, match=f"^site {i} is a frozen boundary site$"):
+                call()
+    for i in unknown:
+        for call in (lambda: local_mean(field, i), lambda: site_update(field, i, 0.5)):
+            with pytest.raises(UnknownSite,
+                               match=rf"^site {i} is not an interior index in \[0, {n}\)$"):
+                call()
+
+
 def test_field_validation():
     table = torus_table()
     with pytest.raises(ValueError):
@@ -144,7 +168,7 @@ def test_field_configuration_rejects_wrong_interior_shape_and_unknown_site():
     with pytest.raises(ValueError, match="expected 8 interior values"):
         FieldConfiguration(table, UNIT, np.full((8, 1), 0.5))
     field = FieldConfiguration.constant(table, UNIT, 0.5)
-    with pytest.raises(BoundarySite):
+    with pytest.raises(UnknownSite):        # a torus has no boundary sites
         local_mean(field, 8)
     # a site is its interior index; a coordinate tuple, even of a site of
     # the table, is no index

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncgibbs import streams
+from truncgibbs.kernel import SpinInterval
 from truncgibbs.streams import UpdateStream, derive_key, site_uniform_pairs, uniforms, words
 
 
@@ -139,3 +140,18 @@ def test_uniforms_bit_identical_below_the_top_words(monkeypatch):
     unclamped = ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
     u = _uniforms_of_words(monkeypatch, w)
     assert u.view(np.uint64).tolist() == unclamped.view(np.uint64).tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 7), st.integers(0, 6),
+       st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (0.0, 10.0)]))
+def test_uniform_configurations_rows_are_consecutive_counters(seed, size, trials, ends):
+    # row t is the t-th run of `size` counters of the tag's key, as the
+    # per-trial draws gave it one row at a time
+    interval = SpinInterval(*ends)
+    got = streams.uniform_configurations(seed, "tag", interval, size, trials)
+    assert got.shape == (trials, size) and got.dtype == np.float64
+    key = derive_key(seed, "tag")
+    for t, row in enumerate(got):
+        u = uniforms(key, np.arange(t * size, (t + 1) * size, dtype=np.uint64))
+        assert row.tobytes() == (interval.a + interval.width * u).tobytes()

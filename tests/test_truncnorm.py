@@ -259,6 +259,31 @@ def test_degenerate_interval_signaled():
         cdf(TruncatedNormal(np.nan, UNIT), 0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda tn, u: cdf(tn, u),
+    lambda tn, u: density(tn, u),
+], ids=["cdf", "density"])
+def test_nan_point_rejected(call):
+    # unchecked, cdf returned NaN and density 0.0 for a NaN point
+    tn = TruncatedNormal(0.3, UNIT)
+    with pytest.raises(OutOfRange, match="must not be NaN"):
+        call(tn, np.nan)
+    with pytest.raises(OutOfRange, match="must not be NaN"):
+        call(tn, np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("m", [np.nan, np.array([0.5, np.nan]), np.array([60.0, np.nan])],
+                         ids=["scalar", "plain-path", "log-space-path"])
+def test_nan_mean_rejected_everywhere(m):
+    # unchecked, density, varphi and mean returned NaN for a NaN mean; the
+    # finite mean 60 beside it takes the log-space path of a tiny mass
+    tn = TruncatedNormal(m, UNIT)
+    for call in (lambda: density(tn, 0.5), lambda: cdf(tn, 0.5), lambda: mean(tn),
+                 lambda: varphi(m, UNIT), lambda: inverse_cdf(tn, 0.5)):
+        with pytest.raises(DegenerateInterval, match="no normal mass"):
+            call()
+
+
 def test_sample_monotone_coupling_example():
     iv = SYM
     lo = inverse_cdf(TruncatedNormal(-0.3, iv), 0.37)
