@@ -146,6 +146,7 @@ class GaussianSpecification:
 
     mean: np.ndarray
     covariance: np.ndarray
+    solve_residual: float        # max |A m - B gamma|, at most 1e-10
 
 
 def specification(vh: VolumeHamiltonian, gamma, interval: SpinInterval) -> GaussianSpecification:
@@ -158,12 +159,12 @@ def specification(vh: VolumeHamiltonian, gamma, interval: SpinInterval) -> Gauss
         raise NotPositiveDefinite(f"precision matrix is not positive definite: {err}") from None
     rhs = vh.cross @ gamma
     m = cho_solve(factor, rhs)
-    residual = np.max(np.abs(vh.precision @ m - rhs))
+    residual = float(np.max(np.abs(vh.precision @ m - rhs)))
     if residual > 1e-10:
         raise NotPositiveDefinite(f"solve residual {residual:.3e} exceeds 1e-10")
     sigma = cho_solve(factor, np.eye(vh.n_sites))
     sigma = 0.5 * (sigma + sigma.T)
-    return GaussianSpecification(m, sigma)
+    return GaussianSpecification(m, sigma, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 A kernel is a finitely supported, symmetric, non-negative weight function
 on integer offsets with the zero offset excluded; construction normalizes
-the total weight to one by default, so a site's local mean is always a
-convex combination of its neighbors.  Geometries are the two finite
-stand-ins for the infinite lattice: a periodic torus and a finite box of
-sites wrapped in the exterior shell the kernel can reach.  One neighbour
-index gives the box shells, the neighbour tables and ``finite_spec``'s
-matrices, and one reader puts boundary values in shell order for all of them.
+the total weight to one, so a site's local mean is always a convex
+combination of its neighbors.  A kernel of norm c would give the law of
+the normalized kernel on [sqrt(c) a, sqrt(c) b] scaled back by 1/sqrt(c),
+the beta-rescaling identity that ``transforms`` checks, so no other norm is
+built.  Geometries are the two finite stand-ins for the infinite lattice: a
+periodic torus and a finite box of sites wrapped in the exterior shell the
+kernel can reach.  One neighbour index gives the box shells, the neighbour
+tables and ``finite_spec``'s matrices, and one reader puts boundary values
+in shell order for all of them.
 
 Kernels, geometries and neighbor tables are immutable after construction
 and safe to share across concurrent readers.
@@ -94,22 +97,16 @@ class InteractionKernel:
     norm: float             # exact fsum of the stored weights
 
     @property
-    def normalized(self) -> bool:
-        """Whether the weights sum to one, as the heat-bath dynamics requires."""
-        return abs(self.norm - 1.0) <= 1e-12
-
-    @property
     def range_per_axis(self) -> tuple:
         return tuple(max(abs(z[k]) for z in self.offsets) for k in range(self.dimension))
 
 
-def build_kernel(dimension: int, raw: dict, normalize: bool = True) -> InteractionKernel:
-    """Validate, symmetrize and (optionally) normalize a map from offset
-    tuples to weights.
+def build_kernel(dimension: int, raw: dict) -> InteractionKernel:
+    """Validate, symmetrize and normalize a map from offset tuples to weights.
 
     Zero-weight entries are dropped.  A missing mirror offset is filled in;
-    if both J(z) and J(-z) are given they must agree exactly.  With
-    ``normalize`` every weight is divided by the total so the norm is one.
+    if both J(z) and J(-z) are given they must agree exactly.  Every weight
+    is then divided by the total, so the norm is one up to rounding.
     """
     zero = (0,) * dimension
     table = {}
@@ -145,10 +142,8 @@ def build_kernel(dimension: int, raw: dict, normalize: bool = True) -> Interacti
         total = math.fsum(weights)
     except OverflowError:
         raise NonFiniteWeight("the weights sum beyond the float range") from None
-    if normalize:
-        weights = weights / total
-    norm = math.fsum(weights)
-    return InteractionKernel(dimension, offsets, weights, norm)
+    weights = weights / total
+    return InteractionKernel(dimension, offsets, weights, math.fsum(weights))
 
 
 def nearest_neighbor(dimension: int) -> InteractionKernel:

@@ -29,12 +29,12 @@ order, every update reads exactly the values the sequential scan would,
 and a level writes each site once, its last update there; so the stream,
 the order of the updates at each site and every bit of the result are
 those of the sequential scan.  The single chain and the coupled sandwich
-share one schedule (:func:`_blocks`) on every volume: blocks of whole
-sweeps, each levelled as one stretch, so levels run on across sweep
-boundaries.  The blocks of a chunk are levelled in one pass, as disjoint
-volumes side by side; each block then runs from slices of its updates
-sorted by level, one quantile call per level, and the fields after each
-recorded sweep are rebuilt from the block's log of update outputs.
+share one level loop (:func:`_blocks`) on every volume and give it only the
+step of one level: blocks of whole sweeps, each levelled as one stretch, so
+levels run on across sweep boundaries.  The blocks of a chunk are levelled
+in one pass, as disjoint volumes side by side; each block then runs from
+slices of its updates sorted by level, one step per level, and the rows
+after each recorded sweep are rebuilt from the block's log of step outputs.
 CFTP's replicas have independent streams, so each of its horizons runs them
 in contiguous groups side by side, one thread per usable CPU, with the bits
 of a single group.
@@ -123,7 +123,7 @@ class FieldConfiguration:
 
     def __init__(self, table: NeighborTable, interval: SpinInterval,
                  values: np.ndarray, boundary=None):
-        if not table.kernel.normalized:
+        if not abs(table.kernel.norm - 1.0) <= 1e-12:      # a hand-built kernel; NaN too
             raise ValueError("dynamics requires a normalized kernel (norm 1)")
         self.table = table
         self.interval = interval
@@ -153,6 +153,12 @@ class FieldConfiguration:
         if self.n_interior <= i < len(self.values):
             raise BoundarySite(f"site {i} is a frozen boundary site")
         raise UnknownSite(f"site {i} is not an interior index in [0, {self.n_interior})")
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 0 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def _array_ends(interval: SpinInterval):
@@ -185,8 +191,7 @@ def sweep(field: FieldConfiguration, stream: UpdateStream, n_updates: int) -> Fi
     """Apply n_updates consecutive stream-driven single-site updates, in place."""
     if stream.n_sites != field.n_interior:
         raise GeometryMismatch("stream volume does not match the field")
-    if n_updates < 0:
-        raise ValueError(f"n_updates must be at least 0, got {n_updates}")
+    _check_count("n_updates", n_updates)
     _run_chain(field, stream, n_updates, np.empty((0, field.n_interior)))
     return field
 
@@ -202,8 +207,8 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     differ; where they agree the upper chain copies the lower chain's draw.
     Inversions up to ``tol`` are repaired by taking the min / max;
     a larger one raises OrderViolation, with the offending update's
-    position in ``cells`` as its ``index``.  Returns the new lower and
-    upper values, the number of repairs and the largest repaired inversion.
+    position in ``cells`` as its ``index``.  Returns the gaps, new upper minus
+    new lower value, the number of repairs and the largest repaired inversion.
     """
     m_lo = _clip(np.vecdot(low.take(nbrs), w), a, b)     # the scan's row @ w, bit for bit
     m_up = _clip(np.vecdot(upp.take(nbrs), w), a, b)
@@ -212,20 +217,21 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     new_lo = q[:m_lo.size]
     new_up = new_lo.copy()
     new_up[d] = q[m_lo.size:]
-    inversion = new_lo - new_up
-    worst = max(float(np.maximum.reduce(inversion)), 0.0)
+    gap = new_up - new_lo
+    worst = max(0.0, -float(np.minimum.reduce(gap)))
     repairs = 0
     if worst > 0.0:
         if worst > tol:
-            k = int(inversion.argmax())      # the caller adds what position k names
+            k = int(gap.argmin())      # the caller adds what position k names
             err = OrderViolation(f"{new_lo[k]} > {new_up[k]}")
             err.index = k
             raise err
-        repairs = int(np.count_nonzero(inversion > 0.0))   # sub-ulp rounding wobble
+        repairs = int(np.count_nonzero(gap < 0.0))   # sub-ulp rounding wobble
         new_lo, new_up = np.minimum(new_lo, new_up), np.maximum(new_lo, new_up)
+        gap = new_up - new_lo
     low[cells] = new_lo
     upp[cells] = new_up
-    return new_lo, new_up, repairs, worst
+    return gap, repairs, worst
 
 
 def _runs(sites: np.ndarray, rows: np.ndarray, block: int):
@@ -325,23 +331,23 @@ def _levels(sites: np.ndarray, rows: np.ndarray, block: int, merge: bool):
     return level, overwritten
 
 
-def _blocks(stream: UpdateStream, n_updates: int, idx: np.ndarray):
-    """The next ``n_updates`` updates of ``stream`` in blocks of whole sweeps,
-    as (position of the block in the run, sites, plan).
+def _blocks(stream: UpdateStream, n_updates: int, idx: np.ndarray, step,
+            before: np.ndarray, ends: np.ndarray):
+    """Run the next ``n_updates`` updates of ``stream`` and yield ``(j, rows)``:
+    the per-site record after the first ``ends[j]``, ``ends[j + 1]``, ...
+    updates, one row per (increasing) end, rebuilt from the record ``before``.
 
-    The plan runs the block level by level: (order, cells, neighbour rows,
-    uniforms, ends), where ``order`` is the block's stream positions sorted
-    by :func:`_levels` (a stable radix sort of the ``uint16`` levels), the
-    rows and uniforms are gathered in that order, and level d is the slice
-    from ``ends[d - 1]`` (0 for d = 0) to ``ends[d]``.  The stream is taken
-    in chunks of about ``_CHUNK_SITES / n`` blocks and at most
-    ``_CHUNK_UPDATES`` updates (one block at least), each levelled in one
-    pass.  Volumes under ``_CHUNK_SITES`` sites give a site's back-to-back
-    updates one level, and ``cells``, the cells written in level order, point
-    each update that a later one of its level overwrites at a write-off slot,
-    index -1 of working fields that carry one extra slot: numpy gives
-    repeated indices of one assignment no order, and the block's log keeps
-    every value.
+    ``step(cells, nbrs, us)`` runs one level, its cells with their neighbour
+    rows and uniforms in level order, and returns each update's entry in the
+    record; an ``OrderViolation`` it raises names the sweep and the site of
+    the update at its ``index``.  The stream goes in chunks of about
+    ``_CHUNK_SITES / n`` blocks of whole sweeps and at most ``_CHUNK_UPDATES``
+    updates (one block at least), each levelled in one pass (:func:`_levels`).
+    Volumes under ``_CHUNK_SITES`` sites give a site's back-to-back updates
+    one level, and an update that a later one of its level overwrites writes
+    to a write-off slot, index -1 of working fields that carry one extra
+    slot: numpy gives repeated indices of one assignment no order, and the
+    block's log, the step's outputs in stream order, keeps every value.
     """
     n = idx.shape[0]
     block = max(1, _BLOCK_UPDATES // n) * n
@@ -351,14 +357,32 @@ def _blocks(stream: UpdateStream, n_updates: int, idx: np.ndarray):
         sites, us = stream.take(min(chunk, n_updates - start))
         levels, overwritten = _levels(sites, rows, block, n < _CHUNK_SITES)
         for lo in range(0, sites.size, block):
-            block_sites, block_us = sites[lo:lo + block], us[lo:lo + block]
+            first, block_sites = start + lo, sites[lo:lo + block]
             level = levels[lo:lo + block]
-            order = np.argsort(level, kind="stable")
+            order = np.argsort(level, kind="stable")      # a radix sort of uint16 levels
             cells = block_sites.take(order)
             nbrs = idx.take(cells, axis=0)
             cells[overwritten[lo:lo + block].take(order)] = -1      # the write-off slot
-            yield start + lo, block_sites, (
-                order, cells, nbrs, block_us.take(order), np.bincount(level).cumsum().tolist())
+            level_us = us[lo:lo + block].take(order)
+            new = np.empty(block_sites.size)
+            head = 0
+            try:
+                for tail in np.bincount(level).cumsum().tolist():
+                    new[head:tail] = step(cells[head:tail], nbrs[head:tail], level_us[head:tail])
+                    head = tail
+            except OrderViolation as err:   # by stream position: a level's cell may be the slot
+                k = int(order[head + err.index])
+                raise OrderViolation(f"coupled order broken at sweep {(first + k) // n + 1}, "
+                                     f"site index {block_sites[k]}: {err}") from None
+            log = np.empty(block_sites.size)
+            log[order] = new
+            stop = first + log.size
+            j, j_end = np.searchsorted(ends, [first, stop], side="right").tolist()
+            # the requested rows and the block's end, each once
+            after = _rows_at(before, block_sites, log, np.union1d(ends[j:j_end], stop) - first)
+            before = after[-1]
+            if j_end > j:
+                yield j, after[:j_end - j]
 
 
 def _rows_at(before: np.ndarray, sites: np.ndarray, log: np.ndarray,
@@ -395,25 +419,21 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
     Order is asserted after every update; the per-sweep sup-gap decaying
     toward zero is the finite-volume face of uniqueness of the equilibrium
-    state.  Both chains run on the single chain's schedule (see
-    :func:`_blocks`): each block of whole sweeps goes level by level, one
-    :func:`_coupled_step` per level, and the gaps after each sweep are
-    rebuilt from the gaps before the block and the block's log of gaps,
-    upper minus lower.  Every bit is the sequential scan's, and an
-    ``OrderViolation`` names the sweep of the update that raised it.
+    state.  :func:`_blocks` runs both chains on the single chain's schedule,
+    with :func:`_coupled_step` as its step and the gaps, upper minus lower,
+    as the rows it rebuilds after each sweep.  Every bit is the sequential
+    scan's, and an ``OrderViolation`` names the sweep and the site of the
+    update that raised it.
     """
-    if n_sweeps < 0:
-        raise ValueError(f"n_sweeps must be at least 0, got {n_sweeps}")
-    if (isinstance(snapshot_every, bool) or not isinstance(snapshot_every, (int, np.integer))
-            or snapshot_every < 0):
-        raise ValueError(f"snapshot_every must be an integer >= 0, got {snapshot_every!r}")
+    _check_count("n_sweeps", n_sweeps)
+    _check_count("snapshot_every", snapshot_every)
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     # each field with the write-off slot of _blocks at the end
     low = np.append(FieldConfiguration.constant(table, interval, interval.a, boundary).values, 0.0)
     upp = np.append(FieldConfiguration.constant(table, interval, interval.b, boundary).values, 0.0)
     stream = UpdateStream(derive_key(seed, "sandwich"), n)
-    idx, w = table.idx, table.weights
+    w = table.weights
     a, b = _array_ends(interval)
     tol = _order_tolerance(interval)
 
@@ -426,27 +446,19 @@ def run_sandwich(geometry: LatticeGeometry, kernel, interval: SpinInterval,
             for j in range(-s % snapshot_every, len(gaps), snapshot_every):
                 snapshots[s + j] = gaps[j].copy()
 
-    record(0, (upp[:n] - low[:n])[None])
     repairs, worst = 0, 0.0
-    for start, sites, (order, cells, nbrs, level_us, level_ends) in _blocks(
-            stream, n_sweeps * n, idx):
-        before = upp[:n] - low[:n]
-        new = np.empty((2, sites.size))
-        lo = 0
-        try:
-            for hi in level_ends:
-                new[0, lo:hi], new[1, lo:hi], r, inv = _coupled_step(
-                    low, upp, cells[lo:hi], nbrs[lo:hi], level_us[lo:hi], w, a, b, tol)
-                repairs, worst = repairs + r, max(worst, inv)
-                lo = hi
-        except OrderViolation as err:   # by stream position: a level's cell may be the slot
-            k = int(order[lo + err.index])
-            raise OrderViolation(f"coupled order broken at sweep {(start + k) // n + 1}, "
-                                 f"site index {sites[k]}: {err}") from None
-        gaps = np.empty(sites.size)     # the block's log of gaps, in stream order
-        gaps[order] = new[1] - new[0]
-        ends = n * np.arange(1, sites.size // n + 1)
-        record(start // n + 1, _rows_at(before, sites, gaps, ends))
+
+    def step(cells, nbrs, us):
+        nonlocal repairs, worst
+        gaps, r, inv = _coupled_step(low, upp, cells, nbrs, us, w, a, b, tol)
+        repairs, worst = repairs + r, max(worst, inv)
+        return gaps
+
+    before = upp[:n] - low[:n]
+    record(0, before[None])
+    for j, gaps in _blocks(stream, n_sweeps * n, table.idx, step, before,
+                           n * np.arange(1, n_sweeps + 1)):
+        record(j + 1, gaps)
     return SandwichTrace(sup, mean, snapshots, low[:n].copy(), upp[:n].copy(),
                          repairs, float(worst / tol))
 
@@ -462,32 +474,22 @@ class RunTrace:
 
 def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
                out: np.ndarray) -> None:
-    """Apply ``n_updates`` stream updates to ``field`` in place, and fill the
-    rows of ``out`` with the interior after each of the last ``len(out)``
-    sweeps of ``n_interior`` updates.
-
-    The updates run on the schedule of :func:`_blocks`: level by level, one
-    :func:`_sample_many` call per level, with the bits of the sequential
-    scan.
-    """
+    """Apply ``n_updates`` stream updates to ``field`` in place through
+    :func:`_blocks`, one :func:`_sample_many` call per level with the bits of
+    the sequential scan, and fill the rows of ``out`` with the interior after
+    each of the last ``len(out)`` sweeps of ``n_interior`` updates."""
     n = field.n_interior
     values = np.append(field.values, 0.0)        # with the write-off slot of _blocks
-    idx, w = field.table.idx, field.table.weights
+    w = field.table.weights
     a, b = _array_ends(field.interval)
+
+    def step(cells, nbrs, us):      # the scan's means, bit for bit, then one quantile call
+        values[cells] = new = _sample_many(_clip(np.vecdot(values.take(nbrs), w), a, b), a, b, us)
+        return new
+
     ends = n_updates - n * np.arange(len(out) - 1, -1, -1)   # update count at each row
-    for start, sites, (order, cells, nbrs, level_us, level_ends) in _blocks(
-            stream, n_updates, idx):
-        before = values[:n].copy()
-        new, log = np.empty(sites.size), np.empty(sites.size)
-        lo = 0
-        for hi in level_ends:       # the scan's means, bit for bit, then one quantile call
-            m = _clip(np.vecdot(values.take(nbrs[lo:hi]), w), a, b)
-            new[lo:hi] = values[cells[lo:hi]] = _sample_many(m, a, b, level_us[lo:hi])
-            lo = hi
-        log[order] = new
-        rows = np.flatnonzero((ends > start) & (ends <= start + sites.size))
-        if rows.size:
-            out[rows] = _rows_at(before, sites, log, ends[rows] - start)
+    for j, rows in _blocks(stream, n_updates, field.table.idx, step, field.interior, ends):
+        out[j:j + len(rows)] = rows
     field.values[:] = values[:-1]
 
 
@@ -500,10 +502,9 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     ``start`` picks the initial state: "midpoint", "lower", or "upper";
     starting from "upper" with no burn-in gives the deliberately
     non-equilibrated chain used as a negative control.  The run is one
-    stretch of ``(burn_in + n_sweeps)`` sweeps of the stream, applied on
-    every volume in blocks of whole sweeps whose dependency levels cross
-    sweep boundaries (see :func:`_run_chain`); every recorded field is
-    bit-identical to the sequential scan's.
+    stretch of ``(burn_in + n_sweeps)`` sweeps of the stream
+    (:func:`_run_chain`); every recorded field is bit-identical to the
+    sequential scan's.
     """
     if geometry.kind != "torus":
         raise NotTorus("the stationary chain runs on a torus and takes no boundary")
@@ -512,10 +513,8 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     levels = {"midpoint": interval.midpoint, "lower": interval.a, "upper": interval.b}
     if start not in levels:
         raise ValueError(f"start must be one of {sorted(levels)}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be at least 0, got {burn_in}")
-    if n_sweeps < 0:
-        raise ValueError(f"n_sweeps must be at least 0, got {n_sweeps}")
+    _check_count("burn_in", burn_in)
+    _check_count("n_sweeps", n_sweeps)
     chain = FieldConfiguration.constant(table, interval, levels[start])
     stream = UpdateStream(derive_key(seed, "stationary"), n)
     out = np.empty((n_sweeps, n))
@@ -602,8 +601,7 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     """
     if geometry.kind != "box":
         raise GeometryMismatch("coupling from the past targets a box with frozen boundary")
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be at least 0, got {n_samples}")
+    _check_count("n_samples", n_samples)
     if not eps_coal >= 0.0:       # NaN too: it never coalesces and runs to t_cap
         raise ValueError(f"eps_coal must be at least 0, got {eps_coal}")
     table = wrapped_offsets(kernel, geometry)

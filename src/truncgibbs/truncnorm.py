@@ -90,18 +90,18 @@ def _points(u):
 
 
 def density(tn: TruncatedNormal, u):
-    """phi(u - m) / (Phi(b - m) - Phi(a - m)) on [a, b], zero outside."""
+    """phi(u - m) / (Phi(b - m) - Phi(a - m)) on [a, b], zero outside; as in
+    :func:`varphi`, an element of mass below ``_TINY_MASS`` divides in log space."""
     alpha, beta = _endpoints(tn.m, tn.interval)
     u = _points(u)
     z = _mass(alpha, beta)
     small = ~(z >= _TINY_MASS)      # NaN too: a NaN mean fails the log-space check
+    g = _phi(u - tn.m) / np.where(small, 1.0, z)
     if np.any(small):
         logz = _log_mass(alpha, beta)
         if np.any(~np.isfinite(np.where(small, logz, 0.0))):
             raise DegenerateInterval(f"no normal mass on [{tn.interval.a}, {tn.interval.b}] for m={tn.m}")
-        g = np.exp(_log_phi(u - tn.m) - logz)
-    else:
-        g = _phi(u - tn.m) / z
+        g = np.where(small, np.exp(_log_phi(u - tn.m) - logz), g)
     inside = (u >= tn.interval.a) & (u <= tn.interval.b)
     out = np.where(inside, g, 0.0)
     return out if out.ndim else float(out)

@@ -251,7 +251,7 @@ BAD_INPUTS = [
                                "range": 1}, "volume": VOLUME2}, "kernel.rate"),
     ("sandwich", {"kernel": {"dimension": 1, "offsets": [[[1], 1.0, 0.5]]},
                   "geometry": TORUS8}, "kernel.offsets[0]"),              # not a pair
-    # the dynamics needs norm 1, which "normalize": false leaves to the weights
+    # every kernel is normalized, so "normalize" is a field that nothing reads
     ("sandwich", {"kernel": {"dimension": 1, "offsets": [[[1], 1.0]], "normalize": False},
                   "geometry": TORUS8}, "kernel.normalize"),
     ("ident4", {"kernel": {"dimension": 1, "offsets": [[[1], 1.0]], "normalize": False},
@@ -372,8 +372,8 @@ def test_bad_input_rejected_with_path(tmp_path, capsys, subcommand, fields, path
      "config error: kernel.offsets: J(1,) = 3.0 but J(-1,) = 2.0"),
     ({"preset": "exp-decay", "dimension": 1, "rate": 0.0, "range": 2},
      "config error: kernel.rate: rate must be positive"),
-    ({"dimension": 1, "offsets": [[[1], 1.0]], "normalize": False},
-     "config error: kernel.normalize: the dynamics needs a kernel of norm 1, got norm 2.0"),
+    ({"dimension": 1, "offsets": [[[1], 1.0]], "normalize": True},
+     "config error: kernel.normalize: unknown field"),
     ({"dimension": 1, "offsets": [[[1], math.nan]]},
      "config error: kernel.offsets: J(1,) = nan is not finite"),
     ({"dimension": 1, "offsets": [[[1], 1.0], [[2], -math.inf]]},
@@ -402,7 +402,7 @@ def test_explicit_offsets_run_as_the_nn_preset(tmp_path):
     trace = (tmp_path / "explicit" / "trace.csv").read_bytes()
     assert trace == (tmp_path / "preset" / "trace.csv").read_bytes()
     summary = json.loads((tmp_path / "explicit" / "summary.json").read_text())
-    assert summary["config"]["kernel"] == {**explicit, "normalize": True}
+    assert summary["config"]["kernel"] == explicit
 
 
 def test_nan_coalescence_tolerance_is_config_error(tmp_path, capsys):

@@ -53,23 +53,31 @@ def test_negative_weight_rejected():
         build_kernel(1, {(1,): -0.5})
 
 
-@pytest.mark.parametrize("normalize", [True, False])
+def _with_mirrors(raw, mirrored):
+    """``raw``, plus each offset's mirror given explicitly when ``mirrored``."""
+    if not mirrored:
+        return raw
+    return {**raw, **{tuple(-c for c in z): w for z, w in raw.items()}}
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
-def test_non_finite_weight_rejected(w, normalize):
-    # NaN passes both the negative and the zero test, and inf normalizes to NaN
+def test_non_finite_weight_rejected(w, mirrored):
+    # NaN passes both the negative and the zero test, and inf normalizes to NaN;
+    # the check fires whether the mirror is given or filled in
     with pytest.raises(NonFiniteWeight, match="is not finite"):
-        build_kernel(1, {(1,): w}, normalize)
+        build_kernel(1, _with_mirrors({(1,): w}, mirrored))
     with pytest.raises(NonFiniteWeight, match="is not finite"):
-        build_kernel(2, {(1, 0): 1.0, (0, 1): w}, normalize)
+        build_kernel(2, _with_mirrors({(1, 0): 1.0, (0, 1): w}, mirrored))
 
 
-@pytest.mark.parametrize("normalize", [True, False])
-def test_weight_sum_beyond_float_range_rejected(normalize):
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_weight_sum_beyond_float_range_rejected(mirrored):
     # each weight is finite, but J(1) + J(-1) is not
     with pytest.raises(NonFiniteWeight, match="sum beyond the float range"):
-        build_kernel(1, {(1,): 1e308}, normalize)
-    k = build_kernel(1, {(1,): 8e307}, normalize)     # the sum 1.6e308 still fits
-    assert k.norm == (1.0 if normalize else 1.6e308)
+        build_kernel(1, _with_mirrors({(1,): 1e308}, mirrored))
+    k = build_kernel(1, _with_mirrors({(1,): 8e307}, mirrored))   # 1.6e308 still fits
+    assert k.norm == 1.0
 
 
 def test_exp_decay_power_overflow_rejected():
@@ -93,11 +101,6 @@ def test_empty_kernel_rejected():
 def test_zero_weight_entries_dropped():
     k = build_kernel(1, {(1,): 1.0, (-1,): 1.0, (3,): 0.0})
     assert (3,) not in k.offsets
-
-
-def test_unnormalized_opt_out():
-    k = build_kernel(1, {(1,): 3.0, (-1,): 3.0}, normalize=False)
-    assert k.norm == 6.0
 
 
 @pytest.mark.parametrize("kernel", [

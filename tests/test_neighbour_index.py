@@ -165,7 +165,7 @@ def kernels(draw, d):
     steps = st.tuples(*[st.integers(-2, 2)] * d).filter(any)
     raw = draw(st.dictionaries(steps, st.floats(0.1, 3.0), min_size=1, max_size=4))
     raw = {z: w for z, w in raw.items() if tuple(-c for c in z) not in raw or z > (0,) * d}
-    return build_kernel(d, raw, normalize=draw(st.booleans()))
+    return build_kernel(d, raw)
 
 
 @st.composite

@@ -22,6 +22,7 @@ from truncgibbs.errors import (
     UnknownSite,
 )
 from truncgibbs.kernel import (
+    InteractionKernel,
     LatticeGeometry,
     NeighborTable,
     SpinInterval,
@@ -142,8 +143,8 @@ def test_boundary_errors_are_typed(boundary, error):
 
 
 def test_unnormalized_kernel_rejected_by_dynamics():
-    from truncgibbs.kernel import build_kernel
-    k = build_kernel(1, {(1,): 2.0, (-1,): 2.0}, normalize=False)
+    # build_kernel always normalizes, so only a hand-built kernel has norm 2
+    k = InteractionKernel(1, ((-1,), (1,)), np.array([1.0, 1.0]), 2.0)
     table = wrapped_offsets(k, LatticeGeometry.torus([8]))
     with pytest.raises(ValueError):
         FieldConfiguration.constant(table, UNIT, 0.5)
@@ -151,7 +152,6 @@ def test_unnormalized_kernel_rejected_by_dynamics():
     # between boundary values 0.2 and 0.4 has the conditional law N(0.3, 1/2)
     # on [0, 1] (mean 0.469); a heat bath past the check samples N(0.6, 1)
     # on [0, 1] (mean 0.508)
-    k = build_kernel(1, {(1,): 1.0}, normalize=False)
     box, torus = LatticeGeometry.box([(0,)], k), LatticeGeometry.torus([8])
     with pytest.raises(ValueError, match="normalized kernel"):
         cftp_samples(box, k, UNIT, {(-1,): 0.2, (1,): 0.4}, 100, seed=0)
@@ -268,8 +268,9 @@ def test_sweep_stream_mismatch():
     field = FieldConfiguration.constant(table, UNIT, 0.5)
     with pytest.raises(GeometryMismatch):
         sweep(field, UpdateStream(derive_key(1), 5), 10)
-    with pytest.raises(ValueError):
-        sweep(field, UpdateStream(derive_key(1), 12), -1)
+    for n_updates in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="^n_updates must be an integer >= 0"):
+            sweep(field, UpdateStream(derive_key(1), 12), n_updates)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,7 @@ def test_sandwich_on_box_with_boundary():
     assert trace.sup_gap[-1] < 1e-6
 
 
-@pytest.mark.parametrize("n_sweeps", [-1, -3])
+@pytest.mark.parametrize("n_sweeps", [-1, -3, True, 2.5])
 def test_sandwich_rejects_negative_sweeps(n_sweeps):
     with pytest.raises(ValueError, match="n_sweeps"):
         run_sandwich(LatticeGeometry.torus([8]), NN1, UNIT, n_sweeps, seed=1)
@@ -523,6 +524,36 @@ def reference_levels(sites, idx, merge):
     return level
 
 
+class PositionStream:
+    """An update stream whose uniforms are the updates' stream positions, so
+    a step run by :func:`sampler._blocks` sees which updates a level holds."""
+
+    def __init__(self, stream):
+        self.stream, self.taken = stream, 0
+
+    def take(self, k):
+        sites, _ = self.stream.take(k)
+        self.taken += k
+        return sites, np.arange(self.taken - k, self.taken, dtype=float)
+
+
+def recorded_levels(idx, stream, n_updates, ends=np.empty(0, dtype=int)):
+    """Run ``n_updates`` updates of ``stream`` through :func:`sampler._blocks`
+    with a step that records each level's cells (write-off slot included),
+    neighbour rows and stream positions, and returns the positions as the
+    values the rows record.  Returns the levels in the order they ran and
+    the yielded (j, rows), from an interior of -1 before the run."""
+    levels = []
+
+    def step(cells, nbrs, positions):
+        levels.append((cells.copy(), nbrs.copy(), positions.astype(int)))
+        return positions
+
+    rows = list(sampler._blocks(PositionStream(stream), n_updates, idx, step,
+                                np.full(idx.shape[0], -1.0), ends))
+    return levels, rows
+
+
 @settings(max_examples=150, deadline=None)
 @given(setup=sandwich_setups(), seed=st.integers(0, 2 ** 64 - 1),
        n_updates=st.integers(0, 90), block=st.integers(1, 40), chunk=st.integers(1, 64))
@@ -533,40 +564,48 @@ def test_block_plans_are_the_as_soon_as_possible_schedule(setup, seed, n_updates
     # 3-site rings name a site in its own neighbour row, boxes have a shell
     table = setup[0]
     n = table.n_sites
-    stream = UpdateStream(derive_key(seed, "levels"), n)
-    stream_sites, stream_us = UpdateStream(derive_key(seed, "levels"), n).take(n_updates)
+    size = max(1, block // n) * n                   # updates per block
+    sites, _ = UpdateStream(derive_key(seed, "levels"), n).take(n_updates)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "_BLOCK_UPDATES", block)
         mp.setattr(sampler, "_CHUNK_SITES", chunk)
-        blocks = list(sampler._blocks(stream, n_updates, table.idx))
-    assert [start for start, *_ in blocks] == list(range(0, n_updates, max(1, block // n) * n))
-    assert sum(sites.size for _, sites, _ in blocks) == n_updates
-    for start, sites, (order, cells, nbrs, level_us, ends) in blocks:
-        assert np.array_equal(sites, stream_sites[start:start + sites.size])
-        us = stream_us[start:start + sites.size]
-        assert np.array_equal(np.sort(order), np.arange(sites.size))   # each position once
-        overwritten = np.zeros(sites.size, bool)                # by stream position
-        overwritten[order] = cells == -1
-        assert np.array_equal(cells[cells != -1], sites[order][cells != -1])
-        assert n < chunk or not overwritten.any()
-        assert np.array_equal(nbrs, table.idx[sites[order]])
-        assert np.array_equal(level_us, us[order])
-        assert ends[-1] == sites.size and all(lo < hi for lo, hi in zip([0] + ends, ends))
-        level = np.empty(sites.size, dtype=int)
-        for depth, (lo, hi) in enumerate(zip([0] + ends, ends)):
-            level[order[lo:hi]] = depth
-            assert np.all(np.diff(order[lo:hi]) > 0)      # stream order within a level
-            real = cells[lo:hi][cells[lo:hi] >= 0]
-            assert np.unique(real).size == real.size      # no level writes a cell twice
-        assert level.tolist() == reference_levels(sites, table.idx, n < chunk)
-        for i in range(sites.size):
-            for j in range(i + 1, sites.size):
-                if level[i] == level[j]:              # one level: neither reads the other
-                    assert sites[i] not in table.idx[sites[j]]
-                    assert sites[j] not in table.idx[sites[i]]
-                if sites[i] == sites[j]:              # one site: stream order kept, and the
-                    assert level[i] <= level[j]       # later update's write is the one kept
-                    assert level[i] < level[j] or overwritten[i]
+        levels, rows = recorded_levels(table.idx, UpdateStream(derive_key(seed, "levels"), n),
+                                       n_updates, np.arange(1, n_updates + 1))
+    ran = np.concatenate([positions for *_, positions in levels] + [np.empty(0, int)])
+    assert np.array_equal(np.sort(ran), np.arange(n_updates))       # each update once
+    level, overwritten = np.empty(n_updates, dtype=int), np.zeros(n_updates, bool)
+    current = depth = -1
+    for cells, nbrs, positions in levels:
+        here = positions[0] // size
+        assert np.all(positions // size == here) and here >= current   # blocks in order
+        depth, current = (depth + 1 if here == current else 0), here
+        level[positions] = depth
+        assert np.all(np.diff(positions) > 0)         # stream order within a level
+        overwritten[positions] = cells == -1
+        real = cells[cells != -1]
+        assert np.array_equal(real, sites[positions][cells != -1])
+        assert np.unique(real).size == real.size      # no level writes a cell twice
+        assert np.array_equal(nbrs, table.idx[sites[positions]])
+    assert n < chunk or not overwritten.any()
+    for lo in range(0, n_updates, size):
+        block_sites, block_level = sites[lo:lo + size], level[lo:lo + size]
+        assert block_level.tolist() == reference_levels(block_sites, table.idx, n < chunk)
+        for i in range(block_sites.size):
+            for j in range(i + 1, block_sites.size):
+                if block_level[i] == block_level[j]:  # one level: neither reads the other
+                    assert block_sites[i] not in table.idx[block_sites[j]]
+                    assert block_sites[j] not in table.idx[block_sites[i]]
+                if block_sites[i] == block_sites[j]:  # one site: stream order kept, and the
+                    assert block_level[i] <= block_level[j]   # later write is the one kept
+                    assert block_level[i] < block_level[j] or overwritten[lo + i]
+    # the rows after every update: each site holds the position of its last update
+    assert [j for j, _ in rows] == np.cumsum([0] + [len(r) for _, r in rows])[:-1].tolist()
+    latest, want = np.full(n, -1.0), []
+    for k, site in enumerate(sites):
+        latest[site] = k
+        want.append(latest.copy())
+    assert np.concatenate([r for _, r in rows] + [np.empty((0, n))]).tobytes() == \
+        np.array(want).reshape(-1, n).tobytes()
 
 
 def sequential_levels(sites, idx, block, merge):
@@ -655,7 +694,7 @@ def two_call_coupled_step(low, upp, cells, nbrs, us, w, a, b, tol):
         new_lo, new_up = np.minimum(new_lo, new_up), np.maximum(new_lo, new_up)
     low[cells] = new_lo
     upp[cells] = new_up
-    return new_lo, new_up, repairs, worst
+    return new_up - new_lo, repairs, worst
 
 
 @st.composite
@@ -687,14 +726,15 @@ def coupled_levels(draw):
 
 
 def step_outcome(step, level):
-    # what a coupled step returns and leaves in both fields, or the error it raises
+    # what a coupled step returns (the gaps, the repairs and the worst
+    # inversion) and leaves in both fields, or the error it raises
     low, upp, cells, nbrs, us, w, a, b, tol = level
     low, upp = low.copy(), upp.copy()
     try:
-        new_lo, new_up, repairs, worst = step(low, upp, cells, nbrs, us, w, a, b, tol)
+        gap, repairs, worst = step(low, upp, cells, nbrs, us, w, a, b, tol)
     except OrderViolation as err:
         return str(err), err.index
-    return new_lo.tobytes(), new_up.tobytes(), repairs, worst, low.tobytes(), upp.tobytes()
+    return gap.tobytes(), repairs, worst, low.tobytes(), upp.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -793,10 +833,11 @@ def test_stationary_run_shape_and_bounds():
 def test_stationary_run_start_validation():
     with pytest.raises(ValueError):
         stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, 0, 1, start="nowhere")
-    with pytest.raises(ValueError):
-        stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, -1, 3)   # negative burn-in
-    with pytest.raises(ValueError, match="n_sweeps"):
-        stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, 3, -1)
+    for bad in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="burn_in"):
+            stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, bad, 3)
+        with pytest.raises(ValueError, match="n_sweeps"):
+            stationary_run(LatticeGeometry.torus([8]), NN1, UNIT, 0, 3, bad)
 
 
 def reference_chain(values, stream, n_updates, table, interval):
@@ -903,9 +944,9 @@ def test_order_violation_names_an_overwritten_update(schedule, monkeypatch):
     # the same level inverts; the levelled step raises it at the write-off
     # slot, so the message must come from its stream position
     table = wrapped_offsets(NN1, LatticeGeometry.torus([8]))
-    overwritten = np.sort(np.concatenate([
-        start + order[cells == -1] for start, _, (order, cells, *_) in sampler._blocks(
-            UpdateStream(derive_key(1, "sandwich"), 8), 10 * 8, table.idx)]))
+    levels, _ = recorded_levels(table.idx, UpdateStream(derive_key(1, "sandwich"), 8), 10 * 8)
+    overwritten = np.sort(np.concatenate([positions[cells == -1]
+                                          for cells, _, positions in levels]))
     sites, us = UpdateStream(derive_key(1, "sandwich"), 8).take(10 * 8)
     k = overwritten[overwritten >= 8][0]
     target = us[k]
@@ -997,7 +1038,8 @@ def chunk_sizes(geometry, n_updates):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "_levels", spy_levels)
         for _ in sampler._blocks(UpdateStream(derive_key(0, "chunks"), table.n_sites),
-                                 n_updates, table.idx):
+                                 n_updates, table.idx, lambda cells, nbrs, us: us,
+                                 np.zeros(table.n_sites), np.empty(0, dtype=int)):
             pass
     return sizes
 
@@ -1067,8 +1109,9 @@ def test_cftp_requires_box():
 
 def test_cftp_sample_count_validation():
     boundary = {(-1,): 0.0, (2,): 1.0}
-    with pytest.raises(ValueError, match="n_samples"):
-        cftp_samples(box_pair(), NN1, UNIT, boundary, -1, seed=0)
+    for bad in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="n_samples"):
+            cftp_samples(box_pair(), NN1, UNIT, boundary, bad, seed=0)
     assert cftp_samples(box_pair(), NN1, UNIT, boundary, 0, seed=0).shape == (0, 2)
 
 

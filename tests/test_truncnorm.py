@@ -110,6 +110,17 @@ def test_density_log_space_branch(m):
     np.testing.assert_allclose(density(tn, u), reference, rtol=1e-13, atol=0.0)
 
 
+def test_density_is_elementwise():
+    # [0, 1] holds less than _TINY_MASS of the normal mass at m = 60, -45 and
+    # 41 but not at the others; in one batch each element keeps the bits it
+    # has alone, as varphi's elements do
+    means = np.array([0.5, 60.0, -0.3, -45.0, 2.0, 41.0, 0.7, 3.5])
+    points = np.array([0.3, 0.3, 0.0, 0.5, 1.0, 0.7, 0.25, 0.9])
+    batch = density(TruncatedNormal(means, UNIT), points)
+    alone = [density(TruncatedNormal(m, UNIT), u) for m, u in zip(means.tolist(), points.tolist())]
+    assert batch.tobytes() == np.array(alone).tobytes()
+
+
 def test_density_positive_inside():
     tn = TruncatedNormal(0.3, UNIT)
     assert np.all(np.asarray(density(tn, np.linspace(0, 1, 101))) > 0.0)
