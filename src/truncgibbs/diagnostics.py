@@ -23,7 +23,7 @@ from .errors import NotTorus, TooFewSamples, VolumeTooLarge
 from .finite_spec import VolumeHamiltonian
 from .kernel import SpinInterval, _boundary_array
 from .sampler import RunTrace
-from .truncnorm import varphi
+from .truncnorm import _exp, varphi
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,10 @@ def quadrature_marginals(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
     site_energy = np.zeros((k, n_q + 1))
     for i, s, w in zip(*vh.cross_pairs):
         site_energy[i] += 0.5 * w * (grid - gamma[s]) ** 2
-    site_weight = np.exp(-site_energy)
+    site_weight = _exp(-site_energy)
     first, second, weights = vh.inside_pairs
     gap = (grid[:, None] - grid) ** 2
-    links = [np.exp(-0.5 * w * gap) for w in weights]
+    links = [_exp(-0.5 * w * gap) for w in weights]
     link_axes = [_AXES[i] + _AXES[j] for i, j in zip(first, second)]
 
     def contract(keep):

@@ -25,21 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import (
-    EmptyVolume,
-    GeometryMismatch,
-    MissingSite,
-    NotPositiveDefinite,
-)
+from .errors import MissingSite, NotPositiveDefinite
 from .kernel import (InteractionKernel, SpinInterval, _boundary_array, _neighbour_index,
                      _sorted_sites)
-
-
-def _as_sites(volume):
-    sites = _sorted_sites(volume)
-    if not sites:
-        raise EmptyVolume("volume contains no sites")
-    return sites
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +49,8 @@ class VolumeHamiltonian:
 
 def build_matrices(volume, kernel: InteractionKernel) -> VolumeHamiltonian:
     """Populate A, B and the pair lists for a finite volume of Z^d, whose
-    shell is every outside site the kernel reaches."""
-    sites = _as_sites(volume)
-    d = len(sites[0])
-    if kernel.dimension != d:
-        raise GeometryMismatch(f"kernel dimension {kernel.dimension} != site dimension {d}")
+    shell is every outside site the kernel reaches; ``_sorted_sites`` checks the sites."""
+    sites = _sorted_sites(volume, kernel.dimension)
     idx, shell = _neighbour_index(sites, kernel.offsets)
     n = len(sites)
     rows = np.broadcast_to(np.arange(n)[:, None], idx.shape)
@@ -183,11 +168,12 @@ def _progressions(fwd, back, n):
 
 
 def _step_progressions(volume, z):
-    """The sorted sites and their progressions of step z, from the z and -z columns."""
-    sites = _as_sites(volume)
+    """The sorted sites and their progressions of step z, from the z and -z columns:
+    the one step check (z = 0 raises ValueError), sites checked in z's dimension."""
     z = tuple(int(c) for c in z)
     if not any(z):
         raise ValueError("step offset must be nonzero")
+    sites = _sorted_sites(volume, len(z))
     idx, _ = _neighbour_index(sites, (z, tuple(-c for c in z)))
     return sites, _progressions(idx[:, 0], idx[:, 1], len(sites))
 
@@ -199,16 +185,22 @@ def z_connected_classes(volume, z):
     return [tuple(sites[i] for i in chain) for chain in chains]
 
 
+def _add_toeplitz(out, chains, w) -> np.ndarray:
+    """Add w T_z to ``out`` from the progressions of a nonzero step z (index lists):
+    2w at each site and -w at each consecutive pair, both ways round, each entry once."""
+    every = [i for chain in chains for i in chain]
+    np.add.at(out, (every, every), 2.0 * w)
+    head = [i for chain in chains for i in chain[:-1]]
+    tail = [i for chain in chains for i in chain[1:]]
+    np.subtract.at(out, (head + tail, tail + head), w)
+    return out
+
+
 def toeplitz_matrix(volume, z) -> np.ndarray:
-    """Dense T_z: 2 on the diagonal, -1 where sites differ by plus or minus z."""
-    sites = _as_sites(volume)
-    z = tuple(int(c) for c in z)
-    idx, _ = _neighbour_index(sites, (z, tuple(-c for c in z)))
-    t_mat = 2.0 * np.eye(len(sites))
-    rows, steps = np.nonzero(idx < len(sites))
-    # subtract.at applies both steps even when they coincide (z = 0)
-    np.subtract.at(t_mat, (rows, idx[rows, steps]), 1.0)
-    return t_mat
+    """Dense T_z: 2 on the diagonal, -1 where sites differ by plus or minus the nonzero
+    step z, from its progressions as :meth:`PDCertificate.reassemble` builds each term."""
+    sites, chains = _step_progressions(volume, z)
+    return _add_toeplitz(np.zeros((len(sites), len(sites))), chains, 1.0)
 
 
 def toeplitz_quadratic_form(volume, z, eta) -> float:
@@ -246,8 +238,9 @@ class PDCertificate:
 
     def reassemble(self) -> np.ndarray:
         """A rebuilt from the certificate's own classes: slack I, then per
-        term, in term order, 2 J(z) at each site of a class and -J(z) at
-        each consecutive pair of a class, both ways round.
+        term, in term order, J(z) T_z from its classes by the construction
+        :func:`toeplitz_matrix` uses: 2 J(z) at each site of a class and
+        -J(z) at each consecutive pair of a class, both ways round.
 
         This is slack I + sum J(z) T_z bit for bit: no off-diagonal entry
         takes -J(z) from two terms (a pair of sites differs by one offset),
@@ -257,12 +250,7 @@ class PDCertificate:
         index = {site: i for i, site in enumerate(self.sites)}
         out = self.slack * np.eye(len(self.sites))
         for _z, w, classes in self.terms:
-            chains = [[index[site] for site in chain] for chain in classes]
-            every = [i for chain in chains for i in chain]
-            np.add.at(out, (every, every), 2.0 * w)
-            head = [i for chain in chains for i in chain[:-1]]
-            tail = [i for chain in chains for i in chain[1:]]
-            np.subtract.at(out, (head + tail, tail + head), w)
+            _add_toeplitz(out, [[index[site] for site in chain] for chain in classes], w)
         return out
 
 

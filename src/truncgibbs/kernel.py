@@ -174,9 +174,14 @@ def exp_decay(rate: float, reach: int, dimension: int = 1) -> InteractionKernel:
     return build_kernel(dimension, raw)
 
 
-def _sorted_sites(sites) -> tuple:
-    """``sites`` as sorted integer tuples; a site listed twice raises DuplicateSite."""
+def _sorted_sites(sites, dimension: int) -> tuple:
+    """``sites`` as sorted integer tuples, the one site-list check: no site raises
+    EmptyVolume, one not of ``dimension`` GeometryMismatch, one listed twice DuplicateSite."""
     ordered = tuple(sorted(tuple(int(c) for c in s) for s in sites))
+    if not ordered:
+        raise EmptyVolume("volume contains no sites")
+    if other := {len(x) for x in ordered} - {dimension}:
+        raise GeometryMismatch(f"kernel dimension {dimension} != site dimension {min(other)}")
     for x, y in zip(ordered, ordered[1:]):
         if x == y:
             raise DuplicateSite(f"site {x} is listed twice")
@@ -207,16 +212,12 @@ class LatticeGeometry:
 
     @classmethod
     def box(cls, sites, kernel: InteractionKernel) -> "LatticeGeometry":
-        """A finite set of sites plus every exterior site the kernel reaches,
-        for that kernel's neighbor table (:func:`wrapped_offsets`) only."""
-        sites = _sorted_sites(sites)
-        if not sites:
-            raise EmptyVolume("box needs at least one site")
-        d = len(sites[0])
-        if kernel.dimension != d:
-            raise GeometryMismatch(f"kernel dimension {kernel.dimension} != site dimension {d}")
+        """A finite set of sites, checked by :func:`_sorted_sites`, plus every exterior
+        site the kernel reaches, for that kernel's neighbor table (:func:`wrapped_offsets`) only."""
+        sites = _sorted_sites(sites, kernel.dimension)
         extents = tuple(max(c) - min(c) + 1 for c in zip(*sites))
-        return cls("box", d, extents, sites, _neighbour_index(sites, kernel.offsets)[1])
+        return cls("box", kernel.dimension, extents, sites,
+                   _neighbour_index(sites, kernel.offsets)[1])
 
 
 @dataclass(frozen=True, eq=False)

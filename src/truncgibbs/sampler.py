@@ -59,7 +59,7 @@ from .errors import (
     UnknownSite,
 )
 from .kernel import LatticeGeometry, NeighborTable, SpinInterval, _boundary_array, wrapped_offsets
-from .streams import UpdateStream, derive_key, site_uniform_pairs
+from .streams import UpdateStream, _check_count, derive_key, site_uniform_pairs
 from .truncnorm import _clip, _sample_many
 
 
@@ -153,12 +153,6 @@ class FieldConfiguration:
         if self.n_interior <= i < len(self.values):
             raise BoundarySite(f"site {i} is a frozen boundary site")
         raise UnknownSite(f"site {i} is not an interior index in [0, {self.n_interior})")
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 0 and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def _array_ends(interval: SpinInterval):

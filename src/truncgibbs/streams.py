@@ -15,6 +15,8 @@ call derives a batch of keys, each bit-identical to its scalar derivation.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _U64 = np.uint64
@@ -35,18 +37,28 @@ def mix64(x):
 
 
 def _u64(part):
-    """An integer, or an integer array, modulo 2**64 as uint64."""
+    """An integer, or an integer array, modulo 2**64 as uint64; a float, a
+    string or an array of another dtype raises TypeError."""
     if isinstance(part, np.ndarray):
+        if not np.issubdtype(part.dtype, np.integer):
+            raise TypeError(f"key parts must be integers, got an array of {part.dtype}")
         return part.astype(np.uint64)
-    return _U64(int(part) & 0xFFFFFFFFFFFFFFFF)
+    return _U64(operator.index(part) & 0xFFFFFFFFFFFFFFFF)
+
+
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``least`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def derive_key(seed, *parts):
     """Fold a seed and a mix of ints / short string tags into a stream key.
 
-    The seed and the integer parts are taken modulo 2**64, and any of them
-    may be an integer array: the keys then broadcast over the arrays, each
-    element equal to the scalar derivation with that element in place.
+    The seed and the integer parts are taken modulo 2**64 (any other part but
+    a tag raises TypeError), and any of them may be an integer array: the keys
+    then broadcast over the arrays, each element equal to the scalar
+    derivation with that element in place.
     All-scalar input returns an ``np.uint64``.
     """
     with np.errstate(over="ignore"):
@@ -96,12 +108,11 @@ class UpdateStream:
     Sites are marginally uniform over the volume and uniforms are
     independent across slots.  ``key`` may be an array of keys, one
     independent stream each; ``site_key`` and ``uniform_key`` are then
-    arrays of the same shape.
+    arrays of the same shape.  ``n_sites`` is an integer >= 1 and a count an integer >= 0.
     """
 
     def __init__(self, key, n_sites: int):
-        if n_sites < 1:
-            raise ValueError("n_sites must be positive")
+        _check_count("n_sites", n_sites, least=1)
         self.key = np.uint64(key)
         self.n_sites = int(n_sites)
         self.site_key = derive_key(self.key, "site")
@@ -110,8 +121,7 @@ class UpdateStream:
 
     def take(self, n: int):
         """Consume the next n pairs, advancing the cursor."""
-        if not isinstance(n, (int, np.integer)) or n < 0:     # before the cursor moves
-            raise ValueError(f"n must be an integer >= 0, got {n!r}")
+        _check_count("n", n)        # before the cursor moves
         slots = np.arange(self._cursor, self._cursor + n, dtype=np.uint64)
         self._cursor += n
         return site_uniform_pairs(self.site_key, self.uniform_key, slots, self.n_sites)

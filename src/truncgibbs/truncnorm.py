@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy._core.umath import clip as _clip   # the ufunc behind ndarray.clip
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import inv_boxcox, log_ndtr, ndtr, ndtri
 
 from .errors import DegenerateInterval, OutOfRange, ProbabilityOutOfRange
 from .kernel import SpinInterval
@@ -31,8 +31,14 @@ _SIGN = np.array([1.0, -1.0])   # the tail sign s, indexed by [upper tail]
 _ZERO, _ONE = np.array(0.0), np.array(1.0)   # 0-d operands for _sample_many
 
 
+def _exp(x):
+    # libm's exp through scipy's scalar loop (inv_boxcox at 0 is exp): numpy's float64
+    # np.exp has one SIMD kernel per CPU class, and their last bits differ
+    return inv_boxcox(x, 0.0)
+
+
 def _phi(x):
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
+    return _exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def _log_phi(x):

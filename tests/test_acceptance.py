@@ -370,8 +370,8 @@ CLI_SHA256 = {
     "sandwich/summary.json": "b9f375a2bd3f2a062295bdb5a5d648ec274c66461fb086e6bf81bcab03e4ed6e",
     "sandwich/trace.csv": "fd271323dbbccf62e1b41d9158d3078e2c94860548d8d2d04044ab54f1e7f576",
     "cftp/samples.csv": "b8d409c48ac0f267cd4473ec6f6c42cea05dacae21c083dbb61cca3a8af19199",
-    "cftp/verdicts.json": "b771306a55478e75742876fb6a297581baf2fc048f079a869c6e4041d64647ec",
-    "ident4/verdicts.json": "69a2eb5a800873a88924aa5f20239e6f1e21b774112fc83e2c8396153318c397",
+    "cftp/verdicts.json": "e4793a0ae172ccded72ad34ce072976e902d936af0a56f4e533c77ea0ed1c9e1",
+    "ident4/verdicts.json": "dd07dc6b8d78c30c9ba22d9f8146cd61854cd9742e2f048de943ede28ff18a87",
     "spec-check/spec.json": "3c0964638719180ac0c01d4bbe7b2c1c45ff0e39ad8bfa56238f863c08de172b",
     "pd-check/certificate.json": "216f772929a1d487f7b5681dbb2069b3048c859a515ee8b9e1bd109411136a9f",
     "beta-check/beta.json": "3f70b366c2c187c2562a701c982b2a76537ed0aa93de1248529355219ca0abd1",
@@ -411,8 +411,8 @@ def test_cli_artifact_bytes_are_pinned(cli_digests, artifact):
     levelled steps on small volumes (16-, 8- and 2-site), every
     finite-volume subcommand and the 1-site quadrature oracle, whose
     densities evaluate ``truncnorm._mass``; a change of their bits says why
-    in CHANGES.md and re-records them.  One test per artifact, so that a run
-    on other numpy kernels can deselect exactly the artifacts that move."""
+    in CHANGES.md and re-records them.  One test per artifact, so that a
+    failure names the artifact that moved."""
     assert cli_digests[artifact] == CLI_SHA256[artifact]
 
 
@@ -471,7 +471,7 @@ LEVELLED_SHA256 = {
         "4d72a9d9ea9c7573b6270aa14bb6ce7869deb343eed039c1cb95495bcdf781b3",
     "cftp/samples.csv": "470ec4780de0efb13344351d8e4bde1366835899c15e1c4f8b7888c96fc1277d",
     "cftp/verdicts.json": "bcd186a063bf7630d432fb4812321ca99de93c9dfaa3de89eabacdacc71ffdc8",
-    "ident4/verdicts.json": "180f0e3c33775520a2285ae53232cce555d9890c42e19827fc2477273fc4d5ef",
+    "ident4/verdicts.json": "b5c48a4b36d003f9d7ccd51e5e5b5e6c97ab43e347ed50bb264d52e25961504b",
 }
 
 

@@ -118,6 +118,20 @@ def test_build_matrices_rejects_kernel_of_another_dimension():
         build_matrices([(0,), (1,)], nearest_neighbor(2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda sites: LatticeGeometry.box(sites, NN1),
+    lambda sites: build_matrices(sites, NN1),
+    lambda sites: z_connected_classes(sites, (1,)),
+    lambda sites: toeplitz_matrix(sites, (1,)),
+], ids=["box", "build_matrices", "z_connected_classes", "toeplitz_matrix"])
+@pytest.mark.parametrize("sites", [[(0,), (1, 2)], [(1, 2), (0,)], [(0,), (1,), (2, 0, 1)]])
+def test_a_site_list_of_mixed_dimension_is_a_geometry_mismatch(call, sites):
+    # only the first site's dimension was checked, and the others reached
+    # the neighbour index, which died in zip() with a plain ValueError
+    with pytest.raises(GeometryMismatch, match="kernel dimension 1 != site dimension [23]"):
+        call(sites)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian
 # ---------------------------------------------------------------------------
@@ -411,11 +425,15 @@ def test_classes_1d_examples():
 
 @pytest.mark.parametrize("z", [(0,), [0], (0, 0)])
 def test_classes_and_toeplitz_form_reject_a_zero_step(z):
+    # T_0 = 0 is not positive definite and no certificate term has step 0;
+    # toeplitz_matrix returned the zero matrix
     sites = [(0,) * len(z), (1,) * len(z)]
     with pytest.raises(ValueError, match="step offset must be nonzero"):
         z_connected_classes(sites, z)
     with pytest.raises(ValueError, match="step offset must be nonzero"):
         toeplitz_quadratic_form(sites, z, [1.0, 1.0])
+    with pytest.raises(ValueError, match="step offset must be nonzero"):
+        toeplitz_matrix(sites, z)
 
 
 def test_classes_2d_diagonal():

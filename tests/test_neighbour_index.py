@@ -268,7 +268,7 @@ def test_matrices_match_loop_on_infinite_and_box_ambients(case):
 @given(volumes(), st.data())
 def test_toeplitz_and_certificate_match_loops(case, data):
     kernel, sites = case
-    z = data.draw(st.tuples(*[st.integers(-2, 2)] * kernel.dimension))   # zero included
+    z = data.draw(st.tuples(*[st.integers(-2, 2)] * kernel.dimension).filter(any))
     assert same_bits(toeplitz_matrix(sites, z), reference_toeplitz(sites, z))
     cert = pd_certificate(build_matrices(sites, kernel))
     slack, terms = reference_certificate(tuple(sites), kernel)

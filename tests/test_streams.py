@@ -33,10 +33,11 @@ def test_take_matches_site_uniform_pairs():
     assert np.array_equal(us, us2)
 
 
-@pytest.mark.parametrize("n", [-2, 2.5])
+@pytest.mark.parametrize("n", [-2, 2.5, True])
 def test_take_rejects_a_count_that_is_not_an_integer_at_least_zero(n):
     # unchecked, take(-2) after take(3) moved the cursor back to 1 and take(2.5)
-    # left it at 2.5, so the next take(2) replayed slots already consumed
+    # left it at 2.5, so the next take(2) replayed slots already consumed;
+    # take(True) took one pair
     s = UpdateStream(derive_key(3), 8)
     s.take(3)
     with pytest.raises(ValueError, match="n must be an integer >= 0"):
@@ -81,8 +82,26 @@ def test_batched_pairs_match_update_streams():
 
 
 def test_n_sites_validation():
-    with pytest.raises(ValueError):
-        UpdateStream(derive_key(0), 0)
+    # a fraction was truncated (2.5 sites ran as 2) and True ran as 1 site
+    for n_sites in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="n_sites must be an integer >= 1"):
+            UpdateStream(derive_key(0), n_sites)
+
+
+@pytest.mark.parametrize("part", [7.9, "12", np.float64(3.0), np.array([1.5])])
+def test_key_parts_that_are_not_integers_are_rejected(part):
+    # int() took 7.9 as seed 7 and "12" as 12, so distinct seeds gave one key
+    with pytest.raises(TypeError):
+        derive_key(part)
+    if not isinstance(part, str):       # a string part is a tag
+        with pytest.raises(TypeError):
+            derive_key(3, "x", part)
+
+
+def test_integer_key_parts_keep_their_bits():
+    assert derive_key(np.uint64(7), True) == derive_key(7, 1)
+    assert derive_key(np.int32(-5)) == derive_key(2 ** 64 - 5)
+    assert derive_key(3, np.array([4], dtype=np.uint8)).tolist() == [int(derive_key(3, 4))]
 
 
 SEEDS = st.integers(min_value=-(2 ** 63), max_value=2 ** 64 - 1)
