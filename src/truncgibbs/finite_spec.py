@@ -20,6 +20,7 @@ matrices and dynamics see one set of pairs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +171,7 @@ def _progressions(fwd, back, n):
 def _step_progressions(volume, z):
     """The sorted sites and their progressions of step z, from the z and -z columns:
     the one step check (z = 0 raises ValueError), sites checked in z's dimension."""
-    z = tuple(int(c) for c in z)
+    z = tuple(map(operator.index, z))
     if not any(z):
         raise ValueError("step offset must be nonzero")
     sites = _sorted_sites(volume, len(z))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,7 @@ def build_kernel(dimension: int, raw: dict) -> InteractionKernel:
     zero = (0,) * dimension
     table = {}
     for z, w in raw.items():
-        z = tuple(int(c) for c in z)
+        z = tuple(map(operator.index, z))
         if len(z) != dimension:
             raise ValueError(f"offset {z} does not have dimension {dimension}")
         w = float(w)
@@ -175,9 +176,11 @@ def exp_decay(rate: float, reach: int, dimension: int = 1) -> InteractionKernel:
 
 
 def _sorted_sites(sites, dimension: int) -> tuple:
-    """``sites`` as sorted integer tuples, the one site-list check: no site raises
-    EmptyVolume, one not of ``dimension`` GeometryMismatch, one listed twice DuplicateSite."""
-    ordered = tuple(sorted(tuple(int(c) for c in s) for s in sites))
+    """``sites`` as sorted integer tuples, the one site-list check: a coordinate that is
+    not an integer raises TypeError (:func:`operator.index`, as for offsets and extents),
+    no site EmptyVolume, one not of ``dimension`` GeometryMismatch, one listed twice
+    DuplicateSite."""
+    ordered = tuple(sorted(tuple(map(operator.index, s)) for s in sites))
     if not ordered:
         raise EmptyVolume("volume contains no sites")
     if other := {len(x) for x in ordered} - {dimension}:
@@ -204,7 +207,7 @@ class LatticeGeometry:
 
     @classmethod
     def torus(cls, extents) -> "LatticeGeometry":
-        extents = tuple(int(e) for e in extents)
+        extents = tuple(map(operator.index, extents))
         if any(e < 1 for e in extents):
             raise ValueError("torus extents must be positive")
         sites = tuple(itertools.product(*(range(e) for e in extents)))

@@ -35,16 +35,13 @@ levels run on across sweep boundaries.  The blocks of a chunk are levelled
 in one pass, as disjoint volumes side by side; each block then runs from
 slices of its updates sorted by level, one step per level, and the rows
 after each recorded sweep are rebuilt from the block's log of step outputs.
-CFTP's replicas have independent streams, so each of its horizons runs them
-in contiguous groups side by side, one thread per usable CPU, with the bits
-of a single group.
+CFTP's replicas have independent streams, so each of its horizons runs every
+active replica in one vectorized pass, one coupled step per slot.
 """
 
 from __future__ import annotations
 
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -520,27 +517,6 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 # Coupling from the past
 # ---------------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:        # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# CFTP splits each horizon's active replicas into contiguous groups, one
-# thread each, at least _MIN_GROUP_REPLICAS replicas per group and no more
-# groups than usable CPUs: numpy and scipy.special release the GIL on the
-# wide per-slot arrays, so the groups overlap, but each slot's fixed run of
-# calls holds it.  Two groups against one, one horizon of 48 slots on a
-# 3-site nn box over [0, 1] (medians of 9 to 15 paired runs, 2-core VM):
-# 5,000 replicas 1.34, 6,000 0.91 and 1.03, 8,000 0.73 and 0.79, 10,000
-# 0.58, 12,000 0.53, 20,000 0.48 to 0.72.  The floor sits where every run
-# favoured two groups.  At 20,000 replicas on 2 CPUs, three groups took
-# 0.99x and four 1.16x the time of two.
-_MIN_GROUP_REPLICAS = 6000
-
-
 def _cftp_horizon(active, horizon, keys, lowest, highest, idx, w, a, b, tol, eps_coal):
     """Run the replicas ``active`` from time -horizon to time zero; returns
     which of them coalesced within ``eps_coal`` and their midpoints.
@@ -580,12 +556,10 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     and T, from max(2, n) on n sites, doubles until the chains agree at
     time zero within eps_coal in sup norm; ``t_cap`` bounds T and may not
     lie below its first value.  Replicas are independent: at each horizon
-    the active ones advance in contiguous groups, one thread per group and
-    the replicas of a group vectorized (see :func:`_cftp_horizon`).  A replica's sample
-    depends only on the seed and its index, and a failed horizon is re-run as
-    one group, so the bits, horizons and errors are the same for any group count.
-    Every replica starts from the extremal :class:`FieldConfiguration`
-    states, so the kernel and boundary pass the checks of every heat-bath run.
+    the active ones advance together, vectorized (see :func:`_cftp_horizon`),
+    and a replica's sample depends only on the seed and its index.  Every
+    replica starts from the extremal :class:`FieldConfiguration` states, so
+    the kernel and boundary pass the checks of every heat-bath run.
 
     Each row is the midpoint of the two chains at time zero, so it lies
     within eps_coal/2 in sup norm of the exact draw that the same
@@ -601,13 +575,15 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
     horizon = max(2, n)
-    if t_cap < horizon:           # no horizon would run, yet one would be reported
+    # an integer (TypeError otherwise, a bool lies below the floor); below the
+    # first horizon none would run, yet one would be reported
+    if operator.index(t_cap) < horizon:
         raise ValueError(f"t_cap must be at least the first horizon {horizon}, got {t_cap}")
     lowest = FieldConfiguration.constant(table, interval, interval.a, boundary).values
     highest = FieldConfiguration.constant(table, interval, interval.b, boundary).values
-    fixed = (UpdateStream(derive_key(seed, "cftp", np.arange(n_samples)), n), lowest, highest,
-             table.idx, table.weights, *_array_ends(interval), _order_tolerance(interval),
-             eps_coal)
+    keys = UpdateStream(derive_key(seed, "cftp", np.arange(n_samples)), n)
+    a, b = _array_ends(interval)
+    tol = _order_tolerance(interval)
 
     out = np.empty((n_samples, n))
     active = np.arange(n_samples)
@@ -616,27 +592,9 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
             raise NoCoalescence(
                 f"{active.size} replicas not coalesced at horizon {horizon // 2} "
                 f"(cap {t_cap}, eps {eps_coal})")
-        groups = np.array_split(active, max(1, min(_usable_cpus(),
-                                                   active.size // _MIN_GROUP_REPLICAS)))
-        outcomes = _cftp_groups(groups, horizon, fixed)
-        for group, (done, samples) in zip(groups, outcomes):
-            out[group[done]] = samples
-        active = np.concatenate([g[~done] for g, (done, _) in zip(groups, outcomes)])
+        done, samples = _cftp_horizon(active, horizon, keys, lowest, highest,
+                                      table.idx, table.weights, a, b, tol, eps_coal)
+        out[active[done]] = samples
+        active = active[~done]
         horizon *= 2
     return out
-
-
-def _cftp_groups(groups, horizon: int, fixed) -> list:
-    """:func:`_cftp_horizon` on each group, the first in the caller and each
-    other in a thread of its own, all joined before this returns.  If a group
-    fails, the horizon is re-run as one group to raise what that run raises."""
-    if len(groups) == 1:
-        return [_cftp_horizon(groups[0], horizon, *fixed)]
-    try:
-        with ThreadPoolExecutor(len(groups) - 1) as pool:
-            futures = [pool.submit(_cftp_horizon, g, horizon, *fixed) for g in groups[1:]]
-            first = _cftp_horizon(groups[0], horizon, *fixed)
-        return [first] + [f.result() for f in futures]
-    except Exception:
-        _cftp_horizon(np.concatenate(groups), horizon, *fixed)
-        raise

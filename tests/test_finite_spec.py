@@ -37,8 +37,8 @@ from truncgibbs.finite_spec import (
     toeplitz_quadratic_form,
     z_connected_classes,
 )
-from truncgibbs.kernel import (LatticeGeometry, SpinInterval, exp_decay, nearest_neighbor,
-                               wrapped_offsets)
+from truncgibbs.kernel import (LatticeGeometry, SpinInterval, build_kernel, exp_decay,
+                               nearest_neighbor, wrapped_offsets)
 from truncgibbs.sampler import FieldConfiguration, cftp_samples, run_sandwich
 from truncgibbs.transforms import af_specification_probe
 from truncgibbs.truncnorm import TruncatedNormal, mean
@@ -130,6 +130,25 @@ def test_a_site_list_of_mixed_dimension_is_a_geometry_mismatch(call, sites):
     # the neighbour index, which died in zip() with a plain ValueError
     with pytest.raises(GeometryMismatch, match="kernel dimension 1 != site dimension [23]"):
         call(sites)
+
+
+# each reads one coordinate c: of a site, a step, a torus extent, a kernel offset
+COORDINATE_READERS = {
+    "build_matrices": lambda c: build_matrices([(0,), (c,)], NN1).sites,
+    "toeplitz_matrix": lambda c: toeplitz_matrix([(0,), (1,)], (c,)),
+    "torus": lambda c: LatticeGeometry.torus((c,)).extents,
+    "build_kernel": lambda c: build_kernel(1, {(c,): 1.0}).offsets,
+}
+
+
+@pytest.mark.parametrize("read", COORDINATE_READERS.values(), ids=COORDINATE_READERS)
+def test_a_coordinate_that_is_not_an_integer_is_a_type_error(read):
+    # int() would truncate 1.9 and parse "1", so a fractional or textual
+    # coordinate would silently name an integer one; numpy integers are integers
+    for bad in (1.9, 0.5, "1"):
+        with pytest.raises(TypeError):
+            read(bad)
+    assert np.array_equal(read(np.int64(1)), read(1))
 
 
 # ---------------------------------------------------------------------------

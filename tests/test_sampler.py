@@ -1,7 +1,4 @@
-import os
 import re
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -1147,12 +1144,26 @@ def test_cftp_horizon_cap_signalled():
                      eps_coal=0.0, t_cap=8)
 
 
-@pytest.mark.parametrize("t_cap", [1, 0, -5])
+@pytest.mark.parametrize("t_cap", [1, 0, -5, True])
 def test_cftp_rejects_t_cap_below_one(t_cap):
     # below the first horizon, max(2, n), it would run no step and report no
     # coalescence at a horizon that never ran
     with pytest.raises(ValueError, match="t_cap must be at least"):
         cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 4, seed=0, t_cap=t_cap)
+
+
+@pytest.mark.parametrize("t_cap", [64.5, "8"])
+def test_cftp_rejects_t_cap_that_is_not_an_integer(t_cap):
+    # a fractional cap lies above the floor and would run, up to horizon 64
+    with pytest.raises(TypeError):
+        cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 4, seed=0, t_cap=t_cap)
+
+
+def test_cftp_takes_a_numpy_integer_t_cap():
+    # horizons 2, 4 and 8 run
+    with pytest.raises(NoCoalescence, match=r"at horizon 8 \(cap 8,"):
+        cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 4, seed=0,
+                     eps_coal=0.0, t_cap=np.int64(8))
 
 
 def test_cftp_rejects_t_cap_below_first_horizon():
@@ -1195,7 +1206,7 @@ def test_cftp_boundary_monotone_pathwise():
 
 
 # ---------------------------------------------------------------------------
-# CFTP replica groups: every group count gives the one-group run's bits
+# CFTP over drawn boxes, kernels, intervals and boundaries
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -1222,43 +1233,25 @@ def cftp_setups(draw):
     return box, kernel, interval, boundary, eps
 
 
-def cftp_outcome(setup, n_samples, seed, groups, min_group=1, t_cap=1 << 12):
-    """The samples' bytes, or the type and message of the error raised, with
-    ``groups`` usable CPUs and at least ``min_group`` replicas per group; no
-    thread may outlive the call."""
+def cftp_outcome(setup, n_samples, seed, t_cap=1 << 12):
+    """The samples' shape and bytes, or the type and message of the error raised."""
     box, kernel, interval, boundary, eps = setup
-    threads = threading.active_count()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_usable_cpus", lambda: groups)
-        mp.setattr(sampler, "_MIN_GROUP_REPLICAS", min_group)
-        try:
-            out = cftp_samples(box, kernel, interval, boundary, n_samples, seed,
-                               eps_coal=eps, t_cap=t_cap)
-            outcome = out.shape, out.tobytes()
-        except (NoCoalescence, OrderViolation) as err:
-            outcome = type(err), str(err)
-    assert threading.active_count() == threads
-    return outcome
-
-
-@settings(max_examples=40, deadline=None)
-@given(setup=cftp_setups(), n_samples=st.integers(0, 9), groups=st.sampled_from([2, 3]),
-       min_group=st.integers(1, 3), seed=st.integers(0, 2 ** 63))
-def test_cftp_groups_give_one_group_bits(setup, n_samples, groups, min_group, seed):
-    # replica counts of 0 and below the group count occur, and a per-group
-    # floor above 1 moves the group count from one horizon to the next
-    assert cftp_outcome(setup, n_samples, seed, groups, min_group) == \
-        cftp_outcome(setup, n_samples, seed, 1)
+    try:
+        out = cftp_samples(box, kernel, interval, boundary, n_samples, seed,
+                           eps_coal=eps, t_cap=t_cap)
+    except (NoCoalescence, OrderViolation) as err:
+        return type(err), str(err)
+    return out.shape, out.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
 @given(setup=cftp_setups(), sizes=st.lists(st.integers(0, 9), min_size=2, max_size=2),
-       groups=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 63))
-def test_cftp_sample_depends_only_on_seed_and_replica(setup, sizes, groups, seed):
-    # so splitting the replicas into groups cannot change a sample
+       seed=st.integers(0, 2 ** 63))
+def test_cftp_sample_depends_only_on_seed_and_replica(setup, sizes, seed):
+    # not on how many replicas run beside it, nor on when they coalesce
     few, many = sorted(sizes)
-    part = cftp_outcome(setup, few, seed, groups, t_cap=1 << 20)
-    whole = cftp_outcome(setup, many, seed, groups, t_cap=1 << 20)
+    part = cftp_outcome(setup, few, seed, t_cap=1 << 20)
+    whole = cftp_outcome(setup, many, seed, t_cap=1 << 20)
     n = whole[0][1]
     assert part == ((few, n), whole[1][:few * n * 8])
 
@@ -1285,7 +1278,7 @@ def test_cftp_samples_ordered_in_boundary_pathwise(setup, lift, n_samples, seed)
 @settings(max_examples=30, deadline=None)
 @given(n_samples=st.integers(1, 40), seed=st.integers(0, 2 ** 63),
        slope=st.floats(1e-3, 0.2), rare=st.floats(0.01, 0.3))
-def test_cftp_groups_raise_the_one_group_order_violation(n_samples, seed, slope, rare):
+def test_cftp_order_violation_names_time_replica_and_site(n_samples, seed, slope, rare):
     # decreasing in the mean only on uniforms below ``rare``, so replicas
     # break at different times; at a horizon's first slot every replica
     # starts from the same states, so equal inversions (ties) are common
@@ -1296,89 +1289,14 @@ def test_cftp_groups_raise_the_one_group_order_violation(n_samples, seed, slope,
              np.array([0.0, 1.0]), 1e-9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "_sample_many", broken)
-        outcomes = [cftp_outcome(setup, n_samples, seed, g) for g in (1, 2, 3)]
-    assert outcomes[1] == outcomes[2] == outcomes[0]
-    if outcomes[0][0] is OrderViolation:
+        outcome = cftp_outcome(setup, n_samples, seed)
+    if outcome[0] is OrderViolation:
         assert re.match(r"coupled order broken inside coupling from the past at time -\d+, "
-                        r"replica \d+, site index \d: ", outcomes[0][1])
+                        r"replica \d+, site index \d: ", outcome[1])
 
 
-def test_cftp_groups_under_thread_switching_stress():
-    # more groups than cores, switching threads every microsecond: a lost or
-    # crossed write between groups would change some replica's bytes
-    setup = (LatticeGeometry.box([(0, 0), (0, 1), (1, 0), (1, 1)], nearest_neighbor(2)),
-             nearest_neighbor(2), UNIT, np.linspace(0.1, 0.9, 8), 1e-9)
-    reference = cftp_outcome(setup, 60, 17, 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        stressed = cftp_outcome(setup, 60, 17, 6)
-    finally:
-        sys.setswitchinterval(interval)
-    assert stressed == reference
-
-
-def test_cftp_groups_report_every_uncoalesced_replica():
+def test_cftp_no_coalescence_counts_every_active_replica():
     setup = (box_pair(), NN1, UNIT, np.array([0.0, 1.0]), 0.0)
-    outcomes = [cftp_outcome(setup, 30, 0, g, t_cap=8) for g in (1, 2, 3)]
-    assert outcomes[0][0] is NoCoalescence
-    assert outcomes[0][1].startswith("30 replicas not coalesced at horizon 8")
-    assert outcomes[1] == outcomes[2] == outcomes[0]
-
-
-def test_cftp_groups_pass_on_other_errors(monkeypatch):
-    def failing(m, a, b, u):
-        raise FloatingPointError("quantile failed")
-
-    monkeypatch.setattr(sampler, "_sample_many", failing)
-    setup = (box_pair(), NN1, UNIT, np.array([0.0, 1.0]), 1e-9)
-    threads = threading.active_count()
-    for groups in (1, 2, 3):
-        with pytest.raises(FloatingPointError, match="quantile failed"):
-            cftp_outcome(setup, 12, 0, groups)
-        assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("groups", [2, 3])
-def test_cftp_groups_run_each_successful_horizon_once(monkeypatch, groups):
-    # a horizon whose groups all succeed is not re-run as one group
-    calls = {}
-
-    def counted(active, horizon, *rest):
-        calls.setdefault(horizon, []).append(active.size)
-        return real(active, horizon, *rest)
-
-    real = sampler._cftp_horizon
-    monkeypatch.setattr(sampler, "_cftp_horizon", counted)
-    monkeypatch.setattr(sampler, "_usable_cpus", lambda: groups)
-    monkeypatch.setattr(sampler, "_MIN_GROUP_REPLICAS", 1)
-    cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 40, seed=2)
-    assert len(calls) > 1
-    for sizes in calls.values():
-        assert len(sizes) == min(groups, sum(sizes))
-
-
-@pytest.mark.parametrize("cpus, floor, sizes", [
-    (3, 4, [4, 4, 5]),                  # 13 // 4 = 3 groups
-    (2, 4, [6, 7]),                     # no more groups than usable CPUs
-    (3, 5, [6, 7]),                     # 13 // 5 = 2: each group holds at least 5
-    (3, 14, [13]),
-])
-def test_cftp_group_count_follows_usable_cpus_and_floor(monkeypatch, cpus, floor, sizes):
-    first = []
-
-    def recorded(active, horizon, *rest):
-        if horizon == 2:                # the first horizon of a 2-site box
-            first.append(active.size)
-        return real(active, horizon, *rest)
-
-    real = sampler._cftp_horizon
-    monkeypatch.setattr(sampler, "_cftp_horizon", recorded)
-    monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(sampler, "_MIN_GROUP_REPLICAS", floor)
-    cftp_samples(box_pair(), NN1, UNIT, {(-1,): 0.0, (2,): 1.0}, 13, seed=5)
-    assert sorted(first) == sizes
-
-
-def test_usable_cpus_reads_the_affinity_mask():
-    assert sampler._usable_cpus() == len(os.sched_getaffinity(0))
+    outcome = cftp_outcome(setup, 30, 0, t_cap=8)
+    assert outcome[0] is NoCoalescence
+    assert outcome[1].startswith("30 replicas not coalesced at horizon 8")
