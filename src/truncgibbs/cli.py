@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, finite_spec, sampler, transforms, truncnorm
-from .errors import ConfigInvalid, MissingSite, NonpositiveBeta, OutOfRange
+from .errors import (ConfigInvalid, DuplicateSite, EmptyVolume, GeometryMismatch, MissingSite,
+                     NonpositiveBeta, OutOfRange)
 from .kernel import (
     LatticeGeometry,
     SpinInterval,
@@ -72,23 +73,18 @@ def _int_tuple(node, path: str) -> tuple:
 
 
 def _sites_from(nodes: list, path: str) -> list:
-    """A JSON list of sites as tuples, each site at most once."""
-    sites, seen = [], set()
-    for r, node in enumerate(nodes):
-        site = _int_tuple(node, f"{path}[{r}]")
-        if site in seen:
-            raise ConfigInvalid(f"{path}[{r}]: site {list(site)} is given twice")
-        seen.add(site)
-        sites.append(site)
-    return sites
+    """A JSON list of sites as integer tuples; the site-list rules are checked
+    where the sites are used (:func:`_site_list`)."""
+    return [_int_tuple(node, f"{path}[{r}]") for r, node in enumerate(nodes)]
 
 
-def _check_dimension(sites: list, path: str, kernel):
-    """Raise ConfigInvalid unless every site has the kernel's dimension."""
-    for r, site in enumerate(sites):
-        if len(site) != kernel.dimension:
-            raise ConfigInvalid(f"{path}[{r}]: site {list(site)} has {len(site)} coordinates, "
-                                f"kernel.dimension is {kernel.dimension}")
+def _site_list(path: str, build, sites, kernel):
+    """``build(sites, kernel)``, with the site-list errors it raises (no site,
+    one of another dimension, one listed twice) as ConfigInvalid at ``path``."""
+    try:
+        return build(sites, kernel)
+    except (EmptyVolume, GeometryMismatch, DuplicateSite) as err:
+        raise ConfigInvalid(f"{path}: {err}") from None
 
 
 def _unknown_fields(cfg: dict, echo: dict, path: str = ""):
@@ -181,11 +177,8 @@ def _geometry_from(cfg: dict, kernel):
         return torus, {"kind": "torus", "extents": extents}
     if kind == "box":
         sites = _sites_from(_get(cfg, "geometry.sites", list), "geometry.sites")
-        if not sites:
-            raise ConfigInvalid("geometry.sites: must list at least one site")
-        _check_dimension(sites, "geometry.sites", kernel)
-        return LatticeGeometry.box(sites, kernel), {
-            "kind": "box", "sites": [list(s) for s in sorted(sites)]}
+        box = _site_list("geometry.sites", LatticeGeometry.box, sites, kernel)
+        return box, {"kind": "box", "sites": [list(s) for s in box.sites]}
     raise ConfigInvalid(f"geometry.kind: expected 'torus' or 'box', got {kind!r}")
 
 
@@ -228,35 +221,30 @@ def _boundary_from(cfg: dict, shell, interval):
 
 
 def _volume_from(cfg: dict):
-    sites = _get(cfg, "volume", list)
-    if not sites:
-        raise ConfigInvalid("volume: must list at least one site")
-    return _sites_from(sites, "volume")
+    return _sites_from(_get(cfg, "volume", list), "volume")
 
 
 class _Setup:
     """The resolved parts every handler shares, and the config they echo.
 
     ``space`` is "geometry" for lattice subcommands and "volume" for
-    finite-volume ones, which get a sorted ``volume`` and its matrices
-    ``vh``.  The boundary lives on the shell of a box or of a volume; on a
-    torus it is None.
+    finite-volume ones, which get the volume's matrices ``vh``.  The
+    boundary lives on the shell of a box or of a volume; on a torus it is
+    None.
     """
 
     def __init__(self, cfg, seed, space, interval=True, boundary=True):
         self._cfg = cfg
         self.kernel, kern_cfg = _kernel_from(cfg)
-        self.geometry = self.volume = self.vh = self.interval = self.boundary = None
+        self.geometry = self.vh = self.interval = self.boundary = None
         self._head = {"kernel": kern_cfg}
         if space == "geometry":
             self.geometry, self._head["geometry"] = _geometry_from(cfg, self.kernel)
             shell = self.geometry.shell
         else:
-            volume = _volume_from(cfg)
-            _check_dimension(volume, "volume", self.kernel)
-            self.volume = sorted(volume)
-            self._head["volume"] = [list(s) for s in self.volume]
-            self.vh = finite_spec.build_matrices(self.volume, self.kernel)
+            self.vh = _site_list("volume", finite_spec.build_matrices, _volume_from(cfg),
+                                 self.kernel)
+            self._head["volume"] = [list(s) for s in self.vh.sites]
             shell = self.vh.shell
         if interval:
             self.interval, self._head["interval"] = _interval_from(cfg)
@@ -562,9 +550,9 @@ def _run_af_probe(cfg, out, seed):
 
 def _run_oracle_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
-    if len(run.volume) > 3:
+    if run.vh.n_sites > 3:
         raise ConfigInvalid(f"volume: the quadrature oracle takes at most 3 sites, "
-                            f"got {len(run.volume)}")
+                            f"got {run.vh.n_sites}")
     n_q = _n_q_from(cfg)
     config = run.config(n_q=n_q)
     law = (run.vh, run.boundary, run.interval)

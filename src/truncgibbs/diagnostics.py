@@ -114,14 +114,15 @@ def quadrature_marginals(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
 
     # exp(-H) is a product of one factor per site (its cross pairs) and
     # one (n_q + 1)^2 factor per inside pair
+    x, y, weights = vh.pairs
+    cross = y >= k
     site_energy = np.zeros((k, n_q + 1))
-    for i, s, w in zip(*vh.cross_pairs):
+    for i, s, w in zip(x[cross], y[cross] - k, weights[cross]):
         site_energy[i] += 0.5 * w * (grid - gamma[s]) ** 2
     site_weight = _exp(-site_energy)
-    first, second, weights = vh.inside_pairs
     gap = (grid[:, None] - grid) ** 2
-    links = [_exp(-0.5 * w * gap) for w in weights]
-    link_axes = [_AXES[i] + _AXES[j] for i, j in zip(first, second)]
+    links = [_exp(-0.5 * w * gap) for w in weights[~cross]]
+    link_axes = [_AXES[i] + _AXES[j] for i, j in zip(x[~cross], y[~cross])]
 
     def contract(keep):
         """Simpson sum of exp(-H) over every axis but ``keep`` (None: all)."""

@@ -13,7 +13,7 @@ Hamiltonian, so the conditional law with boundary values gamma is the
 multivariate normal with mean A^{-1} B gamma and covariance A^{-1},
 truncated to the spin box.
 
-A, B, the pair arrays and the certificate's progressions come from the
+A, B, the pair list and the certificate's progressions come from the
 neighbour index that also gives the box shells and neighbour tables, so
 matrices and dynamics see one set of pairs.
 """
@@ -40,8 +40,8 @@ class VolumeHamiltonian:
     kernel: InteractionKernel
     precision: np.ndarray        # A, |V| x |V| symmetric positive definite
     cross: np.ndarray            # B, |V| x |shell|, entries J(y - x) >= 0
-    inside_pairs: tuple          # arrays (i, j, weight), each unordered interior pair once
-    cross_pairs: tuple           # arrays (i, s, weight), volume site i to shell slot s
+    pairs: tuple                 # arrays (x, y, weight) into sites + shell, each pair meeting
+                                 # the volume once: interior pairs (x < y), then cross (y >= |V|)
 
     @property
     def n_sites(self) -> int:
@@ -49,7 +49,7 @@ class VolumeHamiltonian:
 
 
 def build_matrices(volume, kernel: InteractionKernel) -> VolumeHamiltonian:
-    """Populate A, B and the pair lists for a finite volume of Z^d, whose
+    """Populate A, B and the pair list for a finite volume of Z^d, whose
     shell is every outside site the kernel reaches; ``_sorted_sites`` checks the sites."""
     sites = _sorted_sites(volume, kernel.dimension)
     idx, shell = _neighbour_index(sites, kernel.offsets)
@@ -63,9 +63,8 @@ def build_matrices(volume, kernel: InteractionKernel) -> VolumeHamiltonian:
     b_mat = np.zeros((n, len(shell)))
     b_mat[rows[cross], idx[cross] - n] = weights[cross]
     upper = inside & (idx > rows)       # each unordered interior pair once
-    return VolumeHamiltonian(sites, shell, kernel, a_mat, b_mat,
-                             (rows[upper], idx[upper], weights[upper]),
-                             (rows[cross], idx[cross] - n, weights[cross]))
+    pairs = tuple(np.concatenate([a[upper], a[cross]]) for a in (rows, idx, weights))
+    return VolumeHamiltonian(sites, shell, kernel, a_mat, b_mat, pairs)
 
 
 def _sequential_sum(terms) -> float:
@@ -73,14 +72,13 @@ def _sequential_sum(terms) -> float:
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
-def _full_values(vh: VolumeHamiltonian, xi):
-    """A flat array over volume sites then shell, split in two; any other
-    shape, a site mapping included, raises MissingSite."""
+def _full_values(vh: VolumeHamiltonian, xi) -> np.ndarray:
+    """A flat float array over volume sites then shell; any other shape, a
+    site mapping included, raises MissingSite."""
     want = vh.n_sites + len(vh.shell)
     if np.shape(xi) != (want,):         # a site mapping too: its shape is ()
         raise MissingSite(f"expected {want} values (volume then shell), got shape {np.shape(xi)}")
-    xi = np.asarray(xi, dtype=float)
-    return xi[:vh.n_sites], xi[vh.n_sites:]
+    return np.asarray(xi, dtype=float)
 
 
 def hamiltonian(vh: VolumeHamiltonian, xi) -> float:
@@ -91,12 +89,10 @@ def hamiltonian(vh: VolumeHamiltonian, xi) -> float:
     matrices, kept separate so the quadratic-form identity is a real check.
     ``xi`` is one array: the values at ``vh.sites``, then at ``vh.shell``.
     """
-    eta, gamma = _full_values(vh, xi)
-    i, j, w = vh.inside_pairs
-    c, s, v = vh.cross_pairs
-    inside, cross = eta[i] - eta[j], eta[c] - gamma[s]
-    return _sequential_sum(np.concatenate([0.5 * w * inside * inside,
-                                           0.5 * v * cross * cross]))
+    xi = _full_values(vh, xi)
+    x, y, w = vh.pairs
+    d = xi[x] - xi[y]
+    return _sequential_sum(0.5 * w * d * d)
 
 
 def psi_boundary(vh: VolumeHamiltonian, gamma) -> float:
@@ -106,8 +102,9 @@ def psi_boundary(vh: VolumeHamiltonian, gamma) -> float:
     as :func:`specification` reads it but with no range check.
     """
     gamma = _boundary_array(vh.shell, gamma, None)
-    _, s, w = vh.cross_pairs
-    return _sequential_sum(w * np.square(gamma[s]))
+    _, y, w = vh.pairs
+    cross = y >= vh.n_sites
+    return _sequential_sum(w[cross] * np.square(gamma[y[cross] - vh.n_sites]))
 
 
 def quadratic_form(vh: VolumeHamiltonian, eta, gamma) -> float:

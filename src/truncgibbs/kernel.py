@@ -38,6 +38,7 @@ from .errors import (
     OutOfRange,
     ZeroOffsetPresent,
 )
+from .streams import _check_count
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,9 @@ def build_kernel(dimension: int, raw: dict) -> InteractionKernel:
     Zero-weight entries are dropped.  A missing mirror offset is filled in;
     if both J(z) and J(-z) are given they must agree exactly.  Every weight
     is then divided by the total, so the norm is one up to rounding.
+    ``dimension`` is an integer >= 1, or raises ValueError.
     """
+    _check_count("dimension", dimension, least=1)
     zero = (0,) * dimension
     table = {}
     for z, w in raw.items():
@@ -162,8 +165,7 @@ def exp_decay(rate: float, reach: int, dimension: int = 1) -> InteractionKernel:
     """The `exp-decay(r, range)` preset: J(z) proportional to r^|z|_1, truncated."""
     if not (rate > 0.0):
         raise ValueError("rate must be positive")
-    if reach < 1:
-        raise ValueError("range must be at least 1")
+    _check_count("reach", reach, least=1)
     raw = {}
     for z in itertools.product(range(-reach, reach + 1), repeat=dimension):
         l1 = sum(abs(c) for c in z)

@@ -228,8 +228,7 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
 def _runs(sites: np.ndarray, rows: np.ndarray, block: int):
     """The positions of a chunk of blocks sorted stably by cell, as
     :func:`_levels` sorts them, and whether each update starts a run: whether
-    its site reads a write, its own included, since the site's previous
-    update in the block.
+    its site reads a write since the site's previous update in the block.
 
     Each block takes one stable argsort, by site, of K + 1 entries per
     update, its own site and then its row (``rows`` as in :func:`_levels`):
@@ -263,9 +262,7 @@ def _levels(sites: np.ndarray, rows: np.ndarray, block: int, merge: bool):
     update; without ``merge``, one level deeper than that too.  So with
     ``merge`` a run of a site's back-to-back updates, with no update at a site
     they read in between, shares one level, and the level's one scatter must
-    keep only the run's last value: ``overwritten`` marks the others.  A row
-    that names its own site reads the value its previous update wrote, so
-    its runs are single updates.
+    keep only the run's last value: ``overwritten`` marks the others.
 
     Block j acts on the disjoint volume of cells j n + [0, n), so one run of
     queue-head rounds levels every block of the chunk at once.  ``rows`` are
@@ -302,11 +299,10 @@ def _levels(sites: np.ndarray, rows: np.ndarray, block: int, merge: bool):
     head[cells.take(order[first])] = order[first]
     after = np.full(size, size)
     after[heads[:-1]] = np.where(head_first[1:], size, heads[1:])
-    # the rows of every block's cells, an entry naming a shell site or the
-    # site itself pointing at the extra slot
+    # the rows of every block's cells, an entry naming a shell site pointing
+    # at the extra slot
     offsets = n * np.arange(n_cells // n)[:, None]
-    rows = np.where((rows[:, None] < n) & (rows[:, None] != np.arange(n)),
-                    rows[:, None] + offsets, n_cells).reshape(width, -1)
+    rows = np.where(rows[:, None] < n, rows[:, None] + offsets, n_cells).reshape(width, -1)
     level = np.empty(size, np.uint16 if block <= 1 << 16 else np.int64)
     pending = head[:-1]
     depth = 0

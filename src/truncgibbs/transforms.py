@@ -28,12 +28,12 @@ def _check_partition(vh: VolumeHamiltonian) -> np.ndarray:
     site's parity (coordinate sum & 1), volume sites then shell."""
     every = vh.sites + vh.shell
     side = np.array([sum(s) & 1 for s in every])
-    (i, j, _), (c, s, _) = vh.inside_pairs, vh.cross_pairs
-    first, second = np.concatenate([i, c]), np.concatenate([j, vh.n_sites + s])
-    clash = np.flatnonzero(side[first] == side[second])
+    x, y, _ = vh.pairs
+    clash = np.flatnonzero(side[x] == side[y])
     if clash.size:
-        x, y = every[first[clash[0]]], every[second[clash[0]]]
-        raise IncompatiblePartition(f"sites {x} and {y} are coupled but share a class")
+        k = clash[0]
+        raise IncompatiblePartition(f"sites {every[x[k]]} and {every[y[k]]} are coupled "
+                                    "but share a class")
     return side
 
 

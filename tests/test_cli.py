@@ -229,9 +229,10 @@ BAD_INPUTS = [
     ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1.5]]},
               "boundary": {"constant": 0.5}}, "geometry.sites[1][0]"),
     # each site of a volume or a box is listed once
-    ("spec-check", {"volume": [[0], [1], [0]], "boundary": {"constant": 0.5}}, "volume[2]"),
+    ("spec-check", {"volume": [[0], [1], [0]], "boundary": {"constant": 0.5}},
+     "volume: site (0,) is listed twice"),
     ("sandwich", {"geometry": {"kind": "box", "sites": [[1], [0], [1]]},
-                  "boundary": {"constant": 0.5}}, "geometry.sites[2]"),
+                  "boundary": {"constant": 0.5}}, "geometry.sites: site (1,) is listed twice"),
     # each offset is given once; the kernel builder's own rejections name the field
     ("sandwich", {"kernel": {"dimension": 1, "offsets": [[[1], 3.0], [[1], 2.0]]},
                   "geometry": TORUS8}, "kernel.offsets[1][0]"),
@@ -321,20 +322,20 @@ BAD_INPUTS = [
      "volume: the quadrature oracle takes at most 3 sites, got 4"),
     ("sandwich", {"kernel": {"preset": "nn", "dimension": 2}, "geometry": TORUS8},
      "geometry.extents: 1 extents, kernel.dimension is 2"),
+    # the site-list rules are the library's, named by the field that lists the sites
     ("cftp", {"kernel": {"preset": "nn", "dimension": 2}, "geometry": BOX2,
               "boundary": {"constant": 0.5}},
-     "geometry.sites[0]: site [0] has 1 coordinates, kernel.dimension is 2"),
+     "geometry.sites: kernel dimension 2 != site dimension 1"),
     ("spec-check", {"kernel": {"preset": "nn", "dimension": 2}, "volume": VOLUME2,
                     "boundary": {"constant": 0.5}},
-     "volume[0]: site [0] has 1 coordinates, kernel.dimension is 2"),
-    ("pd-check", {"volume": [[0], [1, 0]]},
-     "volume[1]: site [1, 0] has 2 coordinates, kernel.dimension is 1"),
+     "volume: kernel dimension 2 != site dimension 1"),
+    ("pd-check", {"volume": [[0], [1, 0]]}, "volume: kernel dimension 1 != site dimension 2"),
     ("ident4", {"geometry": {"kind": "torus", "extents": [2]}},
      "geometry.extents: torus extent 2 on axis 0 must exceed twice the kernel range 1"),
     ("sandwich", {"geometry": {"kind": "torus", "extents": [0]}},
      "geometry.extents: torus extents must be positive"),
     ("cftp", {"geometry": {"kind": "box", "sites": []}, "boundary": {"constant": 0.5}},
-     "geometry.sites: must list at least one site"),
+     "geometry.sites: volume contains no sites"),
 ]
 
 

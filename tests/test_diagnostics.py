@@ -94,10 +94,9 @@ def _dense_oracle(sites, gamma, kernel, interval, n_q):
     wq = _simpson_weights(n_q, grid[1] - grid[0])
     axes = [grid.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i)) for i in range(k)]
     energy = np.zeros((1,) * k)
-    for i, j, w in zip(*vh.inside_pairs):
-        energy = energy + 0.5 * w * (axes[i] - axes[j]) ** 2
-    for i, s, w in zip(*vh.cross_pairs):
-        energy = energy + 0.5 * w * (axes[i] - gamma[s]) ** 2
+    values = axes + list(gamma)                 # volume sites, then shell
+    for x, y, w in zip(*vh.pairs):
+        energy = energy + 0.5 * w * (values[x] - values[y]) ** 2
     weight = np.exp(-energy)
 
     def contract(keep):

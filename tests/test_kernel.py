@@ -88,6 +88,22 @@ def test_exp_decay_power_overflow_rejected():
     assert list(exp_decay(1e300, 1).weights) == [0.5, 0.5]
 
 
+# each reads one count of at least 1: the kernel dimension, the exp-decay reach
+COUNT_READERS = {
+    "dimension": lambda c: build_kernel(c, {(1,): 1.0}).dimension,
+    "reach": lambda c: len(exp_decay(0.5, c).offsets) // 2,
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 1.5])
+@pytest.mark.parametrize("name", COUNT_READERS)
+def test_a_kernel_count_is_an_integer_of_at_least_one(name, bad):
+    # unchecked, build_kernel(True, ...) built a kernel whose dimension is True
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {bad!r}$"):
+        COUNT_READERS[name](bad)
+    assert COUNT_READERS[name](np.int64(1)) == 1        # numpy integers count too
+
+
 def test_zero_offset_rejected():
     with pytest.raises(ZeroOffsetPresent):
         build_kernel(2, {(0, 0): 1.0, (1, 0): 1.0})

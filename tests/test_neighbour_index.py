@@ -1,6 +1,6 @@
 """The vectorised neighbour index against the per-site loops it replaced.
 
-Box shells, neighbour tables, A, B, the pair arrays, the Toeplitz blocks,
+Box shells, neighbour tables, A, B, the pair list, the Toeplitz blocks,
 the certificate's realized offsets and the parity check all read one
 index (``kernel._neighbour_index``), by one sorted search on boxes, whole
 tori and scattered volumes alike.  The reference functions below are the
@@ -73,7 +73,8 @@ def _pair_arrays(triples):
 
 
 def reference_matrices(volume, kernel):
-    """(shell, A, B, inside_pairs, cross_pairs) from the per-site loop."""
+    """(shell, A, B, pairs) from the per-site loop: interior pairs, then
+    cross pairs, both ends indexing sites + shell."""
     sites = tuple(sorted(volume))
     interior = {s: i for i, s in enumerate(sites)}
     shell = set()
@@ -101,8 +102,8 @@ def reference_matrices(volume, kernel):
         else:
             s = shell_index[y]
             b_mat[i, s] += w
-            crossing.append((i, s, w))
-    return shell, a_mat, b_mat, _pair_arrays(inside), _pair_arrays(crossing)
+            crossing.append((i, n + s, w))
+    return shell, a_mat, b_mat, _pair_arrays(inside + crossing)
 
 
 def reference_toeplitz(volume, z):
@@ -239,11 +240,11 @@ def test_box_built_for_another_kernel_is_a_mismatch(case, built_for):
 # ---------------------------------------------------------------------------
 
 def assert_matrices_match(vh, reference):
-    shell, a_mat, b_mat, inside, cross = reference
+    shell, a_mat, b_mat, pairs = reference
     assert vh.shell == shell
     assert same_bits(vh.precision, a_mat)
     assert same_bits(vh.cross, b_mat)
-    for got, want in zip(vh.inside_pairs + vh.cross_pairs, inside + cross):
+    for got, want in zip(vh.pairs, pairs, strict=True):
         assert same_bits(got, want)
 
 
@@ -257,7 +258,21 @@ def test_matrices_match_loop_on_infinite_and_box_ambients(case):
     # and the same cross pairs, in the same order
     table = wrapped_offsets(kernel, LatticeGeometry.box(sites, kernel))
     assert table.shell == vh.shell
-    assert same_bits(table.idx[table.idx >= vh.n_sites] - vh.n_sites, vh.cross_pairs[1])
+    shell_ends = vh.pairs[1][vh.pairs[1] >= vh.n_sites]
+    assert same_bits(table.idx[table.idx >= vh.n_sites], shell_ends)
+
+
+@settings(max_examples=200, deadline=None)
+@given(volumes(), st.data())
+def test_no_table_row_names_its_own_site(case, data):
+    # the level schedule relies on it: an offset is never zero (ZeroOffsetPresent),
+    # and check_torus_extents makes every torus extent exceed twice the range
+    kernel, sites = case
+    extra = data.draw(st.lists(st.integers(0, 3), min_size=kernel.dimension,
+                               max_size=kernel.dimension))
+    for geometry in (LatticeGeometry.box(sites, kernel), torus_for(kernel, extra)):
+        idx = wrapped_offsets(kernel, geometry).idx
+        assert not (idx == np.arange(geometry.n_sites)[:, None]).any()
 
 
 # ---------------------------------------------------------------------------

@@ -416,7 +416,8 @@ def reference_sandwich(table, interval, n_sweeps, seed, snapshot_every=0, bounda
 
 def ring_table(kernel, n):
     """A 1D ring of n sites with offsets wrapped modulo n and no size check,
-    so for n <= 2 * range a neighbour row names one site more than once."""
+    so for range < n <= 2 * range a neighbour row names one site more than
+    once, though never its own (no table the library builds does either)."""
     geometry = LatticeGeometry.torus([n])
     offsets = np.array([z[0] for z in kernel.offsets])
     idx = (np.arange(n)[:, None] + offsets) % n
@@ -436,7 +437,8 @@ def sandwich_setups(draw, kinds=("torus", "ring", "box")):
     interval = SpinInterval(low, low + 10.0 ** draw(st.floats(-3.0, np.log10(20.0))))
     boundary = None
     if kind == "ring":
-        table = ring_table(kernel, draw(st.sampled_from([2, 3])))
+        reach = kernel.range_per_axis[0]
+        table = ring_table(kernel, draw(st.integers(reach + 1, 2 * reach)))
         geometry = table.geometry
     elif kind == "torus":
         geometry = LatticeGeometry.torus(
@@ -557,8 +559,8 @@ def recorded_levels(idx, stream, n_updates, ends=np.empty(0, dtype=int)):
 def test_block_plans_are_the_as_soon_as_possible_schedule(setup, seed, n_updates, block, chunk):
     # blocks of max(1, block // n) sweeps, max(1, chunk // n) of them levelled
     # per pass, and update counts that leave a partial last block; volumes
-    # under chunk sites merge a site's back-to-back updates; the 2- and
-    # 3-site rings name a site in its own neighbour row, boxes have a shell
+    # under chunk sites merge a site's back-to-back updates; the rings name a
+    # site more than once in a neighbour row, boxes have a shell
     table = setup[0]
     n = table.n_sites
     size = max(1, block // n) * n                   # updates per block
@@ -987,22 +989,6 @@ def test_overwritten_updates_keep_their_values_in_the_log(run):
         reference = np.array(gaps)
     assert any(overwritten)
     assert [log.tobytes() for log in logs] == [reference.tobytes()]
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_a_self_reading_row_never_shares_a_level_with_itself(n):
-    # a kernel of range n names each site of an n-site ring in its own row:
-    # an update there reads its site's previous value, so two updates of a
-    # site never share a level; a range-1 kernel on the same ring merges some
-    sites, _ = UpdateStream(derive_key(5, "levels"), n).take(300)
-    for reach, self_reading in ((n, True), (1, False)):
-        idx = ring_table(exp_decay(0.5, reach, 1), n).idx
-        assert (idx == np.arange(n)[:, None]).any() == self_reading
-        level, overwritten = sampler._levels(sites, idx.T.copy(), sites.size, True)
-        steps = np.concatenate([np.diff(level[sites == s].astype(int)) for s in range(n)])
-        assert steps.min() >= (1 if self_reading else 0)
-        assert overwritten.any() != self_reading
-        assert np.array_equal(level, sequential_levels(sites, idx, sites.size, True))
 
 
 def counted_calls(mp, names):
