@@ -1,16 +1,15 @@
 """Interaction kernels and finite lattice geometries.
 
 A kernel is a finitely supported, symmetric, non-negative weight function
-on integer offsets with the zero offset excluded; construction normalizes
-the total weight to one, so a site's local mean is always a convex
-combination of its neighbors.  A kernel of norm c would give the law of
-the normalized kernel on [sqrt(c) a, sqrt(c) b] scaled back by 1/sqrt(c),
-the beta-rescaling identity that ``transforms`` checks, so no other norm is
-built.  Geometries are the two finite stand-ins for the infinite lattice: a
-periodic torus and a finite box of sites wrapped in the exterior shell the
-kernel can reach.  One neighbour index gives the box shells, the neighbour
-tables and ``finite_spec``'s matrices, and one reader puts boundary values
-in shell order for all of them.
+on integer offsets with the zero offset excluded, whose weights sum to one,
+so a site's local mean is a convex combination of its neighbors.  Weights
+of sum c would give the law of the weights over c on [sqrt(c) a, sqrt(c) b]
+scaled back by 1/sqrt(c) (the beta rescaling ``transforms`` checks), so no
+other norm is built.  Geometries are the two finite stand-ins for the
+infinite lattice: a periodic torus and a finite box of sites wrapped in the
+exterior shell the kernel can reach.  One neighbour index gives the box
+shells, the neighbour tables and ``finite_spec``'s matrices, and one reader
+puts boundary values in shell order for all of them.
 
 Kernels, geometries and neighbor tables are immutable after construction
 and safe to share across concurrent readers.
@@ -68,12 +67,16 @@ class SpinInterval:
 
 def _boundary_array(shell, boundary, interval: SpinInterval | None) -> np.ndarray:
     """Resolve a boundary request (scalar, mapping, or array) to shell order;
-    with no ``interval`` the values are not range-checked."""
+    with no ``interval`` the values are not range-checked.  A mapping key that
+    is no shell site raises GeometryMismatch."""
     if not shell:
         return np.empty(0)
     if boundary is None:
         raise MissingSite("box geometry requires boundary values")
     if isinstance(boundary, dict):      # before the 0-d test: np.ndim({}) is 0 too
+        slots = set(shell)
+        if stray := [s for s in boundary if s not in slots]:
+            raise GeometryMismatch(f"boundary key {stray[0]} is not a shell site")
         try:
             gamma = np.array([float(boundary[s]) for s in shell])
         except KeyError as missing:
@@ -91,12 +94,22 @@ def _boundary_array(shell, boundary, interval: SpinInterval | None) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class InteractionKernel:
-    """Symmetric non-negative coupling weights on nonzero integer offsets."""
+    """Symmetric non-negative coupling weights on nonzero integer offsets;
+    ``norm``, their exact fsum, lies within 1e-12 of 1, or ValueError."""
 
     dimension: int
     offsets: tuple          # lexicographically sorted nonzero offset vectors
     weights: np.ndarray     # positive, aligned with offsets
     norm: float             # exact fsum of the stored weights
+
+    def __post_init__(self):
+        try:
+            total = math.fsum(self.weights)
+        except OverflowError:           # finite weights whose sum leaves the float range
+            total = math.inf
+        if not (self.norm == total and abs(total - 1.0) <= 1e-12):     # NaN fails both
+            raise ValueError(f"kernel weights must sum to norm 1: fsum {total!r}, "
+                             f"norm {self.norm!r}")
 
     @property
     def range_per_axis(self) -> tuple:
@@ -239,6 +252,20 @@ class NeighborTable:
     kernel: InteractionKernel
     geometry: LatticeGeometry
     idx: np.ndarray             # (n_sites, n_offsets) combined indices
+
+    def __post_init__(self):
+        """Raise GeometryMismatch unless ``idx`` is an integer array with a row
+        per site and a column per offset, each entry a site or shell index (a
+        negative one would read the runs' write-off slot) and no row naming
+        its own site, which the level schedule of the runs assumes."""
+        idx, n = self.idx, self.geometry.n_sites
+        shape, slots = (n, len(self.kernel.offsets)), n + len(self.geometry.shell)
+        if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu" and idx.shape == shape):
+            raise GeometryMismatch(f"neighbour index must be an integer array of shape {shape}")
+        if not (0 <= idx.min() and idx.max() < slots):
+            raise GeometryMismatch(f"neighbour index entries must lie in [0, {slots})")
+        if (idx == np.arange(n)[:, None]).any():
+            raise GeometryMismatch("a neighbour row names its own site")
 
     @property
     def shell(self):

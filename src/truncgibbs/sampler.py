@@ -120,8 +120,6 @@ class FieldConfiguration:
 
     def __init__(self, table: NeighborTable, interval: SpinInterval,
                  values: np.ndarray, boundary=None):
-        if not abs(table.kernel.norm - 1.0) <= 1e-12:      # a hand-built kernel; NaN too
-            raise ValueError("dynamics requires a normalized kernel (norm 1)")
         self.table = table
         self.interval = interval
         self.n_interior = table.n_sites
@@ -555,7 +553,7 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
     the active ones advance together, vectorized (see :func:`_cftp_horizon`),
     and a replica's sample depends only on the seed and its index.  Every
     replica starts from the extremal :class:`FieldConfiguration` states, so
-    the kernel and boundary pass the checks of every heat-bath run.
+    the boundary passes the checks of every heat-bath run.
 
     Each row is the midpoint of the two chains at time zero, so it lies
     within eps_coal/2 in sup norm of the exact draw that the same

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import IncompatiblePartition, NonpositiveBeta, OutOfRange
 from .finite_spec import VolumeHamiltonian, hamiltonian
 from .kernel import SpinInterval, _boundary_array
-from .streams import uniform_configurations
+from .streams import _check_count, uniform_configurations
 
 
 def _check_partition(vh: VolumeHamiltonian) -> np.ndarray:
@@ -45,13 +45,15 @@ def beta_scaling_check(vh: VolumeHamiltonian, interval: SpinInterval, betas,
     An exact algebraic identity for the quadratic pair energy; each
     residual is float noise only (at most around 1e-10 at desk scales).
     The scaled configuration lives in the scaled interval.  The ``trials``
-    configurations are drawn once and serve every beta, so H(xi) is
-    evaluated once per configuration and H(sqrt(beta) xi) once per beta.
+    configurations (an integer >= 1, or ValueError) are drawn once and
+    serve every beta, so H(xi) is evaluated once per configuration and
+    H(sqrt(beta) xi) once per beta.
     ``vh`` is the volume's :func:`~truncgibbs.finite_spec.build_matrices`.
     A beta that is not a finite number > 0 raises NonpositiveBeta, and the
     first beta at which either energy leaves the float range raises
     OutOfRange; both messages start with its position, ``betas[k]``.
     """
+    _check_count("trials", trials, least=1)
     betas = list(betas)
     for k, beta in enumerate(betas):
         if not 0.0 < beta < np.inf:       # NaN too
@@ -69,7 +71,7 @@ def beta_scaling_check(vh: VolumeHamiltonian, interval: SpinInterval, betas,
         if not np.all(residuals[:, k] < np.inf):      # inf or NaN: an energy overflowed
             raise OutOfRange(f"betas[{k}]: beta H(xi) or H(sqrt(beta) xi) is not finite "
                              f"at beta = {beta}")
-    return residuals.max(axis=0, initial=0.0).tolist()
+    return residuals.max(axis=0).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +91,14 @@ def af_specification_probe(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
     attractive-coupling energy of the original would have to be constant
     in the interior spins for the reflection to carry one conditional law
     onto the other.  The probe evaluates that difference over random
-    interior configurations at a fixed boundary and reports the spread;
-    it asserts nothing about the outcome; a kernel that couples two sites
-    of one parity raises IncompatiblePartition.  ``vh`` is the volume's
+    interior configurations (``trials``, an integer >= 1, or ValueError) at
+    a fixed boundary and reports the spread; it asserts nothing about the
+    outcome; a kernel that couples two sites of one parity raises
+    IncompatiblePartition.  ``vh`` is the volume's
     :func:`~truncgibbs.finite_spec.build_matrices`; ``gamma`` is a scalar, a
     shell-site mapping or a shell-order array, every value in ``interval``.
     """
+    _check_count("trials", trials, least=1)
     flip_sites = _check_partition(vh) == 1
     gamma = _boundary_array(vh.shell, gamma, interval)
 
@@ -107,4 +111,4 @@ def af_specification_probe(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
         # couplings negated: the reflected-configuration energy enters with a minus
         deltas[trial] = -hamiltonian(vh, reflected) - hamiltonian(vh, xi)
     mean = float(deltas.mean())
-    return ReflectionProbeReport(deltas, mean, float(np.max(np.abs(deltas - mean))) if trials else 0.0)
+    return ReflectionProbeReport(deltas, mean, float(np.max(np.abs(deltas - mean))))

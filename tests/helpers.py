@@ -14,7 +14,7 @@ def _lex_positive(z):
 
 
 def random_kernel(rng, dimension=None, max_reach=3):
-    """A random finitely supported symmetric normalized kernel.
+    """A random finitely supported symmetric kernel of norm 1.
 
     Only half-space offsets are drawn; the builder fills in the mirrors.
     """

@@ -233,12 +233,12 @@ def test_criterion_07_stationarity_identity():
     for interval, label in ((SYM, "[-1,1]"), (UNIT, "[0,1]")):
         trace = stationary_run(torus, NN1, interval, seed=7, burn_in=1000,
                                n_sweeps=10_000)
-        shift, balance = stationarity_check(trace, batches=32)
+        shift = stationarity_check(trace, batches=32)
         details.append(f"{label}: z={shift.z:+.2f}")
-        ok = ok and shift.passed and balance.passed
+        ok = ok and shift.passed
     control = stationary_run(torus, NN1, UNIT, seed=2, burn_in=0, n_sweeps=2,
                              start="upper")
-    control_shift, _ = stationarity_check(control)
+    control_shift = stationarity_check(control)
     ok = ok and not control_shift.passed
     details.append(f"negative control z={control_shift.z:.1f} flagged={not control_shift.passed}")
     report(7, "stationarity identity (torus 16)", ok, "; ".join(details))
@@ -371,7 +371,7 @@ CLI_SHA256 = {
     "sandwich/trace.csv": "fd271323dbbccf62e1b41d9158d3078e2c94860548d8d2d04044ab54f1e7f576",
     "cftp/samples.csv": "b8d409c48ac0f267cd4473ec6f6c42cea05dacae21c083dbb61cca3a8af19199",
     "cftp/verdicts.json": "e4793a0ae172ccded72ad34ce072976e902d936af0a56f4e533c77ea0ed1c9e1",
-    "ident4/verdicts.json": "dd07dc6b8d78c30c9ba22d9f8146cd61854cd9742e2f048de943ede28ff18a87",
+    "ident4/verdicts.json": "c542d154c600cf076110aeda1ebe55402ccfcdf58b276c078477e056978be91a",
     "spec-check/spec.json": "3c0964638719180ac0c01d4bbe7b2c1c45ff0e39ad8bfa56238f863c08de172b",
     "pd-check/certificate.json": "216f772929a1d487f7b5681dbb2069b3048c859a515ee8b9e1bd109411136a9f",
     "beta-check/beta.json": "3f70b366c2c187c2562a701c982b2a76537ed0aa93de1248529355219ca0abd1",
@@ -471,7 +471,7 @@ LEVELLED_SHA256 = {
         "4d72a9d9ea9c7573b6270aa14bb6ce7869deb343eed039c1cb95495bcdf781b3",
     "cftp/samples.csv": "470ec4780de0efb13344351d8e4bde1366835899c15e1c4f8b7888c96fc1277d",
     "cftp/verdicts.json": "bcd186a063bf7630d432fb4812321ca99de93c9dfaa3de89eabacdacc71ffdc8",
-    "ident4/verdicts.json": "b5c48a4b36d003f9d7ccd51e5e5b5e6c97ab43e347ed50bb264d52e25961504b",
+    "ident4/verdicts.json": "ea5415e33ce385f76051ac5302e14e7962483c90efb95e7d3838e4b1d2175c4c",
 }
 
 

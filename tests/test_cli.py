@@ -91,7 +91,7 @@ def test_ident4_artifacts(tmp_path):
     assert run("ident4", cfg, tmp_path / "out") == 0
     payload = json.loads((tmp_path / "out" / "verdicts.json").read_text())
     names = [v["name"] for v in payload["verdicts"]]
-    assert names == ["mean_shift_zero", "local_mean_balance"]
+    assert names == ["mean_shift_zero"]
     assert all(set(v) == {"name", "estimate", "se", "target", "z", "pass"}
                for v in payload["verdicts"])
 
@@ -212,7 +212,13 @@ BAD_INPUTS = [
     ("spec-check", {"volume": VOLUME2, "boundary": {"values": [
         [[-1], 0.0], [[True], 1.0]]}}, "boundary.values[1][0][0]"),
     ("af-probe", {"volume": VOLUME2, "boundary": {"values": [
-        [[-1], 0.0], [[2], 1.0], [[5], 0.5]]}}, "boundary.values[2][0]"),
+        [[-1], 0.0], [[2], 1.0], [[2], 0.5]]}}, "boundary.values[2][0]"),
+    ("af-probe", {"volume": VOLUME2, "boundary": {"values": [
+        [[-1], 0.0], [[2], 1.0], [[5], 0.5]]}},
+     "boundary.values: boundary key (5,) is not a shell site"),
+    ("spec-check", {"volume": VOLUME2, "boundary": {"values": [
+        [[-1], 0.0], [[2], 1.0], [[0], 0.5]]}},
+     "boundary.values: boundary key (0,) is not a shell site"),
     ("cftp", {"geometry": BOX2, "boundary": {"values": [
         [[-1], 0.0], [[2], 1.0], [[-1], 0.5]]}}, "boundary.values[2][0]"),
     ("oracle-check", {"volume": VOLUME2, "boundary": {"values": [
@@ -490,7 +496,7 @@ EXIT_CASES = {
     "cftp": (BOX_CONFIG, "verdicts.json", _spoiled(diagnostics, "ks_distance", lambda d: 1.0)),
     "ident4": ({**TORUS_CONFIG, "burn_in": 10}, "verdicts.json", _spoiled(
         diagnostics, "stationarity_check",
-        lambda pair: (dataclasses.replace(pair[0], passed=False), pair[1]))),
+        lambda shift: dataclasses.replace(shift, passed=False))),
     "spec-check": (volume_config("spec-check"), "spec.json",
                    _spoiled(finite_spec, "quadratic_form", lambda q: q + 1.0)),
     "pd-check": (volume_config("pd-check"), "certificate.json", _spoiled(

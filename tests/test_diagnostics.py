@@ -1,10 +1,10 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from truncgibbs.diagnostics import (
+    MIN_N_Q,
     _simpson_weights,
     batch_means_se,
     ks_distance,
@@ -14,7 +14,6 @@ from truncgibbs.diagnostics import (
 from truncgibbs.errors import NotTorus, TooFewSamples, VolumeTooLarge
 from truncgibbs.finite_spec import build_matrices
 from truncgibbs.kernel import (
-    InteractionKernel,
     LatticeGeometry,
     SpinInterval,
     exp_decay,
@@ -22,6 +21,7 @@ from truncgibbs.kernel import (
     wrapped_offsets,
 )
 from truncgibbs.sampler import RunTrace, stationary_run
+from truncgibbs.transforms import af_specification_probe, beta_scaling_check
 from truncgibbs.truncnorm import TruncatedNormal, cdf, inverse_cdf, mean
 from truncgibbs.streams import derive_key, uniforms
 
@@ -170,42 +170,14 @@ def test_stationarity_requires_torus():
 def test_stationarity_passes_in_equilibrium(interval):
     trace = stationary_run(LatticeGeometry.torus([16]), NN1, interval,
                            seed=2, burn_in=200, n_sweeps=3000)
-    shift, balance = stationarity_check(trace)
-    assert shift.passed
-    assert balance.passed
-
-
-@pytest.mark.parametrize("kernel, extents", [(exp_decay(0.5, 3), [64]),
-                                             (exp_decay(0.6, 2, 2), [10, 10])])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_balance_rounding_residue_passes(kernel, extents, seed):
-    # weights that do not sum to 1 exactly in floating point leave a
-    # deterministic residue of a few 1e-17 with a far smaller batch-means SE
-    trace = stationary_run(LatticeGeometry.torus(extents), kernel, UNIT,
-                           seed=seed, burn_in=50, n_sweeps=400)
-    _, balance = stationarity_check(trace)
-    assert balance.estimate != 0.0
-    assert balance.passed
-
-
-def test_balance_fails_when_weights_do_not_sum_to_one():
-    kernel = exp_decay(0.5, 3)
-    geometry = LatticeGeometry.torus([64])
-    trace = stationary_run(geometry, kernel, UNIT, seed=0, burn_in=50, n_sweeps=400)
-    # build_kernel would normalize the weights back, so the kernel is built by hand
-    weights = 1.01 * kernel.weights
-    scaled = InteractionKernel(1, kernel.offsets, weights, math.fsum(weights))
-    heavy = RunTrace(trace.fields, wrapped_offsets(scaled, geometry), UNIT)
-    _, balance = stationarity_check(heavy)
-    assert not balance.passed
-    assert balance.z > 3.0
+    assert stationarity_check(trace).passed
 
 
 def test_stationarity_negative_control_fails():
     # hypothesis violated on purpose: two sweeps from the all-upper state
     trace = stationary_run(LatticeGeometry.torus([16]), NN1, SYM,
                            seed=2, burn_in=0, n_sweeps=2, start="upper")
-    shift, _ = stationarity_check(trace)
+    shift = stationarity_check(trace)
     assert not shift.passed
     assert shift.z > 3.0
 
@@ -216,7 +188,7 @@ def test_stationarity_passes_across_seeds():
     for seed in range(10):
         trace = stationary_run(LatticeGeometry.torus([16]), NN1, UNIT,
                                seed=seed, burn_in=200, n_sweeps=2000)
-        shift, _ = stationarity_check(trace)
+        shift = stationarity_check(trace)
         passes += shift.passed
     assert passes >= 9
 
@@ -258,3 +230,33 @@ def test_batch_means_se_needs_two_samples(size):
     with pytest.raises(TooFewSamples):
         batch_means_se(np.ones(size))
     assert batch_means_se(np.array([0.0, 1.0])) == 0.5
+
+
+# each library count with its reader: the probes' trials, the batch count
+# (clamped to the samples once checked) and the Simpson subintervals
+TRACE8 = RunTrace(np.full((4, 8), 0.5), wrapped_offsets(NN1, LatticeGeometry.torus([8])), UNIT)
+COUNT_READERS = {
+    "af_specification_probe": ("trials", 1, lambda c: af_specification_probe(PAIR, 0.5, UNIT, c)),
+    "beta_scaling_check": ("trials", 1, lambda c: beta_scaling_check(PAIR, UNIT, [1.0], c)),
+    "stationarity_check": ("batches", 1, lambda c: stationarity_check(TRACE8, batches=c)),
+    "batch_means_se": ("batches", 1, lambda c: batch_means_se(np.arange(8.0), c)),
+    "quadrature_marginals": ("n_q", MIN_N_Q, lambda c: quadrature_marginals(PAIR, 0.5, UNIT, c)),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.5])
+@pytest.mark.parametrize("reader", COUNT_READERS)
+def test_a_library_count_is_a_checked_integer(reader, bad):
+    # unchecked, a zero trial count gave a NaN mean with two RuntimeWarnings,
+    # True batches ran 2 of them and a float n_q failed inside np.linspace
+    name, least, call = COUNT_READERS[reader]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got {bad!r}$"):
+        call(bad)
+    call(np.int64(max(least, 2)))                     # numpy integers count too
+
+
+def test_n_q_is_an_even_integer():
+    with pytest.raises(ValueError, match=r"^n_q must be an integer >= 64, got 64.0$"):
+        quadrature_marginals(PAIR, 0.5, UNIT, n_q=64.0)
+    with pytest.raises(ValueError, match=r"^n_q must be an even subinterval count, got 65$"):
+        quadrature_marginals(PAIR, 0.5, UNIT, n_q=65)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncgibbs.errors import (
     AsymmetricKernel,
@@ -15,6 +17,7 @@ from truncgibbs.errors import (
     ZeroOffsetPresent,
 )
 from truncgibbs.kernel import (
+    InteractionKernel,
     LatticeGeometry,
     SpinInterval,
     _neighbour_index,
@@ -133,6 +136,51 @@ def test_norm_one_and_exact_symmetry(kernel):
         mz = tuple(-c for c in z)
         assert weight[z] == weight[mz]
         assert weight[z] > 0.0
+
+
+def test_kernel_rejects_weights_whose_norm_is_not_one():
+    # build_kernel divides by the total, so these kernels are built by hand.  A
+    # norm-2 kernel on one site between boundary values 0.2 and 0.4 has the
+    # conditional law N(0.3, 1/2) on [0, 1] (mean 0.469), where a heat bath
+    # would sample N(0.6, 1) on [0, 1] (mean 0.508)
+    pair, base = ((-1,), (1,)), exp_decay(0.5, 3)
+    heavy = 1.01 * base.weights
+    for offsets, weights, norm in [
+        (pair, [1.0, 1.0], 2.0),                                 # weights summing to 2
+        (base.offsets, heavy, math.fsum(heavy)),                 # 1.01 times the weights
+        (pair, [math.nan, math.nan], math.nan),
+        (pair, [0.5, math.nan], 1.0),
+        (pair, [1.0, 1.0], 1.0),                   # the norm field disagrees with the weights
+        (pair, [0.5, 0.5], 1.0 - 2 ** -53),        # not the exact fsum of the weights
+        (pair, [1e308, 1e308], 1.0),               # a sum beyond the float range
+    ]:
+        with pytest.raises(ValueError, match="kernel weights must sum to norm 1"):
+            InteractionKernel(1, offsets, np.array(weights), norm)
+    assert InteractionKernel(1, pair, np.array([0.5, 0.5]), 1.0).norm == 1.0
+
+
+_offsets = st.integers(1, 2).flatmap(lambda d: st.tuples(
+    st.just(d), st.dictionaries(st.tuples(*[st.integers(-3, 3)] * d),
+                                st.floats(5e-324, 1e300), min_size=1, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_offsets)
+def test_every_built_kernel_has_norm_one(case):
+    # raw weights of any finite positive size, subnormal ones included, pass
+    # the kernel's own norm check with room to spare; only lexicographically
+    # positive offsets are given, and build_kernel fills in the mirrors
+    dimension, raw = case
+    raw = {z: w for z, w in raw.items() if z > (0,) * dimension}
+    if raw:
+        assert abs(build_kernel(dimension, raw).norm - 1.0) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-3, 1e3), st.integers(1, 4), st.integers(1, 2))
+def test_every_preset_has_norm_one(rate, reach, dimension):
+    for kernel in (nearest_neighbor(dimension), exp_decay(rate, reach, dimension)):
+        assert abs(kernel.norm - 1.0) <= 1e-15
 
 
 def test_exp_decay_weight_ratio():

@@ -18,8 +18,8 @@ from truncgibbs.errors import (
     ProbabilityOutOfRange,
     UnknownSite,
 )
+from truncgibbs.finite_spec import build_matrices, specification
 from truncgibbs.kernel import (
-    InteractionKernel,
     LatticeGeometry,
     NeighborTable,
     SpinInterval,
@@ -130,32 +130,24 @@ BOX3 = LatticeGeometry.box([(0,), (1,), (2,)], NN1)       # shell (-1,) and (3,)
     (1.5, OutOfRange),
     ({(-1,): 0.2, (3,): -0.1}, OutOfRange),
     (np.array([0.2, 2.0]), OutOfRange),
+    ({(-1,): 0.0, (3,): 1.0, (9,): 0.3, (0,): 0.5}, GeometryMismatch),    # no shell sites
+    ({(-1,): 0.0, (3,): 1.0, (1,): 0.7}, GeometryMismatch),               # an interior site
 ])
 def test_boundary_errors_are_typed(boundary, error):
+    # the runs and the finite-volume functions read the boundary alike
     table = wrapped_offsets(NN1, BOX3)
     with pytest.raises(error):
         FieldConfiguration.constant(table, UNIT, 0.5, boundary=boundary)
     with pytest.raises(error):
         cftp_samples(BOX3, NN1, UNIT, boundary, 4, seed=0)
+    with pytest.raises(error):
+        specification(build_matrices(BOX3.sites, NN1), boundary, UNIT)
 
 
-def test_unnormalized_kernel_rejected_by_dynamics():
-    # build_kernel always normalizes, so only a hand-built kernel has norm 2
-    k = InteractionKernel(1, ((-1,), (1,)), np.array([1.0, 1.0]), 2.0)
-    table = wrapped_offsets(k, LatticeGeometry.torus([8]))
-    with pytest.raises(ValueError):
-        FieldConfiguration.constant(table, UNIT, 0.5)
-    # every run starts from FieldConfiguration.  A norm-2 kernel on one site
-    # between boundary values 0.2 and 0.4 has the conditional law N(0.3, 1/2)
-    # on [0, 1] (mean 0.469); a heat bath past the check samples N(0.6, 1)
-    # on [0, 1] (mean 0.508)
-    box, torus = LatticeGeometry.box([(0,)], k), LatticeGeometry.torus([8])
-    with pytest.raises(ValueError, match="normalized kernel"):
-        cftp_samples(box, k, UNIT, {(-1,): 0.2, (1,): 0.4}, 100, seed=0)
-    with pytest.raises(ValueError, match="normalized kernel"):
-        run_sandwich(torus, k, UNIT, 2, seed=0)
-    with pytest.raises(ValueError, match="normalized kernel"):
-        stationary_run(torus, k, UNIT, seed=0, burn_in=0, n_sweeps=2)
+def test_boundary_names_its_first_key_outside_the_shell():
+    boundary = {(-1,): 0.0, (9,): 0.3, (0,): 0.5, (3,): 1.0}
+    with pytest.raises(GeometryMismatch, match=r"^boundary key \(9,\) is not a shell site$"):
+        cftp_samples(BOX3, NN1, UNIT, boundary, 4, seed=0)
 
 
 def test_field_configuration_rejects_wrong_interior_shape_and_unknown_site():
@@ -422,6 +414,26 @@ def ring_table(kernel, n):
     offsets = np.array([z[0] for z in kernel.offsets])
     idx = (np.arange(n)[:, None] + offsets) % n
     return NeighborTable(kernel, geometry, idx)
+
+
+def test_neighbor_table_checks_its_index():
+    # the ring rows of range < n <= 2 * range build; on 2 sites the range-2
+    # kernel's rows [0 1 1 0] and [1 0 0 1] name their own site, and the level
+    # schedule would put dependent updates in one level
+    for reach in (1, 2, 3):
+        for n in range(reach + 1, 2 * reach + 1):
+            ring_table(exp_decay(0.5, reach), n)
+    with pytest.raises(GeometryMismatch, match="names its own site"):
+        ring_table(exp_decay(0.5, 2), 2)
+    table = wrapped_offsets(NN1, BOX3)             # 3 sites, 2 shell sites, 2 offsets
+    for idx in [table.idx[:2], table.idx[:, :1], table.idx.astype(float), table.idx.tolist()]:
+        with pytest.raises(GeometryMismatch, match="integer array of shape"):
+            NeighborTable(NN1, BOX3, idx)
+    for entry in (-1, 5):                          # the write-off slot, one past the shell
+        idx = table.idx.copy()
+        idx[1, 0] = entry
+        with pytest.raises(GeometryMismatch, match=r"entries must lie in \[0, 5\)"):
+            NeighborTable(NN1, BOX3, idx)
 
 
 @st.composite

@@ -61,7 +61,7 @@ def reference_beta_residuals(vh, interval, betas, trials, seed):
                         ([(0,), (2,), (3,)], exp_decay(1.0, 3))]),
        st.lists(st.floats(1e-6, 1e6), max_size=5),
        st.sampled_from([UNIT, SpinInterval(-1.0, 1.0), SpinInterval(0.0, 10.0)]),
-       st.integers(0, 12), st.integers(0, 2**64 - 1))
+       st.integers(1, 12), st.integers(0, 2**64 - 1))
 def test_multi_beta_check_equals_a_loop_per_beta(case, betas, interval, trials, seed):
     vh = build_matrices(*case)
     got = beta_scaling_check(vh, interval, betas, trials=trials, seed=seed)
