@@ -166,9 +166,6 @@ def _geometry_from(cfg: dict, kernel):
     kind = _get(cfg, "geometry.kind", str)
     if kind == "torus":
         extents = list(_int_tuple(_get(cfg, "geometry.extents", list), "geometry.extents"))
-        if len(extents) != kernel.dimension:
-            raise ConfigInvalid(f"geometry.extents: {len(extents)} extents, "
-                                f"kernel.dimension is {kernel.dimension}")
         try:
             torus = LatticeGeometry.torus(extents)
             check_torus_extents(kernel, torus)

@@ -7,7 +7,7 @@ that never coalesces) subclass RuntimeError.
 
 
 class NegativeWeight(ValueError):
-    """A kernel weight is negative."""
+    """A kernel weight is negative, or zero at an offset the kernel lists."""
 
 
 class NonFiniteWeight(ValueError):
@@ -15,7 +15,7 @@ class NonFiniteWeight(ValueError):
 
 
 class AsymmetricKernel(ValueError):
-    """J(z) and J(-z) were both given but differ."""
+    """J(z) and J(-z) differ, or a kernel lists z but not -z."""
 
 
 class EmptyKernel(ValueError):

@@ -68,8 +68,11 @@ class SpinInterval:
 def _boundary_array(shell, boundary, interval: SpinInterval | None) -> np.ndarray:
     """Resolve a boundary request (scalar, mapping, or array) to shell order;
     with no ``interval`` the values are not range-checked.  A mapping key that
-    is no shell site raises GeometryMismatch."""
+    is no shell site raises GeometryMismatch, and so does any boundary but
+    None for an empty shell (a torus)."""
     if not shell:
+        if boundary is not None:
+            raise GeometryMismatch("a torus has no shell and takes no boundary")
         return np.empty(0)
     if boundary is None:
         raise MissingSite("box geometry requires boundary values")
@@ -92,24 +95,73 @@ def _boundary_array(shell, boundary, interval: SpinInterval | None) -> np.ndarra
     return gamma
 
 
+def _check_kernel(offsets, weights) -> None:
+    """The one check of the kernel class, for every kernel built.
+
+    ``offsets`` is a non-empty, strictly increasing tuple of nonzero int
+    tuples of one dimension, closed under negation, and ``weights`` a float64
+    array aligned with it, finite, positive and equal on z and -z.  A broken
+    rule raises EmptyKernel, TypeError (a coordinate that is no int),
+    ValueError (mixed dimensions, unsorted or repeated offsets, misaligned
+    weights), ZeroOffsetPresent, NonFiniteWeight, NegativeWeight or
+    AsymmetricKernel, in that order; a message names the largest offset that
+    breaks the rule.
+    """
+    if not offsets:
+        raise EmptyKernel("all weights vanish; need 0 < sum J")
+    if not all(isinstance(z, tuple) and all(type(c) is int for c in z) for z in offsets):
+        raise TypeError("kernel offsets must be tuples of ints")
+    dimension = len(offsets[0])
+    if other := [z for z in offsets if len(z) != dimension]:
+        raise ValueError(f"offset {max(other)} does not have dimension {dimension}")
+    if any(x >= y for x, y in zip(offsets, offsets[1:])):
+        raise ValueError("kernel offsets must be sorted and distinct")
+    if not (isinstance(weights, np.ndarray) and weights.dtype == np.float64
+            and weights.shape == (len(offsets),)):
+        raise ValueError(f"kernel weights must be a float64 array of shape ({len(offsets)},)")
+    weight = dict(zip(offsets, weights.tolist()))
+    largest_first = list(weight.items())[::-1]
+    if (0,) * dimension in weight:
+        raise ZeroOffsetPresent("the zero offset may not carry weight (J(0) = 0)")
+    for z, w in largest_first:
+        if not math.isfinite(w):
+            raise NonFiniteWeight(f"J{z} = {w} is not finite")
+    for z, w in largest_first:
+        if not w > 0.0:
+            raise NegativeWeight(f"J{z} = {w} < 0" if w < 0.0 else f"J{z} = {w} is not positive")
+    for z, w in largest_first:
+        mz = tuple(-c for c in z)
+        if mz not in weight:
+            raise AsymmetricKernel(f"J{z} = {w} but {mz} is no offset")
+        if weight[mz] != w:
+            raise AsymmetricKernel(f"J{z} = {w} but J{mz} = {weight[mz]}")
+
+
 @dataclass(frozen=True, eq=False)
 class InteractionKernel:
-    """Symmetric non-negative coupling weights on nonzero integer offsets;
-    ``norm``, their exact fsum, lies within 1e-12 of 1, or ValueError."""
+    """Coupling weights on integer offsets, in the class :func:`_check_kernel`
+    checks, whose ``norm`` lies within 1e-12 of 1, or ValueError."""
 
-    dimension: int
     offsets: tuple          # lexicographically sorted nonzero offset vectors
     weights: np.ndarray     # positive, aligned with offsets
-    norm: float             # exact fsum of the stored weights
 
     def __post_init__(self):
+        _check_kernel(self.offsets, self.weights)
+        if not abs(self.norm - 1.0) <= 1e-12:
+            raise ValueError(f"kernel weights must sum to 1, got fsum {self.norm!r}")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.offsets[0])
+
+    @property
+    def norm(self) -> float:
+        """The exact fsum of the weights; inf for finite weights whose sum
+        leaves the float range."""
         try:
-            total = math.fsum(self.weights)
-        except OverflowError:           # finite weights whose sum leaves the float range
-            total = math.inf
-        if not (self.norm == total and abs(total - 1.0) <= 1e-12):     # NaN fails both
-            raise ValueError(f"kernel weights must sum to norm 1: fsum {total!r}, "
-                             f"norm {self.norm!r}")
+            return math.fsum(self.weights)
+        except OverflowError:
+            return math.inf
 
     @property
     def range_per_axis(self) -> tuple:
@@ -117,61 +169,41 @@ class InteractionKernel:
 
 
 def build_kernel(dimension: int, raw: dict) -> InteractionKernel:
-    """Validate, symmetrize and normalize a map from offset tuples to weights.
+    """Symmetrize and normalize a map from offset tuples to weights.
 
-    Zero-weight entries are dropped.  A missing mirror offset is filled in;
-    if both J(z) and J(-z) are given they must agree exactly.  Every weight
-    is then divided by the total, so the norm is one up to rounding.
-    ``dimension`` is an integer >= 1, or raises ValueError.
+    Zero-weight entries are dropped and a missing mirror offset is filled
+    in; the table then passes :func:`_check_kernel` (so J(z) and J(-z), if
+    both given, must agree exactly) and every weight is divided by the
+    total, so the norm is one up to rounding.  A weight that the division
+    takes to 0 drops out too.  ``dimension`` is an integer >= 1, or raises
+    ValueError, and so does an offset of another dimension.
     """
     _check_count("dimension", dimension, least=1)
-    zero = (0,) * dimension
     table = {}
     for z, w in raw.items():
         z = tuple(map(operator.index, z))
         if len(z) != dimension:
             raise ValueError(f"offset {z} does not have dimension {dimension}")
         w = float(w)
-        if z == zero:
-            raise ZeroOffsetPresent("the zero offset may not carry weight (J(0) = 0)")
-        if not math.isfinite(w):
-            raise NonFiniteWeight(f"J{z} = {w} is not finite")
-        if w < 0.0:
-            raise NegativeWeight(f"J{z} = {w} < 0")
-        if w == 0.0:
-            continue
-        table[z] = w
-
-    for z in list(table):
-        mz = tuple(-c for c in z)
-        if mz in table:
-            if table[mz] != table[z]:
-                raise AsymmetricKernel(f"J{z} = {table[z]} but J{mz} = {table[mz]}")
-        else:
-            table[mz] = table[z]
-
-    if not table:
-        raise EmptyKernel("all weights vanish; need 0 < sum J")
-
+        if w != 0.0 or not any(z):          # the zero offset stays, to be refused
+            table[z] = w
+    for z, w in list(table.items()):
+        table.setdefault(tuple(-c for c in z), w)
     offsets = tuple(sorted(table))
     weights = np.array([table[z] for z in offsets], dtype=float)
+    _check_kernel(offsets, weights)
     try:
         total = math.fsum(weights)
     except OverflowError:
         raise NonFiniteWeight("the weights sum beyond the float range") from None
     weights = weights / total
-    return InteractionKernel(dimension, offsets, weights, math.fsum(weights))
+    keep = weights > 0.0
+    return InteractionKernel(tuple(itertools.compress(offsets, keep)), weights[keep])
 
 
 def nearest_neighbor(dimension: int) -> InteractionKernel:
     """The `nn` preset: equal weight on the 2d unit offsets, normalized."""
-    raw = {}
-    for axis in range(dimension):
-        for sign in (1, -1):
-            z = [0] * dimension
-            z[axis] = sign
-            raw[tuple(z)] = 1.0
-    return build_kernel(dimension, raw)
+    return exp_decay(1.0, 1, dimension)
 
 
 def exp_decay(rate: float, reach: int, dimension: int = 1) -> InteractionKernel:
@@ -179,6 +211,7 @@ def exp_decay(rate: float, reach: int, dimension: int = 1) -> InteractionKernel:
     if not (rate > 0.0):
         raise ValueError("rate must be positive")
     _check_count("reach", reach, least=1)
+    _check_count("dimension", dimension, least=1)
     raw = {}
     for z in itertools.product(range(-reach, reach + 1), repeat=dimension):
         l1 = sum(abs(c) for c in z)
@@ -211,7 +244,6 @@ class LatticeGeometry:
     """A periodic torus or a finite box with its exterior shell."""
 
     kind: str               # "torus" or "box"
-    dimension: int
     extents: tuple          # torus period per axis; bounding extents for a box
     sites: tuple            # lexicographically ordered interior sites
     shell: tuple = ()       # box only: exterior sites within kernel range
@@ -220,13 +252,19 @@ class LatticeGeometry:
     def n_sites(self) -> int:
         return len(self.sites)
 
+    @property
+    def dimension(self) -> int:
+        return len(self.sites[0])
+
     @classmethod
     def torus(cls, extents) -> "LatticeGeometry":
         extents = tuple(map(operator.index, extents))
+        if not extents:
+            raise ValueError("a torus needs at least one extent")
         if any(e < 1 for e in extents):
             raise ValueError("torus extents must be positive")
         sites = tuple(itertools.product(*(range(e) for e in extents)))
-        return cls("torus", len(extents), extents, sites)
+        return cls("torus", extents, sites)
 
     @classmethod
     def box(cls, sites, kernel: InteractionKernel) -> "LatticeGeometry":
@@ -234,7 +272,7 @@ class LatticeGeometry:
         site the kernel reaches, for that kernel's neighbor table (:func:`wrapped_offsets`) only."""
         sites = _sorted_sites(sites, kernel.dimension)
         extents = tuple(max(c) - min(c) + 1 for c in zip(*sites))
-        return cls("box", kernel.dimension, extents, sites,
+        return cls("box", extents, sites,
                    _neighbour_index(sites, kernel.offsets)[1])
 
 
@@ -281,8 +319,12 @@ class NeighborTable:
 
 
 def check_torus_extents(kernel: InteractionKernel, geometry: LatticeGeometry) -> None:
-    """Raise GeometryTooSmall unless every torus extent exceeds twice the
-    kernel range on its axis, so that wrapped offsets stay distinct."""
+    """Raise GeometryMismatch unless the torus has the kernel's dimension, and
+    GeometryTooSmall unless every torus extent exceeds twice the kernel range
+    on its axis, so that wrapped offsets stay distinct."""
+    if geometry.dimension != kernel.dimension:
+        raise GeometryMismatch(
+            f"kernel dimension {kernel.dimension} != torus dimension {geometry.dimension}")
     for k, (extent, reach) in enumerate(zip(geometry.extents, kernel.range_per_axis)):
         if extent <= 2 * reach:
             raise GeometryTooSmall(
@@ -296,12 +338,8 @@ def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> Nei
     :func:`check_torus_extents`).  On a box, neighbors fall either in
     the interior or in the exterior shell; weights are carried unchanged,
     so each site's weights sum to the kernel norm exactly.  A box built
-    for another kernel has another shell and raises GeometryMismatch.
+    for another kernel, of its dimension or not, raises GeometryMismatch.
     """
-    if kernel.dimension != geometry.dimension:
-        raise GeometryMismatch(
-            f"kernel dimension {kernel.dimension} != geometry dimension {geometry.dimension}")
-
     sites, periods = geometry.sites, None
     if geometry.kind == "torus":
         check_torus_extents(kernel, geometry)

@@ -108,12 +108,14 @@ class UpdateStream:
     Sites are marginally uniform over the volume and uniforms are
     independent across slots.  ``key`` may be an array of keys, one
     independent stream each; ``site_key`` and ``uniform_key`` are then
-    arrays of the same shape.  ``n_sites`` is an integer >= 1 and a count an integer >= 0.
+    arrays of the same shape.  A key is taken modulo 2**64 as a
+    :func:`derive_key` part is, so a float or a string raises TypeError.
+    ``n_sites`` is an integer >= 1 and a count an integer >= 0.
     """
 
     def __init__(self, key, n_sites: int):
         _check_count("n_sites", n_sites, least=1)
-        self.key = np.uint64(key)
+        self.key = _u64(key)
         self.n_sites = int(n_sites)
         self.site_key = derive_key(self.key, "site")
         self.uniform_key = derive_key(self.key, "uniform")

@@ -327,7 +327,7 @@ BAD_INPUTS = [
     ("oracle-check", {"volume": [[0], [1], [2], [3]], "boundary": {"constant": 0.5}},
      "volume: the quadrature oracle takes at most 3 sites, got 4"),
     ("sandwich", {"kernel": {"preset": "nn", "dimension": 2}, "geometry": TORUS8},
-     "geometry.extents: 1 extents, kernel.dimension is 2"),
+     "geometry.extents: kernel dimension 2 != torus dimension 1"),
     # the site-list rules are the library's, named by the field that lists the sites
     ("cftp", {"kernel": {"preset": "nn", "dimension": 2}, "geometry": BOX2,
               "boundary": {"constant": 0.5}},

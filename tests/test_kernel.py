@@ -22,6 +22,7 @@ from truncgibbs.kernel import (
     SpinInterval,
     _neighbour_index,
     build_kernel,
+    check_torus_extents,
     exp_decay,
     nearest_neighbor,
     wrapped_offsets,
@@ -144,19 +145,129 @@ def test_kernel_rejects_weights_whose_norm_is_not_one():
     # conditional law N(0.3, 1/2) on [0, 1] (mean 0.469), where a heat bath
     # would sample N(0.6, 1) on [0, 1] (mean 0.508)
     pair, base = ((-1,), (1,)), exp_decay(0.5, 3)
-    heavy = 1.01 * base.weights
-    for offsets, weights, norm in [
-        (pair, [1.0, 1.0], 2.0),                                 # weights summing to 2
-        (base.offsets, heavy, math.fsum(heavy)),                 # 1.01 times the weights
-        (pair, [math.nan, math.nan], math.nan),
-        (pair, [0.5, math.nan], 1.0),
-        (pair, [1.0, 1.0], 1.0),                   # the norm field disagrees with the weights
-        (pair, [0.5, 0.5], 1.0 - 2 ** -53),        # not the exact fsum of the weights
-        (pair, [1e308, 1e308], 1.0),               # a sum beyond the float range
+    for offsets, weights in [
+        (pair, [1.0, 1.0]),                                      # weights summing to 2
+        (base.offsets, 1.01 * base.weights),                     # 1.01 times the weights
+        (pair, [1e308, 1e308]),                                  # a sum beyond the float range
     ]:
-        with pytest.raises(ValueError, match="kernel weights must sum to norm 1"):
-            InteractionKernel(1, offsets, np.array(weights), norm)
-    assert InteractionKernel(1, pair, np.array([0.5, 0.5]), 1.0).norm == 1.0
+        with pytest.raises(ValueError, match="^kernel weights must sum to 1, got fsum"):
+            InteractionKernel(offsets, np.array(weights))
+    kernel = InteractionKernel(pair, np.array([0.5, 0.5]))
+    assert (kernel.dimension, kernel.norm) == (1, 1.0)
+
+
+PAIR = ((-1,), (1,))
+QUAD = ((-2,), (-1,), (1,), (2,))
+
+
+@pytest.mark.parametrize("offsets, weights, error, message", [
+    # the one-sided kernel built, ran a sandwich and gave a non-symmetric A
+    (((1,),), [1.0], AsymmetricKernel, r"^J\(1,\) = 1.0 but \(-1,\) is no offset$"),
+    (PAIR, [0.25, 0.75], AsymmetricKernel, r"^J\(1,\) = 0.75 but J\(-1,\) = 0.25$"),
+    (QUAD, [-0.25, 0.75, 0.75, -0.25], NegativeWeight, r"^J\(2,\) = -0.25 < 0$"),   # sum 1
+    (QUAD, [0.0, 0.5, 0.5, 0.0], NegativeWeight, r"^J\(2,\) = 0.0 is not positive$"),
+    (PAIR, [0.5, math.nan], NonFiniteWeight, r"^J\(1,\) = nan is not finite$"),
+    (((-1,), (0,), (1,)), [0.25, 0.5, 0.25], ZeroOffsetPresent, "zero offset"),
+    ((), [], EmptyKernel, "all weights vanish"),
+    (((-1,), (0, -1), (0, 1), (1,)), [0.25] * 4, ValueError,
+     r"^offset \(0, 1\) does not have dimension 1$"),
+    (((1,), (-1,)), [0.5, 0.5], ValueError, "sorted and distinct"),
+    (((-1,), (-1,), (1,), (1,)), [0.25] * 4, ValueError, "sorted and distinct"),
+    (PAIR, [0.5, 0.25, 0.25], ValueError, r"float64 array of shape \(2,\)"),
+    (PAIR, np.array([0.5, 0.5], dtype=np.float32), ValueError, "float64 array"),
+    (PAIR, [[0.5, 0.5]], ValueError, "float64 array"),
+    (((-1.0,), (1.0,)), [0.5, 0.5], TypeError, "tuples of ints"),
+    (([-1], [1]), [0.5, 0.5], TypeError, "tuples of ints"),
+])
+def test_a_hand_built_kernel_breaking_a_rule_is_rejected(offsets, weights, error, message):
+    with pytest.raises(error, match=message) as caught:
+        InteractionKernel(offsets, np.asarray(weights))
+    assert type(caught.value) is error
+
+
+def test_kernel_weights_are_an_array():
+    with pytest.raises(ValueError, match="float64 array"):
+        InteractionKernel(PAIR, [0.5, 0.5])
+
+
+def test_a_hand_built_kernel_names_its_largest_offending_offset():
+    offsets = ((-3,), (-2,), (-1,), (1,), (2,), (3,))
+    with pytest.raises(NegativeWeight, match=r"^J\(3,\) = -1.0 < 0$"):
+        InteractionKernel(offsets, np.array([-1.0, -1.0, 2.0, 2.0, -1.0, -1.0]))
+    with pytest.raises(AsymmetricKernel, match=r"^J\(3,\) = 0.125 but J\(-3,\) = 0.25$"):
+        InteractionKernel(offsets, np.array([0.25, 0.125, 0.125, 0.125, 0.25, 0.125]))
+
+
+def test_a_one_dimensional_kernel_on_a_plane_torus_is_a_geometry_mismatch():
+    # it built with a dimension field of 2, and wrapped_offsets raised IndexError
+    kernel = InteractionKernel(PAIR, np.array([0.5, 0.5]))
+    with pytest.raises(GeometryMismatch, match="kernel dimension 1 != torus dimension 2"):
+        wrapped_offsets(kernel, LatticeGeometry.torus([8, 8]))
+
+
+# each map breaks one rule and raises that rule's type, whether build_kernel's
+# own checks or the kernel rules find it
+RAW_ERRORS = [
+    (1, {(1,): 1.0, (-1,): 2.0}, AsymmetricKernel),
+    (1, {(1,): -0.5}, NegativeWeight),
+    (1, {(1,): 1.0, (2,): -1.0, (-2,): -1.0}, NegativeWeight),
+    (1, {(1,): math.nan}, NonFiniteWeight),
+    (2, {(1, 0): 1.0, (0, 1): -math.inf}, NonFiniteWeight),
+    (1, {(1,): 1e308}, NonFiniteWeight),                        # the sum overflows
+    (2, {(0, 0): 1.0, (1, 0): 1.0}, ZeroOffsetPresent),
+    (1, {(0,): 0.0, (1,): 1.0}, ZeroOffsetPresent),             # a zero weight at zero too
+    (1, {(1,): 0.0, (-1,): 0.0}, EmptyKernel),
+    (1, {}, EmptyKernel),
+    (2, {(1,): 1.0}, ValueError),
+    (0, {(1,): 1.0}, ValueError),
+    (1, {(1,): "x"}, ValueError),
+    (1, {1: 1.0}, TypeError),
+    (1, {(1.5,): 1.0}, TypeError),
+]
+
+
+@pytest.mark.parametrize("dimension, raw, error", RAW_ERRORS)
+def test_every_raw_kernel_rule_keeps_its_error_type(dimension, raw, error):
+    with pytest.raises(error) as caught:
+        build_kernel(dimension, raw)
+    assert type(caught.value) is error
+
+
+KERNEL_ERRORS = (AsymmetricKernel, EmptyKernel, NegativeWeight, NonFiniteWeight,
+                 ZeroOffsetPresent)
+_raw_weights = st.one_of(st.floats(5e-324, 1e300), st.floats(), st.sampled_from(
+    [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e308]))
+_raw_kernels = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just(d), st.dictionaries(st.tuples(*[st.integers(-3, 3)] * d), _raw_weights,
+                                max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_kernels)
+def test_a_raw_kernel_raises_a_kernel_error_or_rebuilds_bit_for_bit(case):
+    # build_kernel and InteractionKernel check one rulebook: what the first
+    # returns, the second takes back unchanged
+    dimension, raw = case
+    try:
+        kernel = build_kernel(dimension, raw)
+    except KERNEL_ERRORS:
+        return
+    again = InteractionKernel(kernel.offsets, kernel.weights)
+    assert again.offsets == kernel.offsets and again.dimension == dimension
+    assert again.weights.tobytes() == kernel.weights.tobytes()
+    assert abs(kernel.norm - 1.0) <= 1e-15
+
+
+def test_nearest_neighbor_is_exp_decay_of_rate_one_and_reach_one():
+    for d in (1, 2, 3):
+        nn, exp = nearest_neighbor(d), exp_decay(1.0, 1, d)
+        assert nn.offsets == exp.offsets and nn.weights.tobytes() == exp.weights.tobytes()
+        assert len(nn.offsets) == 2 * d and np.all(nn.weights == 1.0 / (2 * d))
+
+
+def test_a_weight_that_normalizing_takes_to_zero_drops_out():
+    k = build_kernel(1, {(1,): 5e-324, (2,): 1e300})
+    assert k.offsets == ((-2,), (2,)) and list(k.weights) == [0.5, 0.5]
 
 
 _offsets = st.integers(1, 2).flatmap(lambda d: st.tuples(
@@ -283,6 +394,21 @@ def test_offset_of_the_wrong_dimension_rejected():
 def test_torus_extent_below_one_rejected(extents):
     with pytest.raises(ValueError, match="torus extents must be positive"):
         LatticeGeometry.torus(extents)
+
+
+def test_a_torus_has_at_least_one_axis():
+    # it built a one-site torus of dimension 0
+    with pytest.raises(ValueError, match="a torus needs at least one extent"):
+        LatticeGeometry.torus([])
+
+
+def test_torus_extents_check_the_kernel_dimension():
+    # zip dropped the extra kernel axis, and the check passed
+    with pytest.raises(GeometryMismatch, match="kernel dimension 2 != torus dimension 1"):
+        check_torus_extents(nearest_neighbor(2), LatticeGeometry.torus([8]))
+    with pytest.raises(GeometryMismatch, match="kernel dimension 1 != torus dimension 2"):
+        check_torus_extents(nearest_neighbor(1), LatticeGeometry.torus([8, 8]))
+    assert LatticeGeometry.torus([8, 9]).dimension == 2
 
 
 def test_box_needs_sites_of_the_kernel_dimension():

@@ -150,6 +150,16 @@ def test_boundary_names_its_first_key_outside_the_shell():
         cftp_samples(BOX3, NN1, UNIT, boundary, 4, seed=0)
 
 
+@pytest.mark.parametrize("boundary", [{(3,): 9.0, (99,): 2.0}, "garbage", 0.5])
+def test_a_torus_takes_no_boundary(boundary):
+    # a torus has no shell; a boundary given for one was dropped unread
+    torus = LatticeGeometry.torus([8])
+    with pytest.raises(GeometryMismatch, match="takes no boundary"):
+        FieldConfiguration.constant(wrapped_offsets(NN1, torus), UNIT, 0.5, boundary=boundary)
+    with pytest.raises(GeometryMismatch, match="takes no boundary"):
+        run_sandwich(torus, NN1, UNIT, 5, seed=0, boundary=boundary)
+
+
 def test_field_configuration_rejects_wrong_interior_shape_and_unknown_site():
     table = wrapped_offsets(NN1, LatticeGeometry.torus([8]))
     with pytest.raises(ValueError, match="expected 8 interior values"):

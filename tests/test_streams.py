@@ -90,9 +90,12 @@ def test_n_sites_validation():
 
 @pytest.mark.parametrize("part", [7.9, "12", np.float64(3.0), np.array([1.5])])
 def test_key_parts_that_are_not_integers_are_rejected(part):
-    # int() took 7.9 as seed 7 and "12" as 12, so distinct seeds gave one key
+    # int() took 7.9 as seed 7 and "12" as 12, so distinct seeds gave one key,
+    # and np.uint64() did the same to a stream key
     with pytest.raises(TypeError):
         derive_key(part)
+    with pytest.raises(TypeError):
+        UpdateStream(part, 4)
     if not isinstance(part, str):       # a string part is a tag
         with pytest.raises(TypeError):
             derive_key(3, "x", part)
@@ -102,6 +105,11 @@ def test_integer_key_parts_keep_their_bits():
     assert derive_key(np.uint64(7), True) == derive_key(7, 1)
     assert derive_key(np.int32(-5)) == derive_key(2 ** 64 - 5)
     assert derive_key(3, np.array([4], dtype=np.uint8)).tolist() == [int(derive_key(3, 4))]
+    for key, bits in [(7, 7), (np.int32(-1), 2 ** 64 - 1), (np.uint64(2 ** 64 - 1), 2 ** 64 - 1)]:
+        stream = UpdateStream(key, 4)
+        assert isinstance(stream.key, np.uint64) and stream.key == bits
+    keys = np.array([0, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    assert UpdateStream(keys, 4).key.tolist() == keys.tolist()
 
 
 SEEDS = st.integers(min_value=-(2 ** 63), max_value=2 ** 64 - 1)
