@@ -56,9 +56,13 @@ def _get(cfg: dict, path: str, kind, default=_REQUIRED):
 
 
 def _typed(node, path: str, kind):
-    """``node`` as ``kind``; int and float accept numbers but not booleans."""
+    """``node`` as ``kind``; int and float accept numbers but not booleans,
+    and float no integer beyond the float range."""
     if kind is float and isinstance(node, (int, float)) and not isinstance(node, bool):
-        return float(node)
+        try:
+            return float(node)
+        except OverflowError:
+            raise ConfigInvalid(f"{path}: expected float, got int beyond the float range") from None
     if kind is not None and (not isinstance(node, kind)
                              or (kind is int and isinstance(node, bool))):
         raise ConfigInvalid(f"{path}: expected {getattr(kind, '__name__', kind)}, "
@@ -408,9 +412,10 @@ def _run_cftp(cfg, out, seed):
         raise ConfigInvalid("geometry.kind: cftp requires a box")
     sites = run.geometry.sites
     n_samples = _int_from(cfg, "n_samples", 1000)
-    if len(sites) <= 3 and n_samples < diagnostics.KS_MIN_SAMPLES:
-        raise ConfigInvalid(f"n_samples: the oracle checks of a box of at most 3 sites "
-                            f"need at least {diagnostics.KS_MIN_SAMPLES}, got {n_samples}")
+    if len(sites) <= diagnostics.MAX_ORACLE_SITES and n_samples < diagnostics.KS_MIN_SAMPLES:
+        raise ConfigInvalid(f"n_samples: the oracle checks of a box of at most "
+                            f"{diagnostics.MAX_ORACLE_SITES} sites need at least "
+                            f"{diagnostics.KS_MIN_SAMPLES}, got {n_samples}")
     eps = _get(cfg, "eps_coal", float, 1e-9)
     if not eps >= 0.0:     # a negative or NaN tolerance never coalesces, runs to t_cap
         raise ConfigInvalid(f"eps_coal: must be >= 0, got {eps}")
@@ -424,7 +429,7 @@ def _run_cftp(cfg, out, seed):
 
     verdicts = []
     ks_rows = []
-    if len(sites) <= 3:
+    if len(sites) <= diagnostics.MAX_ORACLE_SITES:
         oracle = diagnostics.quadrature_marginals(
             finite_spec.build_matrices(sites, run.kernel), run.boundary, run.interval, n_q=n_q)
         # 0.02 is calibrated for 1e4 samples; below that use the 99.9%
@@ -544,8 +549,9 @@ def _run_af_probe(cfg, out, seed):
 
 def _run_oracle_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
-    if run.vh.n_sites > 3:
-        raise ConfigInvalid(f"volume: the quadrature oracle takes at most 3 sites, "
+    if run.vh.n_sites > diagnostics.MAX_ORACLE_SITES:
+        raise ConfigInvalid(f"volume: the quadrature oracle takes at most "
+                            f"{diagnostics.MAX_ORACLE_SITES} sites, "
                             f"got {run.vh.n_sites}")
     n_q = _n_q_from(cfg)
     config = run.config(n_q=n_q)

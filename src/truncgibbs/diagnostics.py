@@ -77,6 +77,7 @@ def _simpson_weights(n_intervals: int, step: float) -> np.ndarray:
 
 _AXES = "abc"                    # one einsum index per volume site
 MIN_N_Q = 64                     # the fewest Simpson subintervals quadrature_marginals accepts
+MAX_ORACLE_SITES = 3             # the most sites quadrature_marginals accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +109,9 @@ def quadrature_marginals(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
     if n_q % 2:
         raise ValueError(f"n_q must be an even subinterval count, got {n_q}")
     k = vh.n_sites
-    if k > 3:
-        raise VolumeTooLarge(f"tensor grid over {k} sites is not tractable (limit 3)")
+    if k > MAX_ORACLE_SITES:
+        raise VolumeTooLarge(f"tensor grid over {k} sites is not tractable "
+                             f"(limit {MAX_ORACLE_SITES})")
     gamma = _boundary_array(vh.shell, gamma, interval)
 
     grid = np.linspace(interval.a, interval.b, n_q + 1)

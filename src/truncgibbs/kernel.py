@@ -12,7 +12,8 @@ shells, the neighbour tables and ``finite_spec``'s matrices, and one reader
 puts boundary values in shell order for all of them.
 
 Kernels, geometries and neighbor tables are immutable after construction
-and safe to share across concurrent readers.
+(their arrays are read-only copies of what they were given) and safe to
+share across concurrent readers.
 """
 
 from __future__ import annotations
@@ -95,6 +96,13 @@ def _boundary_array(shell, boundary, interval: SpinInterval | None) -> np.ndarra
     return gamma
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A copy of ``array`` that raises ValueError on a write."""
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 def _check_kernel(offsets, weights) -> None:
     """The one check of the kernel class, for every kernel built.
 
@@ -140,7 +148,8 @@ def _check_kernel(offsets, weights) -> None:
 @dataclass(frozen=True, eq=False)
 class InteractionKernel:
     """Coupling weights on integer offsets, in the class :func:`_check_kernel`
-    checks, whose ``norm`` lies within 1e-12 of 1, or ValueError."""
+    checks, whose ``norm`` lies within 1e-12 of 1, or ValueError; ``weights``
+    is then stored as a read-only copy."""
 
     offsets: tuple          # lexicographically sorted nonzero offset vectors
     weights: np.ndarray     # positive, aligned with offsets
@@ -149,6 +158,7 @@ class InteractionKernel:
         _check_kernel(self.offsets, self.weights)
         if not abs(self.norm - 1.0) <= 1e-12:
             raise ValueError(f"kernel weights must sum to 1, got fsum {self.norm!r}")
+        object.__setattr__(self, "weights", _read_only(self.weights))
 
     @property
     def dimension(self) -> int:
@@ -295,7 +305,8 @@ class NeighborTable:
         """Raise GeometryMismatch unless ``idx`` is an integer array with a row
         per site and a column per offset, each entry a site or shell index (a
         negative one would read the runs' write-off slot) and no row naming
-        its own site, which the level schedule of the runs assumes."""
+        its own site, which the level schedule of the runs assumes; then
+        store ``idx`` as a read-only copy."""
         idx, n = self.idx, self.geometry.n_sites
         shape, slots = (n, len(self.kernel.offsets)), n + len(self.geometry.shell)
         if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu" and idx.shape == shape):
@@ -304,6 +315,7 @@ class NeighborTable:
             raise GeometryMismatch(f"neighbour index entries must lie in [0, {slots})")
         if (idx == np.arange(n)[:, None]).any():
             raise GeometryMismatch("a neighbour row names its own site")
+        object.__setattr__(self, "idx", _read_only(idx))
 
     @property
     def shell(self):

@@ -3,7 +3,10 @@
 Everything the dynamics needs about the unit-variance normal conditioned
 to [a, b]: density, CDF, inverse CDF, the closed-form mean, and the
 mean-shift function (odd about the interval midpoint, increasing, and
-invertible) together with its inverse.
+invertible) together with its inverse.  Both the density and the mean
+shift divide by the mass in :func:`_over_mass`, in log space below
+``_TINY_MASS``, with libm's ``exp`` (:func:`_exp`) and scipy's ``log1p``,
+so their bits are the same on each of numpy's SIMD kernel classes.
 
 Sampling is by inverse CDF on purpose: the map (m, u) -> quantile is
 deterministic and non-decreasing in both arguments up to rounding (see
@@ -15,17 +18,18 @@ functions broadcast over numpy arrays and are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy._core.umath import clip as _clip   # the ufunc behind ndarray.clip
-from scipy.special import inv_boxcox, log_ndtr, ndtr, ndtri
+from scipy.special import inv_boxcox, log1p, log_ndtr, ndtr, ndtri
 
 from .errors import DegenerateInterval, OutOfRange, ProbabilityOutOfRange
 from .kernel import SpinInterval
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY_MASS = 1e-15   # below this, switch from linear to log-space formulas
 _SIGN = np.array([1.0, -1.0])   # the tail sign s, indexed by [upper tail]
 _ZERO, _ONE = np.array(0.0), np.array(1.0)   # 0-d operands for _sample_many
@@ -61,17 +65,35 @@ def _mass(alpha, beta):
     return s * (ndtr(s * beta) - ndtr(s * alpha)) + 0.0
 
 
-def _log_mass(alpha, beta):
-    """log(Phi(beta) - Phi(alpha)), stable arbitrarily far into either tail."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    # reflect so the interval sits in the lower tail, where log_ndtr is sharp
+def _log_sub(hi, lo):
+    """log(e^hi - e^lo) for lo <= hi, elementwise; -inf where lo == hi."""
+    return hi + log1p(-_exp(lo - hi))
+
+
+def _over_mass(m, interval: SpinInterval, num, log_num):
+    """num(alpha, beta) / (Phi(beta) - Phi(alpha)), alpha = a - m and beta = b - m,
+    elementwise: the one division by the interval mass.
+
+    Where the mass (:func:`_mass`) is at least ``_TINY_MASS`` it divides
+    linearly, building the numerator after the mass.  Elsewhere (NaN too) it
+    works in log space, on the sign and log magnitude ``log_num(alpha, beta)``
+    of the numerator and the log mass from ``log_ndtr`` in the lower tail;
+    a log mass that is not finite raises DegenerateInterval.
+    """
+    alpha, beta = _endpoints(m, interval)
+    z = _mass(alpha, beta)
+    small = ~(z >= _TINY_MASS)
+    if not small.any():
+        return num(alpha, beta) / z
     flip = alpha > 0.0
-    lo = np.where(flip, -beta, alpha)
-    hi = np.where(flip, -alpha, beta)
-    la, lb = log_ndtr(lo), log_ndtr(hi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return lb + np.log1p(-np.exp(la - lb))
+        logz = _log_sub(log_ndtr(np.where(flip, -alpha, beta)),
+                        log_ndtr(np.where(flip, -beta, alpha)))
+        if not np.isfinite(logz[small]).all():
+            raise DegenerateInterval(f"no normal mass on [{interval.a}, {interval.b}] for m={m}")
+        sign, log_size = log_num(alpha, beta)
+        tiny = sign * _exp(log_size - logz)
+    return np.where(small, tiny, num(alpha, beta) / np.where(small, 1.0, z))
 
 
 @dataclass(frozen=True)
@@ -96,18 +118,10 @@ def _points(u):
 
 
 def density(tn: TruncatedNormal, u):
-    """phi(u - m) / (Phi(b - m) - Phi(a - m)) on [a, b], zero outside; as in
-    :func:`varphi`, an element of mass below ``_TINY_MASS`` divides in log space."""
-    alpha, beta = _endpoints(tn.m, tn.interval)
+    """phi(u - m) / (Phi(b - m) - Phi(a - m)) on [a, b] by :func:`_over_mass`, zero outside."""
     u = _points(u)
-    z = _mass(alpha, beta)
-    small = ~(z >= _TINY_MASS)      # NaN too: a NaN mean fails the log-space check
-    g = _phi(u - tn.m) / np.where(small, 1.0, z)
-    if np.any(small):
-        logz = _log_mass(alpha, beta)
-        if np.any(~np.isfinite(np.where(small, logz, 0.0))):
-            raise DegenerateInterval(f"no normal mass on [{tn.interval.a}, {tn.interval.b}] for m={tn.m}")
-        g = np.where(small, np.exp(_log_phi(u - tn.m) - logz), g)
+    g = _over_mass(tn.m, tn.interval, lambda alpha, beta: _phi(u - tn.m),
+                   lambda alpha, beta: (1.0, _log_phi(u - tn.m)))
     inside = (u >= tn.interval.a) & (u <= tn.interval.b)
     out = np.where(inside, g, 0.0)
     return out if out.ndim else float(out)
@@ -129,32 +143,16 @@ def varphi(m, interval: SpinInterval):
     """The mean-shift (phi(b-m) - phi(a-m)) / (Phi(b-m) - Phi(a-m)).
 
     Odd about the interval midpoint and strictly increasing on [a, b];
-    the truncated-normal mean is m minus this value.  The mass takes 2
-    ``ndtr`` per element (:func:`_mass`), and the ``np.where`` guards of
-    the log-space fallback run only when some mass is below ``_TINY_MASS``
-    or NaN; a NaN mean then fails the fallback's check and raises
-    DegenerateInterval.
+    the truncated-normal mean is m minus this value.  The division is
+    :func:`_over_mass`'s, whose log-space branch takes the numerator as
+    the sign and the log of |phi(beta) - phi(alpha)|; a NaN mean raises
+    DegenerateInterval there.
     """
-    alpha, beta = _endpoints(m, interval)
-    z = _mass(alpha, beta)
-    small = ~(z >= _TINY_MASS)
-    if not np.any(small):
-        plain = (_phi(beta) - _phi(alpha)) / z
-        return plain if plain.ndim else float(plain)
+    def log_gap(alpha, beta):
+        la, lb = _log_phi(alpha), _log_phi(beta)
+        return np.where(lb >= la, 1.0, -1.0), _log_sub(np.maximum(la, lb), np.minimum(la, lb))
 
-    # log-space fallback: numerator and denominator shrink at matched rates
-    logz = _log_mass(alpha, beta)
-    la, lb = _log_phi(alpha), _log_phi(beta)
-    hi = np.maximum(la, lb)
-    lo = np.minimum(la, lb)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lognum = hi + np.log1p(-np.exp(lo - hi))
-    sign = np.where(lb >= la, 1.0, -1.0)
-    fallback = sign * np.exp(lognum - logz)
-    if np.any(small & ~np.isfinite(fallback)):
-        raise DegenerateInterval(f"no normal mass on [{interval.a}, {interval.b}] for m={m}")
-    plain = (_phi(beta) - _phi(alpha)) / np.where(small, 1.0, z)
-    out = np.where(small, fallback, plain)
+    out = _over_mass(m, interval, lambda alpha, beta: _phi(beta) - _phi(alpha), log_gap)
     return out if out.ndim else float(out)
 
 

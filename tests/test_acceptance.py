@@ -497,6 +497,28 @@ def test_levelled_artifact_bytes_are_pinned(levelled_digests, artifact):
     assert levelled_digests[artifact] == LEVELLED_SHA256[artifact]
 
 
+# The far tail of the truncated normal on [0, 1]: means 8.5 <= |m| <= 60,
+# almost all with an interval mass below truncnorm._TINY_MASS, so the
+# values come from the log-space branch of the division by the mass
+FAR_TAIL = np.linspace(8.5, 60.0, 20_001)
+FAR_TAIL_MEANS = np.concatenate([-FAR_TAIL[::-1], FAR_TAIL])
+FAR_TAIL_SHA256 = "27a8bb4275d5d2cbd4f8d82b44a70032d9ed7b05ed8921dacbbf4f41f50a351d"
+
+
+def test_far_tail_truncnorm_bytes_are_pinned():
+    """The sha256 of ``varphi``, ``density`` at the midpoint and ``mean``
+    over ``FAR_TAIL_MEANS`` (numpy 2.4.6, scipy 1.17.1).  Their exp is
+    libm's and their log1p scipy's, so the bits are the same on each of
+    numpy's SIMD kernel classes; with numpy's exp and log1p, 1,869 of the
+    40,002 mean shifts and 1,898 of the densities took other bits on its
+    AVX-512 kernels than on its AVX2 ones."""
+    tn = TruncatedNormal(FAR_TAIL_MEANS, UNIT)
+    digest = hashlib.sha256()
+    for values in (varphi(FAR_TAIL_MEANS, UNIT), density(tn, 0.5), mean(tn)):
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == FAR_TAIL_SHA256
+
+
 # ---------------------------------------------------------------------------
 # 11. The reflection probe runs, archives, and stays deterministic
 # ---------------------------------------------------------------------------

@@ -305,6 +305,21 @@ BAD_INPUTS = [
     ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1], [2]]},
               "boundary": {"constant": 0.5}, "n_samples": 99},
      "n_samples: the oracle checks of a box of at most 3 sites need at least 100, got 99"),
+    # a JSON integer has no bound: one beyond the float range in a float field is named
+    ("ident4", {"geometry": TORUS8, "interval": [0.0, 10**400]},
+     "interval[1]: expected float, got int beyond the float range"),
+    ("sandwich", {"kernel": {"dimension": 1, "offsets": [[[1], 10**400]]}, "geometry": TORUS8},
+     "kernel.offsets[0][1]: expected float, got int beyond the float range"),
+    ("pd-check", {"kernel": {"preset": "exp-decay", "dimension": 1, "rate": 10**400, "range": 1},
+                  "volume": VOLUME2}, "kernel.rate: expected float, got int beyond"),
+    ("spec-check", {"volume": VOLUME2, "boundary": {"constant": 10**400}},
+     "boundary.constant: expected float, got int beyond the float range"),
+    ("oracle-check", {"volume": VOLUME2, "boundary": {"values": [[[-1], 0.0], [[2], -10**400]]}},
+     "boundary.values[1][1]: expected float, got int beyond the float range"),
+    ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "eps_coal": 10**400},
+     "eps_coal: expected float, got int beyond the float range"),
+    ("beta-check", {"volume": VOLUME2, "betas": [1.0, 10**400]},
+     "betas[1]: expected float, got int beyond the float range"),
     # CFTP's first horizon is max(2, n) on n sites: a cap below it would run nothing
     ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1], [2]]},
               "boundary": {"constant": 0.5}, "t_cap": 2},

@@ -19,6 +19,7 @@ from truncgibbs.errors import (
 from truncgibbs.kernel import (
     InteractionKernel,
     LatticeGeometry,
+    NeighborTable,
     SpinInterval,
     _neighbour_index,
     build_kernel,
@@ -421,3 +422,22 @@ def test_box_needs_sites_of_the_kernel_dimension():
 def test_neighbour_index_rejects_offsets_of_another_dimension():
     with pytest.raises(GeometryMismatch, match="offsets of dimension 2 for sites of 1"):
         _neighbour_index(((0,), (1,)), ((1, 0), (-1, 0)))
+
+
+def test_checked_weights_and_neighbour_index_are_read_only():
+    # a write after the checks would bypass them: weights that sum to 5.5,
+    # or a neighbour row that names its own site
+    k = nearest_neighbor(1)
+    with pytest.raises(ValueError, match="read-only"):
+        k.weights[0] = 5.0
+    assert k.norm == 1.0
+    table = wrapped_offsets(k, LatticeGeometry.torus((8,)))
+    with pytest.raises(ValueError, match="read-only"):
+        table.idx[0, 0] = 0
+    assert table.idx[0].tolist() == [7, 1]
+    # the arrays given to the constructors stay the callers' own
+    weights, idx = np.array([0.5, 0.5]), table.idx.copy()
+    kernel = InteractionKernel(((-1,), (1,)), weights)
+    table = NeighborTable(kernel, table.geometry, idx)
+    weights[0] = idx[0, 0] = 3
+    assert kernel.weights.tolist() == [0.5, 0.5] and table.idx[0, 0] == 7

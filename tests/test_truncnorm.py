@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log1p, log_ndtr, ndtr, ndtri
 
 from helpers import scalar_quantile
 from truncgibbs import truncnorm
@@ -73,6 +73,34 @@ def test_phi_is_libm_exp_bit_for_bit():
     got = truncnorm._phi(xs)
     want = np.array([math.exp(-0.5 * x * x) / truncnorm._SQRT_2PI for x in xs.tolist()])
     assert got.tobytes() == want.tobytes()
+
+
+def test_log_space_division_is_libm_bit_for_bit():
+    # below _TINY_MASS the density and the mean shift divide in log space;
+    # numpy's exp and log1p give other last bits on its AVX-512 kernels than
+    # on its AVX2 ones, and the division takes libm's exp and scipy's log1p
+    far = np.linspace(8.5, 60.0, 2_001)
+    means = np.concatenate([-far, far])
+    means = means[_mass(UNIT.a - means, UNIT.b - means) < truncnorm._TINY_MASS]
+    assert means.size > 3_900
+
+    def log_sub(hi, lo):
+        return hi + log1p(-math.exp(lo - hi))
+
+    def log_phi(x):
+        return -0.5 * x * x - truncnorm._LOG_SQRT_2PI
+
+    shifts, densities = [], []
+    for m in means.tolist():
+        alpha, beta = 0.0 - m, 1.0 - m
+        lo, hi = (-beta, -alpha) if alpha > 0.0 else (alpha, beta)
+        log_z = log_sub(log_ndtr(hi), log_ndtr(lo))
+        la, lb = log_phi(alpha), log_phi(beta)
+        sign = 1.0 if lb >= la else -1.0
+        shifts.append(sign * math.exp(log_sub(max(la, lb), min(la, lb)) - log_z))
+        densities.append(math.exp(log_phi(0.5 - m) - log_z))
+    assert varphi(means, UNIT).tobytes() == np.array(shifts).tobytes()
+    assert density(TruncatedNormal(means, UNIT), 0.5).tobytes() == np.array(densities).tobytes()
 
 
 def test_density_center_symmetric_interval():
