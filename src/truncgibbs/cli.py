@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, finite_spec, sampler, transforms, truncnorm
-from .errors import (ConfigInvalid, DuplicateSite, EmptyVolume, GeometryMismatch, MissingSite,
-                     NonpositiveBeta, OutOfRange)
+from .errors import ConfigInvalid, NonpositiveBeta, OutOfRange
 from .kernel import (
     LatticeGeometry,
     SpinInterval,
@@ -32,7 +31,7 @@ from .kernel import (
     exp_decay,
     nearest_neighbor,
 )
-from .streams import uniform_configurations
+from .streams import _check_count, uniform_configurations
 
 _REQUIRED = object()
 _SHARED = ("kernel", "geometry", "volume", "interval", "boundary", "seed")
@@ -77,17 +76,16 @@ def _int_tuple(node, path: str) -> tuple:
 
 
 def _sites_from(nodes: list, path: str) -> list:
-    """A JSON list of sites as integer tuples; the site-list rules are checked
-    where the sites are used (:func:`_site_list`)."""
+    """A JSON list of sites as integer tuples; the library checks the list (:func:`_checked`)."""
     return [_int_tuple(node, f"{path}[{r}]") for r, node in enumerate(nodes)]
 
 
-def _site_list(path: str, build, sites, kernel):
-    """``build(sites, kernel)``, with the site-list errors it raises (no site,
-    one of another dimension, one listed twice) as ConfigInvalid at ``path``."""
+def _checked(path: str, check, *args):
+    """``check(*args)``, with the library input error it raises (a ValueError)
+    as ConfigInvalid at ``path``: the CLI resolves a config by the library's rules."""
     try:
-        return build(sites, kernel)
-    except (EmptyVolume, GeometryMismatch, DuplicateSite) as err:
+        return check(*args)
+    except ValueError as err:
         raise ConfigInvalid(f"{path}: {err}") from None
 
 
@@ -107,16 +105,8 @@ def _unknown_fields(cfg: dict, echo: dict, path: str = ""):
 
 def _int_from(cfg, path, default=_REQUIRED, least=1):
     value = _get(cfg, path, int, default)
-    if value < least:
-        raise ConfigInvalid(f"{path}: must be an integer >= {least}, got {value}")
+    _checked(path, _check_count, path.rpartition(".")[2], value, least)
     return value
-
-
-def _n_q_from(cfg):
-    n_q = _get(cfg, "n_q", int, 256)
-    if n_q < diagnostics.MIN_N_Q or n_q % 2:
-        raise ConfigInvalid(f"n_q: must be an even integer >= {diagnostics.MIN_N_Q}, got {n_q}")
-    return n_q
 
 
 def _load_config(path: str) -> dict:
@@ -139,10 +129,7 @@ def _kernel_from(cfg: dict):
     if preset == "exp-decay":
         rate = _get(cfg, "kernel.rate", float)
         reach = _int_from(cfg, "kernel.range")
-        try:
-            kern = exp_decay(rate, reach, dimension)
-        except ValueError as err:
-            raise ConfigInvalid(f"kernel.rate: {err}") from None
+        kern = _checked("kernel.rate", exp_decay, rate, reach, dimension)
         return kern, {
             "preset": "exp-decay", "dimension": dimension, "rate": rate, "range": reach}
     if preset is not None:
@@ -158,10 +145,7 @@ def _kernel_from(cfg: dict):
         if z in raw:
             raise ConfigInvalid(f"{path}[0]: offset {list(z)} is given twice")
         raw[z] = entry[1]
-    try:
-        kern = build_kernel(dimension, raw)
-    except ValueError as err:
-        raise ConfigInvalid(f"kernel.offsets: {err}") from None
+    kern = _checked("kernel.offsets", build_kernel, dimension, raw)
     return kern, {"dimension": dimension, "offsets": [[list(z), w] for z, w in raw.items()]}
 
 
@@ -170,15 +154,12 @@ def _geometry_from(cfg: dict, kernel):
     kind = _get(cfg, "geometry.kind", str)
     if kind == "torus":
         extents = list(_int_tuple(_get(cfg, "geometry.extents", list), "geometry.extents"))
-        try:
-            torus = LatticeGeometry.torus(extents)
-            check_torus_extents(kernel, torus)
-        except ValueError as err:
-            raise ConfigInvalid(f"geometry.extents: {err}") from None
+        torus = _checked("geometry.extents", LatticeGeometry.torus, extents)
+        _checked("geometry.extents", check_torus_extents, kernel, torus)
         return torus, {"kind": "torus", "extents": extents}
     if kind == "box":
         sites = _sites_from(_get(cfg, "geometry.sites", list), "geometry.sites")
-        box = _site_list("geometry.sites", LatticeGeometry.box, sites, kernel)
+        box = _checked("geometry.sites", LatticeGeometry.box, sites, kernel)
         return box, {"kind": "box", "sites": [list(s) for s in box.sites]}
     raise ConfigInvalid(f"geometry.kind: expected 'torus' or 'box', got {kind!r}")
 
@@ -188,10 +169,7 @@ def _interval_from(cfg: dict):
     if len(pair) != 2:
         raise ConfigInvalid("interval: expected [a, b]")
     a, b = (_typed(end, f"interval[{k}]", float) for k, end in enumerate(pair))
-    try:
-        interval = SpinInterval(a, b)
-    except ValueError as err:
-        raise ConfigInvalid(f"interval: {err}") from None
+    interval = _checked("interval", SpinInterval, a, b)
     return interval, [interval.a, interval.b]
 
 
@@ -209,10 +187,7 @@ def _boundary_from(cfg: dict, shell, interval):
             if site in given:
                 raise ConfigInvalid(f"{at}[0]: site {list(site)} is given twice")
             given[site] = _typed(entry[1], f"{at}[1]", float)
-    try:
-        gamma = _boundary_array(shell, given, interval)
-    except (MissingSite, OutOfRange, GeometryMismatch) as err:
-        raise ConfigInvalid(f"{path}: {err}") from None
+    gamma = _checked(path, _boundary_array, shell, given, interval)
     if isinstance(given, dict):
         return gamma, {"values": [[list(s), given[s]] for s in shell]}
     return gamma, {"constant": given}
@@ -240,8 +215,7 @@ class _Setup:
             self.geometry, self._head["geometry"] = _geometry_from(cfg, self.kernel)
             shell = self.geometry.shell
         else:
-            self.vh = _site_list("volume", finite_spec.build_matrices, _volume_from(cfg),
-                                 self.kernel)
+            self.vh = _checked("volume", finite_spec.build_matrices, _volume_from(cfg), self.kernel)
             self._head["volume"] = [list(s) for s in self.vh.sites]
             shell = self.vh.shell
         if interval:
@@ -412,15 +386,12 @@ def _run_cftp(cfg, out, seed):
         raise ConfigInvalid("geometry.kind: cftp requires a box")
     sites = run.geometry.sites
     n_samples = _int_from(cfg, "n_samples", 1000)
-    if len(sites) <= diagnostics.MAX_ORACLE_SITES and n_samples < diagnostics.KS_MIN_SAMPLES:
-        raise ConfigInvalid(f"n_samples: the oracle checks of a box of at most "
-                            f"{diagnostics.MAX_ORACLE_SITES} sites need at least "
-                            f"{diagnostics.KS_MIN_SAMPLES}, got {n_samples}")
-    eps = _get(cfg, "eps_coal", float, 1e-9)
-    if not eps >= 0.0:     # a negative or NaN tolerance never coalesces, runs to t_cap
-        raise ConfigInvalid(f"eps_coal: must be >= 0, got {eps}")
-    t_cap = _int_from(cfg, "t_cap", 1 << 20, least=max(2, len(sites)))   # the first horizon
-    n_q = _n_q_from(cfg)
+    if graded := diagnostics.oracle_takes(len(sites)):     # the samples then face a KS test
+        _checked("n_samples", diagnostics.check_ks_samples, n_samples)
+    eps = _checked("eps_coal", sampler.check_eps_coal, _get(cfg, "eps_coal", float, 1e-9))
+    t_cap = _int_from(cfg, "t_cap", 1 << 20)
+    _checked("t_cap", sampler.first_horizon, len(sites), t_cap)
+    n_q = _checked("n_q", diagnostics.check_n_q, _get(cfg, "n_q", int, 256))
     config = run.config(n_samples=n_samples, eps_coal=eps, t_cap=t_cap, n_q=n_q)
 
     samples = sampler.cftp_samples(run.geometry, run.kernel, run.interval, run.boundary,
@@ -429,7 +400,7 @@ def _run_cftp(cfg, out, seed):
 
     verdicts = []
     ks_rows = []
-    if len(sites) <= diagnostics.MAX_ORACLE_SITES:
+    if graded:
         oracle = diagnostics.quadrature_marginals(
             finite_spec.build_matrices(sites, run.kernel), run.boundary, run.interval, n_q=n_q)
         # 0.02 is calibrated for 1e4 samples; below that use the 99.9%
@@ -549,11 +520,8 @@ def _run_af_probe(cfg, out, seed):
 
 def _run_oracle_check(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
-    if run.vh.n_sites > diagnostics.MAX_ORACLE_SITES:
-        raise ConfigInvalid(f"volume: the quadrature oracle takes at most "
-                            f"{diagnostics.MAX_ORACLE_SITES} sites, "
-                            f"got {run.vh.n_sites}")
-    n_q = _n_q_from(cfg)
+    _checked("volume", diagnostics.check_oracle_volume, run.vh.n_sites)
+    n_q = _checked("n_q", diagnostics.check_n_q, _get(cfg, "n_q", int, 256))
     config = run.config(n_q=n_q)
     law = (run.vh, run.boundary, run.interval)
     oracle = diagnostics.quadrature_marginals(*law, n_q=n_q)

@@ -80,6 +80,25 @@ MIN_N_Q = 64                     # the fewest Simpson subintervals quadrature_ma
 MAX_ORACLE_SITES = 3             # the most sites quadrature_marginals accepts
 
 
+def check_n_q(n_q) -> int:
+    """``n_q`` if :func:`quadrature_marginals` takes it (even, >= MIN_N_Q), or ValueError."""
+    _check_count("n_q", n_q, least=MIN_N_Q)
+    if n_q % 2:
+        raise ValueError(f"n_q must be an even subinterval count, got {n_q}")
+    return n_q
+
+
+def oracle_takes(n: int) -> bool:
+    """Whether :func:`quadrature_marginals` takes a volume of ``n`` sites."""
+    return n <= MAX_ORACLE_SITES
+
+
+def check_oracle_volume(n: int) -> None:
+    """Raise VolumeTooLarge unless :func:`oracle_takes` ``n`` sites."""
+    if not oracle_takes(n):
+        raise VolumeTooLarge(f"the quadrature oracle takes at most {MAX_ORACLE_SITES} sites, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureOracle:
     """Exact reference law of a tiny volume from composite Simpson quadrature;
@@ -105,13 +124,9 @@ def quadrature_marginals(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
     ``vh`` is the volume's :func:`~truncgibbs.finite_spec.build_matrices`, ``gamma``
     a scalar, a shell-site mapping or a shell-order array in ``interval``.
     """
-    _check_count("n_q", n_q, least=MIN_N_Q)
-    if n_q % 2:
-        raise ValueError(f"n_q must be an even subinterval count, got {n_q}")
+    check_n_q(n_q)
     k = vh.n_sites
-    if k > MAX_ORACLE_SITES:
-        raise VolumeTooLarge(f"tensor grid over {k} sites is not tractable "
-                             f"(limit {MAX_ORACLE_SITES})")
+    check_oracle_volume(k)
     gamma = _boundary_array(vh.shell, gamma, interval)
 
     grid = np.linspace(interval.a, interval.b, n_q + 1)
@@ -182,10 +197,16 @@ def stationarity_check(trace: RunTrace, batches: int = 32) -> StatVerdict:
 KS_MIN_SAMPLES = 100     # the fewest samples ks_distance accepts
 
 
+def check_ks_samples(n_samples: int) -> None:
+    """Raise TooFewSamples below KS_MIN_SAMPLES, the fewest :func:`ks_distance` accepts."""
+    if n_samples < KS_MIN_SAMPLES:
+        raise TooFewSamples(f"the KS distance needs at least {KS_MIN_SAMPLES} samples, "
+                            f"got {n_samples}")
+
+
 def ks_distance(samples, grid, cdf_values) -> float:
     """Sup over the grid of |empirical CDF - oracle CDF|."""
     samples = np.asarray(samples, dtype=float)
-    if samples.size < KS_MIN_SAMPLES:
-        raise TooFewSamples(f"need at least {KS_MIN_SAMPLES} samples, got {samples.size}")
+    check_ks_samples(samples.size)
     ecdf = np.searchsorted(np.sort(samples), grid, side="right") / samples.size
     return float(np.max(np.abs(ecdf - np.asarray(cdf_values, dtype=float))))

@@ -38,7 +38,7 @@ from .errors import (
     OutOfRange,
     ZeroOffsetPresent,
 )
-from .streams import _check_count
+from .streams import MAX_COUNT, _check_count
 
 
 @dataclass(frozen=True)
@@ -271,8 +271,8 @@ class LatticeGeometry:
         extents = tuple(map(operator.index, extents))
         if not extents:
             raise ValueError("a torus needs at least one extent")
-        if any(e < 1 for e in extents):
-            raise ValueError("torus extents must be positive")
+        for e in extents:
+            _check_count("torus extent", e, least=1)
         sites = tuple(itertools.product(*(range(e) for e in extents)))
         return cls("torus", extents, sites)
 
@@ -371,12 +371,21 @@ def _neighbour_index(sites, offsets, periods=None):
     reach, and ``idx[i, k]`` is the index of ``sites[i] + offsets[k]``
     (modulo ``periods`` when given) in ``sites + shell``.  Points are coded
     row-major over their bounding box, which keeps lexicographic order, so
-    the shell is a set difference and the index a sorted search.
+    the shell is a set difference and the index a sorted search.  A box
+    (before the modulo) whose corners or code count leave int64 raises
+    OutOfRange.
     """
-    points = np.array(list(zip(*sites, strict=True)), dtype=np.int64)     # (d, n)
-    steps = np.array(list(zip(*offsets, strict=True)), dtype=np.int64)    # (d, k)
-    if len(steps) != len(points):
-        raise GeometryMismatch(f"offsets of dimension {len(steps)} for sites of {len(points)}")
+    axes, moves = list(zip(*sites, strict=True)), list(zip(*offsets, strict=True))
+    if len(moves) != len(axes):
+        raise GeometryMismatch(f"offsets of dimension {len(moves)} for sites of {len(axes)}")
+    lo = [min(c) + min(0, *s) for c, s in zip(axes, moves)]
+    hi = [max(c) + max(0, *s) for c, s in zip(axes, moves)]
+    if not (-MAX_COUNT - 1 <= min(lo) and max(hi) <= MAX_COUNT      # int64's range
+            and math.prod(h - l + 1 for l, h in zip(lo, hi)) <= MAX_COUNT):
+        raise OutOfRange(f"the bounding box {tuple(lo)} to {tuple(hi)} of the sites and their "
+                         f"neighbours leaves the int64 codes of the neighbour index")
+    points = np.array(axes, dtype=np.int64)                                 # (d, n)
+    steps = np.array(moves, dtype=np.int64)                                 # (d, k)
     reach = points[:, :, None] + steps[:, None, :]                          # (d, n, k)
     if periods is not None:
         reach %= np.array(periods, dtype=np.int64)[:, None, None]

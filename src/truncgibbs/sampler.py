@@ -511,6 +511,21 @@ def stationary_run(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 # Coupling from the past
 # ---------------------------------------------------------------------------
 
+def check_eps_coal(eps_coal) -> float:
+    """``eps_coal`` if >= 0, or ValueError: a negative or NaN one never coalesces."""
+    if not eps_coal >= 0.0:
+        raise ValueError(f"eps_coal must be at least 0, got {eps_coal}")
+    return eps_coal
+
+
+def first_horizon(n_sites: int, t_cap) -> int:
+    """max(2, n_sites), the first CFTP horizon, or ValueError for an integer ``t_cap`` below it."""
+    horizon = max(2, n_sites)
+    if operator.index(t_cap) < horizon:
+        raise ValueError(f"t_cap must be at least the first horizon {horizon}, got {t_cap}")
+    return horizon
+
+
 def _cftp_horizon(active, horizon, keys, lowest, highest, idx, w, a, b, tol, eps_coal):
     """Run the replicas ``active`` from time -horizon to time zero; returns
     which of them coalesced within ``eps_coal`` and their midpoints.
@@ -557,22 +572,22 @@ def cftp_samples(geometry: LatticeGeometry, kernel, interval: SpinInterval,
 
     Each row is the midpoint of the two chains at time zero, so it lies
     within eps_coal/2 in sup norm of the exact draw that the same
-    randomness defines: the update is monotone, so that draw (the chain
-    run from any state at time -T) stays between the two extremal chains
-    and is sandwiched between them at time zero.
+    randomness defines, up to the coupling's repair tolerance: the update
+    is monotone only up to ``_order_tolerance`` (smaller inversions are
+    repaired), so that draw (the chain run from any state at time -T) stays
+    between the two extremal chains up to that tolerance, and is sandwiched
+    between them at time zero.
+    Exact coalescence is not monotone in the horizon in floating point (a
+    replica may coalesce from -32, not from -64, and again from -128, with
+    other last bits), so a sample is tied to the doubling schedule.
     """
     if geometry.kind != "box":
         raise GeometryMismatch("coupling from the past targets a box with frozen boundary")
     _check_count("n_samples", n_samples)
-    if not eps_coal >= 0.0:       # NaN too: it never coalesces and runs to t_cap
-        raise ValueError(f"eps_coal must be at least 0, got {eps_coal}")
+    check_eps_coal(eps_coal)
     table = wrapped_offsets(kernel, geometry)
     n = table.n_sites
-    horizon = max(2, n)
-    # an integer (TypeError otherwise, a bool lies below the floor); below the
-    # first horizon none would run, yet one would be reported
-    if operator.index(t_cap) < horizon:
-        raise ValueError(f"t_cap must be at least the first horizon {horizon}, got {t_cap}")
+    horizon = first_horizon(n, t_cap)
     lowest = FieldConfiguration.constant(table, interval, interval.a, boundary).values
     highest = FieldConfiguration.constant(table, interval, interval.b, boundary).values
     keys = UpdateStream(derive_key(seed, "cftp", np.arange(n_samples)), n)

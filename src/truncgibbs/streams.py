@@ -26,6 +26,7 @@ _MIX2 = _U64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 _TWO53 = 2.0 ** -53
 _BELOW_ONE = 1.0 - _TWO53
+MAX_COUNT = 2 ** 63 - 1          # numpy's int64 maximum, the largest count _check_count takes
 
 
 def mix64(x):
@@ -47,9 +48,14 @@ def _u64(part):
 
 
 def _check_count(name: str, value, least: int = 0) -> None:
-    """Raise ValueError unless ``value`` is an integer >= ``least`` and not a bool."""
+    """Raise ValueError unless ``value`` is an integer in [``least``, MAX_COUNT]
+    and not a bool.  Counts become numpy shapes, int64 counters and C longs,
+    so a count past int64 would fail inside numpy, or wrap; one under the
+    ceiling may still exceed the memory or time a run has."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} must be an integer <= 2**63 - 1, got {value!r}")
 
 
 def derive_key(seed, *parts):

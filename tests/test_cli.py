@@ -296,15 +296,16 @@ BAD_INPUTS = [
      "betas[2]: beta H(xi) or H(sqrt(beta) xi) is not finite at beta = 1e+308"),
     # the quadrature oracle's n_q is an even integer >= 64, checked before any run
     ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "n_q": 65},
-     "n_q: must be an even integer >= 64, got 65"),
+     "n_q: n_q must be an even subinterval count, got 65"),
     ("oracle-check", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "n_q": 32},
-     "n_q: must be an even integer >= 64, got 32"),
-    # the KS oracle of a box of at most 3 sites needs 100 samples, checked before any run
+     "n_q: n_q must be an integer >= 64, got 32"),
+    # the KS test of a box the oracle takes (at most 3 sites) needs 100 samples,
+    # checked before any run
     ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "n_samples": 1},
-     "n_samples: the oracle checks of a box of at most 3 sites need at least 100, got 1"),
+     "n_samples: the KS distance needs at least 100 samples, got 1"),
     ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1], [2]]},
               "boundary": {"constant": 0.5}, "n_samples": 99},
-     "n_samples: the oracle checks of a box of at most 3 sites need at least 100, got 99"),
+     "n_samples: the KS distance needs at least 100 samples, got 99"),
     # a JSON integer has no bound: one beyond the float range in a float field is named
     ("ident4", {"geometry": TORUS8, "interval": [0.0, 10**400]},
      "interval[1]: expected float, got int beyond the float range"),
@@ -323,7 +324,7 @@ BAD_INPUTS = [
     # CFTP's first horizon is max(2, n) on n sites: a cap below it would run nothing
     ("cftp", {"geometry": {"kind": "box", "sites": [[0], [1], [2]]},
               "boundary": {"constant": 0.5}, "t_cap": 2},
-     "t_cap: must be an integer >= 3, got 2"),
+     "t_cap: t_cap must be at least the first horizon 3, got 2"),
     # a field that the subcommand never reads is named, not dropped
     ("sandwich", {"geometry": TORUS8, "sweep": 3}, "sweep: unknown field"),
     ("spec-check", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "identity_trial": 3},
@@ -354,9 +355,51 @@ BAD_INPUTS = [
     ("ident4", {"geometry": {"kind": "torus", "extents": [2]}},
      "geometry.extents: torus extent 2 on axis 0 must exceed twice the kernel range 1"),
     ("sandwich", {"geometry": {"kind": "torus", "extents": [0]}},
-     "geometry.extents: torus extents must be positive"),
+     "geometry.extents: torus extent must be an integer >= 1, got 0"),
     ("cftp", {"geometry": {"kind": "box", "sites": []}, "boundary": {"constant": 0.5}},
      "geometry.sites: volume contains no sites"),
+    # a count is at most 2**63 - 1, numpy's int64 maximum (a JSON integer has no bound)
+    ("sandwich", {"geometry": TORUS8, "sweeps": 10**30},
+     "sweeps: sweeps must be an integer <= 2**63 - 1, got 1000000000000000000000000000000"),
+    ("sandwich", {"geometry": TORUS8, "snapshot_every": 10**30},
+     "snapshot_every: snapshot_every must be an integer <= 2**63 - 1"),
+    ("sandwich", {"geometry": {"kind": "torus", "extents": [10**30]}},
+     "geometry.extents: torus extent must be an integer <= 2**63 - 1"),
+    ("ident4", {"geometry": TORUS8, "burn_in": 10**30},
+     "burn_in: burn_in must be an integer <= 2**63 - 1"),
+    ("ident4", {"geometry": TORUS8, "sweeps": 10**30},
+     "sweeps: sweeps must be an integer <= 2**63 - 1"),
+    ("ident4", {"geometry": TORUS8, "batches": 10**30},
+     "batches: batches must be an integer <= 2**63 - 1"),
+    ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "n_samples": 10**30},
+     "n_samples: n_samples must be an integer <= 2**63 - 1"),
+    ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "t_cap": 10**30},
+     "t_cap: t_cap must be an integer <= 2**63 - 1"),
+    ("cftp", {"geometry": BOX2, "boundary": {"constant": 0.5}, "n_q": 10**30},
+     "n_q: n_q must be an integer <= 2**63 - 1"),
+    ("oracle-check", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "n_q": 10**30},
+     "n_q: n_q must be an integer <= 2**63 - 1"),
+    ("spec-check", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "identity_trials": 10**30},
+     "identity_trials: identity_trials must be an integer <= 2**63 - 1"),
+    ("beta-check", {"volume": VOLUME2, "trials": 10**30},
+     "trials: trials must be an integer <= 2**63 - 1"),
+    ("af-probe", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "trials": 10**30},
+     "trials: trials must be an integer <= 2**63 - 1"),
+    ("pd-check", {"kernel": {"preset": "exp-decay", "dimension": 1, "rate": 0.5, "range": 10**30},
+                  "volume": VOLUME2}, "kernel.range: range must be an integer <= 2**63 - 1"),
+    ("pd-check", {"kernel": {"preset": "nn", "dimension": 10**30}, "volume": VOLUME2},
+     "kernel.dimension: dimension must be an integer <= 2**63 - 1"),
+    # the neighbour index codes the sites and their neighbours in int64
+    ("spec-check", {"volume": [[10**30]], "boundary": {"constant": 0.5}},
+     "volume: the bounding box (999999999999999999999999999999,) to "
+     "(1000000000000000000000000000001,)"),
+    ("spec-check", {"volume": [[2**63 - 1]], "boundary": {"constant": 0.5}},
+     "volume: the bounding box (9223372036854775806,) to (9223372036854775808,)"),
+    ("spec-check", {"kernel": {"preset": "nn", "dimension": 2}, "volume": [[0, 0], [2**40, 2**40]],
+                    "boundary": {"constant": 0.5}},
+     "volume: the bounding box (-1, -1) to (1099511627777, 1099511627777)"),
+    ("cftp", {"geometry": {"kind": "box", "sites": [[2**63 - 1]]}, "boundary": {"constant": 0.5}},
+     "geometry.sites: the bounding box (9223372036854775806,) to (9223372036854775808,)"),
 ]
 
 

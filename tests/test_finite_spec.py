@@ -24,6 +24,7 @@ from truncgibbs.errors import (
     EmptyVolume,
     GeometryMismatch,
     MissingSite,
+    NotPositiveDefinite,
     OutOfRange,
 )
 from truncgibbs.finite_spec import (
@@ -80,6 +81,28 @@ def test_pair_volume_specification_against_dense_solve():
     assert np.allclose(spec.mean, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     assert np.allclose(spec.covariance, [[4.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 4.0 / 3.0]],
                        atol=1e-12)
+
+
+# build_matrices gives a positive-definite A, so only a hand-built
+# VolumeHamiltonian reaches the two safety raises of specification
+
+def test_specification_refuses_an_indefinite_precision():
+    vh = dataclasses.replace(build_matrices([(0,), (1,)], NN1),
+                             precision=np.array([[1.0, 2.0], [2.0, 1.0]]))   # eigenvalues -1, 3
+    with pytest.raises(NotPositiveDefinite, match="^precision matrix is not positive definite"):
+        specification(vh, np.array([0.0, 1.0]), UNIT)
+
+
+def test_specification_refuses_a_nearly_singular_precision():
+    # positive definite with smallest eigenvalue 1e-13: the factorization
+    # passes, and the solve's residual is about 1e-4
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    a = (q * np.geomspace(1e-13, 1.0, 4)) @ q.T
+    vh = dataclasses.replace(build_matrices([(0,), (1,), (2,), (3,)], NN1),
+                             precision=0.5 * (a + a.T))
+    assert 0.0 < np.linalg.eigvalsh(vh.precision).min() < 1e-12
+    with pytest.raises(NotPositiveDefinite, match=r"^solve residual \S+ exceeds 1e-10$"):
+        specification(vh, np.array([0.0, 1.0]), UNIT)
 
 
 def test_constant_boundary_pins_constant_mean():

@@ -393,7 +393,7 @@ def test_offset_of_the_wrong_dimension_rejected():
 
 @pytest.mark.parametrize("extents", [[0], [8, 0], [-3]])
 def test_torus_extent_below_one_rejected(extents):
-    with pytest.raises(ValueError, match="torus extents must be positive"):
+    with pytest.raises(ValueError, match="^torus extent must be an integer >= 1, got "):
         LatticeGeometry.torus(extents)
 
 

@@ -9,17 +9,19 @@ dtypes and orders included.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncgibbs.errors import GeometryMismatch, IncompatiblePartition
+from truncgibbs.errors import GeometryMismatch, IncompatiblePartition, OutOfRange
 from truncgibbs.finite_spec import (
     build_matrices,
     pd_certificate,
     toeplitz_matrix,
+    toeplitz_quadratic_form,
     z_connected_classes,
 )
 from truncgibbs.kernel import (
@@ -326,3 +328,44 @@ def test_partition_check_names_two_coupled_sites_of_one_parity():
     with pytest.raises(IncompatiblePartition,
                        match=r"^sites \(0, 0\) and \(1, 1\) are coupled but share a class$"):
         _check_partition(vh)
+
+
+# ---------------------------------------------------------------------------
+# The int64 codes of the index
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sites, box", [
+    ([(10**30,)], "(999999999999999999999999999999,) to (1000000000000000000000000000001,)"),
+    ([(2**63 - 1,)], "(9223372036854775806,) to (9223372036854775808,)"),
+    ([(-2**63,)], "(-9223372036854775809,) to (-9223372036854775807,)"),
+    ([(0, 0), (2**40, 2**40)], "(-1, -1) to (1099511627777, 1099511627777)"),
+])
+def test_a_bounding_box_past_int64_is_out_of_range(sites, box):
+    # unchecked, these raised OverflowError, "cannot unravel if shape has zero
+    # entries" (the neighbour of 2**63 - 1 wrapped round) and "invalid dims"
+    kernel = nearest_neighbor(len(sites[0]))
+    message = re.escape(f"the bounding box {box} of the sites and their neighbours leaves")
+    for build in (build_matrices, LatticeGeometry.box):
+        with pytest.raises(OutOfRange, match=f"^{message}"):
+            build(sites, kernel)
+
+
+def test_a_step_past_int64_is_out_of_range():
+    with pytest.raises(OutOfRange, match=r"^the bounding box \(-9223372036854775807,\) to "):
+        toeplitz_quadratic_form([(0,)], (2**63 - 1,), [1.0])
+
+
+def test_sites_far_from_zero_build_up_to_the_int64_edge():
+    # 2**62 and its neighbours fit the int64 codes, and so does 2**63 - 2,
+    # whose upper neighbour is the int64 maximum; 2**63 - 1 has none in int64
+    far = 2**62
+    box = LatticeGeometry.box([(far,)], nearest_neighbor(1))
+    assert box.shell == ((far - 1,), (far + 1,))
+    assert wrapped_offsets(nearest_neighbor(1), box).idx.tolist() == [[1, 2]]
+    vh = build_matrices([(far, 0), (far, 1)], nearest_neighbor(2))
+    assert vh.precision.tolist() == [[1.0, -0.25], [-0.25, 1.0]]
+    assert vh.shell[0] == (far - 1, 0) and vh.shell[-1] == (far + 1, 1)
+    top = 2**63 - 1
+    assert build_matrices([(top - 1,)], nearest_neighbor(1)).shell == ((top - 2,), (top,))
+    with pytest.raises(OutOfRange):
+        build_matrices([(top,)], nearest_neighbor(1))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,24 @@ def test_take_rejects_a_count_that_is_not_an_integer_at_least_zero(n):
     sites, us = s.take(np.int64(2))      # numpy integers count too
     want_sites, want_us = site_uniform_pairs(s.site_key, s.uniform_key, np.arange(3, 5), 8)
     assert np.array_equal(sites, want_sites) and np.array_equal(us, want_us)
+
+
+def test_a_count_stops_at_the_int64_maximum():
+    for top in (2**63 - 1, np.int64(2**63 - 1), np.uint64(2**63 - 1)):
+        streams._check_count("n", top)
+    with pytest.raises(ValueError, match=f"^n must be an integer <= 2\\*\\*63 - 1, got {2**63}$"):
+        streams._check_count("n", 2**63)
+
+
+@pytest.mark.parametrize("big", [np.uint64(2**63), 10**30])
+def test_a_count_past_the_int64_maximum_is_rejected(big):
+    # unchecked, such a count failed inside numpy (an OverflowError or a
+    # ValueError naming no count) or ran: a JSON count has no bound
+    message = re.escape(f"n must be an integer <= 2**63 - 1, got {big!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        streams._check_count("n", big)
+    with pytest.raises(ValueError, match=r"^n must be an integer <= 2\*\*63 - 1"):
+        UpdateStream(derive_key(3), 8).take(big)
 
 
 def test_uniforms_open_interval_and_mean():
