@@ -472,6 +472,10 @@ def _run_pd_check(cfg, out, seed):
     vh = run.vh
     cert = finite_spec.pd_certificate(vh)
     residual = float(np.max(np.abs(cert.reassemble() - vh.precision)))
+    # LAPACK's last bits follow the BLAS thread count: on a 20 x 20 volume's
+    # 400 x 400 matrix this gave 0.02163796540115128 on one OpenBLAS thread and
+    # 0.021637965401152637 on two.  bench/run.py pins one thread, and the
+    # pinned configs are too small to show it.
     min_eig = float(np.linalg.eigvalsh(vh.precision).min())
     return {
         "config": config,
@@ -506,10 +510,7 @@ def _run_beta_check(cfg, out, seed):
 def _run_af_probe(cfg, out, seed):
     run = _Setup(cfg, seed, "volume")
     trials = _int_from(cfg, "trials", 100)
-    partition = _get(cfg, "partition", str, "parity")
-    if partition != "parity":
-        raise ConfigInvalid(f"partition: expected 'parity', got {partition!r}")
-    config = run.config(trials=trials, partition=partition)
+    config = run.config(trials=trials)
     report = transforms.af_specification_probe(run.vh, run.boundary, run.interval,
                                                trials, seed=seed)
     return {     # measurement only; no correctness assertion, so no "pass"

@@ -12,7 +12,8 @@ shells, the neighbour tables and ``finite_spec``'s matrices, and one reader
 puts boundary values in shell order for all of them.
 
 Kernels, geometries and neighbor tables are immutable after construction
-(their arrays are read-only copies of what they were given) and safe to
+(a kernel's weights are a read-only copy of what it was given, a table's
+index is computed from its kernel and geometry and read-only) and safe to
 share across concurrent readers.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,13 +97,6 @@ def _boundary_array(shell, boundary, interval: SpinInterval | None) -> np.ndarra
     return gamma
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A copy of ``array`` that raises ValueError on a write."""
-    array = array.copy()
-    array.flags.writeable = False
-    return array
-
-
 def _check_kernel(offsets, weights) -> None:
     """The one check of the kernel class, for every kernel built.
 
@@ -158,7 +152,9 @@ class InteractionKernel:
         _check_kernel(self.offsets, self.weights)
         if not abs(self.norm - 1.0) <= 1e-12:
             raise ValueError(f"kernel weights must sum to 1, got fsum {self.norm!r}")
-        object.__setattr__(self, "weights", _read_only(self.weights))
+        weights = self.weights.copy()
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dimension(self) -> int:
@@ -279,7 +275,7 @@ class LatticeGeometry:
     @classmethod
     def box(cls, sites, kernel: InteractionKernel) -> "LatticeGeometry":
         """A finite set of sites, checked by :func:`_sorted_sites`, plus every exterior
-        site the kernel reaches, for that kernel's neighbor table (:func:`wrapped_offsets`) only."""
+        site the kernel reaches, for that kernel's :class:`NeighborTable` only."""
         sites = _sorted_sites(sites, kernel.dimension)
         extents = tuple(max(c) - min(c) + 1 for c in zip(*sites))
         return cls("box", extents, sites,
@@ -288,34 +284,38 @@ class LatticeGeometry:
 
 @dataclass(frozen=True, eq=False)
 class NeighborTable:
-    """Per-site neighbor indices and weights for one (kernel, geometry) pair.
+    """Per-site neighbor indices and weights for one (kernel, geometry) pair,
+    built from the two alone.
 
     Interior sites occupy indices 0..n-1 in the order of
     ``geometry.sites``, shell sites (box only) follow in the order of
     ``geometry.shell``; ``idx[i, k]`` is the combined index of site i's
     neighbor at offset k, so a field stored as one flat array supports local
-    means by a gather plus a dot with ``weights``.
+    means by a gather plus a dot with ``weights``.  On the torus the neighbor
+    at offset z is (x + z) mod extents (see :func:`check_torus_extents`); on
+    a box it falls in the interior or the shell, and a box built for another
+    kernel, of its dimension or not, raises GeometryMismatch.  So no row
+    names its own site, and since the sorted offsets are closed under
+    negation (offset K - 1 - k is minus offset k), ``idx[idx[i, k], K - 1 - k]
+    == i`` wherever ``idx[i, k] < n``: the two facts the runs' level schedule
+    rests on.  ``idx`` is read-only.
     """
 
     kernel: InteractionKernel
     geometry: LatticeGeometry
-    idx: np.ndarray             # (n_sites, n_offsets) combined indices
+    idx: np.ndarray = field(init=False)     # (n_sites, n_offsets) combined indices
 
     def __post_init__(self):
-        """Raise GeometryMismatch unless ``idx`` is an integer array with a row
-        per site and a column per offset, each entry a site or shell index (a
-        negative one would read the runs' write-off slot) and no row naming
-        its own site, which the level schedule of the runs assumes; then
-        store ``idx`` as a read-only copy."""
-        idx, n = self.idx, self.geometry.n_sites
-        shape, slots = (n, len(self.kernel.offsets)), n + len(self.geometry.shell)
-        if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu" and idx.shape == shape):
-            raise GeometryMismatch(f"neighbour index must be an integer array of shape {shape}")
-        if not (0 <= idx.min() and idx.max() < slots):
-            raise GeometryMismatch(f"neighbour index entries must lie in [0, {slots})")
-        if (idx == np.arange(n)[:, None]).any():
-            raise GeometryMismatch("a neighbour row names its own site")
-        object.__setattr__(self, "idx", _read_only(idx))
+        geometry, periods = self.geometry, None
+        if geometry.kind == "torus":
+            check_torus_extents(self.kernel, geometry)
+            periods = geometry.extents
+        idx, reached = _neighbour_index(geometry.sites, self.kernel.offsets, periods)
+        if reached != geometry.shell:
+            raise GeometryMismatch("box shell is not the shell this kernel reaches; "
+                                   "build the box with the kernel it runs")
+        idx.flags.writeable = False
+        object.__setattr__(self, "idx", idx)
 
     @property
     def shell(self):
@@ -344,23 +344,9 @@ def check_torus_extents(kernel: InteractionKernel, geometry: LatticeGeometry) ->
 
 
 def wrapped_offsets(kernel: InteractionKernel, geometry: LatticeGeometry) -> NeighborTable:
-    """Build the per-site neighbor table.
-
-    On the torus the neighbor at offset z is (x + z) mod extents (see
-    :func:`check_torus_extents`).  On a box, neighbors fall either in
-    the interior or in the exterior shell; weights are carried unchanged,
-    so each site's weights sum to the kernel norm exactly.  A box built
-    for another kernel, of its dimension or not, raises GeometryMismatch.
-    """
-    sites, periods = geometry.sites, None
-    if geometry.kind == "torus":
-        check_torus_extents(kernel, geometry)
-        periods = geometry.extents
-    idx, reached = _neighbour_index(sites, kernel.offsets, periods)
-    if reached != geometry.shell:
-        raise GeometryMismatch("box shell is not the shell this kernel reaches; "
-                               "build the box with the kernel it runs")
-    return NeighborTable(kernel, geometry, idx)
+    """``NeighborTable(kernel, geometry)``, under the name the runs and the
+    benchmark scripts call."""
+    return NeighborTable(kernel, geometry)
 
 
 def _neighbour_index(sites, offsets, periods=None):

@@ -254,13 +254,15 @@ def _levels(sites: np.ndarray, rows: np.ndarray, block: int, merge: bool):
     shorter), and each block is levelled as one stretch of its own.
 
     An update reads its row and writes its site.  It lands one level deeper
-    than the deepest earlier update of its block at a site it reads (the
-    neighbour relation being symmetric, this also puts it after every earlier
-    update that reads its site), and no shallower than its site's previous
-    update; without ``merge``, one level deeper than that too.  So with
-    ``merge`` a run of a site's back-to-back updates, with no update at a site
-    they read in between, shares one level, and the level's one scatter must
-    keep only the run's last value: ``overwritten`` marks the others.
+    than the deepest earlier update of its block at a site it reads, and no
+    shallower than its site's previous update; without ``merge``, one level
+    deeper than that too.  So with ``merge`` a run of a site's back-to-back
+    updates, with no update at a site they read in between, shares one level,
+    and the level's one scatter must keep only the run's last value:
+    ``overwritten`` marks the others.  The rows come from a
+    :class:`NeighborTable`, which guarantees what this rests on: its rows are
+    mirrored, so an update also lands after every earlier update that reads
+    its site, and no row names its own site, so no cell waits on itself.
 
     Block j acts on the disjoint volume of cells j n + [0, n), so one run of
     queue-head rounds levels every block of the chunk at once.  ``rows`` are

@@ -375,7 +375,7 @@ CLI_SHA256 = {
     "spec-check/spec.json": "3c0964638719180ac0c01d4bbe7b2c1c45ff0e39ad8bfa56238f863c08de172b",
     "pd-check/certificate.json": "216f772929a1d487f7b5681dbb2069b3048c859a515ee8b9e1bd109411136a9f",
     "beta-check/beta.json": "3f70b366c2c187c2562a701c982b2a76537ed0aa93de1248529355219ca0abd1",
-    "af-probe/af_probe.json": "848c41c34c215a57662fb400cca3747131164aaee80ec4ed97b7520519cdf56d",
+    "af-probe/af_probe.json": "9c2fd8c65aafc23da204d0b7ebbc97fa3adff53909953eb4416043224b7e5dd2",
     "oracle-check/oracle.json": "c483e99ae248d895b70db0fe08f7ee01aceb885535ebf1b63f2207f75f69dd3d",
 }
 

@@ -330,9 +330,9 @@ BAD_INPUTS = [
     ("spec-check", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "identity_trial": 3},
      "identity_trial: unknown field"),
     ("pd-check", {"volume": VOLUME2, "trials": 5}, "trials: unknown field"),
-    # af-probe splits the volume by coordinate parity, the one partition it reads
-    ("af-probe", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "partition": "checkerboard"},
-     "partition: expected 'parity', got 'checkerboard'"),
+    # af-probe splits the volume by coordinate parity, a constant, not a field
+    ("af-probe", {"volume": VOLUME2, "boundary": {"constant": 0.5}, "partition": "parity"},
+     "partition: unknown field"),
     ("sandwich", {"kernel": {**NN_KERNEL, "rate": 0.5}, "geometry": TORUS8},
      "kernel.rate: unknown field"),
     ("cftp", {"geometry": {**BOX2, "extents": [2]}, "boundary": {"constant": 0.5}},

@@ -435,9 +435,56 @@ def test_checked_weights_and_neighbour_index_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         table.idx[0, 0] = 0
     assert table.idx[0].tolist() == [7, 1]
-    # the arrays given to the constructors stay the callers' own
-    weights, idx = np.array([0.5, 0.5]), table.idx.copy()
+    # the weights given to the constructor stay the caller's own
+    weights = np.array([0.5, 0.5])
     kernel = InteractionKernel(((-1,), (1,)), weights)
-    table = NeighborTable(kernel, table.geometry, idx)
-    weights[0] = idx[0, 0] = 3
-    assert kernel.weights.tolist() == [0.5, 0.5] and table.idx[0, 0] == 7
+    weights[0] = 3
+    assert kernel.weights.tolist() == [0.5, 0.5]
+
+
+def test_neighbor_table_takes_no_index():
+    # a handed-in index can disagree with the kernel: an 8-site nn ring over
+    # [0, 3] whose row 0 read site 2 in place of 1 passed the index checks, and
+    # 4000 levelled updates left the one-at-a-time scan by up to 0.359
+    geometry = LatticeGeometry.torus([8])
+    idx = wrapped_offsets(nearest_neighbor(1), geometry).idx.copy()
+    idx[0, 1] = 2
+    with pytest.raises(TypeError):
+        NeighborTable(nearest_neighbor(1), geometry, idx)
+    with pytest.raises(TypeError):
+        NeighborTable(nearest_neighbor(1), geometry, idx=idx)
+    # on 2 sites the range-2 kernel's wrapped rows [0 1 1 0] and [1 0 0 1]
+    # would name their own site; the torus rule excludes that volume
+    with pytest.raises(GeometryTooSmall, match="must exceed twice the kernel range 2"):
+        wrapped_offsets(exp_decay(0.5, 2), LatticeGeometry.torus([2]))
+
+
+@st.composite
+def kernels_and_geometries(draw):
+    """An nn or exp-decay kernel in d = 1 or 2 on the smallest tori it fits
+    (every extent in (2 range, 2 range + 4]) or on a box of 1 to 6 sites."""
+    dimension = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        kernel = nearest_neighbor(dimension)
+    else:
+        kernel = exp_decay(draw(st.floats(0.2, 0.9)), draw(st.integers(1, 3)), dimension)
+    if draw(st.booleans()):
+        return kernel, LatticeGeometry.torus(
+            [2 * r + draw(st.integers(1, 4)) for r in kernel.range_per_axis])
+    coords = st.tuples(*[st.integers(0, 4)] * dimension)
+    return kernel, LatticeGeometry.box(
+        draw(st.lists(coords, min_size=1, max_size=6, unique=True)), kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=kernels_and_geometries())
+def test_neighbor_rows_are_self_free_and_mirrored(case):
+    # the two facts the runs' level schedule rests on: no row names its own
+    # site, and site j reads site i at offset k exactly when i reads j at the
+    # mirrored offset K - 1 - k
+    table = wrapped_offsets(*case)
+    idx, n = table.idx, table.n_sites
+    width = idx.shape[1]
+    assert not (idx == np.arange(n)[:, None]).any()
+    rows, cols = np.nonzero(idx < n)
+    assert np.array_equal(idx[idx[rows, cols], width - 1 - cols], rows)

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from truncgibbs.errors import (
 from truncgibbs.finite_spec import build_matrices, specification
 from truncgibbs.kernel import (
     LatticeGeometry,
-    NeighborTable,
     SpinInterval,
     exp_decay,
     nearest_neighbor,
@@ -419,31 +419,14 @@ def reference_sandwich(table, interval, n_sweeps, seed, snapshot_every=0, bounda
 def ring_table(kernel, n):
     """A 1D ring of n sites with offsets wrapped modulo n and no size check,
     so for range < n <= 2 * range a neighbour row names one site more than
-    once, though never its own (no table the library builds does either)."""
-    geometry = LatticeGeometry.torus([n])
+    once, though never its own.  No table the library builds does that (a
+    torus extent must exceed twice the range), so this is a stand-in with the
+    attributes the runs read, which the tests pass in through a
+    ``wrapped_offsets`` monkeypatch or straight to ``FieldConfiguration``."""
     offsets = np.array([z[0] for z in kernel.offsets])
-    idx = (np.arange(n)[:, None] + offsets) % n
-    return NeighborTable(kernel, geometry, idx)
-
-
-def test_neighbor_table_checks_its_index():
-    # the ring rows of range < n <= 2 * range build; on 2 sites the range-2
-    # kernel's rows [0 1 1 0] and [1 0 0 1] name their own site, and the level
-    # schedule would put dependent updates in one level
-    for reach in (1, 2, 3):
-        for n in range(reach + 1, 2 * reach + 1):
-            ring_table(exp_decay(0.5, reach), n)
-    with pytest.raises(GeometryMismatch, match="names its own site"):
-        ring_table(exp_decay(0.5, 2), 2)
-    table = wrapped_offsets(NN1, BOX3)             # 3 sites, 2 shell sites, 2 offsets
-    for idx in [table.idx[:2], table.idx[:, :1], table.idx.astype(float), table.idx.tolist()]:
-        with pytest.raises(GeometryMismatch, match="integer array of shape"):
-            NeighborTable(NN1, BOX3, idx)
-    for entry in (-1, 5):                          # the write-off slot, one past the shell
-        idx = table.idx.copy()
-        idx[1, 0] = entry
-        with pytest.raises(GeometryMismatch, match=r"entries must lie in \[0, 5\)"):
-            NeighborTable(NN1, BOX3, idx)
+    return SimpleNamespace(kernel=kernel, geometry=LatticeGeometry.torus([n]),
+                           idx=(np.arange(n)[:, None] + offsets) % n,
+                           weights=kernel.weights, n_sites=n, shell=())
 
 
 @st.composite
