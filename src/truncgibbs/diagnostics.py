@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NotTorus, TooFewSamples, VolumeTooLarge
 from .finite_spec import VolumeHamiltonian
 from .kernel import SpinInterval, _boundary_array
-from .sampler import RunTrace
+from .sampler import RunTrace, _local_means
 from .streams import _check_count
 from .truncnorm import _exp, varphi
 
@@ -169,23 +169,29 @@ def quadrature_marginals(vh: VolumeHamiltonian, gamma, interval: SpinInterval,
 # The stationarity identity on the torus
 # ---------------------------------------------------------------------------
 
+_CHECK_MEANS = 1 << 14   # local means per row block of stationarity_check
+
+
 def stationarity_check(trace: RunTrace, batches: int = 32) -> StatVerdict:
     """The verdict of an equilibrium identity of a translation-invariant chain.
 
-    The time-and-space average of the mean shift evaluated at the local
-    mean targets zero, with a batch-means standard error over the sweeps.
+    The time-and-space average of the mean shift evaluated at the chain's
+    own clipped local means (:func:`~truncgibbs.sampler._local_means`)
+    targets zero, with a batch-means standard error over the sweeps.  The
+    means are read in blocks of whole sweeps, about ``_CHECK_MEANS`` means
+    each, which bounds the memory; a sweep's mean shift is one row mean, so
+    the blocks leave its bits.
     Requires the torus: the identity rests on translation invariance.
     """
-    table = trace.table
+    table, iv = trace.table, trace.interval
     if table.geometry.kind != "torus":
         raise NotTorus("stationarity identities require the torus geometry")
     fields = trace.fields                              # (T, n)
-    # np.vecdot runs the dot kernel of the scalar ``field[row] @ w`` row by row,
-    # so each mean is bit-identical to it; ``take`` keeps the gather C-contiguous,
-    # where ``fields[:, idx]`` is not.  ``(fields[:, idx] * w).sum(-1)`` and a
-    # 2-D ``@`` sum in other orders.
-    local_means = np.vecdot(fields.take(table.idx, axis=-1), table.weights)
-    shift_series = varphi(local_means, trace.interval).mean(axis=1)
+    block = max(1, _CHECK_MEANS // table.n_sites)
+    shift_series = np.empty(len(fields))
+    for lo in range(0, len(fields), block):
+        means = _local_means(fields[lo:lo + block], table.idx, table.weights, iv.a, iv.b)
+        shift_series[lo:lo + block] = varphi(means, iv).mean(axis=1)
     return _verdict("mean_shift_zero", shift_series.mean(),
                     batch_means_se(shift_series, batches), 0.0)
 

@@ -156,13 +156,31 @@ def _array_ends(interval: SpinInterval):
     return np.array(interval.a, dtype=float), np.array(interval.b, dtype=float)
 
 
+def _local_means(values: np.ndarray, rows: np.ndarray, w: np.ndarray, a, b) -> np.ndarray:
+    """The local means m_x = sum_z J(z) values[x + z], clipped to [a, b]: the
+    one evaluation of m_x, for the runs, :func:`local_mean` and the
+    stationarity check.
+
+    ``rows`` holds neighbour indices into the last axis of ``values``, a
+    flat field or a stack of them, and each mean is bit-identical to the
+    scalar ``min(max(values[row] @ w, a), b)``: numpy's vecdot runs the dot
+    kernel of ``values[row] @ w`` row by row (``take`` keeps the gather
+    C-contiguous; ``(values[rows] * w).sum(-1)`` and a 2-D ``@`` sum in other
+    orders), and numpy's clip ufunc keeps a -0.0 mean as min and max do.
+    That dot kernel is OpenBLAS's, picked by CPU at run time, so this is
+    where the runs' bits pass through BLAS.  A mean is a convex combination,
+    so the clip moves only a sum rounded past an end: never with the nn
+    weights 1/2 and 1/4 (d = 1, 2), sometimes with 1/6 (d = 3) or exp-decay's.
+    """
+    return _clip(np.vecdot(values.take(rows, axis=-1), w), a, b)
+
+
 def local_mean(field: FieldConfiguration, x: int) -> float:
-    """The kernel-weighted mean of the neighbors of interior site index x; a
-    convex combination, so it always lies inside the spin interval."""
+    """The kernel-weighted mean of the neighbors of interior site index x,
+    inside the spin interval, as the runs read it (:func:`_local_means`)."""
     i = field._site_index(x)
-    m = float(field.values[field.table.idx[i]] @ field.table.weights)
     iv = field.interval
-    return min(max(m, iv.a), iv.b)
+    return float(_local_means(field.values, field.table.idx[i], field.table.weights, iv.a, iv.b))
 
 
 def site_update(field: FieldConfiguration, x: int, u: float) -> FieldConfiguration:
@@ -199,8 +217,8 @@ def _coupled_step(low: np.ndarray, upp: np.ndarray, cells: np.ndarray, nbrs: np.
     position in ``cells`` as its ``index``.  Returns the gaps, new upper minus
     new lower value, the number of repairs and the largest repaired inversion.
     """
-    m_lo = _clip(np.vecdot(low.take(nbrs), w), a, b)     # the scan's row @ w, bit for bit
-    m_up = _clip(np.vecdot(upp.take(nbrs), w), a, b)
+    m_lo = _local_means(low, nbrs, w, a, b)
+    m_up = _local_means(upp, nbrs, w, a, b)
     d = (m_up != m_lo).nonzero()[0]
     q = _sample_many(np.concatenate([m_lo, m_up.take(d)]), a, b, np.concatenate([us, us.take(d)]))
     new_lo = q[:m_lo.size]
@@ -470,8 +488,8 @@ def _run_chain(field: FieldConfiguration, stream: UpdateStream, n_updates: int,
     w = field.table.weights
     a, b = _array_ends(field.interval)
 
-    def step(cells, nbrs, us):      # the scan's means, bit for bit, then one quantile call
-        values[cells] = new = _sample_many(_clip(np.vecdot(values.take(nbrs), w), a, b), a, b, us)
+    def step(cells, nbrs, us):
+        values[cells] = new = _sample_many(_local_means(values, nbrs, w, a, b), a, b, us)
         return new
 
     ends = n_updates - n * np.arange(len(out) - 1, -1, -1)   # update count at each row

@@ -1,9 +1,11 @@
-"""Shared generators for randomized property tests (seeded, reproducible),
-and the scalar quantile the reference scans update with."""
+"""Shared generators for randomized property tests (seeded, reproducible,
+or hypothesis strategies) and the scalar quantile the reference scans
+update with."""
 
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from truncgibbs.kernel import build_kernel
+from truncgibbs.kernel import LatticeGeometry, build_kernel, exp_decay, nearest_neighbor
 
 
 def _lex_positive(z):
@@ -49,3 +51,20 @@ def scalar_quantile(m, a, b, u):
     else:
         q = m + ndtri((1.0 - u) * ndtr(alpha) + u * ndtr(beta))
     return min(max(q, a), b)
+
+
+@st.composite
+def kernels_and_geometries(draw):
+    """An nn or exp-decay kernel in d = 1 or 2 on the smallest tori it fits
+    (every extent in (2 range, 2 range + 4]) or on a box of 1 to 6 sites."""
+    dimension = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        kernel = nearest_neighbor(dimension)
+    else:
+        kernel = exp_decay(draw(st.floats(0.2, 0.9)), draw(st.integers(1, 3)), dimension)
+    if draw(st.booleans()):
+        return kernel, LatticeGeometry.torus(
+            [2 * r + draw(st.integers(1, 4)) for r in kernel.range_per_axis])
+    coords = st.tuples(*[st.integers(0, 4)] * dimension)
+    return kernel, LatticeGeometry.box(
+        draw(st.lists(coords, min_size=1, max_size=6, unique=True)), kernel)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from truncgibbs import diagnostics
 from truncgibbs.diagnostics import (
     MIN_N_Q,
     _simpson_weights,
@@ -22,7 +23,7 @@ from truncgibbs.kernel import (
 )
 from truncgibbs.sampler import RunTrace, stationary_run
 from truncgibbs.transforms import af_specification_probe, beta_scaling_check
-from truncgibbs.truncnorm import TruncatedNormal, cdf, inverse_cdf, mean
+from truncgibbs.truncnorm import TruncatedNormal, cdf, inverse_cdf, mean, varphi
 from truncgibbs.streams import derive_key, uniforms
 
 NN1 = nearest_neighbor(1)
@@ -191,6 +192,46 @@ def test_stationarity_passes_across_seeds():
         shift = stationarity_check(trace)
         passes += shift.passed
     assert passes >= 9
+
+
+def verdict_bits(verdict):
+    return np.array([verdict.estimate, verdict.se, verdict.z]).tobytes(), verdict.passed
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1101])
+def test_stationarity_verdict_bits_do_not_depend_on_the_row_blocks(rows):
+    # 1100 sweeps of 16 sites: two blocks of the default 1024 rows, against
+    # blocks of 1 row, 7 rows (the last one short) and one of all the rows
+    trace = stationary_run(LatticeGeometry.torus([16]), exp_decay(0.5, 3), SpinInterval(0.9, 2.0),
+                           seed=4, burn_in=0, n_sweeps=1100, start="lower")
+    blocked = verdict_bits(stationarity_check(trace))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "_CHECK_MEANS", rows * 16)
+        assert verdict_bits(stationarity_check(trace)) == blocked
+
+
+def test_stationarity_reads_the_clipped_local_means():
+    # six exp-decay weights sum a field at a = 0.9 to 0.8999999999999999;
+    # the check, like the chain, reads the mean clipped to a
+    interval = SpinInterval(0.9, 2.0)
+    table = wrapped_offsets(exp_decay(0.5, 3), LatticeGeometry.torus([8]))
+    shift = stationarity_check(RunTrace(np.full((4, 8), 0.9), table, interval))
+    assert shift.estimate == varphi(0.9, interval) != varphi(0.8999999999999999, interval)
+
+
+def test_stationarity_memory_is_bounded_by_the_row_blocks():
+    # 4000 sweeps of 64 sites: reading every local mean at once peaked at
+    # 13.9 MiB of traced allocations, the row blocks at 0.9 MiB
+    rng = np.random.default_rng(0)
+    table = wrapped_offsets(NN1, LatticeGeometry.torus([64]))
+    trace = RunTrace(rng.uniform(0.0, 10.0, (4000, 64)), table, SpinInterval(0.0, 10.0))
+    tracemalloc.start()
+    try:
+        stationarity_check(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

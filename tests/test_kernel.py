@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import kernels_and_geometries
 from truncgibbs.errors import (
     AsymmetricKernel,
     DuplicateSite,
@@ -457,23 +458,6 @@ def test_neighbor_table_takes_no_index():
     # would name their own site; the torus rule excludes that volume
     with pytest.raises(GeometryTooSmall, match="must exceed twice the kernel range 2"):
         wrapped_offsets(exp_decay(0.5, 2), LatticeGeometry.torus([2]))
-
-
-@st.composite
-def kernels_and_geometries(draw):
-    """An nn or exp-decay kernel in d = 1 or 2 on the smallest tori it fits
-    (every extent in (2 range, 2 range + 4]) or on a box of 1 to 6 sites."""
-    dimension = draw(st.sampled_from([1, 2]))
-    if draw(st.booleans()):
-        kernel = nearest_neighbor(dimension)
-    else:
-        kernel = exp_decay(draw(st.floats(0.2, 0.9)), draw(st.integers(1, 3)), dimension)
-    if draw(st.booleans()):
-        return kernel, LatticeGeometry.torus(
-            [2 * r + draw(st.integers(1, 4)) for r in kernel.range_per_axis])
-    coords = st.tuples(*[st.integers(0, 4)] * dimension)
-    return kernel, LatticeGeometry.box(
-        draw(st.lists(coords, min_size=1, max_size=6, unique=True)), kernel)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scalar_quantile
+from helpers import kernels_and_geometries, scalar_quantile
 from truncgibbs import sampler
 from truncgibbs.errors import (
     BoundarySite,
@@ -658,20 +658,105 @@ def overwritten_updates(sites, level, block):
 
 @pytest.mark.parametrize("k", range(2, 25))
 def test_local_means_match_scalar_dot_bitwise(k):
-    # the vector means of the levels, the coupled step and the stationarity
-    # check, np.vecdot(values.take(rows, axis=-1), w), against the scalar scan's
+    # sampler._local_means, which the levels, the coupled step and the
+    # stationarity check read, against the scalar scan's row @ w
     rng = np.random.default_rng(k)
     w = rng.uniform(0.1, 2.0, k)
     w /= w.sum()                                       # non-dyadic weights
     values = rng.uniform(-3.0, 5.0, 500)
     nbrs = rng.integers(0, values.size, (4000, k))
     scalar = np.array([values[row] @ w for row in nbrs])
-    assert np.vecdot(values.take(nbrs, axis=-1), w).tobytes() == scalar.tobytes()
+    assert sampler._local_means(values, nbrs, w, -np.inf, np.inf).tobytes() == scalar.tobytes()
     # a stack of fields, as the stationarity check reads them: each row as its own
     fields = rng.uniform(-3.0, 5.0, (50, 40))
     rows = rng.integers(0, 40, (40, k))
     scalar = np.array([[field[row] @ w for row in rows] for field in fields])
-    assert np.vecdot(fields.take(rows, axis=-1), w).tobytes() == scalar.tobytes()
+    assert sampler._local_means(fields, rows, w, -np.inf, np.inf).tobytes() == scalar.tobytes()
+
+
+def scalar_local_means(values, rows, w, a, b):
+    """The per-row scalar mean ``float(values[row] @ w)`` clipped by Python's
+    min and max, for a flat field or a stack of them: the bitwise reference
+    for :func:`sampler._local_means`."""
+    a, b = float(a), float(b)
+    if values.ndim == 2:
+        return np.array([scalar_local_means(field, rows, w, a, b) for field in values])
+    return np.array([min(max(float(values[row] @ w), a), b) for row in rows])
+
+
+@st.composite
+def local_mean_inputs(draw):
+    """The arguments of :func:`sampler._local_means` as its callers pass them.
+
+    A table of ``kernels_and_geometries`` over an interval with an end at
+    0.0 or -0.0, at 0.9 (six exp-decay(0.5, 3) weights sum a field there to
+    0.8999999999999999) or elsewhere, of width 1e-15 to 100 (or none, at a large end); field values at
+    the ends, at -0.0 and between them, or straying past the ends; and
+    either a flat field, its interior then the box's shell values and the
+    runs' write-off slot, read by the rows of some cells, or a (T, n) trace
+    of a torus read by the whole table.  The ends are floats, as
+    :func:`local_mean` and the stationarity check pass them, or 0-d arrays,
+    as the runs do."""
+    table = wrapped_offsets(*draw(kernels_and_geometries()))
+    end = draw(st.sampled_from([0.0, -0.0, 0.9, -1.3, draw(st.floats(-1e3, 1e3))]))
+    width = 10.0 ** draw(st.floats(-15.0, 2.0))
+    a, b = (end, end + width) if draw(st.booleans()) else (end - width, end)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stray = draw(st.sampled_from([0.0, 0.25])) * (b - a)
+    n, tail = table.n_sites, len(table.shell)
+    trace = tail == 0 and draw(st.booleans())
+    shape = (draw(st.integers(1, 6)), n) if trace else (n + tail + 1,)
+    values = rng.uniform(a - stray, b + stray, shape)
+    picks = rng.integers(0, 4, shape)
+    values[picks == 1] = a
+    values[picks == 2] = b
+    if a <= 0.0 <= b:
+        values[rng.random(shape) < 0.1] = -0.0
+    if trace:
+        rows = table.idx
+    else:
+        values[-1] = 0.0                                 # the write-off slot
+        rows = table.idx.take(rng.integers(0, n, draw(st.integers(1, 40))), axis=0)
+    if draw(st.booleans()):
+        a, b = np.array(a), np.array(b)
+    return values, rows, table.weights, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=local_mean_inputs())
+def test_local_means_are_the_clipped_scalar_means_bitwise(case):
+    means = sampler._local_means(*case)
+    reference = scalar_local_means(*case)
+    assert means.shape == reference.shape
+    assert means.tobytes() == reference.tobytes()
+
+
+def test_local_means_clip_rounded_and_stray_means_to_the_ends():
+    # fixed cases of the property above: six exp-decay weights sum a field
+    # at 0.9 to 0.8999999999999999, which the clip lifts to a = 0.9 and
+    # keeps below b = 0.9; a -0.0 end is what a mean past it becomes; and
+    # the nn weights 1/2 and 1/4 (d = 1, 2) sum fields at the ends to means
+    # in [a, b], where the clip moves nothing
+    table = wrapped_offsets(exp_decay(0.5, 3), LatticeGeometry.torus([8]))
+    rows, w = table.idx, table.weights
+    at = np.full(8, 0.9)
+    assert float(at[rows[0]] @ w) == 0.8999999999999999
+    assert sampler._local_means(at, rows, w, 0.9, 2.0).tolist() == [0.9] * 8
+    assert sampler._local_means(at, rows, w, 0.0, 0.9).tolist() == [0.8999999999999999] * 8
+    stack = np.stack([at, np.full(8, -1.0)])
+    means = sampler._local_means(stack, rows, w, *sampler._array_ends(SpinInterval(-0.0, 0.9)))
+    assert means.shape == (2, 8)
+    assert np.signbit(means[1]).all() and (means[1] == 0.0).all()
+    assert means.tobytes() == scalar_local_means(stack, rows, w, -0.0, 0.9).tobytes()
+    rng = np.random.default_rng(3)
+    for dimension, extents in ((1, [64]), (2, [8, 8])):
+        nn = wrapped_offsets(nearest_neighbor(dimension), LatticeGeometry.torus(extents))
+        for _ in range(500):
+            a = rng.uniform(-100.0, 100.0)
+            b = a + abs(a) * 10.0 ** rng.uniform(-16.0, 0.0)
+            fields = rng.choice([a, b], (8, 64))
+            means = np.vecdot(fields.take(nn.idx, axis=-1), nn.weights)
+            assert ((a <= means) & (means <= b)).all()
 
 
 def two_call_coupled_step(low, upp, cells, nbrs, us, w, a, b, tol):
